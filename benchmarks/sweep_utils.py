@@ -60,7 +60,7 @@ def per_mode_sweep(
                         tag=f"out-{mode}")
         ttmc_matricized(
             tensor, factors, mode,
-            symbolic=symbolic[mode], out=out, workspace=pool, kernel=kernel,
+            symbolic=symbolic[mode], out=out, kernel=kernel,
         )
 
 

@@ -3,9 +3,10 @@
 The same unit of work as the format sweep — one HOOI-iteration-worth of
 TTMc, every mode's ``Y_(n)`` — on the 4-mode power-law tensor, with the
 ``kernel`` axis flipped.  The compiled tier fuses each COO row / CSF level
-into one pass (gather + multiply + accumulate, no Kronecker temporaries and
-no ``reduceat`` read-back), so it should win on both formats; the acceptance
-gate asserts it does.
+into one pass (gather + multiply + accumulate, no Kronecker temporaries),
+where the numpy tier walks each block once per column of a sparse × dense
+segment-sum, so it should win on both formats; the acceptance gate asserts
+it does.
 
 Everything here **requires a real numba JIT** and is skipped otherwise: the
 registry's interpreted fallback (``REPRO_KERNEL_FORCE_PYTHON``) proves the
@@ -95,7 +96,8 @@ def test_ttmc_sweep_csf_numba(benchmark, tensor, factors, csf_trees, warm_table)
 @requires_numba
 def test_numba_beats_numpy_coo(tensor, factors, symbolic, warm_table):
     """Acceptance gate: the fused COO row kernel must beat the vectorized
-    gather/kron/reduceat pipeline on the 4-mode power-law sweep."""
+    gather + sparse × dense segment-sum pipeline on the 4-mode power-law
+    sweep."""
     pool_a, pool_b = WorkspacePool(), WorkspacePool()
     per_mode_sweep(tensor, factors, symbolic, pool_a, RANK)          # warm-up
     per_mode_sweep(tensor, factors, symbolic, pool_b, RANK, "numba")
@@ -113,7 +115,7 @@ def test_numba_beats_numpy_coo(tensor, factors, symbolic, warm_table):
 @requires_numba
 def test_numba_beats_numpy_csf(tensor, factors, csf_trees, warm_table):
     """Acceptance gate: the fused fiber-extent walk must beat the
-    per-level kron + reduceat passes on the same trees."""
+    per-level sparse × dense segment-sums on the same trees."""
     pool_a, pool_b = WorkspacePool(), WorkspacePool()
     csf_sweep(tensor, factors, csf_trees, pool_a, RANK)              # warm-up
     csf_sweep(tensor, factors, csf_trees, pool_b, RANK, "numba")

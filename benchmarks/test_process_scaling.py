@@ -73,7 +73,7 @@ def _sequential_sweep(tensor, factors, symbolic, pool):
                         tag=f"out-{mode}")
         ttmc_matricized(
             tensor, factors, mode,
-            symbolic=symbolic[mode], out=out, workspace=pool,
+            symbolic=symbolic[mode], out=out,
         )
 
 

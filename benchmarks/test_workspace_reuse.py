@@ -1,11 +1,11 @@
 """Micro-benchmark: pooled vs per-call TTMc buffer allocation.
 
 The engine's :class:`~repro.engine.workspace.WorkspacePool` preallocates and
-reuses the ``(I_n × ∏R_t)`` TTMc output and the per-block Kronecker scratch
-across modes and iterations.  This benchmark isolates exactly that effect: a
-full per-mode TTMc sweep, identical numeric work, with fresh allocations per
-call versus pooled buffers — and asserts that the pooled variant performs
-zero allocations after warm-up.
+reuses the ``(I_n × ∏R_t)`` TTMc output across modes and iterations.  This
+benchmark isolates exactly that effect: a full per-mode TTMc sweep,
+identical numeric work, with fresh allocations per call versus pooled
+buffers — and asserts that the pooled variant performs zero allocations
+after warm-up.
 """
 
 from __future__ import annotations
@@ -56,14 +56,14 @@ def _sweep(tensor, factors, symbolic, workspace):
         results.append(
             ttmc_matricized(
                 tensor, factors, mode,
-                symbolic=symbolic[mode], out=out, workspace=workspace,
+                symbolic=symbolic[mode], out=out,
             )
         )
     return results
 
 
 def test_ttmc_sweep_per_call_allocation(benchmark, tensor, factors, symbolic):
-    """Baseline: every mode of every sweep allocates Y_(n) and scratch fresh."""
+    """Baseline: every mode of every sweep allocates Y_(n) fresh."""
     results = benchmark(_sweep, tensor, factors, symbolic, None)
     assert len(results) == tensor.order
 
@@ -93,6 +93,6 @@ def test_hooi_end_to_end_pooled(benchmark, tensor):
     result = benchmark(hooi, tensor, RANK, options, workspace=pool)
 
     assert np.isfinite(result.fit)
-    # One Y_(n) buffer per distinct (I_n, width) plus the Kronecker scratch.
+    # One Y_(n) buffer per distinct (I_n, width).
     assert pool.num_buffers > 0
     assert pool.reuses > 0

@@ -20,10 +20,16 @@ from repro.core.dense import (
     tensor_norm,
     unfold,
 )
-from repro.core.kron import batch_kron_rows, kron_row_length, kron_rows
+from repro.core.kron import (
+    batch_kron_rows,
+    kron_row_length,
+    kron_rows,
+    segment_kron_sum,
+)
 from repro.core.symbolic import (
     ModeSymbolic,
     SymbolicTTMc,
+    stable_radix_order,
     symbolic_all_modes,
     symbolic_ttmc,
 )
@@ -69,8 +75,10 @@ __all__ = [
     "batch_kron_rows",
     "kron_row_length",
     "kron_rows",
+    "segment_kron_sum",
     "ModeSymbolic",
     "SymbolicTTMc",
+    "stable_radix_order",
     "symbolic_all_modes",
     "symbolic_ttmc",
     "default_block_size",

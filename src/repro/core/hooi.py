@@ -128,7 +128,8 @@ class HOOIOptions:
     ``kernel`` selects the *implementation tier* of the TTMc inner loops:
     ``"numpy"`` (default — the vectorized kernels) or ``"numba"`` (fused,
     JIT-compiled loop bodies, :mod:`repro.kernels` — same numerics, one
-    pass per output row instead of gather/kron/reduceat temporaries).  The
+    fused pass per output row instead of gathers plus sparse × dense
+    segment-sums).  The
     numba tier requires the numba package and composes with both tensor
     formats, every execution model and the distributed grains (each rank /
     worker runs the compiled loops on its local rows), but not with

@@ -11,6 +11,10 @@ Convention: the result is laid out so that the *first* vector in the list
 varies fastest, matching the column-major (Kolda-Bader) matricization used by
 :mod:`repro.core.dense` and :meth:`repro.core.sparse_tensor.SparseTensor.matricize`.
 Equivalently, ``kron_rows([a, b, c]) == np.kron(c, np.kron(b, a))``.
+
+:func:`segment_kron_sum` is the accumulation half of the TTMc: it sums the
+row-wise Kronecker products of two operands over CSR segments as a handful
+of sparse × dense products, so the full-width rows are never built.
 """
 
 from __future__ import annotations
@@ -18,10 +22,17 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 import numpy as np
+import scipy.sparse
 
 from repro.core.sparse_tensor import SUPPORTED_DTYPES
 
-__all__ = ["kron_rows", "batch_kron_rows", "kron_row_length", "kron_dtype"]
+__all__ = [
+    "kron_rows",
+    "batch_kron_rows",
+    "kron_row_length",
+    "kron_dtype",
+    "segment_kron_sum",
+]
 
 
 def kron_dtype(*arrays) -> np.dtype:
@@ -102,16 +113,106 @@ def batch_kron_rows(
             return arrays[0]
         np.copyto(out, arrays[0])
         return out
+    # result: (m, W), block: (m, R)  ->  (m, R * W) with result fastest.
+    # einsum forms the same products as the broadcast multiply
+    # ``block[:, :, None] * result[:, None, :]``, with faster inner loops
+    # over the short rank axes.
     result = arrays[0]
     for block in arrays[1:-1]:
-        # result: (m, W), block: (m, R)  ->  (m, R * W) with result fastest
-        result = (block[:, :, None] * result[:, None, :]).reshape(m, -1)
+        result = np.einsum("ij,ik->ikj", result, block).reshape(m, -1)
     last = arrays[-1]
     if out is None:
-        return (last[:, :, None] * result[:, None, :]).reshape(m, -1)
-    np.multiply(
-        last[:, :, None],
-        result[:, None, :],
+        return np.einsum("ij,ik->ikj", result, last).reshape(m, -1)
+    np.einsum(
+        "ij,ik->ikj", result, last,
         out=out.reshape(m, last.shape[1], result.shape[1]),
     )
+    return out
+
+
+def segment_kron_sum(
+    segptr: np.ndarray,
+    left: np.ndarray,
+    right: Optional[np.ndarray] = None,
+    weights: Optional[np.ndarray] = None,
+    *,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Segment sums of weighted row-wise Kronecker products.
+
+    Computes, for every segment ``s`` of the CSR pointer ``segptr``
+    (``segptr[0] == 0``, ``segptr[-1] == len(left)``),
+
+        ``out[s] = Σ_{z ∈ [segptr[s], segptr[s+1])} w_z · kron_rows([left[z], right[z]])``
+
+    with ``w_z = 1`` when ``weights`` is ``None`` and ``kron_rows([left[z]])``
+    when ``right`` is ``None`` (a plain segment-sum).  The segments form a
+    CSR matrix ``A`` (row ``s`` holds positions ``segptr[s]:segptr[s+1]``),
+    so column block ``c`` of the result is ``A(data=w · right[:, c]) @ left``;
+    the ``m × (R_left · R_right)`` Kronecker rows are never materialized.  The
+    loop runs over the narrower operand's columns (writing strided columns
+    when that is ``left``), so a width-1 operand costs a single product.
+    Empty segments yield zero rows.  The compute dtype follows
+    :func:`kron_dtype` (all-``float32`` operands stay ``float32``); ``out``,
+    when given, must have exactly the result's shape and dtype.
+    """
+    segptr = np.asarray(segptr)
+    operands = [a for a in (left, right, weights) if a is not None]
+    dtype = kron_dtype(*operands)
+    left = np.ascontiguousarray(left, dtype=dtype)
+    m, left_width = left.shape
+    right_width = 1 if right is None else right.shape[1]
+    num_segments = segptr.shape[0] - 1
+    shape = (num_segments, left_width * right_width)
+    if out is None:
+        out = np.empty(shape, dtype=dtype)
+    elif out.shape != shape or out.dtype != dtype:
+        raise ValueError(
+            f"out has shape {out.shape} / dtype {out.dtype}, expected "
+            f"{shape} / {dtype}"
+        )
+    if segptr[0] != 0 or segptr[-1] != m:
+        raise ValueError(f"segptr must run from 0 to {m}, got {segptr[0]}..{segptr[-1]}")
+    if m == 0:
+        out[...] = 0
+        return out
+
+    if right is None:
+        dense, narrow, blocks = left, None, [np.s_[:, :]]
+    else:
+        right = np.asarray(right, dtype=dtype)
+        if right.shape[0] != m:
+            raise ValueError("left and right must have the same number of rows")
+        if left_width >= right_width:
+            # Column block c (width R_left) is A(w · right[:, c]) @ left.
+            dense, narrow = left, right
+            blocks = [np.s_[:, c * left_width:(c + 1) * left_width]
+                      for c in range(right_width)]
+        else:
+            # Left varies fastest: columns j, j + R_left, ... are
+            # A(w · left[:, j]) @ right.
+            dense, narrow = np.ascontiguousarray(right), left
+            blocks = [np.s_[:, j::left_width] for j in range(left_width)]
+    if narrow is not None:
+        data = np.empty(m, dtype=dtype)
+    elif weights is None:
+        data = np.ones(m, dtype=dtype)
+    else:
+        data = np.asarray(weights, dtype=dtype)
+    # scipy stores CSR indices as int32 whenever they fit, and would scan
+    # and convert int64 index arrays on every construction.
+    index_dtype = (
+        np.int32 if max(m, num_segments) <= np.iinfo(np.int32).max else np.int64
+    )
+    mat = scipy.sparse.csr_matrix(
+        (data, np.arange(m, dtype=index_dtype), segptr.astype(index_dtype)),
+        shape=(num_segments, m),
+    )
+    for k, block in enumerate(blocks):
+        if narrow is not None:
+            if weights is None:
+                mat.data[:] = narrow[:, k]
+            else:
+                np.multiply(weights, narrow[:, k], out=mat.data)
+        out[block] = mat @ dense
     return out

@@ -33,7 +33,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.kron import batch_kron_rows, kron_row_length
-from repro.core.ttmc import default_block_size
+from repro.core.symbolic import stable_radix_order
+from repro.core.ttmc import default_block_size, segment_chunks, write_segment_sums
 
 __all__ = [
     "FiberGrouping",
@@ -66,7 +67,7 @@ class FiberGrouping:
         may then read the parent payload through views instead of fancy
         gathers.  :func:`group_fibers_presorted` always produces contiguous
         groupings; :func:`group_fibers` never claims the flag (even when its
-        lexsort happens to be the identity) so the flag stays a structural
+        sort happens to be the identity) so the flag stays a structural
         guarantee, not a data-dependent accident.
     """
 
@@ -91,7 +92,8 @@ class FiberGrouping:
 def group_fibers(index_columns: np.ndarray) -> FiberGrouping:
     """Group rows of an ``(m, k)`` index array by their tuple value.
 
-    A single lexsort — O(m log m), done once per tree edge and reused by
+    A single stable radix sort (:func:`repro.core.symbolic.stable_radix_order`,
+    the order ``np.lexsort`` gives), done once per tree edge and reused by
     every numeric pass — generalizing :func:`repro.core.symbolic.symbolic_ttmc`
     from one mode to a mode subset.
     """
@@ -107,10 +109,11 @@ def group_fibers(index_columns: np.ndarray) -> FiberGrouping:
             perm=np.empty(0, dtype=np.int64),
             segptr=np.zeros(1, dtype=np.int64),
         )
-    # lexsort's last key is primary: pass columns reversed so the lowest mode
-    # is the most significant and groups come out in ascending tuple order.
-    perm = np.lexsort(tuple(cols[:, c] for c in range(k - 1, -1, -1)))
-    perm = perm.astype(np.int64, copy=False)
+    # The lowest mode is the most significant, so groups come out in
+    # ascending tuple order.
+    perm = stable_radix_order(
+        [cols[:, c] for c in range(k)], cols.max(axis=0) + 1
+    )
     sorted_cols = cols[perm]
     boundary = np.empty(m, dtype=bool)
     boundary[0] = True
@@ -127,7 +130,7 @@ def group_fibers_presorted(index_columns: np.ndarray) -> FiberGrouping:
     parent's index tuples are lex-sorted, any *prefix* of its columns is
     non-decreasing too, so equal tuples are already contiguous and in order.
     The permutation is then the identity and the segment boundaries fall out
-    of one vectorized row-change comparison — no lexsort.  This is how a
+    of one vectorized row-change comparison — no sort.  This is how a
     CSF-sourced dimension tree derives every left-child grouping (and, since
     :func:`group_fibers` emits sorted tuples, every deeper grouping of a COO
     tree's sorted internal nodes).
@@ -233,7 +236,7 @@ def edge_update_groups(
 ) -> np.ndarray:
     """Numeric refinement of one tree edge for a contiguous range of groups.
 
-    For each group ``g`` in ``[group_start, group_stop)`` this accumulates
+    For each group ``g`` in ``[group_start, group_stop)`` this computes
 
         ``out[g - group_start] = Σ_p  payload[p] ⊗ kron(U_t[i_t(p)], t ∈ S)``
 
@@ -242,47 +245,38 @@ def edge_update_groups(
     ``sibling_factors`` its factor matrices in the same ascending-mode order)
     and the Kronecker insertion keeps the payload column convention.
 
-    ``out`` (zeroed here) covers only the requested group range, so disjoint
-    ranges can be filled concurrently by different workers — the row-parallel,
-    lock-free decomposition of :mod:`repro.parallel.shared_dimtree`.
+    Every row of ``out`` is assigned.  ``out`` covers only the requested
+    group range, so disjoint ranges can be filled concurrently by different
+    workers — the row-parallel, lock-free decomposition of
+    :mod:`repro.parallel.shared_dimtree`.
     ``workspace`` supplies the per-block scratch buffers and must be ``None``
     when called from concurrent workers (the pool is not thread-safe).
     """
-    out[:] = 0
-    count = group_stop - group_start
-    if count <= 0:
+    if group_stop <= group_start:
         return out
     dtype = out.dtype
     sib_width = kron_row_length([f.shape[1] for f in sibling_factors])
     child_width = out.shape[1]
-    p0 = int(grouping.segptr[group_start])
-    p1 = int(grouping.segptr[group_stop])
-    total = p1 - p0
-    if total == 0:
-        return out
     # A contiguous grouping's perm is the identity: parent fibers for the
-    # requested range are literally rows p0:p1, so each block below reads the
-    # payload and index columns through slice views instead of fancy gathers.
+    # requested range are literally rows segptr[0]:segptr[-1], so each block
+    # below reads the payload and index columns through slice views instead
+    # of fancy gathers.
     # The block order, segment boundaries and accumulation order are the same
     # either way, so both paths produce bit-identical payloads.
-    positions = None if grouping.contiguous else grouping.perm[p0:p1]
-    counts = np.diff(grouping.segptr[group_start : group_stop + 1])
-    local_rows = np.repeat(np.arange(count, dtype=np.int64), counts)
+    segptr = grouping.segptr[group_start : group_stop + 1]
     if block_nnz is None:
         block_nnz = default_block_size(child_width, itemsize=dtype.itemsize)
 
-    for start in range(0, total, block_nnz):
-        stop = min(start + block_nnz, total)
-        chunk_rows = local_rows[start:stop]
-        if positions is None:
-            pay = parent_payload[p0 + start : p0 + stop]
-            idx_rows = parent_index_cols[p0 + start : p0 + stop]
+    for start, stop, s_lo, s_hi, local in segment_chunks(segptr, block_nnz):
+        if grouping.contiguous:
+            pay = parent_payload[start:stop]
+            idx_rows = parent_index_cols[start:stop]
             blocks = [
                 factor[idx_rows[:, col]]
                 for col, factor in zip(sibling_cols, sibling_factors)
             ]
         else:
-            chunk = positions[start:stop]
+            chunk = grouping.perm[start:stop]
             pay = parent_payload[chunk]
             blocks = [
                 factor[parent_index_cols[chunk, col]]
@@ -302,11 +296,7 @@ def edge_update_groups(
             else None
         )
         combined = kron_insert(pay, kron, lo_width, hi_width, out=insert_scratch)
-        # chunk_rows is non-decreasing (perm is grouped), so the accumulation
-        # is a segment-sum; a group split across blocks is handled by the +=.
-        boundaries = np.flatnonzero(
-            np.concatenate(([True], chunk_rows[1:] != chunk_rows[:-1]))
+        write_segment_sums(
+            out, slice(s_lo, s_hi), segptr[s_lo] < start, local, combined
         )
-        sums = np.add.reduceat(combined, boundaries, axis=0)
-        out[chunk_rows[boundaries]] += sums
     return out

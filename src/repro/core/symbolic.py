@@ -23,7 +23,41 @@ import numpy as np
 from repro.core.sparse_tensor import SparseTensor
 from repro.util.validation import check_axis
 
-__all__ = ["ModeSymbolic", "SymbolicTTMc", "symbolic_ttmc", "symbolic_all_modes"]
+__all__ = [
+    "ModeSymbolic",
+    "SymbolicTTMc",
+    "stable_radix_order",
+    "symbolic_ttmc",
+    "symbolic_all_modes",
+]
+
+
+def stable_radix_order(
+    cols: Sequence[np.ndarray], sizes: Sequence[int]
+) -> np.ndarray:
+    """Stable lexicographic order of index columns (first column primary).
+
+    Equal to ``np.lexsort(cols[::-1])`` — bit-identical, ties keep their
+    input order — for non-negative ``cols[k] < sizes[k]``.  It is a
+    least-significant-digit radix sort: the columns are visited last to
+    first and each in 16-bit digits, low digit first, and every pass is a
+    stable ``argsort`` of ``uint16`` keys, which NumPy runs as a counting
+    radix sort.  A column of size 1 needs no pass.  No packed multi-column
+    key is formed, so no combination of sizes can overflow.
+    """
+    if len(cols) != len(sizes):
+        raise ValueError("cols and sizes must have the same length")
+    perm = None
+    for col, size in zip(reversed(cols), reversed(sizes)):
+        col = np.asarray(col)
+        for shift in range(0, max(int(size) - 1, 0).bit_length(), 16):
+            keys = col if perm is None else col[perm]
+            digit = (keys >> shift).astype(np.uint16)
+            order = np.argsort(digit, kind="stable")
+            perm = order if perm is None else perm[order]
+    if perm is None:
+        return np.arange(len(cols[0]) if cols else 0, dtype=np.int64)
+    return perm.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -107,13 +141,14 @@ class SymbolicTTMc:
 def symbolic_ttmc(tensor: SparseTensor, mode: int) -> ModeSymbolic:
     """Build the mode-``n`` update lists for ``tensor``.
 
-    The construction is a single stable sort of the nonzero positions by their
-    mode-``n`` index — O(nnz log nnz) — performed once and reused by every
-    numeric TTMc in every HOOI iteration.
+    The construction is a single stable radix sort of the nonzero positions
+    by their mode-``n`` index (:func:`stable_radix_order`) — O(nnz) per
+    16-bit digit — performed once and reused by every numeric TTMc in every
+    HOOI iteration.
     """
     mode = check_axis(mode, tensor.order)
     idx = tensor.indices[:, mode]
-    perm = np.argsort(idx, kind="stable").astype(np.int64)
+    perm = stable_radix_order([idx], [tensor.shape[mode]])
     sorted_idx = idx[perm]
     if sorted_idx.shape[0] == 0:
         return ModeSymbolic(

@@ -11,20 +11,28 @@ shared-memory and distributed layers parallelize *over rows* of ``Y_(n)``
 using the symbolic structure from :mod:`repro.core.symbolic`.
 
 Performance notes (per the HPC-Python guides): there is no per-nonzero Python
-loop.  Nonzeros are processed in blocks; factor rows are gathered with fancy
-indexing, combined with :func:`repro.core.kron.batch_kron_rows`, scaled by the
-values and accumulated with a segment-sum (``np.add.reduceat`` over the
-row-grouped order produced by the symbolic step), so the inner work is all
-vectorized NumPy.
+loop.  Nonzeros are processed in blocks of the row-grouped order produced by
+the symbolic step, whose ``rowptr`` is a CSR matrix: the accumulation into
+``Y_(n)`` is a sparse × dense product.  Factor rows are gathered with fancy
+indexing, the first ``N − 2`` are combined with
+:func:`repro.core.kron.batch_kron_rows` and
+:func:`repro.core.kron.segment_kron_sum` folds in the last factor and the
+values one column at a time, so the full ``∏R_t``-wide Kronecker row of a
+nonzero is never built.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.kron import batch_kron_rows, kron_dtype, kron_row_length
+from repro.core.kron import (
+    batch_kron_rows,
+    kron_dtype,
+    kron_row_length,
+    segment_kron_sum,
+)
 from repro.core.sparse_tensor import SparseTensor
 from repro.core.symbolic import ModeSymbolic, symbolic_ttmc
 from repro.util.validation import check_axis, check_same_order
@@ -36,6 +44,10 @@ __all__ = [
     "ttmc_flops",
     "default_block_size",
     "gather_ranges",
+    "segment_chunks",
+    "write_segment_sums",
+    "coo_segment_ttmc",
+    "compiled_coo_ttmc",
 ]
 
 #: Upper bound on nonzeros processed per vectorized block.
@@ -45,7 +57,7 @@ _DEFAULT_BLOCK_NNZ = 65536
 def default_block_size(
     kron_width: int, *, budget_bytes: int = 64 << 20, itemsize: int = 8
 ) -> int:
-    """Pick a nonzero block size so the Kronecker buffer stays under ``budget_bytes``."""
+    """Pick a nonzero block size so a ``block × kron_width`` buffer stays under ``budget_bytes``."""
     kron_width = max(int(kron_width), 1)
     block = budget_bytes // (max(int(itemsize), 1) * kron_width)
     return int(min(_DEFAULT_BLOCK_NNZ, max(1024, block)))
@@ -68,6 +80,62 @@ def gather_ranges(source: np.ndarray, starts: np.ndarray, counts: np.ndarray) ->
     begins = ends - counts
     offsets = np.repeat(starts - begins, counts)
     return source[np.arange(total, dtype=np.int64) + offsets]
+
+
+def segment_chunks(segptr: np.ndarray, block_nnz: int):
+    """Split the positions of CSR segments into blocks of at most ``block_nnz``.
+
+    Yields ``(start, stop, s_lo, s_hi, local_segptr)``: positions
+    ``[start, stop)`` cover segments ``[s_lo, s_hi)`` and ``local_segptr``
+    (from 0 to ``stop − start``) is their extent inside the block — the
+    ``segptr`` form :func:`repro.core.kron.segment_kron_sum` takes.  Every
+    segment, empty ones included, belongs to at least one block.  A segment
+    longer than a block is split over consecutive blocks; a block's first
+    segment *continues* one from the previous block when
+    ``segptr[s_lo] < start``.
+    """
+    segptr = np.asarray(segptr, dtype=np.int64)
+    ends = segptr[1:]
+    begin, end = int(segptr[0]), int(segptr[-1])
+    for start in range(begin, end, block_nnz):
+        stop = min(start + block_nnz, end)
+        # Segments ending at or before ``start`` were finished by earlier
+        # blocks; segments ending at or before ``stop`` finish here, plus
+        # the one ``stop`` splits.
+        s_lo = 0 if start == begin else int(np.searchsorted(ends, start, side="right"))
+        s_hi = int(np.searchsorted(ends, stop, side="right"))
+        if s_hi < ends.shape[0] and segptr[s_hi] < stop:
+            s_hi += 1
+        local = np.clip(segptr[s_lo:s_hi + 1], start, stop) - start
+        yield start, stop, s_lo, s_hi, local
+
+
+def write_segment_sums(
+    out: np.ndarray,
+    rows,
+    continued: bool,
+    segptr: np.ndarray,
+    left: np.ndarray,
+    right: Optional[np.ndarray] = None,
+    weights: Optional[np.ndarray] = None,
+) -> None:
+    """Assign one block's :func:`segment_kron_sum` rows to ``out[rows]``.
+
+    ``rows`` (an index array or a slice) names the output row of every
+    segment.  With ``continued`` the first segment finishes one an earlier
+    block began, so its sum is added to that row instead.  Consecutive rows
+    are written through a slice; when no row is continued the products
+    land in ``out`` with no intermediate.
+    """
+    if not isinstance(rows, slice) and rows[-1] - rows[0] == rows.shape[0] - 1:
+        rows = slice(int(rows[0]), int(rows[-1]) + 1)
+    if isinstance(rows, slice) and not continued:
+        segment_kron_sum(segptr, left, right, weights, out=out[rows])
+        return
+    sums = segment_kron_sum(segptr, left, right, weights)
+    if continued:
+        sums[0] += out[rows.start if isinstance(rows, slice) else rows[0]]
+    out[rows] = sums
 
 
 def _factor_widths(
@@ -150,38 +218,84 @@ def ttmc_contributions(
     return out
 
 
-def _selected_positions(
-    symbolic: ModeSymbolic, rows: Optional[np.ndarray]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Nonzero positions (grouped by row) and their target rows for a row subset."""
-    if rows is None:
-        counts = symbolic.row_sizes()
-        positions = symbolic.perm
-        row_of_nnz = np.repeat(symbolic.rows, counts)
-        return positions, row_of_nnz
-    rows = np.asarray(rows, dtype=np.int64)
-    sel = np.flatnonzero(np.isin(symbolic.rows, rows))
-    counts = symbolic.rowptr[sel + 1] - symbolic.rowptr[sel]
-    positions = gather_ranges(symbolic.perm, symbolic.rowptr[sel], counts)
-    row_of_nnz = np.repeat(symbolic.rows[sel], counts)
-    return positions, row_of_nnz
-
-
-def _compiled_factor_args(
+def compiled_coo_ttmc(
+    table,
     tensor: SparseTensor,
     factors: Sequence[Optional[np.ndarray]],
     mode: int,
-    dtype,
-    table,
-):
-    """Factor list + column map in the form the compiled COO kernel takes."""
+    positions: np.ndarray,
+    segptr: np.ndarray,
+    target: np.ndarray,
+    out: np.ndarray,
+) -> np.ndarray:
+    """The compiled-tier counterpart of :func:`coo_segment_ttmc`.
+
+    ``table`` is a :class:`repro.kernels.KernelTable`; its fused kernel makes
+    one pass per segment and *assigns* ``out[target[s]]``.
+    """
     cols = np.asarray(
         [t for t in range(tensor.order) if t != mode], dtype=np.int64
     )
     arrays = [
-        np.ascontiguousarray(np.asarray(factors[t], dtype=dtype)) for t in cols
+        np.ascontiguousarray(np.asarray(factors[t], dtype=out.dtype))
+        for t in cols
     ]
-    return table.make_factor_list(arrays), cols
+    table.coo_row_block_ttmc(
+        tensor.indices,
+        tensor.values,
+        table.make_factor_list(arrays),
+        cols,
+        np.ascontiguousarray(segptr, dtype=np.int64),
+        np.ascontiguousarray(positions, dtype=np.int64),
+        np.ascontiguousarray(target, dtype=np.int64),
+        out,
+    )
+    return out
+
+
+def coo_segment_ttmc(
+    tensor: SparseTensor,
+    factors: Sequence[Optional[np.ndarray]],
+    mode: int,
+    positions: np.ndarray,
+    segptr: np.ndarray,
+    out: np.ndarray,
+    *,
+    target: Optional[np.ndarray] = None,
+    block_nnz: Optional[int] = None,
+) -> np.ndarray:
+    """The numpy-tier COO TTMc body over CSR-grouped nonzeros.
+
+    Segment ``s`` is the nonzeros ``positions[segptr[s]:segptr[s + 1]]``
+    (``segptr[0] == 0``); its TTMc row is *assigned* to ``out[target[s]]``,
+    or to ``out[s]`` when ``target`` is ``None`` — the compiled kernel's
+    contract (:func:`compiled_coo_ttmc`).  Blocks of ``block_nnz`` nonzeros
+    gather their factor rows, combine the first ``N − 2`` with
+    :func:`batch_kron_rows` and hand the last factor and the values to
+    :func:`segment_kron_sum`.  ``block_nnz`` defaults to a size bounding a
+    block's ``(segments × ∏R_t)`` sums to ~64 MB.  Shared by
+    :func:`ttmc_matricized` and :func:`repro.parallel.shared_ttmc.ttmc_row_block`.
+    """
+    dtype = out.dtype
+    cols = [t for t in range(tensor.order) if t != mode]
+    factor_arrays = [np.asarray(factors[t], dtype=dtype) for t in cols]
+    if block_nnz is None:
+        block_nnz = default_block_size(out.shape[1], itemsize=dtype.itemsize)
+    for start, stop, s_lo, s_hi, local in segment_chunks(segptr, block_nnz):
+        chunk = positions[start:stop]
+        idx = tensor.indices[chunk]
+        rows = [factor[idx[:, t]] for factor, t in zip(factor_arrays, cols)]
+        if len(rows) > 1:
+            left, right = batch_kron_rows(rows[:-1]), rows[-1]
+        else:
+            left, right = rows[0], None
+        write_segment_sums(
+            out,
+            slice(s_lo, s_hi) if target is None else target[s_lo:s_hi],
+            segptr[s_lo] < start,
+            local, left, right, tensor.values[chunk],
+        )
+    return out
 
 
 def ttmc_matricized(
@@ -193,7 +307,6 @@ def ttmc_matricized(
     rows: Optional[np.ndarray] = None,
     block_nnz: Optional[int] = None,
     out: Optional[np.ndarray] = None,
-    workspace=None,
     zero: str = "full",
     kernel: str = "numpy",
 ) -> np.ndarray:
@@ -216,15 +329,10 @@ def ttmc_matricized(
         coarse-grain algorithm restricts computation to its owned rows
         ``I_n^k``).  Other rows of the output stay zero.
     block_nnz:
-        Nonzeros per vectorized block (defaults to a size bounding the
-        temporary Kronecker buffer to ~64 MB).
+        Nonzeros per vectorized block (defaults to a size bounding each
+        block's per-row sums to ~64 MB; see :func:`coo_segment_ttmc`).
     out:
         Optional preallocated ``(I_n, prod R_t)`` output buffer (zeroed here).
-    workspace:
-        Optional :class:`repro.engine.workspace.WorkspacePool` supplying the
-        per-block Kronecker scratch buffer, so repeated calls (one per mode
-        per HOOI iteration) stop allocating the widest temporary.  Not
-        thread-safe: pass ``None`` from concurrent workers.
     zero:
         How much of a caller-provided ``out`` to clear before accumulating:
         ``"full"`` (default) memsets the whole ``I_n × W`` buffer;
@@ -236,10 +344,10 @@ def ttmc_matricized(
         ``out`` is ``None`` (a fresh buffer is allocated zeroed).
     kernel:
         Implementation tier of the inner loop: ``"numpy"`` (default — the
-        blocked gather/kron/``reduceat`` path above) or ``"numba"``
-        (:mod:`repro.kernels` — one fused pass per output row, no
-        full-width temporaries; ``block_nnz`` and ``workspace`` are unused
-        there).  Same numerics up to floating-point reassociation.
+        blocked gather + sparse × dense segment-sum of
+        :func:`coo_segment_ttmc`) or ``"numba"`` (:mod:`repro.kernels` — one
+        fused pass per output row; ``block_nnz`` is unused there).  Same
+        numerics up to floating-point reassociation.
 
     Returns
     -------
@@ -275,86 +383,29 @@ def ttmc_matricized(
     elif symbolic.mode != mode or symbolic.nnz != tensor.nnz:
         raise ValueError("symbolic data does not match the tensor/mode")
 
+    if rows is None:
+        positions, segptr, target = symbolic.perm, symbolic.rowptr, symbolic.rows
+    else:
+        rows = np.asarray(rows, dtype=np.int64)
+        sel = np.flatnonzero(np.isin(symbolic.rows, rows))
+        counts = symbolic.rowptr[sel + 1] - symbolic.rowptr[sel]
+        positions = gather_ranges(symbolic.perm, symbolic.rowptr[sel], counts)
+        segptr = np.zeros(sel.shape[0] + 1, dtype=np.int64)
+        np.cumsum(counts, out=segptr[1:])
+        target = symbolic.rows[sel]
+
+    # Both tiers assign every J_n row they compute, so under "touched" only
+    # rows *requested but absent from J_n* need an explicit clear.
+    if zero == "touched" and rows is not None:
+        out[rows[~np.isin(rows, symbolic.rows)]] = 0.0
+    if target.shape[0] == 0:
+        return out
     table = kernel_table(kernel)
     if table is not None:
-        # Compiled tier: one fused pass per output row.  Every selected row
-        # is zeroed and assigned inside the kernel, so only rows *requested
-        # but absent from J_n* need an explicit clear under "touched".
-        if rows is None:
-            target_rows = symbolic.rows
-            positions = symbolic.perm
-            rowptr = symbolic.rowptr
-        else:
-            rows_arr = np.asarray(rows, dtype=np.int64)
-            present = np.isin(rows_arr, symbolic.rows)
-            if zero == "touched" and not present.all():
-                out[rows_arr[~present]] = 0.0
-            sel = np.flatnonzero(np.isin(symbolic.rows, rows_arr))
-            counts = symbolic.rowptr[sel + 1] - symbolic.rowptr[sel]
-            positions = gather_ranges(
-                symbolic.perm, symbolic.rowptr[sel], counts
-            )
-            rowptr = np.zeros(sel.shape[0] + 1, dtype=np.int64)
-            np.cumsum(counts, out=rowptr[1:])
-            target_rows = symbolic.rows[sel]
-        if target_rows.shape[0]:
-            factor_list, cols = _compiled_factor_args(
-                tensor, factors, mode, dtype, table
-            )
-            table.coo_row_block_ttmc(
-                tensor.indices,
-                tensor.values,
-                factor_list,
-                cols,
-                np.ascontiguousarray(rowptr, dtype=np.int64),
-                np.ascontiguousarray(positions, dtype=np.int64),
-                np.ascontiguousarray(target_rows, dtype=np.int64),
-                out,
-            )
-        return out
-
-    if zero == "touched":
-        touched = symbolic.rows if rows is None else np.asarray(rows, dtype=np.int64)
-        out[touched] = 0.0
-
-    positions, row_of_nnz = _selected_positions(symbolic, rows)
-    if positions.shape[0] == 0:
-        return out
-
-    if block_nnz is None:
-        block_nnz = default_block_size(width, itemsize=dtype.itemsize)
-
-    factor_arrays = [
-        None if t == mode else np.asarray(factors[t], dtype=dtype)
-        for t in range(tensor.order)
-    ]
-
-    for start in range(0, positions.shape[0], block_nnz):
-        chunk = positions[start:start + block_nnz]
-        chunk_rows = row_of_nnz[start:start + chunk.shape[0]]
-        idx = tensor.indices[chunk]
-        blocks = [
-            factor_arrays[t][idx[:, t]]
-            for t in range(tensor.order)
-            if t != mode
-        ]
-        # The scratch must never alias ``out`` (we accumulate into ``out``
-        # below while the scratch still holds this block's rows), so it draws
-        # from a distinct pool namespace even when the shapes coincide.
-        scratch = (
-            workspace.take((chunk.shape[0], width), dtype, tag="kron-scratch")
-            if workspace is not None and len(blocks) > 1
-            else None
+        return compiled_coo_ttmc(
+            table, tensor, factors, mode, positions, segptr, target, out
         )
-        kron = batch_kron_rows(blocks, out=scratch)
-        kron *= tensor.values[chunk][:, None]
-        # chunk_rows is non-decreasing (positions are grouped by row), so the
-        # accumulation is a segment-sum: reduce each run of equal rows, then
-        # add the partial sums into the output (a row split across blocks is
-        # handled by the ``+=``).
-        boundaries = np.flatnonzero(
-            np.concatenate(([True], chunk_rows[1:] != chunk_rows[:-1]))
-        )
-        sums = np.add.reduceat(kron, boundaries, axis=0)
-        out[chunk_rows[boundaries]] += sums
-    return out
+    return coo_segment_ttmc(
+        tensor, factors, mode, positions, segptr, out,
+        target=target, block_nnz=block_nnz,
+    )

@@ -221,7 +221,6 @@ class ExecutionBackend:
             symbolic=self.symbolic[mode],
             block_nnz=eng.options.block_nnz,
             out=self._pooled_out(eng, mode),
-            workspace=eng.workspace,
             # _pooled_out guarantees rows outside J_n are zero, so only the
             # touched rows need clearing between sweeps.
             zero="touched",
@@ -361,7 +360,8 @@ class CSFBackend(SequentialBackend):
     update lists; ``compute_ttmc`` then serves each mode's ``Y_(n)`` as a
     fiber-segment sweep (:func:`repro.sparse.csf_ttmc.csf_ttmc_matricized`)
     — factor rows gathered once per merged fiber, partial products reduced
-    over fiber extents with ``np.add.reduceat``.  ``trees`` selects the
+    over fiber extents with :func:`repro.core.kron.segment_kron_sum`.
+    ``trees`` selects the
     layout policy: ``"per-mode"`` (default) builds one tree rooted at every
     mode, the fastest configuration at ``order``× the index memory;
     ``"shared"`` builds a single shortest-mode-first tree reused for every
@@ -412,7 +412,6 @@ class CSFBackend(SequentialBackend):
             eng.factors,
             mode,
             out=self._pooled_out(eng, mode),
-            workspace=eng.workspace,
             config=self._ttmc_config(),
             # Every J_n row is assigned and _pooled_out keeps the rest zero.
             zero="none",

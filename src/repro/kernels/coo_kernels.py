@@ -1,14 +1,15 @@
 """Compiled COO row-block TTMc loop body.
 
-The NumPy COO kernel (:func:`repro.core.ttmc.ttmc_matricized` /
-:func:`repro.parallel.shared_ttmc.ttmc_row_block`) expands each block of
-nonzeros into a dense ``(block × ∏R)`` Kronecker buffer, scales it by the
-values and reduces it with ``np.add.reduceat`` — every nonzero's full-width
-row is written to memory once and read back once before it ever reaches the
-output.  The loop body here is the same equation (4) accumulation written
-per nonzero: the Kronecker row is built *in place* in a width-``∏R``
-register-blocked buffer and added straight into the owning output row, so
-the full-width temporary never exists.
+The NumPy COO kernel (:func:`repro.core.ttmc.coo_segment_ttmc`, shared by
+:func:`repro.core.ttmc.ttmc_matricized` and
+:func:`repro.parallel.shared_ttmc.ttmc_row_block`) builds, per block of
+nonzeros, the Kronecker rows of all but the last factor and folds the last
+factor and the values into one sparse × dense product per last-factor
+column (:func:`repro.core.kron.segment_kron_sum`); each of those products
+walks the block once more.  The loop body here is the same equation (4)
+accumulation written per nonzero: the Kronecker row is built *in place* in
+a width-``∏R`` register-blocked buffer and added straight into the owning
+output row in a single pass.
 
 The outer loop runs over output rows, not nonzeros — each row of ``out`` is
 written by exactly one iteration (the paper's lock-free row decomposition),

@@ -1,13 +1,13 @@
 """Fused CSF TTMc loop bodies for the compiled kernel tier.
 
 The NumPy CSF kernels (:mod:`repro.sparse.csf_ttmc`) evaluate each tree
-level as *gather → batched Kronecker → segment reduction*: three full passes
-over a ``(nodes × width)`` temporary per level, with the ``np.add.reduceat``
-pass reading back the entire Kronecker buffer it just wrote.  The functions
-here are the same level sweeps written as explicit fiber-extent loops so a
-JIT can fuse them: each output row is produced in **one pass** — factor rows
-gathered, multiplied into the child's partial product and accumulated into
-the parent's row without materializing the per-node contribution matrix.
+level as a gather plus a segment reduction over the fiber extents, run as
+one sparse × dense product per column of the narrower operand
+(:func:`repro.core.kron.segment_kron_sum`).  The functions here are the
+same level sweeps written as explicit fiber-extent loops so a JIT can fuse
+them: each output row is produced in **one pass** — factor rows gathered,
+multiplied into the child's partial product and accumulated into the
+parent's row.
 
 Every function is written in the njit-compatible subset of Python/NumPy
 (scalar loops, no fancy indexing, no allocation besides the caller-provided
@@ -52,8 +52,7 @@ def csf_pullup_level(below, factor, fids, fptr, lo, parent_lo, parent_hi, out):
         ``Σ_{c ∈ children(p)} kron([below[c - lo], factor[fids[c]]])``
 
     with ``below`` varying fastest — the same numbers the NumPy path gets
-    from ``batch_kron_rows`` + ``np.add.reduceat``, without the
-    ``(children × width)`` contribution temporary.
+    from ``segment_kron_sum``, in one pass per parent row.
     """
     width_below = below.shape[1]
     rank = factor.shape[1]
@@ -81,8 +80,8 @@ def csf_target_accumulate(below, above, perm, boundaries, total, out):
 
         ``Σ_{k ∈ group g} kron([below[perm[k]], above[perm[k]]])``
 
-    with ``below`` varying fastest — fusing the NumPy path's full-width
-    ``batch_kron_rows`` buffer and its ``np.add.reduceat`` into one pass.
+    with ``below`` varying fastest — the NumPy path's gathers and
+    ``segment_kron_sum`` fused into one pass per output row.
     """
     width_below = below.shape[1]
     width_above = above.shape[1]

@@ -1,8 +1,8 @@
 """Persistent multiprocess worker pool for true-multicore HOOI.
 
-The threaded backend decomposes the TTMc exactly as the paper's Algorithm 3,
-but CPython's GIL serializes the hot gather / ``batch_kron_rows`` /
-``np.add.reduceat`` work, so threads measure *decomposition*, not speedup.
+The threaded backend decomposes the TTMc exactly as the paper's Algorithm 3;
+its sparse × dense segment-sums release the GIL, but the per-block Python
+work between them does not, so threads scale only on large row chunks.
 This module provides the same row-parallel, lock-free execution on worker
 *processes* with zero-copy shared memory:
 

@@ -3,10 +3,10 @@
 The symbolic step guarantees that each non-empty row ``i ∈ J_n`` of ``Y_(n)``
 is updated only from its own update list ``ul_n(i)``, so rows can be computed
 fully independently — the paper's lock-free decomposition.  Here a chunk of
-rows is one task: the worker gathers the chunk's nonzeros, performs the
-batched Kronecker products and segment-sums them into the rows it owns.  No
-two workers ever touch the same output row, so no locks are needed, exactly as
-in the paper.
+rows is one task: the worker gathers the chunk's nonzeros and runs the same
+numpy body as the sequential kernel (:func:`repro.core.ttmc.coo_segment_ttmc`)
+into the rows it owns.  No two workers ever touch the same output row, so no
+locks are needed, exactly as in the paper.
 """
 
 from __future__ import annotations
@@ -15,10 +15,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.kron import batch_kron_rows, kron_row_length
+from repro.core.kron import kron_row_length
 from repro.core.sparse_tensor import SparseTensor
 from repro.core.symbolic import ModeSymbolic, symbolic_ttmc
-from repro.core.ttmc import default_block_size, gather_ranges, ttmc_dtype
+from repro.core.ttmc import (
+    compiled_coo_ttmc,
+    coo_segment_ttmc,
+    gather_ranges,
+    ttmc_dtype,
+)
 from repro.parallel.parallel_for import ParallelConfig, parallel_for
 from repro.util.validation import check_axis, check_same_order
 
@@ -56,60 +61,25 @@ def ttmc_row_block(
     ]
     width = kron_row_length(widths)
     dtype = ttmc_dtype(tensor, factors, mode)
-    out = np.zeros((row_positions.shape[0], width), dtype=dtype)
+    # Every requested row is non-empty and assigned below.
+    out = np.empty((row_positions.shape[0], width), dtype=dtype)
     if row_positions.shape[0] == 0:
         return out
 
     counts = symbolic.rowptr[row_positions + 1] - symbolic.rowptr[row_positions]
     positions = gather_ranges(symbolic.perm, symbolic.rowptr[row_positions], counts)
+    rowptr = np.zeros(row_positions.shape[0] + 1, dtype=np.int64)
+    np.cumsum(counts, out=rowptr[1:])
 
     table = kernel_table(kernel)
     if table is not None:
-        from repro.core.ttmc import _compiled_factor_args
-
-        rowptr = np.zeros(row_positions.shape[0] + 1, dtype=np.int64)
-        np.cumsum(counts, out=rowptr[1:])
-        factor_list, cols = _compiled_factor_args(
-            tensor, factors, mode, dtype, table
+        target = np.arange(row_positions.shape[0], dtype=np.int64)
+        return compiled_coo_ttmc(
+            table, tensor, factors, mode, positions, rowptr, target, out
         )
-        table.coo_row_block_ttmc(
-            tensor.indices,
-            tensor.values,
-            factor_list,
-            cols,
-            rowptr,
-            np.ascontiguousarray(positions, dtype=np.int64),
-            np.arange(row_positions.shape[0], dtype=np.int64),
-            out,
-        )
-        return out
-
-    # local (block-relative) output row of every gathered nonzero
-    local_rows = np.repeat(np.arange(row_positions.shape[0], dtype=np.int64), counts)
-    if positions.shape[0] == 0:
-        return out
-
-    if block_nnz is None:
-        block_nnz = default_block_size(width, itemsize=dtype.itemsize)
-    factor_arrays = [
-        None if t == mode else np.asarray(factors[t], dtype=dtype)
-        for t in range(tensor.order)
-    ]
-    for start in range(0, positions.shape[0], block_nnz):
-        chunk = positions[start:start + block_nnz]
-        chunk_rows = local_rows[start:start + chunk.shape[0]]
-        idx = tensor.indices[chunk]
-        blocks = [
-            factor_arrays[t][idx[:, t]] for t in range(tensor.order) if t != mode
-        ]
-        kron = batch_kron_rows(blocks)
-        kron *= tensor.values[chunk][:, None]
-        boundaries = np.flatnonzero(
-            np.concatenate(([True], chunk_rows[1:] != chunk_rows[:-1]))
-        )
-        sums = np.add.reduceat(kron, boundaries, axis=0)
-        out[chunk_rows[boundaries]] += sums
-    return out
+    return coo_segment_ttmc(
+        tensor, factors, mode, positions, rowptr, out, block_nnz=block_nnz
+    )
 
 
 def parallel_ttmc_row_block(

@@ -40,6 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.sparse_tensor import SparseTensor
+from repro.core.symbolic import stable_radix_order
 from repro.util.validation import check_axis
 
 __all__ = [
@@ -201,11 +202,11 @@ class CSFTensor:
             self.values = tensor.values.copy()
             return
 
-        # Lexicographic sort by (mode_order[0], mode_order[1], ...): lexsort
-        # treats its *last* key as primary, so feed the levels in reverse.
-        perm = np.lexsort(
-            tuple(tensor.indices[:, m] for m in reversed(mode_order))
-        ).astype(np.int64)
+        # Lexicographic sort by (mode_order[0], mode_order[1], ...).
+        perm = stable_radix_order(
+            [tensor.indices[:, m] for m in mode_order],
+            [tensor.shape[m] for m in mode_order],
+        )
         sorted_indices = tensor.indices[perm]
         self.values = tensor.values[perm]
         self.fids, self.fptr = csf_levels_from_sorted(sorted_indices, mode_order)
@@ -381,7 +382,7 @@ class CSFTensor:
         Returns ``(perm, rows, boundaries)``: ``perm`` reorders the level's
         nodes so equal ``fids`` are contiguous, ``rows`` are the distinct
         (sorted) mode indices and ``boundaries`` are the group starts inside
-        the permuted order — ready for one ``np.add.reduceat``.  Level 0
+        the permuted order — ready for one segment-sum.  Level 0
         needs no grouping (its fibers are already unique and sorted); deeper
         levels cache theirs here, built once per tree.
         """
@@ -390,7 +391,7 @@ class CSFTensor:
         if cached is not None:
             return cached
         fids = self.fids[level]
-        perm = np.argsort(fids, kind="stable").astype(np.int64)
+        perm = stable_radix_order([fids], [self.shape[self.mode_order[level]]])
         sorted_fids = fids[perm]
         if sorted_fids.shape[0] == 0:
             grouping = (
@@ -475,7 +476,7 @@ class CSFTensorSet:
     ) -> "CSFTensorSet":
         """One rooted tree per mode, built with up to one task per mode.
 
-        The builds are independent full lexsorts of the nonzeros, so the
+        The builds are independent full sorts of the nonzeros, so the
         threaded backend overlaps them exactly like the per-mode symbolic
         step (``parallel_symbolic``).
         """

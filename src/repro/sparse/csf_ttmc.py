@@ -1,24 +1,27 @@
 """Fiber-vectorized TTMc kernels over CSF trees.
 
-The COO kernel (:func:`repro.core.ttmc.ttmc_matricized`) expands, for every
-nonzero, the full ``(N−1)``-way Kronecker row of width ``∏_{t≠n} R_t`` before
-reducing by output row — ``O(nnz · ∏R)`` multiply work no matter how much
-structure the tensor has.  On a CSF tree the same sum factors over the fiber
+The COO kernel (:func:`repro.core.ttmc.ttmc_matricized`) multiplies, for
+every nonzero, all ``N−1`` factor rows into a width-``∏_{t≠n} R_t``
+contribution to its output row — ``O(nnz · ∏R)`` multiply work no matter
+how much structure the tensor has.  On a CSF tree the same sum factors over the fiber
 hierarchy:
 
 * **pullup** (towards the root): the partial product of the levels *below*
   a node is shared by everything above it, so each level is one batched
-  gather + row-wise Kronecker + one segment reduction over the fiber
-  extents (``np.add.reduceat(contrib, fptr[level - 1][:-1])``).  The widths
-  grow level by level while the node counts shrink — the expansion to the
-  full ``∏R`` width happens over *merged fibers*, not raw nonzeros;
+  gather plus one :func:`~repro.core.kron.segment_kron_sum` over the fiber
+  extents ``fptr[level - 1]`` — sparse × dense products that fold the
+  level's factor rows into the reduction, so the ``nodes × width``
+  Kronecker rows of a level are never built.  The widths grow level by
+  level while the node counts shrink — the expansion to the full ``∏R``
+  width happens over *merged fibers*, not raw nonzeros;
 * **pushdown** (from the root): the partial product of the levels *above*
   the target is the same for every node of a subtree, so it is built once
   per node by expanding the parent level (``np.repeat`` over child counts)
   and Kronecker-multiplying the level's own factor rows.
 
 The target mode's level splits the tree: ``Y_(n)`` rows are the kron of each
-target node's pushdown and pullup vectors, segment-summed by target index.
+target node's pushdown and pullup vectors, segment-summed by target index
+(again one :func:`~repro.core.kron.segment_kron_sum`).
 With the target at the root (a :func:`~repro.sparse.csf.rooted_mode_order`
 tree) the pushdown vanishes and the output rows are exactly the sorted,
 unique root fibers — the layout the threaded backend exploits: contiguous
@@ -38,7 +41,12 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.kron import batch_kron_rows, kron_dtype, kron_row_length
+from repro.core.kron import (
+    batch_kron_rows,
+    kron_dtype,
+    kron_row_length,
+    segment_kron_sum,
+)
 from repro.core.ttmc import _factor_widths
 from repro.sparse.csf import CSFTensor
 from repro.util.validation import check_axis, check_same_order
@@ -114,9 +122,8 @@ def _pullup(
     below ``target_level``)`` with deeper levels varying fastest.  Buffers
     draw from ``workspace`` (tagged per tree/level, so repeated sweeps reuse
     them); pass ``None`` from concurrent workers.  ``table`` (a
-    :class:`repro.kernels.KernelTable`) swaps each level's
-    gather/kron/``reduceat`` triple for the fused compiled walk over the
-    fiber extents — same numerics, no per-level contribution temporary.
+    :class:`repro.kernels.KernelTable`) swaps each level's gather +
+    segment-sum for the fused compiled walk over the fiber extents.
     """
     lo, hi = ranges[csf.order - 1]
     below = _leaf_values(csf, lo, hi, dtype, workspace)
@@ -140,19 +147,13 @@ def _pullup(
                 lo, parent_lo, parent_hi, reduced,
             )
         else:
-            factor_rows = factor[csf.fids[level][lo:hi]]
-            scratch = (
-                workspace.take(
-                    (hi - lo, width), dtype,
-                    tag=f"{csf._token}-kron-{target_level}-{level}",
-                )
-                if workspace is not None
-                else None
-            )
             # Deeper levels stay fastest: kron_rows([below, factor_rows]).
-            contrib = batch_kron_rows([below, factor_rows], out=scratch)
-            segments = csf.fptr[level - 1][parent_lo:parent_hi] - lo
-            np.add.reduceat(contrib, segments, axis=0, out=reduced)
+            segment_kron_sum(
+                csf.fptr[level - 1][parent_lo:parent_hi + 1] - lo,
+                below,
+                factor[csf.fids[level][lo:hi]],
+                out=reduced,
+            )
         below = reduced
     return below
 
@@ -297,10 +298,10 @@ def csf_ttmc_compact(
     it just serves deep modes sequentially.
 
     ``kernel`` selects the inner-loop tier: ``"numpy"`` is the vectorized
-    gather/kron/``reduceat`` pipeline documented above, ``"numba"`` walks the
-    same fiber extents with the fused compiled loops of
-    :mod:`repro.kernels` — one pass per level, no contribution temporaries,
-    identical numerics (the summation order per output entry is unchanged).
+    gather + sparse × dense segment-sum pipeline documented above,
+    ``"numba"`` walks the same fiber extents with the fused compiled loops
+    of :mod:`repro.kernels` — one pass per level; the two agree up to
+    floating-point reassociation.
     """
     from repro.kernels import kernel_table
 
@@ -371,12 +372,11 @@ def csf_ttmc_compact(
 
     above = _pushdown(csf, factor_arrays, target_level, workspace, table)
     perm, rows, boundaries = csf.target_grouping(target_level)
-    # Group the narrow pullup/pushdown vectors by target index *before* the
-    # full-width expansion: gathering two width-R^k blocks is much cheaper
-    # than gathering the expanded ∏R-wide rows.  The two full-width buffers
-    # (the expanded node rows and the per-row sums) draw from the pool like
-    # the pullup levels do, so deep-target sweeps also stop allocating once
-    # the pool is warm.
+    # Group the narrow pullup/pushdown vectors by target index and reduce
+    # them with the Kronecker product folded in: the ∏R-wide per-node rows
+    # are never built.  The per-row sums draw from the pool like the pullup
+    # levels do, so deep-target sweeps also stop allocating once the pool is
+    # warm.
     block = (
         workspace.take(
             (rows.shape[0], width), dtype,
@@ -392,16 +392,10 @@ def csf_ttmc_compact(
             below, above, perm, boundaries, perm.shape[0], block
         )
     else:
-        scratch = (
-            workspace.take(
-                (perm.shape[0], width), dtype,
-                tag=f"{csf._token}-deep-kron-{target_level}",
-            )
-            if workspace is not None
-            else None
+        segment_kron_sum(
+            np.append(boundaries, perm.shape[0]), below[perm], above[perm],
+            out=block,
         )
-        y_nodes = batch_kron_rows([below[perm], above[perm]], out=scratch)
-        np.add.reduceat(y_nodes, boundaries, axis=0, out=block)
     return rows, _to_engine_columns(
         block, csf, factor_arrays, target_level, out=_cols_out(rows.shape[0])
     )

@@ -13,8 +13,8 @@ across the axis; this file covers what the matrix cannot see:
 * dtype behaviour — float32 runs drift from float64 by at most 1e-3 on the
   small fixtures here, and *exactly representable* inputs (small integers
   scaled by powers of two) produce **bit-identical** results across tiers,
-  because the fused loops accumulate in the same order as the NumPy
-  ``reduceat`` path (hypothesis generates the inputs);
+  because every product and partial sum of such inputs is exact, however
+  the tiers associate them (hypothesis generates the inputs);
 * the allocation contract — with a warm :class:`WorkspacePool`, repeated
   CSF sweeps perform zero pool allocations on either tier.
 

@@ -11,6 +11,7 @@ from repro.core import (
     fold,
     kron_row_length,
     kron_rows,
+    segment_kron_sum,
     tensor_norm,
     unfold,
 )
@@ -154,3 +155,67 @@ class TestKronRows:
         tensor = outer[None, :, :]                  # 1 x i2 x i3
         row = unfold(tensor, 0)[0]
         assert np.allclose(row, kron_rows([u2, u3]))
+
+
+def _naive_segment_kron_sum(segptr, left, right, weights):
+    width = left.shape[1] * (1 if right is None else right.shape[1])
+    out = np.zeros((len(segptr) - 1, width))
+    for s in range(len(segptr) - 1):
+        for z in range(segptr[s], segptr[s + 1]):
+            w = 1.0 if weights is None else float(weights[z])
+            parts = [left[z]] if right is None else [left[z], right[z]]
+            out[s] += w * kron_rows([np.asarray(p, dtype=float) for p in parts])
+    return out
+
+
+class TestSegmentKronSum:
+    # Segments 1 and 4 are empty; the last segment ends at the last row.
+    SEGPTR = np.array([0, 3, 3, 7, 12, 12, 15])
+
+    @pytest.mark.parametrize("widths", [(4, 3), (2, 5), (1, 4), (6, 1), (3, None)])
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_matches_naive_loop(self, rng, widths, weighted):
+        m = int(self.SEGPTR[-1])
+        left = rng.standard_normal((m, widths[0]))
+        right = None if widths[1] is None else rng.standard_normal((m, widths[1]))
+        weights = rng.standard_normal(m) if weighted else None
+        got = segment_kron_sum(self.SEGPTR, left, right, weights)
+        expected = _naive_segment_kron_sum(self.SEGPTR, left, right, weights)
+        assert got.shape == expected.shape
+        assert np.allclose(got, expected, atol=1e-13)
+        assert np.all(got[[1, 4]] == 0.0)
+
+    def test_float32_is_not_upcast(self, rng):
+        m = int(self.SEGPTR[-1])
+        left = rng.standard_normal((m, 4)).astype(np.float32)
+        right = rng.standard_normal((m, 3)).astype(np.float32)
+        weights = rng.standard_normal(m).astype(np.float32)
+        got = segment_kron_sum(self.SEGPTR, left, right, weights)
+        assert got.dtype == np.float32
+        expected = _naive_segment_kron_sum(self.SEGPTR, left, right, weights)
+        assert np.allclose(got, expected, rtol=1e-5, atol=1e-5)
+        assert segment_kron_sum(self.SEGPTR, left).dtype == np.float32
+
+    def test_mixed_precision_computes_in_float64(self, rng):
+        m = int(self.SEGPTR[-1])
+        left = rng.standard_normal((m, 2)).astype(np.float32)
+        got = segment_kron_sum(self.SEGPTR, left, weights=rng.standard_normal(m))
+        assert got.dtype == np.float64
+
+    def test_writes_into_out(self, rng):
+        m = int(self.SEGPTR[-1])
+        left, right = rng.standard_normal((m, 2)), rng.standard_normal((m, 3))
+        out = np.full((len(self.SEGPTR) - 1, 6), np.nan)
+        result = segment_kron_sum(self.SEGPTR, left, right, out=out)
+        assert result is out
+        assert np.allclose(out, _naive_segment_kron_sum(self.SEGPTR, left, right, None))
+        with pytest.raises(ValueError, match="out"):
+            segment_kron_sum(self.SEGPTR, left, right, out=np.zeros((6, 5)))
+
+    def test_no_rows(self):
+        got = segment_kron_sum(np.zeros(3, dtype=np.int64), np.zeros((0, 2)), np.zeros((0, 3)))
+        assert got.shape == (2, 6) and np.all(got == 0.0)
+
+    def test_segptr_must_cover_rows(self, rng):
+        with pytest.raises(ValueError, match="segptr"):
+            segment_kron_sum(np.array([0, 2]), rng.standard_normal((3, 2)))

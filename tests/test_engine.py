@@ -268,15 +268,16 @@ class TestWorkspacePool:
     def test_tags_separate_equal_shapes(self):
         pool = WorkspacePool()
         a = pool.take((4, 4), np.float64, tag="ttmc-out")
-        b = pool.take((4, 4), np.float64, tag="kron-scratch")
+        b = pool.take((4, 4), np.float64, tag="dimtree-insert")
         assert a is not b
 
     def test_scratch_never_aliases_output(self):
-        """Regression: a chunk with nnz == I_n must not reuse Y_(n) as scratch.
+        """A pooled ``Y_(n)`` buffer with one nonzero per row matches a fresh one.
 
-        One nonzero per mode-0 row makes the Kronecker scratch shape equal
-        the output shape; with a shape-only pool key the accumulator was
-        handed out as scratch and overwritten mid-accumulation.
+        One nonzero per mode-0 row makes every per-block buffer the shape of
+        the output, the case where a shape-keyed pool could once hand the
+        output out as scratch.  The TTMc now draws no scratch from the pool,
+        and a pooled output must still give the reference result.
         """
         from repro.core import ttmc_matricized
         from repro.util.linalg import random_orthonormal
@@ -290,7 +291,7 @@ class TestWorkspacePool:
         reference = ttmc_matricized(tensor, factors, 0)
         pool = WorkspacePool()
         out = pool.take((n, 4), np.float64, tag="ttmc-out")
-        pooled = ttmc_matricized(tensor, factors, 0, out=out, workspace=pool)
+        pooled = ttmc_matricized(tensor, factors, 0, out=out)
         assert np.allclose(pooled, reference)
 
     def test_integer_factors_still_promote_to_float64(self, small_tensor_3d):

@@ -2,18 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     SparseTensor,
     SymbolicTTMc,
     dense_ttm_chain,
+    stable_radix_order,
     symbolic_ttmc,
     ttmc_contributions,
     ttmc_flops,
     ttmc_matricized,
     unfold,
 )
-from repro.core.ttmc import default_block_size, gather_ranges
+from repro.core.ttmc import default_block_size, gather_ranges, segment_chunks
+from repro.util.linalg import random_orthonormal
 
 
 class TestSymbolic:
@@ -107,6 +111,41 @@ class TestNumericTTMc:
         others = np.setdiff1d(np.arange(small_tensor_3d.shape[0]), rows)
         assert np.allclose(partial[others], 0.0)
 
+    def test_row_subset_with_split_segments(self, small_tensor_3d, factors_3d):
+        """Blocks smaller than a row's update list split its segment."""
+        full = ttmc_matricized(small_tensor_3d, factors_3d, 1)
+        rows = small_tensor_3d.nonempty_rows(1)[1::3]
+        partial = ttmc_matricized(
+            small_tensor_3d, factors_3d, 1, rows=rows, block_nnz=5
+        )
+        assert np.allclose(partial[rows], full[rows], atol=1e-13)
+        others = np.setdiff1d(np.arange(small_tensor_3d.shape[1]), rows)
+        assert np.all(partial[others] == 0.0)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_order_two_tensor(self, rng, dtype):
+        """Order 2: a single non-target factor, no Kronecker product at all."""
+        indices = np.column_stack(
+            [rng.integers(0, 30, 200), rng.integers(0, 25, 200)]
+        )
+        tensor = SparseTensor(
+            indices, rng.standard_normal(200), (30, 25),
+            sum_duplicates=True, dtype=dtype,
+        )
+        factors = [
+            random_orthonormal(30, 4, seed=1).astype(dtype),
+            random_orthonormal(25, 3, seed=2).astype(dtype),
+        ]
+        dense = tensor.to_dense().astype(np.float64)
+        for mode in range(2):
+            expected = unfold(
+                dense_ttm_chain(dense, factors, skip=mode, transpose=True), mode
+            )
+            for block_nnz in (None, 7):
+                got = ttmc_matricized(tensor, factors, mode, block_nnz=block_nnz)
+                assert got.dtype == dtype
+                assert np.allclose(got, expected, atol=1e-5 if dtype == np.float32 else 1e-12)
+
     def test_out_buffer_reuse(self, small_tensor_3d, factors_3d):
         width = factors_3d[1].shape[1] * factors_3d[2].shape[1]
         out = np.ones((small_tensor_3d.shape[0], width))
@@ -182,3 +221,48 @@ class TestHelpers:
         b = ttmc_flops(2000, (10, 10, 10), 0)
         assert 0 < a < b
         assert b == 2 * a
+
+    def test_segment_chunks_cover_every_position(self):
+        segptr = np.array([4, 6, 6, 15, 16, 23])
+        covered = np.zeros((len(segptr) - 1, 2), dtype=np.int64)
+        for start, stop, s_lo, s_hi, local in segment_chunks(segptr, 4):
+            assert stop - start <= 4
+            assert local[0] == 0 and local[-1] == stop - start
+            assert len(local) == s_hi - s_lo + 1
+            covered[s_lo:s_hi, 0] += np.diff(local)
+        assert np.array_equal(covered[:, 0], np.diff(segptr))
+
+
+class TestStableRadixOrder:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sizes=st.lists(
+            st.sampled_from([1, 2, 3, 7, 255, 256, 65535, 65536, 65537, 200_000, 2**33]),
+            min_size=1, max_size=4,
+        ),
+        m=st.integers(min_value=0, max_value=300),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_lexsort(self, sizes, m, seed):
+        gen = np.random.default_rng(seed)
+        # A few distinct values per column force ties, so stability matters.
+        cols = [
+            gen.choice(gen.integers(0, size, size=4), size=m).astype(np.int64)
+            for size in sizes
+        ]
+        expected = np.lexsort(cols[::-1])
+        got = stable_radix_order(cols, sizes)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expected)
+
+    def test_all_size_one_columns_keep_input_order(self):
+        cols = [np.zeros(5, dtype=np.int64), np.zeros(5, dtype=np.int64)]
+        assert np.array_equal(stable_radix_order(cols, [1, 1]), np.arange(5))
+
+    def test_symbolic_perm_matches_stable_argsort(self, small_tensor_3d):
+        for mode in range(3):
+            idx = small_tensor_3d.indices[:, mode]
+            assert np.array_equal(
+                symbolic_ttmc(small_tensor_3d, mode).perm,
+                np.argsort(idx, kind="stable"),
+            )
