@@ -28,13 +28,8 @@ import pytest
 from repro.core import SymbolicTTMc, ttmc_matricized
 from repro.core.kron import kron_row_length
 from repro.data import power_law_sparse_tensor
-from repro.engine import WorkspacePool
-from repro.parallel import (
-    HOOIProcessPool,
-    ParallelConfig,
-    ProcessConfig,
-    parallel_ttmc_matricized,
-)
+from repro.engine import COORowsPlan, ThreadDispatcher, WorkspacePool
+from repro.parallel import HOOIProcessPool, ParallelConfig, ProcessConfig
 from repro.util.linalg import random_orthonormal
 
 RANK = 8
@@ -77,15 +72,23 @@ def _sequential_sweep(tensor, factors, symbolic, pool):
         )
 
 
+def _coo_plan(tensor, symbolic):
+    return COORowsPlan(
+        tensor,
+        {mode: symbolic[mode] for mode in range(tensor.order)},
+        [RANK] * tensor.order,
+    )
+
+
 def _threaded_sweep(tensor, factors, symbolic, pool, config):
     width = kron_row_length([RANK] * (tensor.order - 1))
+    plan = _coo_plan(tensor, symbolic)
+    threads = ThreadDispatcher(config)
     for mode in range(tensor.order):
         out = pool.take((tensor.shape[mode], width), tensor.dtype,
                         tag=f"out-{mode}")
-        parallel_ttmc_matricized(
-            tensor, factors, mode,
-            symbolic=symbolic[mode], config=config, out=out,
-        )
+        out[...] = 0
+        threads.ttmc(plan, mode, factors, out=out)
 
 
 def _process_sweep(pool, order):
@@ -94,14 +97,13 @@ def _process_sweep(pool, order):
 
 
 def _make_process_pool(tensor, factors, symbolic, workers):
-    return HOOIProcessPool.for_per_mode(
-        tensor,
-        {mode: symbolic[mode] for mode in range(tensor.order)},
-        factors,
-        [RANK] * tensor.order,
-        np.float64,
+    pool = HOOIProcessPool.for_plans(
+        {None: _coo_plan(tensor, symbolic)},
         config=ProcessConfig(num_workers=workers),
     )
+    for mode, factor in enumerate(factors):
+        pool.write_factor(mode, factor)
+    return pool
 
 
 def test_sweep_sequential(benchmark, tensor, factors, symbolic):

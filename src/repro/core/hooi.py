@@ -12,7 +12,7 @@ follows the structure of Algorithm 3 minus the ``parfor``s:
 
 Since the engine refactor the iteration loop itself lives in
 :class:`repro.engine.driver.HOOIEngine`; :func:`hooi` configures it with the
-:class:`~repro.engine.backend.SequentialBackend`.  This module keeps the
+backend :func:`~repro.engine.backend.resolve_ttmc_backend` picks.  This module keeps the
 shared option/result containers every driver uses.
 """
 
@@ -172,7 +172,7 @@ class HOOIOptions:
         This is the single source of truth for what composes: the drivers
         (:func:`hooi`, :func:`repro.parallel.shared_hooi.shared_hooi`,
         :func:`repro.distributed.dist_hooi.distributed_hooi`), the backend
-        resolver (:func:`repro.engine.dimtree.resolve_ttmc_backend`) and the
+        resolver (:func:`repro.engine.backend.resolve_ttmc_backend`) and the
         conformance-matrix test suite all call it instead of keeping their
         own scattered guards.
 
@@ -453,7 +453,7 @@ def hooi(
         the uninterrupted one's remaining sweeps; structural or numeric
         option mismatches are rejected with an actionable error.
     """
-    from repro.engine.dimtree import resolve_ttmc_backend
+    from repro.engine.backend import resolve_ttmc_backend
     from repro.engine.driver import HOOIEngine
 
     options = (options or HOOIOptions()).validate(context="single-node")

@@ -247,8 +247,8 @@ def edge_update_groups(
 
     Every row of ``out`` is assigned.  ``out`` covers only the requested
     group range, so disjoint ranges can be filled concurrently by different
-    workers — the row-parallel, lock-free decomposition of
-    :mod:`repro.parallel.shared_dimtree`.
+    workers — the row-parallel, lock-free range body of the dimension-tree
+    plan (:meth:`repro.engine.dimtree.DimensionTree.body`).
     ``workspace`` supplies the per-block scratch buffers and must be ``None``
     when called from concurrent workers (the pool is not thread-safe).
     """

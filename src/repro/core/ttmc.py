@@ -48,6 +48,8 @@ __all__ = [
     "write_segment_sums",
     "coo_segment_ttmc",
     "compiled_coo_ttmc",
+    "coo_rows_range",
+    "restrict_symbolic",
 ]
 
 #: Upper bound on nonzeros processed per vectorized block.
@@ -273,8 +275,8 @@ def coo_segment_ttmc(
     gather their factor rows, combine the first ``N − 2`` with
     :func:`batch_kron_rows` and hand the last factor and the values to
     :func:`segment_kron_sum`.  ``block_nnz`` defaults to a size bounding a
-    block's ``(segments × ∏R_t)`` sums to ~64 MB.  Shared by
-    :func:`ttmc_matricized` and :func:`repro.parallel.shared_ttmc.ttmc_row_block`.
+    block's ``(segments × ∏R_t)`` sums to ~64 MB.  Called through
+    :func:`coo_rows_range`.
     """
     dtype = out.dtype
     cols = [t for t in range(tensor.order) if t != mode]
@@ -353,7 +355,6 @@ def ttmc_matricized(
     -------
     ndarray of shape ``(I_n, prod_{t != n} R_t)``.
     """
-    from repro.kernels import kernel_table
     mode = check_axis(mode, tensor.order)
     check_same_order(tensor.order, factors, "factors")
     if zero not in ("full", "touched", "none"):
@@ -383,21 +384,72 @@ def ttmc_matricized(
     elif symbolic.mode != mode or symbolic.nnz != tensor.nnz:
         raise ValueError("symbolic data does not match the tensor/mode")
 
-    if rows is None:
-        positions, segptr, target = symbolic.perm, symbolic.rowptr, symbolic.rows
-    else:
+    if rows is not None:
         rows = np.asarray(rows, dtype=np.int64)
-        sel = np.flatnonzero(np.isin(symbolic.rows, rows))
-        counts = symbolic.rowptr[sel + 1] - symbolic.rowptr[sel]
-        positions = gather_ranges(symbolic.perm, symbolic.rowptr[sel], counts)
-        segptr = np.zeros(sel.shape[0] + 1, dtype=np.int64)
-        np.cumsum(counts, out=segptr[1:])
-        target = symbolic.rows[sel]
+        # Both tiers assign every J_n row they compute, so under "touched"
+        # only rows *requested but absent from J_n* need an explicit clear.
+        if zero == "touched":
+            out[rows[~np.isin(rows, symbolic.rows)]] = 0.0
+        symbolic = restrict_symbolic(
+            symbolic, np.flatnonzero(np.isin(symbolic.rows, rows))
+        )
+    return coo_rows_range(
+        tensor, factors, mode, symbolic, 0, symbolic.num_rows, out,
+        block_nnz=block_nnz, kernel=kernel,
+    )
 
-    # Both tiers assign every J_n row they compute, so under "touched" only
-    # rows *requested but absent from J_n* need an explicit clear.
-    if zero == "touched" and rows is not None:
-        out[rows[~np.isin(rows, symbolic.rows)]] = 0.0
+
+def restrict_symbolic(
+    symbolic: ModeSymbolic,
+    positions: np.ndarray,
+    rows: Optional[np.ndarray] = None,
+) -> ModeSymbolic:
+    """Update lists of just the ``J_n`` entries at ``positions`` (sorted).
+
+    The result's segments are ``symbolic``'s segments at those positions,
+    packed back to back.  Its target rows are the selected tensor indices,
+    or ``rows`` when given — ``np.arange(len(positions))`` addresses a
+    compact block instead of the full ``Y_(n)``.
+    """
+    positions = np.asarray(positions, dtype=np.int64)
+    counts = symbolic.rowptr[positions + 1] - symbolic.rowptr[positions]
+    rowptr = np.zeros(positions.shape[0] + 1, dtype=np.int64)
+    np.cumsum(counts, out=rowptr[1:])
+    return ModeSymbolic(
+        mode=symbolic.mode,
+        rows=symbolic.rows[positions] if rows is None else rows,
+        perm=gather_ranges(symbolic.perm, symbolic.rowptr[positions], counts),
+        rowptr=rowptr,
+    )
+
+
+def coo_rows_range(
+    tensor: SparseTensor,
+    factors: Sequence[Optional[np.ndarray]],
+    mode: int,
+    symbolic: ModeSymbolic,
+    start: int,
+    stop: int,
+    out: np.ndarray,
+    *,
+    block_nnz: Optional[int] = None,
+    kernel: str = "numpy",
+) -> np.ndarray:
+    """Assign ``out[symbolic.rows[start:stop]]``: the TTMc of a ``J_n`` range.
+
+    The COO range body every execution model runs (the paper's Algorithm 3
+    row task): the range's nonzeros are the slice
+    ``perm[rowptr[start]:rowptr[stop]]`` and each target row is written by
+    exactly this call, so disjoint ranges run concurrently without locks.
+    ``(0, num_rows)`` is the whole sequential TTMc.  ``kernel`` selects the
+    numpy tier (:func:`coo_segment_ttmc`) or the fused compiled loops.
+    """
+    from repro.kernels import kernel_table
+
+    lo = int(symbolic.rowptr[start])
+    positions = symbolic.perm[lo:symbolic.rowptr[stop]]
+    segptr = symbolic.rowptr[start:stop + 1] - lo
+    target = symbolic.rows[start:stop]
     if target.shape[0] == 0:
         return out
     table = kernel_table(kernel)

@@ -26,14 +26,13 @@ agree, and packages the results.
 **Hybrid ranks** (the paper's headline configuration, Table V on top of
 Algorithm 4): each rank's local TTMc phase runs through the same
 rank-scoped backend composition the single-node drivers use
-(:func:`repro.engine.dimtree.resolve_ttmc_backend`), so
+(:func:`repro.engine.backend.resolve_ttmc_backend`), so
 ``HOOIOptions(execution="thread", num_workers=T)`` nests a ``T``-thread
 worker team inside every simulated rank (the row-disjoint lock-free
-decomposition of :mod:`repro.parallel.shared_ttmc` over the rank's update
-lists) and ``ttmc_strategy="dimtree"`` builds a rank-local dimension tree
-over the rank's nonzeros whose leaves serve only the rank's owned/local rows
-(:meth:`~repro.engine.dimtree.DimensionTree.leaf_matricized` with
-``local_rows``).  Execution strategy changes local compute only: results
+decomposition of the COO plan over the rank's update lists) and
+``ttmc_strategy="dimtree"`` builds a rank-local dimension tree over the
+rank's nonzeros whose leaves serve the rank's owned/local rows
+(:meth:`~repro.engine.backend.PlanBackend.compute_ttmc_rows`).  Execution strategy changes local compute only: results
 match the sequential-rank run to 1e-10 and the communication statistics are
 byte-identical.  ``execution="process"`` is rejected — one worker-process
 pool per simulated rank would oversubscribe the node
@@ -65,7 +64,7 @@ from repro.partition.strategies import TensorPartition
 from repro.simmpi.communicator import Communicator
 from repro.simmpi.launcher import run_spmd
 from repro.simmpi.machine import BGQ_MACHINE, MachineModel
-from repro.util.validation import check_rank_vector
+from repro.util.validation import check_rank_feasibility, check_rank_vector
 
 __all__ = [
     "RankRunResult",
@@ -190,7 +189,8 @@ class DistributedBackend(ExecutionBackend):
         return [np.array(f, copy=True) for f in self._initial_factors]
 
     def prepare(self, eng) -> None:
-        from repro.engine.dimtree import resolve_ttmc_backend
+        from repro.engine.backend import resolve_ttmc_backend
+        from repro.engine.plans import COORowsPlan
 
         # Fail fast when the backend is driven directly (the driver already
         # checks before launching the SPMD world).
@@ -206,17 +206,18 @@ class DistributedBackend(ExecutionBackend):
         # ``plan.local_tensor``) — per-mode symbolic data or a rank-local
         # dimension tree, sequential or nested worker threads.
         self.local_backend = resolve_ttmc_backend(eng.options)
-        strategy = eng.options.ttmc_strategy or "per-mode"
-        tensor_format = eng.options.tensor_format or "coo"
-        if strategy == "per-mode" and tensor_format == "coo":
+        if self.local_backend.plan_source is COORowsPlan:
             # The plan already built this rank's symbolic TTMc data
-            # (index-only, so the dtype cast is irrelevant); seed the
-            # backend instead of redoing the per-mode argsorts.
-            self.local_backend.symbolic = self.plan.symbolic
-        else:
-            # Rank-local dimension tree or rank-local CSF trees, built over
-            # the rank's local tensor (global index space, local nonzeros).
-            self.local_backend.prepare(eng)
+            # (index-only, so the dtype cast is irrelevant); seed the COO
+            # plan with it instead of redoing the per-mode argsorts.
+            self.local_backend.plan_source = COORowsPlan(
+                eng.tensor, self.plan.symbolic,
+                block_nnz=eng.options.block_nnz, kernel=eng.options.kernel,
+            )
+        # Otherwise a rank-local dimension tree or rank-local CSF trees,
+        # built over the rank's local tensor (global index space, local
+        # nonzeros).
+        self.local_backend.prepare(eng)
         # Rows each mode's local TTMc produces (line 4 vs 6 of Algorithm 4):
         # fine grain the local ``J_n``, coarse grain the owned slices — in
         # both cases intersected with the local ``J_n``, since a row without
@@ -398,7 +399,7 @@ def distributed_hooi(
     still recorded.
     """
     options = (options or HOOIOptions()).validate(context="distributed")
-    ranks = check_rank_vector(ranks, tensor.shape)
+    ranks = check_rank_feasibility(check_rank_vector(ranks, tensor.shape))
     global_plan, plans = build_plans(tensor, partition, ranks)
     initial_factors = initialize_factors(
         tensor, ranks, init=options.init, seed=options.seed

@@ -22,85 +22,46 @@ Call order per run::
         form_core -> on_iteration_end ]* -> (fit/convergence in the engine)
     -> finalize   (always, success or failure)
 
-Three backends live here: :class:`SequentialBackend` (the paper's Algorithm
-1/3 without ``parfor``), :class:`ThreadedBackend` (Algorithm 3: parallel
-symbolic, row-parallel lock-free numeric TTMc on threads) and
-:class:`ProcessBackend` (the same decomposition on worker *processes* with
-zero-copy shared memory — true multicore, GIL-free).  The distributed
-per-rank backend lives in :mod:`repro.distributed.dist_hooi` next to the
-plan/exchange machinery it drives, and the baselines provide TTM-chain (MET)
-and dense (Gram) backends — all drivers share this one loop.
+Every single-node TTMc composition is one :class:`PlanBackend`: a *work
+plan* (:mod:`repro.engine.plans` — COO rows, CSF root-fiber slabs or
+dimension-tree edges) times a *dispatcher* that runs the plan's lock-free
+range body inline (:class:`InlineDispatcher`, the paper's Algorithm 1/3
+without ``parfor``), on a thread team (:class:`ThreadDispatcher`,
+Algorithm 3) or on a crew of worker processes over zero-copy shared memory
+(:class:`ProcessDispatcher` — true multicore, GIL-free).
+:func:`resolve_ttmc_backend` picks the plan from ``(tensor_format,
+ttmc_strategy)`` and the dispatcher from ``execution``, independently.  The
+distributed per-rank backend lives in :mod:`repro.distributed.dist_hooi`
+next to the plan/exchange machinery it drives, and the baselines provide
+TTM-chain (MET) and dense (Gram) backends — all drivers share this one loop.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Tuple
+import functools
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.hosvd import initialize_factors
-from repro.core.sparse_tensor import SparseTensor
-from repro.core.symbolic import ModeSymbolic, symbolic_ttmc
-from repro.core.trsvd import TRSVDResult, truncated_svd
-from repro.core.ttmc import ttmc_matricized
-from repro.core.tucker import core_from_ttmc
 from repro.core.kron import kron_row_length
+from repro.core.sparse_tensor import SparseTensor
+from repro.core.trsvd import TRSVDResult, truncated_svd
+from repro.core.tucker import core_from_ttmc
+from repro.engine.dimtree import DimensionTree
+from repro.engine.plans import COORowsPlan, CSFSlabPlan, TTMcPlan
 
 __all__ = [
     "ExecutionBackend",
-    "SequentialBackend",
-    "ThreadedBackend",
-    "ProcessBackend",
-    "CSFBackend",
-    "ThreadedCSFBackend",
-    "ProcessCSFBackend",
-    "engine_kernel",
+    "PlanBackend",
+    "InlineDispatcher",
+    "ThreadDispatcher",
+    "ProcessDispatcher",
+    "pooled_out",
+    "resolve_plan",
+    "resolve_ttmc_backend",
     "trsvd_kwargs",
-    "parallel_symbolic",
-    "symbolic_row_positions",
-    "gather_present_rows",
 ]
-
-
-def gather_present_rows(
-    sorted_rows: np.ndarray,
-    payload: np.ndarray,
-    wanted: np.ndarray,
-    out: np.ndarray,
-) -> np.ndarray:
-    """Gather ``payload`` rows for ``wanted`` global indices, zeroing absentees.
-
-    ``sorted_rows`` maps payload row ``i`` to the global index it holds
-    (sorted ascending, as every compact TTMc form produces); ``out[p]``
-    receives ``payload[i]`` where ``sorted_rows[i] == wanted[p]``, and zeros
-    when ``wanted[p]`` is absent — a global row with no local nonzeros
-    contributes nothing.  This is the one membership-gather idiom shared by
-    the compact row-block seams (dimension-tree leaves, CSF compact blocks);
-    :func:`symbolic_row_positions` is its strict sibling that *raises* on
-    absent rows instead.
-    """
-    if sorted_rows.shape[0] == 0:
-        out[:] = 0
-        return out
-    positions = np.searchsorted(sorted_rows, wanted)
-    clipped = np.minimum(positions, sorted_rows.shape[0] - 1)
-    present = sorted_rows[clipped] == wanted
-    out[present] = payload[positions[present]]
-    if not present.all():
-        out[~present] = 0
-    return out
-
-
-def engine_kernel(eng) -> str:
-    """The engine's configured kernel tier (``"numpy"`` when unset).
-
-    All backends route their numeric TTMc calls through this accessor, so
-    the ``kernel`` axis composes with every execution model without any
-    backend growing a constructor knob — validation already happened in
-    :meth:`HOOIOptions.validate`.
-    """
-    return getattr(eng.options, "kernel", "numpy")
 
 
 def trsvd_kwargs(options) -> dict:
@@ -117,52 +78,39 @@ def trsvd_kwargs(options) -> dict:
     return {}
 
 
-def symbolic_row_positions(symbolic: ModeSymbolic, rows: np.ndarray) -> np.ndarray:
-    """Positions of global row indices inside a mode's sorted ``J_n``.
+def pooled_out(eng, mode: int) -> np.ndarray:
+    """The engine's pooled ``(I_n, ∏R_t)`` output buffer for mode ``mode``.
 
-    ``rows`` must be sorted and every entry must be a non-empty row of the
-    mode (the distributed plans guarantee it by intersecting with ``J_n``);
-    a row outside ``J_n`` raises instead of silently mapping to a neighbour.
+    Buffers are keyed per mode and fully zeroed only on their first use
+    in a run; afterwards the range bodies overwrite just the ``|J_n|``
+    touched rows, so steady-state sweeps never memset the full ``I_n × W``
+    matrix — measurable on hypersparse modes.  The per-run set of primed
+    buffers lives on the engine (``eng._primed_ttmc_out``), which
+    :meth:`HOOIEngine.run` resets.
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.size == 0:
-        return np.empty(0, dtype=np.int64)
-    positions = np.searchsorted(symbolic.rows, rows).astype(np.int64, copy=False)
-    if symbolic.num_rows:
-        clipped = np.minimum(positions, symbolic.num_rows - 1)
-        valid = (positions < symbolic.num_rows) & (symbolic.rows[clipped] == rows)
-    else:
-        valid = np.zeros(rows.shape[0], dtype=bool)
-    if not valid.all():
-        missing = rows[~valid]
-        raise ValueError(
-            f"rows {missing[:5].tolist()} are not non-empty rows of mode "
-            f"{symbolic.mode} (|J_n| = {symbolic.num_rows})"
-        )
-    return positions
-
-
-def parallel_symbolic(tensor: SparseTensor, num_threads: int) -> Dict[int, ModeSymbolic]:
-    """Build the symbolic data of every mode, one task per mode (parfor n)."""
-    modes = list(range(tensor.order))
-    if num_threads <= 1 or len(modes) == 1:
-        return {mode: symbolic_ttmc(tensor, mode) for mode in modes}
-    with ThreadPoolExecutor(max_workers=min(num_threads, len(modes))) as pool:
-        futures = {mode: pool.submit(symbolic_ttmc, tensor, mode) for mode in modes}
-        return {mode: fut.result() for mode, fut in futures.items()}
+    width = kron_row_length(
+        [eng.factors[t].shape[1] for t in range(eng.order) if t != mode]
+    )
+    buffer = eng.workspace.take(
+        (eng.tensor.shape[mode], width), eng.dtype, tag=f"ttmc-out-{mode}"
+    )
+    key = (mode, buffer.shape, buffer.dtype)
+    if key not in eng._primed_ttmc_out:
+        buffer[...] = 0
+        eng._primed_ttmc_out.add(key)
+    return buffer
 
 
 class ExecutionBackend:
     """How one HOOI engine run executes its heavy steps.
 
-    The base class implements the sequential single-process behaviour; the
-    engine is usable with it directly (``SequentialBackend`` only adds the
-    name).  Subclasses override the pieces they execute differently and may
-    use the no-op iteration/mode hooks to maintain clocks or communication
-    statistics.
+    The base class supplies the dtype cast, the norm, the initializer, the
+    TRSVD factor update and the core GEMM; subclasses provide the TTMc
+    (:meth:`compute_ttmc`) and may use the no-op iteration/mode hooks to
+    maintain clocks or communication statistics.
     """
 
-    name = "sequential"
+    name = "base"
 
     # -- setup ----------------------------------------------------------- #
     def prepare_tensor(self, eng) -> None:
@@ -181,75 +129,24 @@ class ExecutionBackend:
         )
 
     def prepare(self, eng) -> None:
-        """Build per-run reusable state (the symbolic TTMc data)."""
-        self.symbolic = {
-            mode: symbolic_ttmc(eng.tensor, mode) for mode in range(eng.order)
-        }
+        """Build per-run reusable state (symbolic data, trees, worker pools)."""
 
     # -- the three heavy steps ------------------------------------------- #
-    def _pooled_out(self, eng, mode: int) -> np.ndarray:
-        """The pooled ``(I_n, ∏R_t)`` output buffer for this mode's TTMc.
-
-        Buffers are keyed per mode and fully zeroed only on their first use
-        in a run; afterwards the numeric kernels clear (or overwrite) just
-        the ``|J_n|`` touched rows, so steady-state sweeps never memset the
-        full ``I_n × W`` matrix — measurable on hypersparse modes.  The
-        per-run set of primed buffers lives on the engine
-        (``eng._primed_ttmc_out``), which :meth:`HOOIEngine.run` resets.
-        """
-        width = kron_row_length(
-            [eng.factors[t].shape[1] for t in range(eng.order) if t != mode]
-        )
-        buffer = eng.workspace.take(
-            (eng.tensor.shape[mode], width), eng.dtype, tag=f"ttmc-out-{mode}"
-        )
-        primed = getattr(eng, "_primed_ttmc_out", None)
-        if primed is None:
-            primed = eng._primed_ttmc_out = set()
-        key = (mode, buffer.shape, buffer.dtype)
-        if key not in primed:
-            buffer[...] = 0
-            primed.add(key)
-        return buffer
-
     def compute_ttmc(self, eng, mode: int) -> np.ndarray:
-        """Numeric TTMc of ``mode`` into a pooled ``(I_n, ∏R_t)`` buffer."""
-        return ttmc_matricized(
-            eng.tensor,
-            eng.factors,
-            mode,
-            symbolic=self.symbolic[mode],
-            block_nnz=eng.options.block_nnz,
-            out=self._pooled_out(eng, mode),
-            # _pooled_out guarantees rows outside J_n are zero, so only the
-            # touched rows need clearing between sweeps.
-            zero="touched",
-            kernel=engine_kernel(eng),
-        )
+        """Numeric TTMc of ``mode``: the matricized ``Y_(mode)``."""
+        raise NotImplementedError
 
     def compute_ttmc_rows(self, eng, mode: int, rows: np.ndarray) -> np.ndarray:
         """Compact TTMc block: ``Y_(mode)`` restricted to the given rows.
 
-        ``rows`` is a sorted array of global mode-``mode`` indices, each a
-        non-empty row of the engine's tensor (``rows ⊆ J_mode``); the result
-        has shape ``(len(rows), ∏_{t≠mode} R_t)`` with row ``p`` holding
-        ``Y_(mode)(rows[p], :)``.  This is the rank-scoped seam the
-        distributed driver composes with: each simulated MPI rank computes
-        only its owned/local rows through whatever execution model and TTMc
-        strategy the options select, reusing this backend over the rank's
-        local tensor.
+        ``rows`` is a sorted array of global mode-``mode`` indices; the
+        result has shape ``(len(rows), ∏_{t≠mode} R_t)`` with row ``p``
+        holding ``Y_(mode)(rows[p], :)`` (zero for a row without local
+        nonzeros).  This is the rank-scoped seam the distributed driver
+        composes with: each simulated MPI rank computes only its owned/local
+        rows through whatever plan and dispatcher the options select.
         """
-        from repro.parallel.shared_ttmc import ttmc_row_block
-
-        return ttmc_row_block(
-            eng.tensor,
-            eng.factors,
-            mode,
-            self.symbolic[mode],
-            symbolic_row_positions(self.symbolic[mode], rows),
-            block_nnz=eng.options.block_nnz,
-            kernel=engine_kernel(eng),
-        )
+        raise NotImplementedError
 
     def update_factor(
         self, eng, mode: int, y_mat: np.ndarray
@@ -295,305 +192,231 @@ class ExecutionBackend:
         pass
 
 
-class SequentialBackend(ExecutionBackend):
-    """Single-threaded execution — the reference everything is validated against."""
+class InlineDispatcher:
+    """Runs a key's whole item range as one body call on the driver thread.
 
-    name = "sequential"
-
-
-class ThreadedBackend(ExecutionBackend):
-    """Shared-memory execution (the paper's Algorithm 3).
-
-    The symbolic step runs one task per mode; the numeric TTMc distributes
-    the non-empty rows ``J_n`` over worker threads with the configured
-    schedule (lock-free: each row is written by exactly one worker).  The
-    TRSVD and core GEMM are BLAS-parallel as in the sequential backend.
+    The only dispatcher whose bodies get the engine's workspace pool (it is
+    not thread-safe), so steady-state inline sweeps allocate nothing.
     """
 
-    name = "threaded"
+    name = "inline"
+    width = 1
+    pool = None
+
+    def run(self, plan: TTMcPlan, key, workspace=None) -> None:
+        """Execute every item of ``key``."""
+        num_items = plan.items(key)
+        if num_items:
+            plan.body(key, 0, num_items, workspace)
+
+    def open(self, eng, plan: TTMcPlan) -> None:
+        """Per-run setup once the plan is built (nothing in-process)."""
+
+    def ttmc(self, plan: TTMcPlan, mode: int, factors, out=None, workspace=None):
+        """``Y_(mode)`` of ``plan`` with ``factors`` (into ``out`` if given)."""
+        plan.factors = factors
+        return plan.ttmc(
+            mode, lambda key: self.run(plan, key, workspace),
+            out=out, workspace=workspace,
+        )
+
+    def compute(self, eng, plan: TTMcPlan, mode: int) -> np.ndarray:
+        """The engine's ``Y_(mode)``, into its pooled buffer."""
+        return self.ttmc(
+            plan, mode, eng.factors, pooled_out(eng, mode), eng.workspace
+        )
+
+    def factor_updated(self, mode: int, factor: np.ndarray) -> None:
+        """``U_mode`` was refreshed (in-process plans read it directly)."""
+
+    def close(self) -> None:
+        """Release per-run resources (nothing in-process)."""
+
+
+class ThreadDispatcher(InlineDispatcher):
+    """Runs a key's items as ``make_chunks`` ranges on a thread team.
+
+    Ranges write disjoint output rows, so the loop is lock-free; bodies
+    allocate privately because the workspace pool is not thread-safe.
+    """
+
+    name = "thread"
 
     def __init__(self, config=None) -> None:
         from repro.parallel.parallel_for import ParallelConfig
 
         self.config = config or ParallelConfig()
+        self.width = self.config.num_threads
 
-    def prepare(self, eng) -> None:
-        self.symbolic = parallel_symbolic(eng.tensor, self.config.num_threads)
+    def run(self, plan: TTMcPlan, key, workspace=None) -> None:
+        from repro.parallel.parallel_for import parallel_for
 
-    def compute_ttmc(self, eng, mode: int) -> np.ndarray:
-        from repro.parallel.shared_ttmc import parallel_ttmc_matricized
-
-        return parallel_ttmc_matricized(
-            eng.tensor,
-            eng.factors,
-            mode,
-            symbolic=self.symbolic[mode],
-            config=self.config,
-            block_nnz=eng.options.block_nnz,
-            out=self._pooled_out(eng, mode),
-            # Every J_n row is assigned and _pooled_out keeps the rest zero,
-            # so no zeroing pass is needed at all.
-            zero="none",
-            kernel=engine_kernel(eng),
-        )
-
-    def compute_ttmc_rows(self, eng, mode: int, rows: np.ndarray) -> np.ndarray:
-        from repro.parallel.shared_ttmc import parallel_ttmc_row_block
-
-        return parallel_ttmc_row_block(
-            eng.tensor,
-            eng.factors,
-            mode,
-            self.symbolic[mode],
-            symbolic_row_positions(self.symbolic[mode], rows),
-            config=self.config,
-            block_nnz=eng.options.block_nnz,
-            kernel=engine_kernel(eng),
-        )
+        parallel_for(functools.partial(plan.body, key), plan.items(key), self.config)
 
 
-class CSFBackend(SequentialBackend):
-    """Sequential execution over Compressed Sparse Fiber storage.
+class ProcessDispatcher(InlineDispatcher):
+    """Runs packed plans as ``make_chunks`` ranges on a worker crew.
 
-    ``prepare`` compresses the engine's tensor into CSF trees
-    (:class:`repro.sparse.csf.CSFTensorSet`) instead of building per-mode
-    update lists; ``compute_ttmc`` then serves each mode's ``Y_(n)`` as a
-    fiber-segment sweep (:func:`repro.sparse.csf_ttmc.csf_ttmc_matricized`)
-    — factor rows gathered once per merged fiber, partial products reduced
-    over fiber extents with :func:`repro.core.kron.segment_kron_sum`.
-    ``trees`` selects the
-    layout policy: ``"per-mode"`` (default) builds one tree rooted at every
-    mode, the fastest configuration at ``order``× the index memory;
-    ``"shared"`` builds a single shortest-mode-first tree reused for every
-    mode — minimal memory, with deep target modes served by the slower
-    pushdown/pullup pass.
-    """
-
-    name = "csf"
-
-    #: Tree layout policies ``__init__`` accepts.
-    TREE_POLICIES = ("per-mode", "shared")
-
-    def __init__(self, trees: str = "per-mode", *, tensors=None) -> None:
-        if trees not in self.TREE_POLICIES:
-            raise ValueError(
-                f"unknown CSF tree policy {trees!r}: expected one of "
-                f"{self.TREE_POLICIES}"
-            )
-        self.trees = trees
-        # A pre-built CSFTensorSet (e.g. memory-mapped trees loaded by the
-        # out-of-core driver) skips the per-run compression in ``prepare``.
-        self._preset_tensors = tensors
-        self.tensors = tensors
-
-    def prepare(self, eng) -> None:
-        from repro.sparse import CSFTensorSet
-
-        if self._preset_tensors is not None:
-            self.tensors = self._preset_tensors
-        elif self.trees == "per-mode":
-            config = self._ttmc_config()
-            self.tensors = CSFTensorSet.per_mode(
-                eng.tensor,
-                num_threads=config.num_threads if config is not None else 1,
-            )
-        else:
-            self.tensors = CSFTensorSet.shared_tree(eng.tensor)
-
-    def _ttmc_config(self):
-        """Thread configuration for the fiber sweeps (None = inline)."""
-        return None
-
-    def compute_ttmc(self, eng, mode: int) -> np.ndarray:
-        from repro.sparse import csf_ttmc_matricized
-
-        return csf_ttmc_matricized(
-            self.tensors.tree_for(mode),
-            eng.factors,
-            mode,
-            out=self._pooled_out(eng, mode),
-            config=self._ttmc_config(),
-            # Every J_n row is assigned and _pooled_out keeps the rest zero.
-            zero="none",
-            kernel=engine_kernel(eng),
-        )
-
-    def compute_ttmc_rows(self, eng, mode: int, rows: np.ndarray) -> np.ndarray:
-        """Compact TTMc block for a sorted set of global rows.
-
-        The fiber sweep already produces ``Y_(n)`` in compact ``(J_n, ∏R_t)``
-        form, so serving a rank's owned/local rows is one sorted gather —
-        rows without local nonzeros come back zero, mirroring the dimension
-        tree's ``local_rows`` contract.
-        """
-        from repro.sparse import csf_ttmc_compact
-
-        tree = self.tensors.tree_for(mode)
-        all_rows, block = csf_ttmc_compact(
-            tree,
-            eng.factors,
-            mode,
-            workspace=eng.workspace,
-            config=self._ttmc_config(),
-            kernel=engine_kernel(eng),
-        )
-        rows = np.asarray(rows, dtype=np.int64)
-        # The gather destination is pooled like the sweep's own buffers, so
-        # steady-state rank-local sweeps stop allocating entirely.
-        out = eng.workspace.take(
-            (rows.shape[0], block.shape[1]), block.dtype,
-            tag=f"csf-rows-out-{mode}",
-        )
-        return gather_present_rows(all_rows, block, rows, out)
-
-
-class ThreadedCSFBackend(CSFBackend):
-    """Shared-memory execution over CSF storage.
-
-    The numeric sweep distributes contiguous *root-fiber slabs* over worker
-    threads with the configured ``make_chunks`` schedule.  A slab's subtree
-    is a contiguous node range at every level and its output rows are
-    exactly its root fibers, so — with the per-mode rooted trees this
-    backend always builds — no two workers ever write the same ``Y_(n)``
-    row: the paper's lock-free row decomposition, applied to fibers.
-    """
-
-    name = "threaded-csf"
-
-    def __init__(self, config=None) -> None:
-        from repro.parallel.parallel_for import ParallelConfig
-
-        # Root-fiber slabs partition the output rows only when every tree
-        # is rooted at its target mode, so the policy is fixed.
-        super().__init__(trees="per-mode")
-        self.config = config or ParallelConfig()
-
-    def _ttmc_config(self):
-        return self.config
-
-
-class ProcessCSFBackend(CSFBackend):
-    """True-multicore execution over Compressed Sparse Fiber storage.
-
-    The driver builds the per-mode rooted trees once (thread-overlapped,
-    like the per-mode symbolic step), serializes their level arrays into a
-    shared arena (:meth:`~repro.parallel.process_pool.HOOIProcessPool.for_csf`),
-    and dispatches every TTMc as contiguous root-fiber slabs to the worker
-    pool — a slab's output rows are exactly its unique, sorted root fibers,
-    so workers write lock-free just as in the COO row decomposition.
-    Refreshed factors are broadcast by writing their shared segment,
-    mirroring :class:`ProcessBackend`.
-
-    ``num_workers <= 1`` degenerates to the sequential CSF backend: no
-    worker processes are spawned and no shared memory is allocated.
-    """
-
-    name = "process-csf"
-
-    def __init__(self, config=None) -> None:
-        from repro.parallel.process_pool import ProcessConfig
-
-        # Root-fiber slabs partition the output rows only when every tree
-        # is rooted at its target mode, so the policy is fixed (the same
-        # constraint as the threaded CSF backend).
-        super().__init__(trees="per-mode")
-        self.config = config or ProcessConfig()
-        self.pool = None
-
-    def prepare(self, eng) -> None:
-        from repro.sparse import CSFTensorSet
-
-        self.tensors = CSFTensorSet.per_mode(
-            eng.tensor, num_threads=self.config.num_workers
-        )
-        if self.config.num_workers <= 1:
-            return
-        from repro.parallel.process_pool import HOOIProcessPool
-
-        self.pool = HOOIProcessPool.for_csf(
-            self.tensors,
-            eng.tensor,
-            eng.factors,
-            eng.ranks,
-            eng.dtype,
-            config=self.config,
-            block_nnz=eng.options.block_nnz,
-            kernel=engine_kernel(eng),
-        )
-
-    def compute_ttmc(self, eng, mode: int) -> np.ndarray:
-        if self.pool is None:
-            return super().compute_ttmc(eng, mode)
-        return self.pool.ttmc(mode)
-
-    def update_factor(self, eng, mode: int, y_mat: np.ndarray):
-        new_factor, stats = super().update_factor(eng, mode, y_mat)
-        if self.pool is not None:
-            self.pool.write_factor(mode, new_factor)
-        return new_factor, stats
-
-    def finalize(self, eng) -> None:
-        if self.pool is not None:
-            self.pool.close()
-            self.pool = None
-
-
-class ProcessBackend(SequentialBackend):
-    """True-multicore execution: worker processes + zero-copy shared memory.
-
-    The decomposition is exactly the paper's Algorithm 3 — the non-empty
-    rows ``J_n`` are chunked with an OpenMP-like schedule and each chunk is
-    one lock-free task — but tasks run on a persistent pool of worker
-    *processes* (:class:`~repro.parallel.process_pool.HOOIProcessPool`), so
-    the hot gather/Kronecker/segment-sum work escapes the GIL and really
-    uses multiple cores.  The tensor, symbolic structures, factors and the
-    ``Y_(n)`` buffers live in ``multiprocessing.shared_memory`` segments
-    that workers attach once at pool startup; only tiny ``(mode, row_chunk)``
-    descriptors cross process boundaries, and refreshed factors are
-    broadcast by writing their shared segment after each TRSVD.
-
-    ``num_workers <= 1`` degenerates to the sequential backend: no worker
-    processes are spawned and no shared memory is allocated.
+    Without ``pool`` it owns a one-shot generation: :meth:`open` packs the
+    plan with :meth:`~repro.parallel.process_pool.HOOIProcessPool.for_plans`
+    (spawning a private crew) and :meth:`close` tears it down.  With
+    ``pool`` and ``job`` it is attached to a generation someone else owns —
+    a serving batch — and leaves it open.  Either way :meth:`open` writes
+    the engine's factors into the generation, per-mode TTMc runs through
+    ``pool.ttmc(mode, job=)`` and refreshed factors are broadcast through
+    ``pool.write_factor``.  Plans outside the generation (a distributed row
+    subset) run inline.
     """
 
     name = "process"
 
-    def __init__(self, config=None) -> None:
+    def __init__(self, config=None, *, pool=None, job=None) -> None:
         from repro.parallel.process_pool import ProcessConfig
 
         self.config = config or ProcessConfig()
-        self.pool = None
+        self.width = self.config.num_workers
+        self.pool = pool
+        self.job = job
+        self._owns_pool = pool is None
+
+    def open(self, eng, plan: TTMcPlan) -> None:
+        if self._owns_pool:
+            from repro.parallel.process_pool import HOOIProcessPool
+
+            self.pool = HOOIProcessPool.for_plans({None: plan}, config=self.config)
+        for mode, factor in enumerate(eng.factors):
+            self.pool.write_factor(mode, factor, job=self.job)
+
+    def compute(self, eng, plan: TTMcPlan, mode: int) -> np.ndarray:
+        return self.pool.ttmc(mode, job=self.job)
+
+    def factor_updated(self, mode: int, factor: np.ndarray) -> None:
+        self.pool.write_factor(mode, factor, job=self.job)
+
+    def close(self) -> None:
+        if self._owns_pool and self.pool is not None:
+            self.pool.close()
+            self.pool = None
+
+
+class PlanBackend(ExecutionBackend):
+    """The single-node TTMc backend: a work plan × a dispatcher.
+
+    ``plan`` is a plan class (built in :meth:`prepare` over the engine's
+    dtype-cast tensor, with the dispatcher's width overlapping the
+    symbolic step) or an already built plan (a preset memory-mapped tree
+    set, a rank's seeded symbolic data, a serving batch member).
+    ``dispatcher`` defaults to inline execution.  ``pool`` is the process
+    dispatcher's live generation (``None`` otherwise).
+    """
+
+    def __init__(self, plan=COORowsPlan, dispatcher=None) -> None:
+        self.plan_source = plan
+        self.dispatcher = dispatcher or InlineDispatcher()
+        self.plan: Optional[TTMcPlan] = None
+
+    @property
+    def name(self) -> str:
+        return f"{self.plan_source.kind}/{self.dispatcher.name}"
+
+    @property
+    def pool(self):
+        return self.dispatcher.pool
 
     def prepare(self, eng) -> None:
-        if self.config.num_workers <= 1:
-            super().prepare(eng)
-            return
-        from repro.parallel.process_pool import HOOIProcessPool
-
-        self.symbolic = parallel_symbolic(eng.tensor, self.config.num_workers)
-        self.pool = HOOIProcessPool.for_per_mode(
-            eng.tensor,
-            self.symbolic,
-            eng.factors,
-            eng.ranks,
-            eng.dtype,
-            config=self.config,
-            block_nnz=eng.options.block_nnz,
-            kernel=engine_kernel(eng),
+        source = self.plan_source
+        self.plan = (
+            source
+            if isinstance(source, TTMcPlan)
+            else source.build(eng.tensor, eng.ranks, eng.options, self.dispatcher.width)
         )
+        self.dispatcher.open(eng, self.plan)
 
     def compute_ttmc(self, eng, mode: int) -> np.ndarray:
-        if self.pool is None:
-            return super().compute_ttmc(eng, mode)
-        return self.pool.ttmc(mode)
+        return self.dispatcher.compute(eng, self.plan, mode)
+
+    def compute_ttmc_rows(self, eng, mode: int, rows: np.ndarray) -> np.ndarray:
+        """Compact row block; COO plans compute just these rows.
+
+        Fiber-tree plans have no cheaper form than their full ``Y_(n)``, so
+        the rows are gathered from it into a pooled block (rows without
+        local nonzeros are zero there).
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        sub = self.plan.restrict(mode, rows, eng.factors)
+        if sub is not None:
+            self.dispatcher.run(sub, mode, eng.workspace)
+            return sub.outs[mode]
+        full = self.compute_ttmc(eng, mode)
+        out = eng.workspace.take(
+            (rows.shape[0], full.shape[1]), full.dtype, tag=f"ttmc-rows-{mode}"
+        )
+        return np.take(full, rows, axis=0, out=out)
 
     def update_factor(self, eng, mode: int, y_mat: np.ndarray):
         new_factor, stats = super().update_factor(eng, mode, y_mat)
-        if self.pool is not None:
-            self.pool.write_factor(mode, new_factor)
+        self.dispatcher.factor_updated(mode, new_factor)
+        self.notify_factor_updated(eng, mode)
         return new_factor, stats
 
+    def notify_factor_updated(self, eng, mode: int) -> None:
+        if self.plan is not None:
+            self.plan.factor_updated(mode)
+
     def finalize(self, eng) -> None:
-        if self.pool is not None:
-            self.pool.close()
-            self.pool = None
+        self.dispatcher.close()
+
+
+def resolve_plan(options):
+    """The plan class implied by ``(tensor_format, ttmc_strategy)``.
+
+    The dimension tree for ``"dimtree"`` (whose symbolic source follows
+    ``tensor_format``), CSF root-fiber slabs for ``"csf"``, COO rows
+    otherwise.
+    """
+    if (options.ttmc_strategy or "per-mode") == "dimtree":
+        return DimensionTree
+    if (options.tensor_format or "coo") == "csf":
+        return CSFSlabPlan
+    return COORowsPlan
+
+
+def resolve_ttmc_backend(options, config=None) -> PlanBackend:
+    """Backend implied by ``ttmc_strategy``, ``tensor_format`` and ``execution``.
+
+    The plan comes from ``(tensor_format, ttmc_strategy)``
+    (:func:`resolve_plan`) and the dispatcher, independently, from
+    ``execution`` with ``options.num_workers`` threads or worker
+    processes; ``config`` (a
+    :class:`~repro.parallel.parallel_for.ParallelConfig`, passed by the
+    threaded driver) supplies the thread count and schedule instead.  A
+    width of one runs inline: no threads, processes or shared memory.  The
+    ``kernel`` axis needs no routing — plans read ``options.kernel`` — and
+    the ``validate`` call here rejects unavailable or non-composing tiers
+    before anything is built.  Option values and composition are checked by
+    :meth:`~repro.core.hooi.HOOIOptions.validate` (single-node context; the
+    distributed driver applies its stricter rules before resolving its
+    rank-local backends).
+    """
+    options.validate()
+    plan = resolve_plan(options)
+    execution = options.execution or "sequential"
+    width = int(options.num_workers or 1)
+    if execution == "process":
+        from repro.parallel.process_pool import ProcessConfig
+
+        if width <= 1 and config is not None:
+            width = config.num_threads
+        if width > 1:
+            return PlanBackend(plan, ProcessDispatcher(ProcessConfig(
+                num_workers=width,
+                schedule=config.schedule if config is not None else "dynamic",
+                chunk_size=config.chunk_size if config is not None else None,
+            )))
+    elif execution == "thread" or config is not None:
+        from repro.parallel.parallel_for import ParallelConfig
+
+        config = config or ParallelConfig(num_threads=width)
+        if config.num_threads > 1:
+            return PlanBackend(plan, ThreadDispatcher(config))
+    return PlanBackend(plan)

@@ -46,6 +46,17 @@ Node payloads live in the engine's :class:`~repro.engine.workspace.WorkspacePool
 ``Σ_nodes fibers × ∏ranks`` of resident memory for the recomputation the
 per-mode strategy performs — the tradeoff ``HOOIOptions.ttmc_strategy``
 selects.
+
+Execution
+---------
+The tree is a work plan (:mod:`repro.engine.plans`): its keys are nodes, a
+node's items are its fibers, and the range body refines a contiguous fiber
+range of one edge — each child fiber aggregates a disjoint set of parent
+fibers, so ranges write disjoint payload rows without locks.  The driver
+keeps the version counters and decides which edges are stale; the engine's
+dispatchers run the stale edges inline, on threads or on a process crew,
+whose workers rebuild the tree over shared payloads (:meth:`pack` /
+:meth:`attach`).
 """
 
 from __future__ import annotations
@@ -55,7 +66,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.hooi import HOOIOptions
 from repro.core.kron import kron_dtype, kron_row_length
 from repro.core.sparse_tensor import SparseTensor
 from repro.core.subset_ttmc import (
@@ -65,25 +75,10 @@ from repro.core.subset_ttmc import (
     group_fibers_presorted,
     subset_widths,
 )
-from repro.engine.backend import (
-    CSFBackend,
-    ProcessBackend,
-    ProcessCSFBackend,
-    SequentialBackend,
-    ThreadedBackend,
-    ThreadedCSFBackend,
-    gather_present_rows,
-)
+from repro.engine.plans import TTMcPlan
 from repro.util.validation import check_axis
 
-__all__ = [
-    "DimTreeNode",
-    "DimensionTree",
-    "DimTreeBackend",
-    "ThreadedDimTreeBackend",
-    "ProcessDimTreeBackend",
-    "resolve_ttmc_backend",
-]
+__all__ = ["DimTreeNode", "DimensionTree"]
 
 _TREE_IDS = _instance_counter()
 
@@ -143,7 +138,7 @@ class DimTreeNode:
         return f"DimTreeNode(modes={self.modes}, fibers={self.num_fibers})"
 
 
-class DimensionTree:
+class DimensionTree(TTMcPlan):
     """Symbolic dimension tree plus the per-factor-version payload cache.
 
     Built once per tensor (a lexsort per edge, the analogue of the per-mode
@@ -171,13 +166,17 @@ class DimensionTree:
 
     Either way the sortedness of every non-root node's tuples (a
     :func:`group_fibers` postcondition) lets deeper left edges reuse the
-    presorted walk too.
+    presorted walk too.  ``ranks`` and ``block_nnz`` are the plan settings
+    (:class:`~repro.engine.plans.TTMcPlan`).
     """
+
+    kind = "dimtree"
 
     #: Legal values of the ``source`` constructor argument.
     SOURCES = ("coo", "csf")
 
-    def __init__(self, tensor: SparseTensor, *, source: str = "coo") -> None:
+    def __init__(self, tensor: SparseTensor, *, source: str = "coo",
+                 ranks=None, block_nnz=None) -> None:
         if tensor.order < 2:
             raise ValueError("a dimension tree requires a tensor of order >= 2")
         if source not in self.SOURCES:
@@ -185,72 +184,68 @@ class DimensionTree:
                 f"unknown dimension-tree source {source!r}; expected one of "
                 f"{self.SOURCES}"
             )
-        self.shape = tensor.shape
-        self.order = tensor.order
+        super().__init__(tensor.shape, ranks, block_nnz=block_nnz)
         self.source = source
-        self._token = f"dimtree{next(_TREE_IDS)}"
         if source == "csf":
             from repro.sparse.csf import CSFTensor
 
             # Identity mode order: level ℓ of the fiber tree is mode ℓ, so
             # the CSF hierarchy *is* the left spine of the dimension tree and
             # the sorted expansion below is the root's index matrix.
-            self.csf: Optional[CSFTensor] = CSFTensor(
-                tensor, mode_order=tuple(range(tensor.order))
-            )
+            self.csf = CSFTensor(tensor, mode_order=tuple(range(tensor.order)))
             root_cols = self.csf.to_coo().indices
             self._values = self.csf.values
-            root_sorted = True
         else:
             self.csf = None
             root_cols = tensor.indices
             self._values = tensor.values
-            root_sorted = False
-        self.nodes: List[DimTreeNode] = []
-        self.leaves: List[Optional[DimTreeNode]] = [None] * self.order
-        self.root = self._build(0, self.order - 1, None, root_cols, root_sorted)
-        self._versions = [0] * self.order
-        self.edge_updates = 0
-
-    @property
-    def root_values(self) -> np.ndarray:
-        """Nonzero values aligned with the root's ``index_cols`` rows.
-
-        For a COO-sourced tree these are the tensor's values verbatim; for a
-        CSF-sourced tree they are the lexicographically sorted copy matching
-        the sorted root index matrix.  The process pool serializes *these*
-        (not the raw tensor's) so worker-side groupings see the same row
-        order the driver's tree was built over.
-        """
-        return self._values
-
-    # ------------------------------------------------------------------ #
-    # Construction (symbolic)
-    # ------------------------------------------------------------------ #
-    def _build(
-        self,
-        lo: int,
-        hi: int,
-        parent: Optional[DimTreeNode],
-        parent_index_cols: np.ndarray,
-        parent_sorted: bool,
-    ) -> DimTreeNode:
-        node = DimTreeNode(len(self.nodes), lo, hi, parent)
-        self.nodes.append(node)
-        if parent is None:
-            node.index_cols = np.asarray(parent_index_cols, dtype=np.int64)
-        else:
-            rel = [m - parent.lo for m in range(lo, hi + 1)]
-            if parent_sorted and lo == parent.lo:
+        self._init_topology()
+        self.root.index_cols = np.asarray(root_cols, dtype=np.int64)
+        for node in self.nodes[1:]:
+            parent = node.parent
+            rel = [m - parent.lo for m in node.modes]
+            # Children of any non-root node see sorted tuples (group_fibers
+            # and the presorted walk both emit ascending order); only a COO
+            # root's raw index matrix is unsorted.
+            parent_sorted = parent is not self.root or source == "csf"
+            if parent_sorted and node.lo == parent.lo:
                 # Left child of a lex-sorted parent: its grouping columns are
                 # a prefix of the sort key, so the groups are already
                 # contiguous and ordered — the CSF change-flag walk replaces
                 # the lexsort (and marks the grouping contiguous, unlocking
                 # the sliced edge-update fast path).
-                node.grouping = group_fibers_presorted(parent_index_cols[:, rel])
+                node.grouping = group_fibers_presorted(parent.index_cols[:, rel])
             else:
-                node.grouping = group_fibers(parent_index_cols[:, rel])
+                node.grouping = group_fibers(parent.index_cols[:, rel])
             node.index_cols = node.grouping.indices
+
+    @classmethod
+    def build(cls, tensor, ranks, options, threads=1):
+        source = "csf" if (options.tensor_format or "coo") == "csf" else "coo"
+        return cls(tensor, source=source, ranks=ranks, block_nnz=options.block_nnz)
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self._values.dtype
+
+    # ------------------------------------------------------------------ #
+    # Construction (symbolic)
+    # ------------------------------------------------------------------ #
+    def _init_topology(self) -> None:
+        """The node hierarchy and cache state (groupings come separately)."""
+        self._token = f"dimtree{next(_TREE_IDS)}"
+        self._versions = [0] * self.order
+        self.edge_updates = 0
+        # Packed trees keep their payloads in shared segments for good.
+        self._shared = False
+        self.nodes: List[DimTreeNode] = []
+        self.leaves: List[Optional[DimTreeNode]] = [None] * self.order
+        self.root = self._build(0, self.order - 1, None)
+
+    def _build(self, lo: int, hi: int, parent: Optional[DimTreeNode]) -> DimTreeNode:
+        node = DimTreeNode(len(self.nodes), lo, hi, parent)
+        self.nodes.append(node)
+        if parent is not None:
             node.sibling_modes = tuple(
                 m for m in parent.modes if not lo <= m <= hi
             )
@@ -262,14 +257,8 @@ class DimensionTree:
             self.leaves[lo] = node
         else:
             mid = (lo + hi) // 2
-            # Children of any non-root node see sorted tuples (group_fibers
-            # and the presorted walk both emit ascending order); only a COO
-            # root's raw index matrix is unsorted.
-            child_sorted = parent is not None or parent_sorted
-            node.left = self._build(lo, mid, node, node.index_cols, child_sorted)
-            node.right = self._build(
-                mid + 1, hi, node, node.index_cols, child_sorted
-            )
+            node.left = self._build(lo, mid, node)
+            node.right = self._build(mid + 1, hi, node)
         return node
 
     def path(self, mode: int) -> List[DimTreeNode]:
@@ -294,6 +283,8 @@ class DimensionTree:
         mode = check_axis(mode, self.order)
         self._versions[mode] += 1
 
+    factor_updated = invalidate_factor
+
     def node_is_fresh(self, node: DimTreeNode) -> bool:
         """Whether the node's cached payload reflects the current factors."""
         if node.payload is None:
@@ -310,6 +301,42 @@ class DimensionTree:
         return [node for node in self.nodes if self.node_is_fresh(node)]
 
     # ------------------------------------------------------------------ #
+    # The plan: keys are nodes, items are a node's fibers
+    # ------------------------------------------------------------------ #
+    def items(self, node_id: int) -> int:
+        return self.nodes[node_id].num_fibers
+
+    def body(self, node_id: int, start: int, stop: int, workspace=None) -> None:
+        """Refine fibers ``[start, stop)`` of one edge into the node payload."""
+        node = self.nodes[node_id]
+        parent = node.parent
+        ranks = [None if f is None else f.shape[1] for f in self.factors]
+        lo_width, hi_width = subset_widths(ranks, parent.lo, parent.hi)
+        edge_update_groups(
+            node.grouping,
+            start,
+            stop,
+            parent.payload,
+            parent.index_cols,
+            node.sibling_cols,
+            [
+                np.asarray(self.factors[m], dtype=node.payload.dtype)
+                for m in node.sibling_modes
+            ],
+            lo_width,
+            hi_width,
+            node.payload[start:stop],
+            block_nnz=self.block_nnz,
+            workspace=workspace,
+        )
+
+    def ttmc(self, mode: int, run, out=None, workspace=None) -> np.ndarray:
+        return self.leaf_matricized(
+            mode, self.factors, out=self.outs.get(mode) if out is None else out,
+            workspace=workspace, run=run, zero="none",
+        )
+
+    # ------------------------------------------------------------------ #
     # Numeric evaluation
     # ------------------------------------------------------------------ #
     def leaf_matricized(
@@ -320,36 +347,20 @@ class DimensionTree:
         dtype=None,
         out: Optional[np.ndarray] = None,
         workspace=None,
-        block_nnz: Optional[int] = None,
-        parallel_config=None,
-        edge_executor=None,
+        run=None,
         zero: str = "full",
-        local_rows: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Serve ``Y_(mode)`` from the tree, refreshing stale path nodes.
 
         Matches :func:`repro.core.ttmc.ttmc_matricized` in shape, column
         order and dtype promotion.  ``factors[mode]`` is never multiplied and
         may be ``None``.  ``workspace`` supplies the node payload and scratch
-        buffers; ``parallel_config`` (a
-        :class:`~repro.parallel.parallel_for.ParallelConfig`) switches the
-        edge updates to the row-parallel lock-free path; ``edge_executor``
-        (``executor(node) -> payload``) delegates both the payload buffer
-        and the numeric refinement of a stale non-root node to an external
-        engine — the process backend routes edges to its worker pool this
-        way.  ``zero`` controls how much of a caller-provided ``out`` is
-        cleared (``"full"``/``"touched"``/``"none"``); the leaf rows are
-        *assigned*, so ``"none"`` is sufficient when the caller keeps the
-        empty rows zero (the engine's per-mode pooled buffers do).
-
-        ``local_rows`` is the distributed driver's hook: a sorted array of
-        global mode-``mode`` indices restricting the result to a compact
-        ``(len(local_rows), ∏R_t)`` block whose row ``p`` holds
-        ``Y_(mode)(local_rows[p], :)`` — only the rows a simulated MPI rank
-        owns (coarse grain) or touches (fine grain).  Rows outside the
-        tree's leaf fibers come back zero (a row with no local nonzeros
-        contributes nothing), every output row is assigned exactly once, and
-        ``zero`` is ignored.
+        buffers; ``run(node_id)`` refines a stale node over all its fibers
+        (a dispatcher's range runner — inline by default).  ``zero``
+        controls how much of a caller-provided ``out`` is cleared
+        (``"full"``/``"touched"``/``"none"``); the leaf rows are *assigned*,
+        so ``"none"`` is sufficient when the caller keeps the empty rows
+        zero (the engine's per-mode pooled buffers do).
         """
         mode = check_axis(mode, self.order)
         if zero not in ("full", "touched", "none"):
@@ -374,22 +385,19 @@ class DimensionTree:
                     f"factor for mode {t} must be 2-D with {self.shape[t]} rows"
                 )
             ranks.append(int(factor.shape[1]))
+        self.factors = list(factors)
+        if run is None:
+            def run(node_id: int) -> None:
+                self.body(node_id, 0, self.items(node_id), workspace)
 
         path = self.path(mode)
         for node in path:
-            self._ensure_fresh(
-                node, factors, ranks, dtype,
-                workspace=workspace, block_nnz=block_nnz,
-                parallel_config=parallel_config,
-                edge_executor=edge_executor,
-            )
+            self._ensure_fresh(node, ranks, dtype, workspace, run)
         leaf = path[-1]
 
         width = kron_row_length(
             [ranks[t] for t in range(self.order) if t != mode]
         )
-        if local_rows is not None:
-            return self._leaf_local_block(leaf, local_rows, width, dtype, out)
         if out is None:
             out = np.zeros((self.shape[mode], width), dtype=dtype)
         else:
@@ -406,44 +414,7 @@ class DimensionTree:
             out[leaf.index_cols[:, 0]] = leaf.payload
         return out
 
-    def _leaf_local_block(
-        self,
-        leaf: DimTreeNode,
-        local_rows: np.ndarray,
-        width: int,
-        dtype,
-        out: Optional[np.ndarray],
-    ) -> np.ndarray:
-        """Gather a fresh leaf's payload rows for a sorted set of global rows."""
-        local_rows = np.asarray(local_rows, dtype=np.int64)
-        shape = (local_rows.shape[0], width)
-        if out is None:
-            out = np.empty(shape, dtype=dtype)
-        elif out.shape != shape or out.dtype != dtype:
-            raise ValueError(
-                f"out has shape {out.shape} / dtype {out.dtype}, expected "
-                f"{shape} / {dtype}"
-            )
-        if local_rows.shape[0] == 0:
-            return out
-        # The leaf's fibers are its distinct mode indices in ascending order
-        # (group_fibers sorts), so membership is one searchsorted.
-        return gather_present_rows(
-            leaf.index_cols[:, 0], leaf.payload, local_rows, out
-        )
-
-    def _ensure_fresh(
-        self,
-        node: DimTreeNode,
-        factors,
-        ranks,
-        dtype,
-        *,
-        workspace,
-        block_nnz,
-        parallel_config,
-        edge_executor=None,
-    ) -> None:
+    def _ensure_fresh(self, node: DimTreeNode, ranks, dtype, workspace, run) -> None:
         if node is self.root:
             if node.payload is None or node.cache_dtype != dtype:
                 node.payload = np.asarray(
@@ -459,64 +430,26 @@ class DimensionTree:
         ):
             return
 
-        parent = node.parent
-        sibling_factors = [
-            np.asarray(factors[m], dtype=dtype) for m in node.sibling_modes
-        ]
-        lo_width, hi_width = subset_widths(ranks, parent.lo, parent.hi)
-        child_width = lo_width * hi_width * kron_row_length(
-            [f.shape[1] for f in sibling_factors]
+        lo_width, hi_width = subset_widths(ranks, node.parent.lo, node.parent.hi)
+        shape = (
+            node.num_fibers,
+            lo_width * hi_width
+            * kron_row_length([ranks[m] for m in node.sibling_modes]),
         )
-        shape = (node.num_fibers, child_width)
-        if edge_executor is not None:
-            # External engine (the process pool): it owns the payload buffer
-            # and performs the refinement — typically fiber-parallel on
-            # worker processes against shared-memory views of this tree.
-            payload = edge_executor(node)
-            if payload.shape != shape or payload.dtype != dtype:
+        if self._shared:
+            if node.payload.shape != shape or node.payload.dtype != dtype:
                 raise ValueError(
-                    f"edge executor returned a {payload.shape}/{payload.dtype} "
-                    f"payload for node {node.node_id}, expected {shape}/{dtype}"
+                    f"node {node.node_id} needs a {shape}/{dtype} payload but "
+                    f"its shared segment is {node.payload.shape}/"
+                    f"{node.payload.dtype}: a packed tree has fixed ranks"
                 )
+        elif workspace is not None:
+            node.payload = workspace.take(
+                shape, dtype, tag=f"{self._token}-node{node.node_id}"
+            )
         else:
-            if workspace is not None:
-                payload = workspace.take(
-                    shape, dtype, tag=f"{self._token}-node{node.node_id}"
-                )
-            else:
-                payload = np.empty(shape, dtype=dtype)
-
-            if parallel_config is not None and parallel_config.num_threads > 1:
-                from repro.parallel.shared_dimtree import parallel_edge_update
-
-                parallel_edge_update(
-                    node.grouping,
-                    parent.payload,
-                    parent.index_cols,
-                    node.sibling_cols,
-                    sibling_factors,
-                    lo_width,
-                    hi_width,
-                    payload,
-                    parallel_config,
-                    block_nnz=block_nnz,
-                )
-            else:
-                edge_update_groups(
-                    node.grouping,
-                    0,
-                    node.num_fibers,
-                    parent.payload,
-                    parent.index_cols,
-                    node.sibling_cols,
-                    sibling_factors,
-                    lo_width,
-                    hi_width,
-                    payload,
-                    block_nnz=block_nnz,
-                    workspace=workspace,
-                )
-        node.payload = payload
+            node.payload = np.empty(shape, dtype=dtype)
+        run(node.node_id)
         node.cache_dtype = dtype
         node.cache_ranks = sig
         node.dep_versions = tuple(
@@ -524,229 +457,61 @@ class DimensionTree:
         )
         self.edge_updates += 1
 
+    # ------------------------------------------------------------------ #
+    # Shared-arena layout
+    # ------------------------------------------------------------------ #
+    def pack(self, arena, prefix: str) -> dict:
+        """Groupings and every node payload go into shared segments.
 
-class DimTreeBackend(SequentialBackend):
-    """Sequential execution with dimension-tree TTMc evaluation.
-
-    Identical to :class:`~repro.engine.backend.SequentialBackend` except that
-    ``compute_ttmc`` is served from a :class:`DimensionTree` (built in
-    ``prepare``, replacing the per-mode symbolic step) and ``update_factor``
-    additionally bumps the refreshed factor's version so stale partial chains
-    are recomputed on their next use.
-
-    ``tensor_format`` decides the tree's symbolic source: ``"csf"`` builds
-    the groupings over the CSF fiber hierarchy (contiguous, gather-free edge
-    updates), ``"coo"`` keeps the per-edge lexsorts.  Both serve identical
-    ``Y_(n)``, so the format axis composes with this strategy — and with its
-    threaded and process subclasses — without any further routing.
-    """
-
-    name = "dimtree"
-
-    def __init__(self) -> None:
-        self.tree: Optional[DimensionTree] = None
-
-    def _tree_source(self, eng) -> str:
-        fmt = getattr(eng.options, "tensor_format", "coo") or "coo"
-        return "csf" if fmt == "csf" else "coo"
-
-    def prepare(self, eng) -> None:
-        self.tree = DimensionTree(eng.tensor, source=self._tree_source(eng))
-
-    def _edge_parallel_config(self):
-        """Thread configuration for stale-edge refinements (None = inline)."""
-        return None
-
-    def compute_ttmc(self, eng, mode: int) -> np.ndarray:
-        return self.tree.leaf_matricized(
-            mode,
-            eng.factors,
-            dtype=eng.dtype,
-            out=self._pooled_out(eng, mode),
-            workspace=eng.workspace,
-            block_nnz=eng.options.block_nnz,
-            # _pooled_out keeps rows outside the leaf fibers zero and the
-            # leaf rows are assigned, so no zeroing pass is needed.
-            zero="none",
+        The root's index matrix and values are the *tree's* (a CSF-sourced
+        tree's groupings reference the lexicographically sorted row order),
+        and contiguous groupings carry their flag so workers take the sliced
+        edge-update path too.  The driver's nodes then hold the shared
+        payloads, so its leaf scatter reads what the workers wrote.
+        """
+        dtype = self.dtype
+        ranks = self.ranks
+        arena.put(f"{prefix}indices", np.ascontiguousarray(self.root.index_cols))
+        self.root.payload = arena.put(
+            f"{prefix}payload{self.root.node_id}", self._values.reshape(-1, 1)
         )
+        self.root.cache_dtype = dtype
+        for node in self.nodes[1:]:
+            lo_width, hi_width = subset_widths(ranks, node.parent.lo, node.parent.hi)
+            width = lo_width * hi_width * kron_row_length(
+                [ranks[m] for m in node.sibling_modes]
+            )
+            arena.put(f"{prefix}grp-idx{node.node_id}", node.grouping.indices)
+            arena.put(f"{prefix}grp-perm{node.node_id}", node.grouping.perm)
+            arena.put(f"{prefix}grp-segptr{node.node_id}", node.grouping.segptr)
+            node.payload = arena.zeros(
+                f"{prefix}payload{node.node_id}", (node.num_fibers, width), dtype
+            )
+        self._shared = True
+        contiguous = [
+            bool(node.grouping.contiguous) for node in self.nodes[1:]
+        ]
+        return dict(super().pack(arena, prefix), contiguous=contiguous)
 
-    def compute_ttmc_rows(self, eng, mode: int, rows: np.ndarray) -> np.ndarray:
-        """Serve a compact row block from the rank-local dimension tree."""
-        return self.tree.leaf_matricized(
-            mode,
-            eng.factors,
-            dtype=eng.dtype,
-            workspace=eng.workspace,
-            block_nnz=eng.options.block_nnz,
-            parallel_config=self._edge_parallel_config(),
-            local_rows=np.asarray(rows, dtype=np.int64),
+    @classmethod
+    def attach(cls, view, meta: dict, prefix: str) -> "DimensionTree":
+        tree = cls.__new__(cls)
+        TTMcPlan.__init__(
+            tree, meta["shape"], meta["ranks"], block_nnz=meta["block_nnz"]
         )
-
-    def update_factor(self, eng, mode: int, y_mat: np.ndarray):
-        new_factor, stats = super().update_factor(eng, mode, y_mat)
-        self.notify_factor_updated(eng, mode)
-        return new_factor, stats
-
-    def notify_factor_updated(self, eng, mode: int) -> None:
-        if self.tree is not None:
-            self.tree.invalidate_factor(mode)
-
-
-class ThreadedDimTreeBackend(DimTreeBackend):
-    """Shared-memory execution with dimension-tree TTMc evaluation.
-
-    The numeric refinement of each tree edge distributes contiguous ranges
-    of the child's fibers over worker threads
-    (:func:`repro.parallel.shared_dimtree.parallel_edge_update`) — lock-free,
-    since each fiber row is written by exactly one worker, mirroring the
-    per-mode row decomposition of Algorithm 3.
-    """
-
-    name = "threaded-dimtree"
-
-    def __init__(self, config=None) -> None:
-        from repro.parallel.parallel_for import ParallelConfig
-
-        super().__init__()
-        self.config = config or ParallelConfig()
-
-    def _edge_parallel_config(self):
-        return self.config
-
-    def compute_ttmc(self, eng, mode: int) -> np.ndarray:
-        return self.tree.leaf_matricized(
-            mode,
-            eng.factors,
-            dtype=eng.dtype,
-            out=self._pooled_out(eng, mode),
-            workspace=eng.workspace,
-            block_nnz=eng.options.block_nnz,
-            parallel_config=self.config,
-            zero="none",
-        )
-
-
-class ProcessDimTreeBackend(DimTreeBackend):
-    """True-multicore execution with dimension-tree TTMc evaluation.
-
-    The driver keeps the symbolic tree and its version counters (so it knows
-    exactly which partial chains a factor refresh made stale), while every
-    numeric edge refinement is dispatched as fiber-range chunks to the
-    persistent worker pool.  The tree's fiber groupings and all node
-    payloads live in shared memory, so workers read the parent payload and
-    write their disjoint slice of the child payload with zero copies; the
-    driver scatters the finished leaf payload into its pooled ``Y_(n)``.
-
-    ``num_workers <= 1`` degenerates to the sequential dimension-tree
-    backend (no processes, no shared memory).
-    """
-
-    name = "process-dimtree"
-
-    def __init__(self, config=None) -> None:
-        from repro.parallel.process_pool import ProcessConfig
-
-        super().__init__()
-        self.config = config or ProcessConfig()
-        self.pool = None
-
-    def prepare(self, eng) -> None:
-        super().prepare(eng)
-        if self.config.num_workers <= 1:
-            return
-        from repro.parallel.process_pool import HOOIProcessPool
-
-        self.pool = HOOIProcessPool.for_dimtree(
-            self.tree,
-            eng.tensor,
-            eng.factors,
-            eng.ranks,
-            eng.dtype,
-            config=self.config,
-            block_nnz=eng.options.block_nnz,
-        )
-
-    def _edge_executor(self, node: DimTreeNode) -> np.ndarray:
-        return self.pool.dimtree_edge(node.node_id)
-
-    def compute_ttmc(self, eng, mode: int) -> np.ndarray:
-        if self.pool is None:
-            return super().compute_ttmc(eng, mode)
-        return self.tree.leaf_matricized(
-            mode,
-            eng.factors,
-            dtype=eng.dtype,
-            out=self._pooled_out(eng, mode),
-            workspace=eng.workspace,
-            block_nnz=eng.options.block_nnz,
-            edge_executor=self._edge_executor,
-            zero="none",
-        )
-
-    def update_factor(self, eng, mode: int, y_mat: np.ndarray):
-        new_factor, stats = super().update_factor(eng, mode, y_mat)
-        if self.pool is not None:
-            self.pool.write_factor(mode, new_factor)
-        return new_factor, stats
-
-    def finalize(self, eng) -> None:
-        if self.pool is not None:
-            self.pool.close()
-            self.pool = None
-
-
-def resolve_ttmc_backend(options, config=None):
-    """Backend implied by ``ttmc_strategy``, ``execution`` and ``tensor_format``.
-
-    ``config`` (a :class:`~repro.parallel.parallel_for.ParallelConfig`)
-    comes from the threaded driver and selects the thread-parallel variants;
-    without it, ``options.execution`` decides: ``"sequential"`` (default),
-    ``"thread"`` (``options.num_workers`` threads) or ``"process"``
-    (``options.num_workers`` worker processes with zero-copy shared memory).
-    The two remaining axes compose orthogonally: ``ttmc_strategy="dimtree"``
-    always routes to a dimension-tree backend (whose tree reads
-    ``tensor_format`` to pick its symbolic source — CSF fiber hierarchy or
-    per-edge lexsorts), while ``tensor_format="csf"`` with the per-mode
-    strategy routes to the fiber-tree backends
-    (:class:`~repro.engine.backend.CSFBackend` /
-    :class:`~repro.engine.backend.ThreadedCSFBackend` /
-    :class:`~repro.engine.backend.ProcessCSFBackend` by execution model).
-    The ``kernel`` axis needs no routing of its own: every resolved backend
-    reads ``options.kernel`` per TTMc call
-    (:func:`~repro.engine.backend.engine_kernel`), and the ``validate`` call
-    here rejects unavailable or non-composing tiers *before* any backend is
-    built — a ``kernel="numba"`` request without numba fails at resolution,
-    not mid-sweep.  Option values and composition are checked by
-    :meth:`~repro.core.hooi.HOOIOptions.validate` (single-node context —
-    the distributed driver applies its stricter composition rules before
-    resolving its rank-local backends).
-    """
-    options.validate()
-    strategy = options.ttmc_strategy or "per-mode"
-    execution = options.execution or "sequential"
-    tensor_format = getattr(options, "tensor_format", "coo") or "coo"
-    num_workers = int(options.num_workers or 1)
-    if execution == "process":
-        from repro.parallel.process_pool import ProcessConfig
-
-        if num_workers <= 1 and config is not None:
-            num_workers = config.num_threads
-        pconfig = ProcessConfig(
-            num_workers=num_workers,
-            schedule=config.schedule if config is not None else "dynamic",
-            chunk_size=config.chunk_size if config is not None else None,
-        )
-        if strategy == "dimtree":
-            return ProcessDimTreeBackend(pconfig)
-        if tensor_format == "csf":
-            return ProcessCSFBackend(pconfig)
-        return ProcessBackend(pconfig)
-    if execution == "thread" and config is None:
-        from repro.parallel.parallel_for import ParallelConfig
-
-        config = ParallelConfig(num_threads=num_workers)
-    if strategy == "dimtree":
-        return DimTreeBackend() if config is None else ThreadedDimTreeBackend(config)
-    if tensor_format == "csf":
-        return CSFBackend() if config is None else ThreadedCSFBackend(config)
-    return SequentialBackend() if config is None else ThreadedBackend(config)
+        tree._init_topology()
+        tree._shared = True
+        tree.root.index_cols = view[f"{prefix}indices"]
+        tree.root.payload = view[f"{prefix}payload{tree.root.node_id}"]
+        tree._values = tree.root.payload[:, 0]
+        for node, contiguous in zip(tree.nodes[1:], meta["contiguous"]):
+            nid = node.node_id
+            node.grouping = FiberGrouping(
+                indices=view[f"{prefix}grp-idx{nid}"],
+                perm=view[f"{prefix}grp-perm{nid}"],
+                segptr=view[f"{prefix}grp-segptr{nid}"],
+                contiguous=contiguous,
+            )
+            node.index_cols = node.grouping.indices
+            node.payload = view[f"{prefix}payload{nid}"]
+        return tree._attach_buffers(view, prefix)

@@ -13,13 +13,17 @@ Every HOOI variant in this repository — sequential (Algorithm 1/3 minus the
    falls below the tolerance.
 
 :class:`HOOIEngine` implements that loop exactly once.  *How* each heavy step
-runs is delegated to an :class:`~repro.engine.backend.ExecutionBackend`;
-*where* the big buffers come from is delegated to a
+runs is delegated to an :class:`~repro.engine.backend.ExecutionBackend` —
+for every single-node TTMc composition the one
+:class:`~repro.engine.backend.PlanBackend`, a work plan × a dispatcher;
+*where* the driver thread's big buffers come from is delegated to a
 :class:`~repro.engine.workspace.WorkspacePool` (the ``(I_n × ∏R_t)`` TTMc
-outputs and Kronecker scratch are reused across modes and iterations); and
-*what precision* everything computes in is the engine's dtype policy
-(``HOOIOptions.dtype``, ``float32`` or ``float64``, threaded through
-``SparseTensor → kron → ttmc → trsvd``).
+outputs, CSF level buffers and dimension-tree payloads are reused across
+modes and iterations); and *what precision* everything computes in is the
+engine's dtype policy (``HOOIOptions.dtype``, ``float32`` or ``float64``,
+threaded through ``SparseTensor → kron → ttmc → trsvd``).  Ranks enter here
+and are checked once: every ``R_n`` must fit the ``∏_{t≠n} R_t`` columns of
+``Y_(n)``.
 
 The public drivers (:func:`repro.core.hooi.hooi`,
 :func:`repro.parallel.shared_hooi.shared_hooi`,
@@ -38,10 +42,10 @@ from repro.core.hooi import HOOIOptions, HOOIResult
 from repro.core.sparse_tensor import resolve_dtype
 from repro.core.trsvd import TRSVDResult
 from repro.core.tucker import TuckerTensor
-from repro.engine.backend import ExecutionBackend, SequentialBackend
+from repro.engine.backend import ExecutionBackend, PlanBackend
 from repro.engine.workspace import WorkspacePool
 from repro.util.timing import TimingBreakdown
-from repro.util.validation import check_rank_vector
+from repro.util.validation import check_rank_feasibility, check_rank_vector
 
 __all__ = ["HOOIEngine", "hooi_fit"]
 
@@ -80,18 +84,18 @@ class HOOIEngine:
         workspace: Optional[WorkspacePool] = None,
     ) -> None:
         self.options = options or HOOIOptions()
-        self.backend = backend or SequentialBackend()
+        self.backend = backend or PlanBackend()
         self.dtype = resolve_dtype(self.options.dtype)
         self.tensor = tensor
         self.shape = tuple(int(s) for s in tensor.shape)
         self.order = len(self.shape)
-        self.ranks = check_rank_vector(ranks, self.shape)
+        self.ranks = check_rank_feasibility(check_rank_vector(ranks, self.shape))
         self.workspace = workspace or WorkspacePool()
         self.timings = TimingBreakdown()
         self.factors: Optional[List[np.ndarray]] = None
         self.iteration_seconds: List[float] = []
         # Pooled TTMc output buffers already fully zeroed this run (the
-        # backend's _pooled_out handshake; reset per run).
+        # backend's pooled_out handshake; reset per run).
         self._primed_ttmc_out: set = set()
 
     def run(
@@ -121,9 +125,9 @@ class HOOIEngine:
         :class:`~repro.resilience.checkpoint.CheckpointState` (or a path /
         ``"auto"``) whose factors, fit history and sweep counter replace the
         fresh start.  Resume state is installed *before* ``backend.prepare``
-        on purpose: the process backend packs ``eng.factors`` into its
-        shared arena during ``prepare``, so the workers must see the
-        checkpointed factors, not the initializer's.
+        on purpose: a process-dispatched backend writes ``eng.factors`` into
+        its shared generation during ``prepare``, so the workers must see
+        the checkpointed factors, not the initializer's.
         """
         from repro.resilience.checkpoint import (
             Checkpointer,

@@ -1,0 +1,348 @@
+"""TTMc work plans: the symbolic state and lock-free range body of a TTMc.
+
+In the paper's Algorithm 3 each row of ``Y_(n)`` depends only on its own
+update list, so any contiguous range of work items that owns its output rows
+is a task that needs no locks.  A *plan* is one such decomposition:
+
+* :class:`COORowsPlan` — per-mode symbolic update lists; the items of mode
+  ``n`` are the non-empty rows ``J_n``.
+* :class:`CSFSlabPlan` — CSF fiber trees; the items of mode ``n`` are the
+  root fibers of a tree rooted at ``n`` (a deep target level of a shared
+  tree is one indivisible item).
+* :class:`~repro.engine.dimtree.DimensionTree` — the memoized dimension
+  tree; its keys are tree nodes and the items of a node are its fibers.
+
+A plan owns its symbolic state, its item count per key (:meth:`items`), one
+range body (:meth:`body`) that writes output rows no other range writes, and
+its shared-arena layout: :meth:`pack` places the plan's arrays, factors and
+outputs in a :class:`~repro.parallel.shm.ShmArena` on the driver, and
+:func:`attach_plan` rebuilds the plan in a worker process from a
+:class:`~repro.parallel.shm.ShmView` plus the small meta :meth:`pack`
+returned.  The dispatchers of :mod:`repro.engine.backend` run the body
+inline, on a thread team or on a process crew.
+"""
+
+from __future__ import annotations
+
+from concurrent.futures import ThreadPoolExecutor
+from typing import Dict, List, Optional
+
+import numpy as np
+
+from repro.core.kron import kron_dtype, kron_row_length
+from repro.core.sparse_tensor import SparseTensor
+from repro.core.symbolic import ModeSymbolic, symbolic_ttmc
+from repro.core.ttmc import coo_rows_range, restrict_symbolic
+
+__all__ = [
+    "TTMcPlan",
+    "COORowsPlan",
+    "CSFSlabPlan",
+    "attach_plan",
+    "parallel_symbolic",
+    "symbolic_row_positions",
+]
+
+
+def parallel_symbolic(tensor: SparseTensor, num_threads: int) -> Dict[int, ModeSymbolic]:
+    """Build the symbolic data of every mode, one task per mode (parfor n)."""
+    modes = list(range(tensor.order))
+    if num_threads <= 1 or len(modes) == 1:
+        return {mode: symbolic_ttmc(tensor, mode) for mode in modes}
+    with ThreadPoolExecutor(max_workers=min(num_threads, len(modes))) as pool:
+        futures = {mode: pool.submit(symbolic_ttmc, tensor, mode) for mode in modes}
+        return {mode: fut.result() for mode, fut in futures.items()}
+
+
+def symbolic_row_positions(symbolic: ModeSymbolic, rows: np.ndarray) -> np.ndarray:
+    """Positions of global row indices inside a mode's sorted ``J_n``.
+
+    ``rows`` must be sorted and every entry must be a non-empty row of the
+    mode (the distributed plans guarantee it by intersecting with ``J_n``);
+    a row outside ``J_n`` raises instead of silently mapping to a neighbour.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.size == 0:
+        return np.empty(0, dtype=np.int64)
+    positions = np.searchsorted(symbolic.rows, rows).astype(np.int64, copy=False)
+    if symbolic.num_rows:
+        clipped = np.minimum(positions, symbolic.num_rows - 1)
+        valid = (positions < symbolic.num_rows) & (symbolic.rows[clipped] == rows)
+    else:
+        valid = np.zeros(rows.shape[0], dtype=bool)
+    if not valid.all():
+        missing = rows[~valid]
+        raise ValueError(
+            f"rows {missing[:5].tolist()} are not non-empty rows of mode "
+            f"{symbolic.mode} (|J_n| = {symbolic.num_rows})"
+        )
+    return positions
+
+
+class TTMcPlan:
+    """Shared state and arena layout of every plan.
+
+    ``factors`` are the matrices the body reads and ``outs[mode]`` the
+    ``Y_(mode)`` buffer it writes; the dispatcher binds both per call on the
+    driver, and :meth:`pack` / :func:`attach_plan` bind them to shared
+    segments for a process crew.  ``ranks`` size those segments and are
+    needed only to pack.
+    """
+
+    #: Registry key a worker rebuilds the plan from (see :func:`attach_plan`).
+    kind = ""
+
+    def __init__(self, shape, ranks=None, *, block_nnz=None, kernel="numpy") -> None:
+        self.shape = tuple(int(s) for s in shape)
+        self.order = len(self.shape)
+        self.ranks = None if ranks is None else tuple(int(r) for r in ranks)
+        self.block_nnz = block_nnz
+        self.kernel = kernel or "numpy"
+        self.factors: List[Optional[np.ndarray]] = [None] * self.order
+        self.outs: Dict[int, np.ndarray] = {}
+
+    @classmethod
+    def build(cls, tensor: SparseTensor, ranks, options, threads: int = 1):
+        """The plan for an engine run: symbolic state built over ``tensor``."""
+        raise NotImplementedError
+
+    @property
+    def dtype(self) -> np.dtype:
+        """Value dtype of the plan's nonzeros (the engine's dtype policy)."""
+        raise NotImplementedError
+
+    def items(self, key) -> int:
+        """Number of work items of ``key`` (a mode, or a tree node)."""
+        raise NotImplementedError
+
+    def body(self, key, start: int, stop: int, workspace=None) -> None:
+        """Compute items ``[start, stop)`` of ``key`` into their own rows.
+
+        ``workspace`` is the engine's pool; only the driver thread passes
+        one (it is not thread-safe).
+        """
+        raise NotImplementedError
+
+    def ttmc(self, mode: int, run, out=None, workspace=None) -> np.ndarray:
+        """``Y_(mode)``: drive every range it needs through ``run(key)``.
+
+        Writes into ``out`` when given, else into the plan's own buffer (a
+        shared segment once packed, a fresh zeroed array otherwise).
+        """
+        if out is not None:
+            self.outs[mode] = out
+        elif mode not in self.outs:
+            self.outs[mode] = self._zeros_out(mode, self.shape[mode], self.factors)
+        run(mode)
+        return self.outs[mode]
+
+    def _zeros_out(self, mode: int, num_rows: int, factors) -> np.ndarray:
+        """A zeroed ``(num_rows, ∏_{t≠mode} R_t)`` block in the TTMc dtype."""
+        others = [f for t, f in enumerate(factors) if t != mode]
+        return np.zeros(
+            (num_rows, kron_row_length([f.shape[1] for f in others])),
+            dtype=kron_dtype(np.empty(0, self.dtype), *others),
+        )
+
+    def restrict(self, mode: int, rows: np.ndarray, factors) -> Optional["TTMcPlan"]:
+        """A plan computing only ``rows`` of ``Y_(mode)`` as a compact block.
+
+        ``None`` when the plan has no cheaper form than the full ``Y_(n)``
+        (the caller then gathers the rows from it).
+        """
+        return None
+
+    def factor_updated(self, mode: int) -> None:
+        """``U_mode`` was replaced (plans caching factor products react)."""
+
+    # -- shared-arena layout --------------------------------------------- #
+    def pack(self, arena, prefix: str) -> dict:
+        """Place factors and outputs in ``arena``; return the attach meta.
+
+        Subclasses put their symbolic arrays first and extend the meta.
+        Afterwards the driver-side plan reads and writes the shared
+        segments, exactly like the workers' rebuilt copies.
+        """
+        if self.ranks is None:
+            raise ValueError("packing a plan into shared memory needs its ranks")
+        for n in range(self.order):
+            width = kron_row_length([self.ranks[t] for t in range(self.order) if t != n])
+            self.factors[n] = arena.zeros(
+                f"{prefix}factor{n}", (self.shape[n], self.ranks[n]), self.dtype
+            )
+            self.outs[n] = arena.zeros(
+                f"{prefix}out{n}", (self.shape[n], width), self.dtype
+            )
+        return {
+            "kind": self.kind,
+            "shape": self.shape,
+            "ranks": self.ranks,
+            "block_nnz": self.block_nnz,
+            "kernel": self.kernel,
+        }
+
+    def _attach_buffers(self, view, prefix: str) -> "TTMcPlan":
+        self.factors = [view[f"{prefix}factor{n}"] for n in range(self.order)]
+        self.outs = {n: view[f"{prefix}out{n}"] for n in range(self.order)}
+        return self
+
+
+def attach_plan(view, meta: dict, prefix: str = "") -> TTMcPlan:
+    """Rebuild a packed plan over a worker's views of the shared arena."""
+    from repro.engine.dimtree import DimensionTree
+
+    kinds = {cls.kind: cls for cls in (COORowsPlan, CSFSlabPlan, DimensionTree)}
+    return kinds[meta["kind"]].attach(view, meta, prefix)
+
+
+class COORowsPlan(TTMcPlan):
+    """Per-mode update lists over COO storage; items are the rows ``J_n``.
+
+    The body is :func:`repro.core.ttmc.coo_rows_range`: a range slices
+    ``perm[rowptr[start]:rowptr[stop]]`` and writes ``out[rows[start:stop]]``
+    in place.
+    """
+
+    kind = "coo"
+
+    def __init__(self, tensor: SparseTensor, symbolic: Dict[int, ModeSymbolic],
+                 ranks=None, *, block_nnz=None, kernel="numpy") -> None:
+        super().__init__(tensor.shape, ranks, block_nnz=block_nnz, kernel=kernel)
+        self.tensor = tensor
+        self.symbolic = symbolic
+
+    @classmethod
+    def build(cls, tensor, ranks, options, threads=1):
+        return cls(tensor, parallel_symbolic(tensor, threads), ranks,
+                   block_nnz=options.block_nnz, kernel=options.kernel)
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.tensor.values.dtype
+
+    def items(self, mode: int) -> int:
+        return self.symbolic[mode].num_rows
+
+    def body(self, mode: int, start: int, stop: int, workspace=None) -> None:
+        coo_rows_range(
+            self.tensor, self.factors, mode, self.symbolic[mode], start, stop,
+            self.outs[mode], block_nnz=self.block_nnz, kernel=self.kernel,
+        )
+
+    def restrict(self, mode, rows, factors):
+        positions = symbolic_row_positions(self.symbolic[mode], rows)
+        compact = restrict_symbolic(
+            self.symbolic[mode], positions, rows=np.arange(positions.shape[0])
+        )
+        sub = COORowsPlan(self.tensor, {mode: compact},
+                          block_nnz=self.block_nnz, kernel=self.kernel)
+        sub.factors = factors
+        sub.outs[mode] = self._zeros_out(mode, positions.shape[0], factors)
+        return sub
+
+    def pack(self, arena, prefix: str) -> dict:
+        arena.put(f"{prefix}indices", self.tensor.indices)
+        arena.put(f"{prefix}values", self.tensor.values)
+        for n, sym in self.symbolic.items():
+            arena.put(f"{prefix}sym-rows{n}", sym.rows)
+            arena.put(f"{prefix}sym-perm{n}", sym.perm)
+            arena.put(f"{prefix}sym-rowptr{n}", sym.rowptr)
+        return super().pack(arena, prefix)
+
+    @classmethod
+    def attach(cls, view, meta: dict, prefix: str) -> "COORowsPlan":
+        shape = tuple(meta["shape"])
+        tensor = SparseTensor(
+            view[f"{prefix}indices"], view[f"{prefix}values"], shape, copy=False
+        )
+        symbolic = {
+            n: ModeSymbolic(
+                mode=n,
+                rows=view[f"{prefix}sym-rows{n}"],
+                perm=view[f"{prefix}sym-perm{n}"],
+                rowptr=view[f"{prefix}sym-rowptr{n}"],
+            )
+            for n in range(len(shape))
+        }
+        plan = cls(tensor, symbolic, meta["ranks"],
+                   block_nnz=meta["block_nnz"], kernel=meta["kernel"])
+        return plan._attach_buffers(view, prefix)
+
+
+class CSFSlabPlan(TTMcPlan):
+    """CSF fiber trees; items are root-fiber slabs of mode ``n``'s tree.
+
+    A slab's subtree is a contiguous node range at every level and its
+    output rows are exactly its root fibers, so slabs are lock-free ranges
+    (:func:`repro.sparse.csf_ttmc.csf_ttmc_compact` with ``roots=``).  When
+    mode ``n`` sits below the root (a shared tree) its pushdown/pullup pass
+    does not split by output row, so the whole mode is one item.  ``trees``
+    is any :class:`~repro.sparse.csf.CSFTensorSet`: per-mode rooted trees
+    (what :meth:`build` makes), a shared tree, or a preset memory-mapped set.
+    """
+
+    kind = "csf"
+
+    def __init__(self, trees, ranks=None, *, block_nnz=None, kernel="numpy") -> None:
+        super().__init__(trees.tree_for(0).shape, ranks,
+                         block_nnz=block_nnz, kernel=kernel)
+        self.trees = trees
+
+    @classmethod
+    def build(cls, tensor, ranks, options, threads=1):
+        from repro.sparse import CSFTensorSet
+
+        return cls(CSFTensorSet.per_mode(tensor, num_threads=threads), ranks,
+                   block_nnz=options.block_nnz, kernel=options.kernel)
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.trees.tree_for(0).values.dtype
+
+    def items(self, mode: int) -> int:
+        csf = self.trees.tree_for(mode)
+        return csf.num_fibers(0) if csf.level_of(mode) == 0 else 1
+
+    def body(self, mode: int, start: int, stop: int, workspace=None) -> None:
+        from repro.sparse import csf_ttmc_compact
+
+        csf = self.trees.tree_for(mode)
+        rows, block = csf_ttmc_compact(
+            csf, self.factors, mode, workspace=workspace, kernel=self.kernel,
+            roots=(start, stop) if csf.level_of(mode) == 0 else None,
+        )
+        self.outs[mode][rows] = block
+
+    def pack(self, arena, prefix: str) -> dict:
+        mode_orders = []
+        for n in range(self.order):
+            csf = self.trees.tree_for(n)
+            for level in range(self.order):
+                arena.put(f"{prefix}csf{n}-fids{level}", csf.fids[level])
+            for level in range(self.order - 1):
+                arena.put(f"{prefix}csf{n}-fptr{level}", csf.fptr[level])
+            arena.put(f"{prefix}csf{n}-values", csf.values)
+            mode_orders.append(tuple(int(m) for m in csf.mode_order))
+        return dict(super().pack(arena, prefix), mode_orders=mode_orders)
+
+    @classmethod
+    def attach(cls, view, meta: dict, prefix: str) -> "CSFSlabPlan":
+        from repro.sparse.csf import CSFTensor, CSFTensorSet
+
+        shape = tuple(meta["shape"])
+        order = len(shape)
+        # Zero-copy trees over the driver's serialized level arrays.
+        trees = {
+            n: CSFTensor.from_arrays(
+                shape,
+                meta["mode_orders"][n],
+                [view[f"{prefix}csf{n}-fids{lvl}"] for lvl in range(order)],
+                [view[f"{prefix}csf{n}-fptr{lvl}"] for lvl in range(order - 1)],
+                view[f"{prefix}csf{n}-values"],
+            )
+            for n in range(order)
+        }
+        plan = cls(CSFTensorSet(trees, shared=False), meta["ranks"],
+                   block_nnz=meta["block_nnz"], kernel=meta["kernel"])
+        return plan._attach_buffers(view, prefix)
+

@@ -1,12 +1,14 @@
 """Pooled workspaces for the HOOI engine.
 
 Every HOOI iteration recomputes, for each mode ``n``, the matricized TTMc
-result ``Y_(n)`` — an ``(I_n × ∏_{t≠n} R_t)`` dense matrix — plus a stack of
-Kronecker block scratch buffers of the same width.  The shapes repeat
-identically across iterations (and often across modes), so allocating them
-fresh every time wastes allocator work and memory bandwidth on the hottest,
-latency-bound phase.  :class:`WorkspacePool` keeps one buffer per distinct
-``(shape, dtype)`` and hands the same memory back on every request.
+result ``Y_(n)`` — an ``(I_n × ∏_{t≠n} R_t)`` dense matrix — plus the
+intermediates of the fiber formats: CSF per-level pullup/pushdown buffers
+and column-permutation targets, and dimension-tree node payloads.  The
+shapes repeat identically across iterations (and often across modes), so
+allocating them fresh every time wastes allocator work and memory bandwidth
+on the hottest, latency-bound phase.  :class:`WorkspacePool` keeps one
+buffer per distinct ``(tag, shape, dtype)`` and hands the same memory back
+on every request.
 
 The pool is deliberately simple: it is *not* a checkout/return arena.  The
 engine's execution order guarantees that a buffer's previous content is dead
@@ -15,9 +17,9 @@ by the TRSVD before the next mode with the same shape runs, and the last
 mode's ``Y_(N)`` is folded into the core before the next iteration starts),
 which is exactly the reuse pattern a ring of per-key buffers supports.
 
-The pool is not thread-safe; concurrent workers must either use their own
-pool or allocate directly (the threaded TTMc keeps its per-worker scratch
-private for this reason).
+The pool is not thread-safe, so only the driver thread uses it: the inline
+dispatcher hands it to the plan's range body, while thread and process
+range bodies allocate their scratch privately.
 """
 
 from __future__ import annotations
@@ -34,9 +36,10 @@ class WorkspacePool:
 
     Buffers are keyed by ``(tag, shape, dtype)``; the first request for a key
     allocates, every later request returns the same array.  The ``tag``
-    separates buffer *roles* that may be live at the same time — e.g. a TTMc
-    output and the Kronecker scratch written while accumulating into it can
-    coincidentally share a shape, and must never share memory.  The instance
+    separates buffer *roles* that may be live at the same time — e.g. two
+    modes' outputs, or a CSF level buffer and the column-permuted block
+    built from it, can coincidentally share a shape and must never share
+    memory.  The instance
     counts allocations and reuses so benchmarks (and tests) can verify that a
     steady-state HOOI iteration performs zero pool allocations.
     """

@@ -1,8 +1,7 @@
 """Compiled COO row-block TTMc loop body.
 
-The NumPy COO kernel (:func:`repro.core.ttmc.coo_segment_ttmc`, shared by
-:func:`repro.core.ttmc.ttmc_matricized` and
-:func:`repro.parallel.shared_ttmc.ttmc_row_block`) builds, per block of
+The NumPy COO kernel (:func:`repro.core.ttmc.coo_segment_ttmc`, the numpy
+tier of the COO range body :func:`repro.core.ttmc.coo_rows_range`) builds, per block of
 nonzeros, the Kronecker rows of all but the last factor and folds the last
 factor and the values into one sparse × dense product per last-factor
 column (:func:`repro.core.kron.segment_kron_sum`); each of those products

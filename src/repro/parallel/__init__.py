@@ -1,15 +1,17 @@
 """Shared-memory parallel HOOI (the paper's Algorithm 3) and the node model.
 
-Two shared-memory execution substrates live here: worker *threads*
-(:mod:`repro.parallel.parallel_for`, GIL-bound — faithful work decomposition)
-and worker *processes* over zero-copy shared memory
-(:mod:`repro.parallel.process_pool` + :mod:`repro.parallel.shm` — true
-multicore execution of the same row-parallel decomposition).
+Two shared-memory execution substrates live here, both running a work
+plan's lock-free range body (:mod:`repro.engine.plans`) over the same
+``make_chunks`` schedules: worker *threads*
+(:mod:`repro.parallel.parallel_for`, GIL-bound — faithful work
+decomposition) and a crew of worker *processes* over zero-copy shared
+memory (:mod:`repro.parallel.process_pool` + :mod:`repro.parallel.shm` —
+true multicore execution).  The engine's dispatchers
+(:mod:`repro.engine.backend`) choose between them.
 """
 
 from repro.parallel.parallel_for import ChunkSchedule, ParallelConfig, make_chunks, parallel_for
-from repro.parallel.shared_dimtree import parallel_edge_update
-from repro.parallel.shared_ttmc import parallel_ttmc_matricized, ttmc_row_block
+from repro.parallel.shared_ttmc import ttmc_row_block
 from repro.parallel.shm import ShmArena, ShmArraySpec, ShmView
 from repro.parallel.process_pool import (
     HOOIProcessPool,
@@ -31,8 +33,6 @@ __all__ = [
     "ParallelConfig",
     "make_chunks",
     "parallel_for",
-    "parallel_edge_update",
-    "parallel_ttmc_matricized",
     "ttmc_row_block",
     "ShmArena",
     "ShmArraySpec",

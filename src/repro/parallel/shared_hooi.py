@@ -14,8 +14,8 @@ expensive per-mode steps:
 
 Both this driver and the sequential one run the *same* iteration loop —
 :class:`repro.engine.driver.HOOIEngine` — differing only in the
-:class:`~repro.engine.backend.ExecutionBackend` plugged in, so the results
-are numerically identical by construction.
+dispatcher of the :class:`~repro.engine.backend.PlanBackend` plugged in, so
+the results agree by construction.
 
 In addition to running the computation, the driver can *predict* the
 per-iteration time for an arbitrary thread count through the node roofline
@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.core.hooi import HOOIOptions, HOOIResult
 from repro.core.sparse_tensor import SparseTensor
-from repro.engine.dimtree import resolve_ttmc_backend
+from repro.engine.backend import resolve_ttmc_backend
 from repro.engine.driver import HOOIEngine
 from repro.parallel.model import NodeModel, BGQ_NODE
 from repro.parallel.parallel_for import ParallelConfig

@@ -3,21 +3,22 @@
 Two execution paths, chosen per job by the dispatcher:
 
 * :func:`run_direct` — one ordinary :func:`repro.core.hooi.hooi` call on the
-  service's worker thread.  Used for ``execution="sequential"`` /
-  ``"thread"`` jobs and for the one process-execution shape the pooled path
-  does not cover (the dimension-tree strategy, whose fiber-parallel arena
-  layout keeps the one-shot pool-per-run lifecycle).
+  service's worker thread, for every job whose effective options are not
+  ``execution="process"``.
 
-* :func:`run_process_batch` — the persistent-pool path.  All jobs of the
-  batch are prepared up front (dtype policy, per-mode symbolic data or
-  per-mode rooted CSF trees, initial factors — the same steps, in the same
-  order, the engine's own :class:`~repro.engine.backend.ProcessBackend` /
-  :class:`~repro.engine.backend.ProcessCSFBackend` perform), packed into ONE
-  :meth:`~repro.parallel.process_pool.HOOIProcessPool.for_per_mode_batch`
-  generation on the manager's crew, and then run one engine at a time
-  through :class:`PooledProcessBackend`.  A batch costs one worker
-  attach/detach cycle regardless of its size and zero process spawns — the
-  attach/detach-thrash avoidance that makes a stream of small tensors cheap.
+* :func:`run_process_batch` — the persistent-crew path for process jobs.
+  Each member's work plan (COO rows, CSF root-fiber slabs or a dimension
+  tree, :mod:`repro.engine.plans`) is built over its dtype-cast tensor and
+  all of them are packed into ONE
+  :meth:`~repro.parallel.process_pool.HOOIProcessPool.for_plans`
+  generation on the manager's crew.  Every member then runs through the
+  normal :meth:`~repro.engine.driver.HOOIEngine.run` with a
+  :class:`~repro.engine.backend.PlanBackend` attached to that generation:
+  the engine applies its own dtype cast, initializer, warm start and
+  resume, and the backend's ``prepare`` writes the resulting factors into
+  the generation.  A batch costs one worker attach/detach cycle regardless
+  of its size and zero process spawns — the attach/detach-thrash avoidance
+  that makes a stream of small tensors cheap.
 
 Every job's outcome is reported as a ``(job, kind, payload)`` tuple with
 ``kind`` in ``{"ok", "cancelled", "timeout", "crash", "error"}``; the
@@ -29,19 +30,14 @@ service's single worker thread.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.hooi import hooi
-from repro.core.hosvd import initialize_factors
 from repro.core.sparse_tensor import SparseTensor, resolve_dtype
-from repro.core.symbolic import symbolic_ttmc
-from repro.engine.backend import SequentialBackend
+from repro.engine.backend import PlanBackend, ProcessDispatcher, resolve_plan
 from repro.engine.driver import HOOIEngine
 from repro.engine.workspace import WorkspacePool
 from repro.parallel.process_pool import (
-    BatchJobSpec,
     HOOIProcessPool,
     PersistentWorkerCrew,
     ProcessConfig,
@@ -52,7 +48,6 @@ from repro.resilience.faults import maybe_fail
 from repro.serving.jobs import Job, JobCancelledError, JobTimeoutError
 
 __all__ = [
-    "PooledProcessBackend",
     "pooled_eligible",
     "run_direct",
     "run_process_batch",
@@ -66,24 +61,14 @@ Outcome = Tuple[Job, str, object]
 
 
 def pooled_eligible(job: Job) -> bool:
-    """Whether a job can run on the persistent crew's batched generations.
+    """Whether a job runs on the persistent crew's batched generations.
 
-    The batched arena layout implements the per-mode TTMc for both tensor
-    formats: row-parallel chunks over COO storage and root-fiber-slab
-    pullups over shared-memory CSF trees (members of one batch can mix
-    formats).  Only the dimension-tree strategy falls back to
-    :func:`run_direct` — it keeps its dedicated fiber-parallel arena
-    layout and one-shot pool-per-run lifecycle.
-
-    Judged on the job's *effective* options: a job the degradation ladder
-    moved off the process tier routes through :func:`run_direct` from then
-    on, whatever its request asked for.
+    Every process-execution job does, whatever its plan.  Judged on the
+    job's *effective* options: a job the degradation ladder moved off the
+    process tier routes through :func:`run_direct` from then on, whatever
+    its request asked for.
     """
-    opts = job.effective_options
-    return (
-        opts.execution == "process"
-        and (opts.ttmc_strategy or "per-mode") == "per-mode"
-    )
+    return job.effective_options.execution == "process"
 
 
 def _classify(job: Job, exc: BaseException) -> Outcome:
@@ -142,111 +127,6 @@ def run_direct(job: Job, *, workspace: Optional[WorkspacePool] = None) -> Outcom
     return (job, "ok", result)
 
 
-class PooledProcessBackend(SequentialBackend):
-    """Engine backend executing TTMc on an already-attached pool generation.
-
-    Unlike :class:`~repro.engine.backend.ProcessBackend` — which builds its
-    own pool in ``prepare`` and kills it in ``finalize`` — this backend is
-    handed a generation that was built *before* the engine started (the
-    batch arena needs every member's operands at construction time) and
-    whose teardown belongs to the batch runner, not to any single member.
-    The pre-computed tensor/symbolic/factors are replayed into the engine's
-    hooks so the engine state matches what the arena holds; ``finalize`` is
-    deliberately a no-op.
-    """
-
-    name = "pooled-process"
-
-    def __init__(
-        self,
-        pool: HOOIProcessPool,
-        job_key: str,
-        tensor: SparseTensor,
-        symbolic: Dict,
-        factors: Sequence[np.ndarray],
-    ) -> None:
-        self._pool = pool
-        self._job = job_key
-        self._tensor = tensor
-        self._symbolic = symbolic
-        self._factors = list(factors)
-
-    def prepare_tensor(self, eng) -> None:
-        # The dtype policy was applied when the arena was packed; hand the
-        # engine the exact tensor the workers attached.
-        eng.tensor = self._tensor
-
-    def initial_factors(self, eng) -> List[np.ndarray]:
-        return self._factors
-
-    def prepare(self, eng) -> None:
-        self.symbolic = self._symbolic
-
-    def compute_ttmc(self, eng, mode: int) -> np.ndarray:
-        return self._pool.ttmc(mode, job=self._job)
-
-    def update_factor(self, eng, mode: int, y_mat: np.ndarray):
-        new_factor, stats = super().update_factor(eng, mode, y_mat)
-        self._pool.write_factor(mode, new_factor, job=self._job)
-        return new_factor, stats
-
-    def finalize(self, eng) -> None:
-        # The generation outlives this member; run_process_batch closes it.
-        pass
-
-
-def _prepare_member(
-    job: Job,
-) -> Tuple[
-    SparseTensor, Dict, object, List[np.ndarray], Optional[CheckpointState]
-]:
-    """Apply the dtype policy and build symbolic/tree data + initial factors.
-
-    Mirrors the engine's own setup order (``prepare_tensor`` →
-    ``initial_factors`` → ``prepare``) so a pooled run is bit-for-bit the
-    computation a direct ``execution="process"`` run performs.  A COO
-    member builds per-mode symbolic data; a CSF member builds the per-mode
-    rooted :class:`~repro.sparse.csf.CSFTensorSet` the arena serializes
-    (its TTMc needs no symbolic records — the trees carry the structure).
-    A resumed attempt substitutes the checkpoint's factors here — the batch
-    arena packs every member's factors at construction time, so the workers
-    must see the checkpointed state, not the initializer's.
-    """
-    request = job.request
-    opts = job.effective_options
-    dtype = resolve_dtype(opts.dtype)
-    tensor = request.tensor
-    if isinstance(tensor, SparseTensor):
-        tensor = tensor.astype(dtype)
-    resume = _job_resume(job)
-    if resume is not None:
-        factors = [
-            np.ascontiguousarray(f, dtype=dtype) for f in resume.factors
-        ]
-    elif job.warm_factors is not None:
-        factors = [
-            np.ascontiguousarray(f, dtype=dtype) for f in job.warm_factors
-        ]
-    else:
-        factors = [
-            np.asarray(f, dtype=dtype)
-            for f in initialize_factors(
-                tensor, list(request.ranks), init=opts.init, seed=opts.seed
-            )
-        ]
-    if (opts.tensor_format or "coo") == "csf":
-        from repro.sparse import CSFTensorSet
-
-        trees = CSFTensorSet.per_mode(tensor)
-        symbolic: Dict = {}
-    else:
-        trees = None
-        symbolic = {
-            mode: symbolic_ttmc(tensor, mode) for mode in range(tensor.order)
-        }
-    return tensor, symbolic, trees, factors, resume
-
-
 def run_process_batch(
     crew: PersistentWorkerCrew, jobs: Sequence[Job]
 ) -> List[Outcome]:
@@ -261,65 +141,43 @@ def run_process_batch(
     generation stays consistent because the engine's ``cancel_check`` fires
     strictly between dispatches.
     """
-    members = []
+    plans = {}
     try:
         maybe_fail("serving.run_batch")
         for job in jobs:
-            tensor, symbolic, trees, factors, resume = _prepare_member(job)
             opts = job.effective_options
-            members.append(
-                (
-                    job,
-                    tensor,
-                    symbolic,
-                    factors,
-                    resume,
-                    BatchJobSpec(
-                        job=job.id,
-                        tensor=tensor,
-                        symbolic=symbolic,
-                        factors=factors,
-                        ranks=list(job.request.ranks),
-                        block_nnz=opts.block_nnz,
-                        kernel=opts.kernel or "numpy",
-                        tensor_format=opts.tensor_format or "coo",
-                        trees=trees,
-                    ),
-                )
+            tensor = job.request.tensor
+            if isinstance(tensor, SparseTensor):
+                tensor = tensor.astype(resolve_dtype(opts.dtype))
+            plans[job.id] = resolve_plan(opts).build(
+                tensor, job.request.ranks, opts
             )
+        pool = HOOIProcessPool.for_plans(
+            plans, config=ProcessConfig(num_workers=crew.num_workers), crew=crew
+        )
     except BaseException as exc:
         # Admission already validated the requests, so a preparation failure
         # is unexpected — fail the whole batch with the real error.
         return [_classify(job, exc) for job in jobs]
 
-    try:
-        pool = HOOIProcessPool.for_per_mode_batch(
-            [m[5] for m in members],
-            np.float64,
-            config=ProcessConfig(num_workers=crew.num_workers),
-            crew=crew,
-        )
-    except BaseException as exc:
-        return [_classify(job, exc) for job in jobs]
-
     outcomes: List[Outcome] = []
     try:
-        for job, tensor, symbolic, factors, resume, _spec in members:
+        for job in jobs:
             try:
-                backend = PooledProcessBackend(
-                    pool, job.id, tensor, symbolic, factors
+                backend = PlanBackend(
+                    plans[job.id], ProcessDispatcher(pool=pool, job=job.id)
                 )
                 engine = HOOIEngine(
-                    tensor,
+                    job.request.tensor,
                     list(job.request.ranks),
-                    job.effective_options,
+                    _warm_options(job, job.effective_options),
                     backend=backend,
                 )
                 result = engine.run(
                     callback=job.progress_callback,
                     cancel_check=job.make_cancel_check(),
                     checkpoint=job.checkpointer,
-                    resume=resume,
+                    resume=_job_resume(job),
                 )
             except BaseException as exc:
                 outcomes.append(_classify(job, exc))

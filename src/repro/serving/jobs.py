@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 from repro.core.hooi import HOOIOptions
-from repro.util.validation import check_rank_vector
+from repro.util.validation import check_rank_feasibility, check_rank_vector
 
 __all__ = [
     "JobState",
@@ -138,7 +138,7 @@ class JobRequest:
         base.update(option_kwargs)
         opts = HOOIOptions.from_dict(base)
         opts.validate()
-        rank_vec = check_rank_vector(ranks, tensor.shape)
+        rank_vec = check_rank_feasibility(check_rank_vector(ranks, tensor.shape))
         payload = json.dumps(
             {
                 "schema": "hooi-request/1",

@@ -24,10 +24,10 @@ target node's pushdown and pullup vectors, segment-summed by target index
 (again one :func:`~repro.core.kron.segment_kron_sum`).
 With the target at the root (a :func:`~repro.sparse.csf.rooted_mode_order`
 tree) the pushdown vanishes and the output rows are exactly the sorted,
-unique root fibers — the layout the threaded backend exploits: contiguous
-*root-fiber slabs* map to disjoint output rows, so workers write lock-free
-(``make_chunks`` schedules over root fibers, mirroring the paper's row
-decomposition).
+unique root fibers — the layout the engine's CSF plan exploits: contiguous
+*root-fiber slabs* map to disjoint output rows, so thread and process
+workers write lock-free (``make_chunks`` schedules over root fibers,
+mirroring the paper's row decomposition).
 
 There is no per-nonzero (or per-fiber) Python loop anywhere: every level is
 a constant number of NumPy calls.  Results match ``ttmc_matricized`` in
@@ -277,8 +277,8 @@ def csf_ttmc_compact(
     mode: int,
     *,
     workspace=None,
-    config=None,
     kernel: str = "numpy",
+    roots: Optional[Tuple[int, int]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Compact mode-``n`` TTMc: ``(rows, block)`` over the non-empty rows.
 
@@ -288,20 +288,19 @@ def csf_ttmc_compact(
     ``(I_n, ∏R_t)`` matrix, without materializing the empty rows (the form
     the distributed driver's row-block seam consumes).
 
-    ``config`` (a :class:`~repro.parallel.parallel_for.ParallelConfig`)
-    parallelizes the sweep over root-fiber slabs when the target mode is the
-    tree's root: each worker owns a contiguous slab of root fibers, whose
-    subtree is a contiguous node range at every level and whose output rows
-    are disjoint from every other slab's.  Deep target levels always run the
-    single-threaded pushdown/pullup pass (their nodes do not partition by
-    output row), so a shared tree still composes with the threaded driver —
-    it just serves deep modes sequentially.
+    ``roots=(start, stop)`` restricts a sweep whose target mode is the
+    tree's root to one *root-fiber slab*: its subtree is a contiguous node
+    range at every level and its output rows are exactly its root fibers,
+    disjoint from every other slab's — the lock-free range the engine's
+    CSF plan hands to threads and worker processes.  Deep target levels
+    (a shared tree) have no such decomposition and take no ``roots``.
 
     ``kernel`` selects the inner-loop tier: ``"numpy"`` is the vectorized
     gather + sparse × dense segment-sum pipeline documented above,
     ``"numba"`` walks the same fiber extents with the fused compiled loops
     of :mod:`repro.kernels` — one pass per level; the two agree up to
-    floating-point reassociation.
+    floating-point reassociation.  ``workspace`` supplies pooled buffers;
+    pass ``None`` from concurrent workers (the pool is not thread-safe).
     """
     from repro.kernels import kernel_table
 
@@ -317,41 +316,15 @@ def csf_ttmc_compact(
             np.empty(0, dtype=np.int64),
             np.empty((0, width), dtype=dtype),
         )
+    start, stop = (0, csf.num_fibers(0)) if roots is None else roots
+    if target_level != 0 and (start, stop) != (0, csf.num_fibers(0)):
+        raise ValueError(
+            f"root-fiber slabs need a tree rooted at mode {mode}, but its "
+            f"level is {target_level}"
+        )
 
     factor_arrays = _cast_factors(csf, factors, mode, dtype)
     table = kernel_table(kernel)
-    num_roots = csf.num_fibers(0)
-    use_threads = (
-        config is not None
-        and config.num_threads > 1
-        and target_level == 0
-        and num_roots > 1
-    )
-    if use_threads:
-        from repro.parallel.parallel_for import parallel_for
-
-        rows = csf.fids[0]
-        block = (
-            workspace.take((num_roots, width), dtype, tag=f"{csf._token}-compact")
-            if workspace is not None
-            else np.empty((num_roots, width), dtype=dtype)
-        )
-
-        def body(start: int, stop: int) -> None:
-            # Workers allocate privately: the pool is not thread-safe.
-            slab = _pullup(
-                csf, factor_arrays, dtype, 0,
-                _level_ranges(csf, start, stop), None, table,
-            )
-            # The column permutation lands directly in the worker's output
-            # slice; when the layouts agree, the slab is copied as-is.
-            part = block[start:stop]
-            result = _to_engine_columns(slab, csf, factor_arrays, 0, out=part)
-            if result is not part:
-                part[...] = result
-
-        parallel_for(body, num_roots, config)
-        return rows, block
 
     def _cols_out(num_rows: int) -> Optional[np.ndarray]:
         """Pooled destination for the column permutation (None = allocate)."""
@@ -361,13 +334,13 @@ def csf_ttmc_compact(
             (num_rows, width), dtype, tag=f"{csf._token}-cols-{target_level}"
         )
 
-    ranges = _level_ranges(csf, 0, num_roots)
+    ranges = _level_ranges(csf, start, stop)
     below = _pullup(
         csf, factor_arrays, dtype, target_level, ranges, workspace, table
     )
     if target_level == 0:
-        return csf.fids[0], _to_engine_columns(
-            below, csf, factor_arrays, 0, out=_cols_out(num_roots)
+        return csf.fids[0][start:stop], _to_engine_columns(
+            below, csf, factor_arrays, 0, out=_cols_out(stop - start)
         )
 
     above = _pushdown(csf, factor_arrays, target_level, workspace, table)
@@ -409,7 +382,6 @@ def csf_ttmc_matricized(
     out: Optional[np.ndarray] = None,
     workspace=None,
     zero: str = "full",
-    config=None,
     kernel: str = "numpy",
 ) -> np.ndarray:
     """Mode-``n`` matricized TTMc ``Y_(n)`` served from a CSF tree.
@@ -426,7 +398,7 @@ def csf_ttmc_matricized(
     if zero not in ("full", "touched", "none"):
         raise ValueError(f"unknown zero policy {zero!r}")
     rows, block = csf_ttmc_compact(
-        csf, factors, mode, workspace=workspace, config=config, kernel=kernel
+        csf, factors, mode, workspace=workspace, kernel=kernel
     )
     n_rows = csf.shape[mode]
     width = block.shape[1]

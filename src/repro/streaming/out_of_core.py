@@ -206,8 +206,9 @@ def out_of_core_hooi(
     rebuild their own trees from a COO tensor), CSF tensor format, and a
     non-HOSVD initializer (HOSVD needs a matricization of the full tensor).
     """
-    from repro.engine.backend import CSFBackend
+    from repro.engine.backend import PlanBackend
     from repro.engine.driver import HOOIEngine
+    from repro.engine.plans import CSFSlabPlan
 
     handle = source if isinstance(source, OutOfCoreTensor) else OutOfCoreTensor(source)
     base = _resolve_options(options, option_kwargs)
@@ -237,9 +238,6 @@ def out_of_core_hooi(
             f"hold {handle.dtype.name} — rebuild with build_out_of_core("
             f"..., dtype={opts.dtype!r}) or match the options dtype"
         )
-    tree_set = handle.trees()
-    backend = CSFBackend(
-        trees="shared" if tree_set.shared else "per-mode", tensors=tree_set
-    )
+    backend = PlanBackend(CSFSlabPlan(handle.trees()))
     engine = HOOIEngine(handle, ranks, opts, backend=backend, workspace=workspace)
     return engine.run(callback=callback, cancel_check=cancel_check)

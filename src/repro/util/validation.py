@@ -16,6 +16,7 @@ __all__ = [
     "check_axis",
     "check_shape_vector",
     "check_rank_vector",
+    "check_rank_feasibility",
     "check_same_order",
     "check_dtype_real",
 ]
@@ -82,6 +83,27 @@ def check_rank_vector(
         if r <= 0:
             raise ValueError(f"{name}[{i}] must be positive, got {r}")
     return tuple(min(r, s) for r, s in zip(out, shape))
+
+
+def check_rank_feasibility(ranks: Sequence[int]) -> Tuple[int, ...]:
+    """Reject a rank vector HOOI cannot keep: every ``R_n ≤ ∏_{t≠n} R_t``.
+
+    ``Y_(n)`` has ``∏_{t≠n} R_t`` columns, so its truncated SVD yields at
+    most that many singular vectors.  Checked where ranks enter HOOI (the
+    engine, service admission, the distributed launch), not in
+    :func:`check_rank_vector`, which the data generators share.
+    """
+    ranks = tuple(int(r) for r in ranks)
+    for n, rank in enumerate(ranks):
+        width = int(np.prod([r for t, r in enumerate(ranks) if t != n]))
+        if rank > width:
+            raise ValueError(
+                f"rank {rank} of mode {n} exceeds the product of the other "
+                f"modes' ranks ({width}): Y_({n}) has only {width} columns, "
+                f"so HOOI cannot keep {rank} singular vectors — lower "
+                f"ranks[{n}] or raise the others"
+            )
+    return ranks
 
 
 def check_same_order(order: int, items: Iterable, name: str) -> None:

@@ -7,11 +7,11 @@ from repro.core import HOOIOptions, SparseTensor, hooi, ttmc_matricized
 from repro.core.symbolic import symbolic_ttmc
 from repro.data import power_law_sparse_tensor
 from repro.engine import (
-    CSFBackend,
+    CSFSlabPlan,
     HOOIEngine,
-    ThreadedCSFBackend,
+    PlanBackend,
+    ThreadDispatcher,
     WorkspacePool,
-    resolve_ttmc_backend,
 )
 from repro.parallel.parallel_for import ParallelConfig
 from repro.sparse import (
@@ -198,17 +198,12 @@ class TestTTMcParity:
 
     def test_threaded_slabs_match(self, small_tensor_4d):
         factors = make_factors(small_tensor_4d.shape)
-        config = ParallelConfig(num_threads=3, schedule="static")
+        plan = CSFSlabPlan(CSFTensorSet.per_mode(small_tensor_4d))
+        threads = ThreadDispatcher(ParallelConfig(num_threads=3, schedule="static"))
         for mode in range(4):
-            csf = CSFTensor(
-                small_tensor_4d,
-                mode_order=rooted_mode_order(small_tensor_4d.shape, mode),
-            )
             expected = ttmc_matricized(small_tensor_4d, factors, mode)
             np.testing.assert_allclose(
-                csf_ttmc_matricized(csf, factors, mode, config=config),
-                expected,
-                atol=1e-10,
+                threads.ttmc(plan, mode, factors), expected, atol=1e-10
             )
 
     def test_float32_stays_float32(self, small_tensor_3d):
@@ -303,8 +298,9 @@ class TestCSFBackends:
         reference = hooi(
             small_tensor_3d, self.RANKS, HOOIOptions(max_iterations=3, seed=0)
         )
-        for trees in ("per-mode", "shared"):
-            result = self.run(small_tensor_3d, CSFBackend(trees=trees))
+        shared = CSFSlabPlan(CSFTensorSet.shared_tree(small_tensor_3d))
+        for plan in (CSFSlabPlan, shared):
+            result = self.run(small_tensor_3d, PlanBackend(plan))
             np.testing.assert_allclose(
                 result.fit_history, reference.fit_history, atol=1e-10
             )
@@ -317,18 +313,16 @@ class TestCSFBackends:
         reference = hooi(
             small_tensor_3d, self.RANKS, HOOIOptions(max_iterations=3, seed=0)
         )
-        backend = ThreadedCSFBackend(ParallelConfig(num_threads=2))
+        backend = PlanBackend(
+            CSFSlabPlan, ThreadDispatcher(ParallelConfig(num_threads=2))
+        )
         result = self.run(small_tensor_3d, backend)
         np.testing.assert_allclose(
             result.fit_history, reference.fit_history, atol=1e-10
         )
 
-    def test_bad_tree_policy_rejected(self):
-        with pytest.raises(ValueError, match="tree policy"):
-            CSFBackend(trees="forest")
-
     def test_compute_ttmc_rows_subset(self, small_tensor_3d):
-        backend = CSFBackend()
+        backend = PlanBackend(CSFSlabPlan)
         opts = HOOIOptions(max_iterations=1, seed=0)
         eng = HOOIEngine(small_tensor_3d, self.RANKS, opts, backend=backend)
         eng.run()
@@ -338,7 +332,7 @@ class TestCSFBackends:
         np.testing.assert_allclose(block, full[rows], atol=1e-10)
 
     def test_compute_ttmc_rows_missing_rows_zero(self, small_tensor_3d):
-        backend = CSFBackend()
+        backend = PlanBackend(CSFSlabPlan)
         opts = HOOIOptions(max_iterations=1, seed=0)
         eng = HOOIEngine(small_tensor_3d, self.RANKS, opts, backend=backend)
         eng.run()
@@ -349,22 +343,3 @@ class TestCSFBackends:
         if empty_rows.size:
             block = backend.compute_ttmc_rows(eng, 0, empty_rows[:2])
             assert not block.any()
-
-
-class TestResolver:
-    def test_csf_format_resolves_csf_backends(self):
-        assert isinstance(
-            resolve_ttmc_backend(HOOIOptions(tensor_format="csf")), CSFBackend
-        )
-        threaded = resolve_ttmc_backend(
-            HOOIOptions(tensor_format="csf", execution="thread", num_workers=2)
-        )
-        assert isinstance(threaded, ThreadedCSFBackend)
-        assert threaded.config.num_threads == 2
-
-    def test_coo_format_unchanged(self):
-        backend = resolve_ttmc_backend(HOOIOptions())
-        assert not isinstance(backend, CSFBackend)
-
-    def test_threaded_forces_per_mode_trees(self):
-        assert ThreadedCSFBackend().trees == "per-mode"

@@ -36,10 +36,9 @@ from repro.core import (
 from repro.data import planted_lowrank_tensor
 from repro.engine import (
     DimensionTree,
-    DimTreeBackend,
     HOOIEngine,
-    SequentialBackend,
-    ThreadedDimTreeBackend,
+    PlanBackend,
+    ThreadDispatcher,
     WorkspacePool,
     resolve_ttmc_backend,
 )
@@ -308,11 +307,22 @@ class TestEquivalence:
         tensor = _random_tensor(shape, 400, seed=61)
         factors = _factors(shape, ranks, seed=7)
         tree = DimensionTree(tensor)
-        config = ParallelConfig(num_threads=3)
+        threads = ThreadDispatcher(ParallelConfig(num_threads=3))
         for mode in range(tensor.order):
             expected = ttmc_matricized(tensor, factors, mode)
-            got = tree.leaf_matricized(mode, factors, parallel_config=config)
+            got = threads.ttmc(tree, mode, factors)
             assert np.allclose(got, expected, atol=1e-10)
+
+
+def _rows_block(tensor, factors, mode, rows):
+    """``compute_ttmc_rows`` of a dimension-tree backend at fixed factors."""
+    backend = PlanBackend(DimensionTree)
+    eng = HOOIEngine(
+        tensor, [f.shape[1] for f in factors], HOOIOptions(), backend=backend
+    )
+    eng.factors = list(factors)
+    backend.prepare(eng)
+    return backend.compute_ttmc_rows(eng, mode, rows)
 
 
 class TestLeafLocalRows:
@@ -329,9 +339,7 @@ class TestLeafLocalRows:
             full = tree.leaf_matricized(mode, factors)
             # A sorted mix of non-empty and (possibly) empty rows.
             rows = np.unique(rng.integers(0, shape[mode], 6))
-            block = tree.leaf_matricized(
-                mode, factors, local_rows=rows
-            )
+            block = _rows_block(tensor, factors, mode, rows)
             assert block.shape == (rows.shape[0], full.shape[1])
             assert np.allclose(block, full[rows], atol=1e-12)
 
@@ -339,41 +347,22 @@ class TestLeafLocalRows:
         shape, ranks = _SHAPES[3]
         tensor = _random_tensor(shape, 40, seed=2)
         factors = _factors(shape, ranks, seed=1)
-        tree = DimensionTree(tensor)
         empty_rows = np.setdiff1d(
             np.arange(shape[0]), tensor.nonempty_rows(0)
         )
         if empty_rows.size:
-            block = tree.leaf_matricized(
-                0, factors, local_rows=empty_rows[:3]
-            )
+            block = _rows_block(tensor, factors, 0, empty_rows[:3])
             assert not block.any()
 
     def test_empty_row_set(self):
         shape, ranks = _SHAPES[3]
         tensor = _random_tensor(shape, 100, seed=9)
         factors = _factors(shape, ranks, seed=0)
-        tree = DimensionTree(tensor)
-        block = tree.leaf_matricized(
-            0, factors, local_rows=np.empty(0, dtype=np.int64)
-        )
+        block = _rows_block(tensor, factors, 0, np.empty(0, dtype=np.int64))
         assert block.shape[0] == 0
 
 
 class TestStrategyPlumbing:
-    def test_default_strategy_is_per_mode(self):
-        assert HOOIOptions().ttmc_strategy == "per-mode"
-        assert isinstance(resolve_ttmc_backend(HOOIOptions()), SequentialBackend)
-        assert not isinstance(
-            resolve_ttmc_backend(HOOIOptions()), DimTreeBackend
-        )
-
-    def test_resolver_selects_dimtree_backends(self):
-        options = HOOIOptions(ttmc_strategy="dimtree")
-        assert isinstance(resolve_ttmc_backend(options), DimTreeBackend)
-        threaded = resolve_ttmc_backend(options, ParallelConfig(num_threads=2))
-        assert isinstance(threaded, ThreadedDimTreeBackend)
-
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError, match="ttmc_strategy"):
             resolve_ttmc_backend(HOOIOptions(ttmc_strategy="magic"))
@@ -418,10 +407,11 @@ class TestStrategyPlumbing:
     def test_engine_with_dimtree_backend_directly(self, small_tensor_4d):
         options = HOOIOptions(max_iterations=3, seed=0)
         seq = HOOIEngine(
-            small_tensor_4d, (3, 3, 2, 2), options, backend=SequentialBackend()
+            small_tensor_4d, (3, 3, 2, 2), options, backend=PlanBackend()
         ).run()
         dt = HOOIEngine(
-            small_tensor_4d, (3, 3, 2, 2), options, backend=DimTreeBackend()
+            small_tensor_4d, (3, 3, 2, 2), options,
+            backend=PlanBackend(DimensionTree),
         ).run()
         assert np.allclose(seq.fit_history, dt.fit_history, atol=1e-10)
         for a, b in zip(seq.decomposition.factors, dt.decomposition.factors):

@@ -14,10 +14,16 @@ from repro.core import HOOIOptions, SparseTensor, hooi
 from repro.data import planted_lowrank_tensor
 from repro.distributed import distributed_hooi
 from repro.engine import (
+    COORowsPlan,
+    CSFSlabPlan,
+    DimensionTree,
     HOOIEngine,
-    SequentialBackend,
-    ThreadedBackend,
+    InlineDispatcher,
+    PlanBackend,
+    ProcessDispatcher,
+    ThreadDispatcher,
     WorkspacePool,
+    resolve_ttmc_backend,
 )
 from repro.parallel import ParallelConfig, shared_hooi
 from repro.partition import make_partition
@@ -35,7 +41,7 @@ class TestEngineDirect:
         options = HOOIOptions(max_iterations=3, init="random", seed=0)
         via_wrapper = hooi(small_tensor_3d, (5, 4, 3), options)
         via_engine = HOOIEngine(
-            small_tensor_3d, (5, 4, 3), options, backend=SequentialBackend()
+            small_tensor_3d, (5, 4, 3), options, backend=PlanBackend()
         ).run()
         assert via_engine.fit_history == via_wrapper.fit_history
         for a, b in zip(
@@ -48,9 +54,47 @@ class TestEngineDirect:
         seq = HOOIEngine(medium_tensor_3d, 5, options).run()
         par = HOOIEngine(
             medium_tensor_3d, 5, options,
-            backend=ThreadedBackend(ParallelConfig(num_threads=3)),
+            backend=PlanBackend(
+                dispatcher=ThreadDispatcher(ParallelConfig(num_threads=3))
+            ),
         ).run()
         assert np.allclose(seq.fit_history, par.fit_history, atol=1e-9)
+
+
+class TestResolveTTMcBackend:
+    """The plan follows (format, strategy); the dispatcher follows execution."""
+
+    PLANS = {
+        ("coo", "per-mode"): COORowsPlan,
+        ("csf", "per-mode"): CSFSlabPlan,
+        ("coo", "dimtree"): DimensionTree,
+        ("csf", "dimtree"): DimensionTree,
+    }
+    DISPATCHERS = {
+        "sequential": InlineDispatcher,
+        "thread": ThreadDispatcher,
+        "process": ProcessDispatcher,
+    }
+
+    @pytest.mark.parametrize("execution", ["sequential", "thread", "process"])
+    @pytest.mark.parametrize("strategy", ["per-mode", "dimtree"])
+    @pytest.mark.parametrize("fmt", ["coo", "csf"])
+    def test_cell(self, fmt, strategy, execution):
+        backend = resolve_ttmc_backend(HOOIOptions(
+            tensor_format=fmt, ttmc_strategy=strategy, execution=execution,
+            num_workers=2,
+        ))
+        assert type(backend) is PlanBackend
+        assert backend.plan_source is self.PLANS[(fmt, strategy)]
+        assert type(backend.dispatcher) is self.DISPATCHERS[execution]
+        assert backend.dispatcher.width == (1 if execution == "sequential" else 2)
+
+    @pytest.mark.parametrize("execution", ["thread", "process"])
+    def test_one_worker_resolves_inline(self, execution):
+        backend = resolve_ttmc_backend(
+            HOOIOptions(execution=execution, num_workers=1)
+        )
+        assert type(backend.dispatcher) is InlineDispatcher
 
     def test_iteration_seconds_recorded(self, small_tensor_3d):
         engine = HOOIEngine(small_tensor_3d, 3, HOOIOptions(max_iterations=2))
@@ -308,14 +352,11 @@ class TestWorkspacePool:
     def test_out_dtype_mismatch_rejected(self, small_tensor_3d, factors_3d):
         """A wrong-dtype out buffer raises instead of silently downcasting."""
         from repro.core import ttmc_matricized
-        from repro.parallel import parallel_ttmc_matricized
 
         width = factors_3d[1].shape[1] * factors_3d[2].shape[1]
         bad = np.zeros((small_tensor_3d.shape[0], width), dtype=np.float32)
         with pytest.raises(ValueError, match="dtype"):
             ttmc_matricized(small_tensor_3d, factors_3d, 0, out=bad)
-        with pytest.raises(ValueError, match="dtype"):
-            parallel_ttmc_matricized(small_tensor_3d, factors_3d, 0, out=bad)
 
     def test_non_policy_float_dtypes_promote_to_float64(self):
         """float16 / extended precision are outside the policy -> float64."""

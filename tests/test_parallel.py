@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import HOOIOptions, hooi, symbolic_ttmc, ttmc_matricized
+from repro.engine import COORowsPlan, ThreadDispatcher, parallel_symbolic
 from repro.parallel import (
     BGQ_NODE,
     NodeModel,
@@ -15,7 +16,6 @@ from repro.parallel import (
     kron_width,
     make_chunks,
     parallel_for,
-    parallel_ttmc_matricized,
     predict_iteration_time,
     shared_hooi,
     trsvd_phase_work,
@@ -90,12 +90,13 @@ class TestParallelTTMc:
             np.linalg.qr(rng.standard_normal((s, 4)))[0]
             for s in medium_tensor_3d.shape
         ]
+        plan = COORowsPlan(medium_tensor_3d, parallel_symbolic(medium_tensor_3d, 1))
+        dispatcher = ThreadDispatcher(
+            ParallelConfig(num_threads=threads, schedule=schedule)
+        )
         for mode in range(3):
             expected = ttmc_matricized(medium_tensor_3d, factors, mode)
-            actual = parallel_ttmc_matricized(
-                medium_tensor_3d, factors, mode,
-                config=ParallelConfig(num_threads=threads, schedule=schedule),
-            )
+            actual = dispatcher.ttmc(plan, mode, factors)
             assert np.allclose(actual, expected)
 
     def test_row_block_matches_full(self, small_tensor_3d, factors_3d):
@@ -116,9 +117,9 @@ class TestParallelTTMc:
     def test_out_buffer(self, small_tensor_3d, factors_3d):
         width = factors_3d[1].shape[1] * factors_3d[2].shape[1]
         out = np.zeros((small_tensor_3d.shape[0], width))
-        result = parallel_ttmc_matricized(
-            small_tensor_3d, factors_3d, 0, out=out,
-            config=ParallelConfig(num_threads=2),
+        plan = COORowsPlan(small_tensor_3d, parallel_symbolic(small_tensor_3d, 1))
+        result = ThreadDispatcher(ParallelConfig(num_threads=2)).ttmc(
+            plan, 0, factors_3d, out=out
         )
         assert result is out
 

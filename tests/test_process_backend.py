@@ -1,11 +1,11 @@
-"""Tests for the zero-copy multiprocess execution backend.
+"""Tests for the zero-copy multiprocess dispatcher and its generations.
 
 Contract: ``execution="process"`` matches the sequential backend to 1e-10
 (float64) for both ``ttmc_strategy`` values, respects the float32 dtype
-policy, degenerates cleanly at ``num_workers=1``, and — crucially for a
-shared-memory subsystem — never leaks segments: clean runs, double
-teardown and worker crashes must all leave ``/dev/shm`` empty and the
-resource tracker silent.
+policy, runs inline at ``num_workers=1``, packs any mix of plans into one
+generation on one crew, and — crucially for a shared-memory subsystem —
+never leaks segments: clean runs, double teardown and worker crashes must
+all leave ``/dev/shm`` empty and the resource tracker silent.
 """
 
 from __future__ import annotations
@@ -20,9 +20,17 @@ import numpy as np
 import pytest
 
 from repro.core import HOOIOptions, hooi
-from repro.core.symbolic import symbolic_ttmc
 from repro.core.ttmc import ttmc_matricized
-from repro.engine import ProcessBackend, ProcessDimTreeBackend, resolve_ttmc_backend
+from repro.engine import (
+    COORowsPlan,
+    HOOIEngine,
+    InlineDispatcher,
+    PlanBackend,
+    ProcessDispatcher,
+    parallel_symbolic,
+    resolve_ttmc_backend,
+)
+from repro.engine.backend import resolve_plan
 from repro.parallel import (
     HOOIProcessPool,
     ProcessConfig,
@@ -30,6 +38,7 @@ from repro.parallel import (
     ShmView,
     WorkerCrashError,
 )
+from repro.parallel.process_pool import PersistentWorkerCrew
 from repro.util.linalg import random_orthonormal
 
 RANKS = 5
@@ -44,18 +53,16 @@ def _leftover_segments(names):
 
 
 def _per_mode_pool(tensor, num_workers=2, **kwargs):
-    symbolic = {mode: symbolic_ttmc(tensor, mode) for mode in range(tensor.order)}
+    symbolic = parallel_symbolic(tensor, 1)
     factors = [
         random_orthonormal(s, RANKS, seed=i) for i, s in enumerate(tensor.shape)
     ]
-    pool = HOOIProcessPool.for_per_mode(
-        tensor,
-        symbolic,
-        factors,
-        [RANKS] * tensor.order,
-        np.float64,
+    pool = HOOIProcessPool.for_plans(
+        {None: COORowsPlan(tensor, symbolic, [RANKS] * tensor.order)},
         config=ProcessConfig(num_workers=num_workers, **kwargs),
     )
+    for mode, factor in enumerate(factors):
+        pool.write_factor(mode, factor)
     return pool, factors, symbolic
 
 
@@ -137,27 +144,27 @@ class TestDegenerateAndResolver:
         for a, b in zip(seq.decomposition.factors, proc.decomposition.factors):
             assert np.array_equal(a, b)
 
-    def test_num_workers_one_spawns_no_pool(self, small_tensor_3d):
-        backend = resolve_ttmc_backend(
-            HOOIOptions(execution="process", num_workers=1)
-        )
-        assert isinstance(backend, ProcessBackend)
-        hooi(small_tensor_3d, 3, HOOIOptions(
-            max_iterations=1, execution="process", num_workers=1))
-        assert backend.pool is None
+    def test_num_workers_one_spawns_no_pool(self, small_tensor_3d, monkeypatch):
+        options = HOOIOptions(max_iterations=1, execution="process", num_workers=1)
+        backend = resolve_ttmc_backend(options)
+        keys = []
+        inline_run = InlineDispatcher.run
 
-    def test_resolver_picks_process_backends(self):
-        assert isinstance(
-            resolve_ttmc_backend(HOOIOptions(execution="process", num_workers=2)),
-            ProcessBackend,
-        )
-        assert isinstance(
-            resolve_ttmc_backend(
-                HOOIOptions(execution="process", num_workers=2,
-                            ttmc_strategy="dimtree")
-            ),
-            ProcessDimTreeBackend,
-        )
+        def spy(self, plan, key, workspace=None):
+            keys.append(key)
+            inline_run(self, plan, key, workspace)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("num_workers=1 must create no process or segment")
+
+        monkeypatch.setattr(InlineDispatcher, "run", spy)
+        monkeypatch.setattr(ShmArena, "create", forbidden)
+        monkeypatch.setattr(PersistentWorkerCrew, "__init__", forbidden)
+        result = HOOIEngine(small_tensor_3d, 3, options, backend=backend).run()
+        assert type(backend.dispatcher) is InlineDispatcher
+        assert keys == [0, 1, 2]  # one inline range per mode of the sweep
+        assert backend.pool is None
+        assert result.completed_sweeps == 1
 
     def test_thread_execution_option(self, small_tensor_3d):
         options = dict(max_iterations=3, init="hosvd", seed=0)
@@ -190,19 +197,19 @@ class TestDegenerateAndResolver:
 class TestTeardownAndLeaks:
     def test_engine_run_leaves_no_segments(self, small_tensor_3d):
         names_seen = []
-        original_prepare = ProcessBackend.prepare
+        original_prepare = PlanBackend.prepare
 
         def spy(self, eng):
             original_prepare(self, eng)
             if self.pool is not None:
                 names_seen.extend(self.pool.segment_names)
 
-        ProcessBackend.prepare = spy
+        PlanBackend.prepare = spy
         try:
             hooi(small_tensor_3d, 3, HOOIOptions(
                 max_iterations=2, execution="process", num_workers=2))
         finally:
-            ProcessBackend.prepare = original_prepare
+            PlanBackend.prepare = original_prepare
         assert names_seen, "the run should have created shared segments"
         assert _leftover_segments(names_seen) == []
 
@@ -273,16 +280,73 @@ class TestTeardownAndLeaks:
         assert "resource_tracker" not in result.stderr
 
 
+class TestMixedGeneration:
+    def test_coo_csf_dimtree_members_share_one_crew(
+        self, small_tensor_3d, small_tensor_4d, medium_tensor_3d
+    ):
+        members = {
+            "coo": (medium_tensor_3d, (4, 4, 3), dict(tensor_format="coo")),
+            "csf": (small_tensor_4d, (3, 3, 2, 2), dict(tensor_format="csf")),
+            "dimtree": (small_tensor_3d, (3, 3, 2), dict(ttmc_strategy="dimtree")),
+        }
+        base = dict(max_iterations=3, init="hosvd", seed=0)
+        with PersistentWorkerCrew(2) as crew:
+            plans = {
+                job: resolve_plan(HOOIOptions(**axes)).build(
+                    tensor, ranks, HOOIOptions(**axes)
+                )
+                for job, (tensor, ranks, axes) in members.items()
+            }
+            pool = HOOIProcessPool.for_plans(plans, crew=crew)
+            names = pool.segment_names
+            try:
+                for job, (tensor, ranks, axes) in members.items():
+                    options = HOOIOptions(**base, **axes)
+                    backend = PlanBackend(
+                        plans[job], ProcessDispatcher(pool=pool, job=job)
+                    )
+                    pooled = HOOIEngine(tensor, ranks, options, backend=backend).run()
+                    reference = hooi(tensor, ranks, options)
+                    np.testing.assert_allclose(
+                        pooled.fit_history, reference.fit_history, atol=1e-10
+                    )
+                    for a, b in zip(pooled.decomposition.factors,
+                                    reference.decomposition.factors):
+                        np.testing.assert_allclose(a, b, atol=1e-10)
+            finally:
+                pool.close()
+            assert crew.generations == 1
+            assert crew.alive  # detached, not killed: the crew outlives it
+        assert names and _leftover_segments(names) == []
+
+
 class TestGuards:
+    @pytest.mark.parametrize(
+        "execution", ["sequential", "thread", "process", "distributed"]
+    )
     @pytest.mark.parametrize("strategy", ["per-mode", "dimtree"])
-    def test_rank_exceeding_width_fails_fast(self, small_tensor_3d, strategy):
-        # Mode-0 rank 5 > W_0 = 2*2: the TRSVD would shrink the factor and
-        # the fixed shared factor segments could not absorb it.  Both
-        # strategies must fail at pool construction, not mid-run.
-        with pytest.raises(ValueError, match="fixed factor shapes"):
-            hooi(small_tensor_3d, (5, 2, 2), HOOIOptions(
-                max_iterations=1, execution="process", num_workers=2,
-                ttmc_strategy=strategy))
+    @pytest.mark.parametrize("tensor_format", ["coo", "csf"])
+    def test_rank_exceeding_width_fails_fast(
+        self, small_tensor_3d, tensor_format, strategy, execution
+    ):
+        # Mode-0 rank 5 > W_0 = 2*2: the TRSVD of Y_(0) cannot keep 5
+        # columns.  Every composition refuses before any work, with one
+        # message.
+        axes = dict(max_iterations=1, ttmc_strategy=strategy,
+                    tensor_format=tensor_format)
+        with pytest.raises(ValueError, match="product of the other modes' ranks"):
+            if execution == "distributed":
+                from repro.distributed import distributed_hooi
+                from repro.partition import make_partition
+
+                distributed_hooi(
+                    small_tensor_3d, (5, 2, 2),
+                    make_partition(small_tensor_3d, 2, "coarse-bl"),
+                    HOOIOptions(**axes),
+                )
+            else:
+                hooi(small_tensor_3d, (5, 2, 2), HOOIOptions(
+                    **axes, execution=execution, num_workers=2))
 
     def test_write_factor_shape_mismatch_rejected(self, medium_tensor_3d):
         pool, _, _ = _per_mode_pool(medium_tensor_3d)

@@ -12,14 +12,16 @@ test plugin needed).  The suite covers the serving contract end to end:
 * teardown — including after cancels and crashes — leaks no ``/dev/shm``
   segment and no worker process.
 
-Everything runs on ``num_workers=1`` crews: the protocol (attach/detach,
-batching, crash handling) is identical at any width and the CI box has a
-single core.
+Everything but the dimension-tree crew test runs on ``num_workers=1``
+crews: the protocol (attach/detach, batching, crash handling) is identical
+at any width and the CI box has a single core; that test needs two workers
+to show a process job never spawns more than the service's crew.
 """
 
 from __future__ import annotations
 
 import asyncio
+import multiprocessing
 import os
 import signal
 import time
@@ -462,25 +464,51 @@ class TestAdmission:
 
         asyncio.run(main())
 
-    def test_nonpooled_shapes_fall_back_to_direct(self, small_tensor_3d):
+    def test_infeasible_ranks_rejected_at_submit(self, small_tensor_3d):
         async def main():
             async with _service(warmup=False) as service:
-                handle = await service.submit(
-                    small_tensor_3d,
-                    3,
-                    execution="process",
-                    ttmc_strategy="dimtree",
-                    max_iterations=2,
-                    num_workers=2,
+                good, bad = await asyncio.gather(
+                    service.submit(small_tensor_3d, 3, execution="process", **GRAM),
+                    service.submit(
+                        small_tensor_3d, (5, 2, 2), execution="process", **GRAM
+                    ),
+                    return_exceptions=True,
                 )
-                assert not pooled_eligible(service._jobs[handle.job_id])
-                result = await handle.result()
-                return result.iterations, service.metrics()
+                result = await good.result()
+                return good.state, result, bad, service.metrics()["jobs"]
 
-        iterations, metrics = asyncio.run(main())
-        assert iterations == 2
-        # The direct path never touched the persistent crew.
-        assert metrics["pool"]["generations"] == 0
+        state, result, bad, jobs = asyncio.run(main())
+        assert isinstance(bad, ValueError)
+        assert "product of the other modes' ranks" in str(bad)
+        assert state is JobState.DONE and result.completed_sweeps == 3
+        assert jobs["failed"] == 0
+
+    def test_process_dimtree_job_runs_on_the_crew(self, small_tensor_3d):
+        options = dict(ttmc_strategy="dimtree", max_iterations=3, seed=0)
+
+        async def main():
+            # Warm: the crew is already up, so a second pool would show.
+            async with _service(num_workers=2) as service:
+                before = service.metrics()["pool"]["generations"]
+                handle = await service.submit(
+                    small_tensor_3d, 3, execution="process", num_workers=2,
+                    **options,
+                )
+                assert pooled_eligible(service._jobs[handle.job_id])
+                children = 0
+                while not handle.done():
+                    children = max(children, len(multiprocessing.active_children()))
+                    await asyncio.sleep(0.001)
+                result = await handle.result()
+                return result, before, service.metrics(), children
+
+        result, before, metrics, children = asyncio.run(main())
+        assert metrics["pool"]["generations"] == before + 1
+        assert children <= 2
+        reference = hooi(small_tensor_3d, 3, HOOIOptions(**options))
+        np.testing.assert_allclose(
+            result.fit_history, reference.fit_history, atol=1e-10
+        )
 
 
 # --------------------------------------------------------------------------- #
