@@ -91,8 +91,13 @@ def test_fine_hypergraph_build(benchmark, tensor):
     assert hg.num_vertices == tensor.nnz
 
 
+@pytest.mark.slow
 def test_multilevel_partitioner(benchmark, tensor):
-    """Multilevel K-way partitioning of the fine-grain model (PaToH stand-in)."""
+    """Multilevel K-way partitioning of the fine-grain model (PaToH stand-in).
+
+    One round takes about a minute on 2 CPUs, so it runs outside tier-1
+    (``-m slow``).
+    """
     hg, _ = build_fine_hypergraph(tensor)
     options = PartitionerOptions(seed=0)
     parts = benchmark.pedantic(

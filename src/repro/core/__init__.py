@@ -44,7 +44,6 @@ from repro.core.subset_ttmc import (
     FiberGrouping,
     edge_update_groups,
     group_fibers,
-    kron_insert,
     subset_widths,
 )
 from repro.core.ttm import SemiSparseTensor, sparse_ttm, sparse_ttm_chain, sparse_ttv
@@ -89,7 +88,6 @@ __all__ = [
     "FiberGrouping",
     "edge_update_groups",
     "group_fibers",
-    "kron_insert",
     "subset_widths",
     "SemiSparseTensor",
     "sparse_ttm",

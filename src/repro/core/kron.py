@@ -31,6 +31,7 @@ __all__ = [
     "batch_kron_rows",
     "kron_row_length",
     "kron_dtype",
+    "segment_matrix",
     "segment_kron_sum",
 ]
 
@@ -130,6 +131,25 @@ def batch_kron_rows(
     return out
 
 
+def segment_matrix(segptr: np.ndarray, data: np.ndarray) -> scipy.sparse.csr_matrix:
+    """The CSR matrix ``A`` whose row ``s`` holds positions ``segptr[s]:segptr[s+1]``.
+
+    ``A @ B`` sums the rows of ``B`` over every segment, weighted by
+    ``data`` (length ``segptr[-1]``).  Writing ``A.data[:]`` re-weights the
+    matrix without rebuilding it.
+    """
+    m, num_segments = data.shape[0], segptr.shape[0] - 1
+    # scipy stores CSR indices as int32 whenever they fit, and would scan
+    # and convert int64 index arrays on every construction.
+    index_dtype = (
+        np.int32 if max(m, num_segments) <= np.iinfo(np.int32).max else np.int64
+    )
+    return scipy.sparse.csr_matrix(
+        (data, np.arange(m, dtype=index_dtype), segptr.astype(index_dtype)),
+        shape=(num_segments, m),
+    )
+
+
 def segment_kron_sum(
     segptr: np.ndarray,
     left: np.ndarray,
@@ -199,15 +219,7 @@ def segment_kron_sum(
         data = np.ones(m, dtype=dtype)
     else:
         data = np.asarray(weights, dtype=dtype)
-    # scipy stores CSR indices as int32 whenever they fit, and would scan
-    # and convert int64 index arrays on every construction.
-    index_dtype = (
-        np.int32 if max(m, num_segments) <= np.iinfo(np.int32).max else np.int64
-    )
-    mat = scipy.sparse.csr_matrix(
-        (data, np.arange(m, dtype=index_dtype), segptr.astype(index_dtype)),
-        shape=(num_segments, m),
-    )
+    mat = segment_matrix(segptr, data)
     for k, block in enumerate(blocks):
         if narrow is not None:
             if weights is None:

@@ -23,7 +23,7 @@ from typing import Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from repro.util.validation import check_axis, check_shape_vector
+from repro.util.validation import check_axis, check_finite, check_shape_vector
 
 __all__ = [
     "SparseTensor",
@@ -291,6 +291,7 @@ class SparseTensor:
             )
         if values.ndim != 1 or values.shape[0] != indices.shape[0]:
             raise ValueError("values must be 1-D with one entry per nonzero")
+        check_finite(values)
         if indices.shape[0]:
             mins = indices.min(axis=0)
             maxs = indices.max(axis=0)

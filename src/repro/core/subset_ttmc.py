@@ -21,8 +21,11 @@ applied to the multiplied modes in *ascending* order with the lowest mode
 varying fastest.  Because the dimension tree splits contiguous mode ranges,
 a node's multiplied set is always a low block ``{0..lo-1}`` plus a high block
 ``{hi+1..N-1}``, and refining a chain by the sibling's (contiguous, middle)
-range is the :func:`kron_insert` below — a single reshaped broadcast multiply
-that keeps the ascending-mode column order intact.
+range inserts the sibling's Kronecker block between the two.
+:func:`edge_update_groups` reduces those products straight into the child
+payload as CSR sparse × dense products — the segment sums of the COO TTMc
+(:func:`repro.core.kron.segment_kron_sum`) — so no child-width row is ever
+built per parent fiber.
 """
 
 from __future__ import annotations
@@ -32,16 +35,20 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.kron import batch_kron_rows, kron_row_length
+from repro.core.kron import batch_kron_rows, kron_row_length, segment_matrix
 from repro.core.symbolic import stable_radix_order
-from repro.core.ttmc import default_block_size, segment_chunks, write_segment_sums
+from repro.core.ttmc import (
+    default_block_size,
+    segment_chunks,
+    write_kron_row_sums,
+    write_segment_sums,
+)
 
 __all__ = [
     "FiberGrouping",
     "group_fibers",
     "group_fibers_presorted",
     "subset_widths",
-    "kron_insert",
     "edge_update_groups",
 ]
 
@@ -178,45 +185,37 @@ def subset_widths(
     return lo_width, hi_width
 
 
-def kron_insert(
+def _middle_segment_sums(
+    segptr: np.ndarray,
     payload: np.ndarray,
-    middle: np.ndarray,
+    sib: np.ndarray,
     lo_width: int,
     hi_width: int,
-    *,
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Insert a Kronecker block between a payload's low and high blocks.
+    out: np.ndarray,
+) -> None:
+    """Segment sums of ``payload ⊗ sib`` with ``sib`` between the payload's blocks.
 
-    ``payload`` has shape ``(m, lo_width * hi_width)`` with the low block
-    varying fastest; ``middle`` has shape ``(m, w)`` and corresponds to modes
-    lying strictly *between* the low and high blocks in mode order.  The
-    result, shape ``(m, lo_width * w * hi_width)``, keeps the ascending-mode
-    column convention: low block fastest, then ``middle``, then the high
-    block.  ``out`` must be C-contiguous when given (pool buffers are).
+    ``payload`` has ``lo_width · hi_width`` columns (low block fastest) and
+    ``out`` (C-contiguous, one row per segment) the child columns: low
+    block fastest, then ``sib``, then the high block.  One CSR product per
+    column of the narrower operand writes its slice of the
+    ``(segments, hi, w, lo)`` view of ``out``.
     """
-    m, wp = payload.shape
-    if wp != lo_width * hi_width:
-        raise ValueError(
-            f"payload width {wp} does not factor as lo {lo_width} x hi {hi_width}"
-        )
-    if middle.shape[0] != m:
-        raise ValueError("payload and middle must have the same number of rows")
-    w = middle.shape[1]
-    dtype = np.result_type(payload, middle)
-    if out is None:
-        out = np.empty((m, wp * w), dtype=dtype)
-    elif out.shape != (m, wp * w) or out.dtype != dtype:
-        raise ValueError(
-            f"out has shape {out.shape} / dtype {out.dtype}, expected "
-            f"{(m, wp * w)} / {dtype}"
-        )
-    np.multiply(
-        payload.reshape(m, hi_width, 1, lo_width),
-        middle.reshape(m, 1, w, 1),
-        out=out.reshape(m, hi_width, w, lo_width),
-    )
-    return out
+    if not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    m, w = sib.shape
+    segments = segptr.shape[0] - 1
+    view = out.reshape(segments, hi_width, w, lo_width)
+    mat = segment_matrix(segptr, np.empty(m, dtype=out.dtype))
+    if w <= payload.shape[1]:
+        for k in range(w):
+            mat.data[:] = sib[:, k]
+            view[:, :, k, :] = (mat @ payload).reshape(segments, hi_width, lo_width)
+    else:
+        for c in range(payload.shape[1]):
+            h, l = divmod(c, lo_width)
+            mat.data[:] = payload[:, c]
+            view[:, h, :, l] = mat @ sib
 
 
 def edge_update_groups(
@@ -232,7 +231,6 @@ def edge_update_groups(
     out: np.ndarray,
     *,
     block_nnz: Optional[int] = None,
-    workspace=None,
 ) -> np.ndarray:
     """Numeric refinement of one tree edge for a contiguous range of groups.
 
@@ -243,20 +241,28 @@ def edge_update_groups(
     over the parent fibers ``p`` mapping to ``g``, where ``S`` is the sibling
     mode set (``sibling_cols`` are its columns in ``parent_index_cols``,
     ``sibling_factors`` its factor matrices in the same ascending-mode order)
-    and the Kronecker insertion keeps the payload column convention.
+    and the sibling block lands between the payload's low and high blocks.
 
-    Every row of ``out`` is assigned.  ``out`` covers only the requested
-    group range, so disjoint ranges can be filled concurrently by different
-    workers — the row-parallel, lock-free range body of the dimension-tree
-    plan (:meth:`repro.engine.dimtree.DimensionTree.body`).
-    ``workspace`` supplies the per-block scratch buffers and must be ``None``
-    when called from concurrent workers (the pool is not thread-safe).
+    Each block of parent fibers is reduced straight into ``out`` by CSR
+    sparse × dense products; no ``(fibers × child width)`` row is built.  A
+    width-1 payload (every root edge) is the COO TTMc block with the
+    payload as weights (:func:`repro.core.ttmc.write_kron_row_sums`); an
+    empty high or low block makes the child row ``kron(payload, sibling)``
+    or ``kron(sibling, payload)``, one :func:`repro.core.kron.segment_kron_sum`;
+    only trees of order ≥ 6 have edges with both blocks non-empty.
+
+    Every row of ``out`` (C-contiguous) is assigned.  ``out`` covers only
+    the requested group range, so disjoint ranges can be filled concurrently
+    by different workers — the row-parallel, lock-free range body of the
+    dimension-tree plan (:meth:`repro.engine.dimtree.DimensionTree.body`).
     """
     if group_stop <= group_start:
         return out
-    dtype = out.dtype
-    sib_width = kron_row_length([f.shape[1] for f in sibling_factors])
-    child_width = out.shape[1]
+    if parent_payload.shape[1] != lo_width * hi_width:
+        raise ValueError(
+            f"payload width {parent_payload.shape[1]} does not factor as "
+            f"lo {lo_width} x hi {hi_width}"
+        )
     # A contiguous grouping's perm is the identity: parent fibers for the
     # requested range are literally rows segptr[0]:segptr[-1], so each block
     # below reads the payload and index columns through slice views instead
@@ -265,7 +271,7 @@ def edge_update_groups(
     # either way, so both paths produce bit-identical payloads.
     segptr = grouping.segptr[group_start : group_stop + 1]
     if block_nnz is None:
-        block_nnz = default_block_size(child_width, itemsize=dtype.itemsize)
+        block_nnz = default_block_size(out.shape[1], itemsize=out.dtype.itemsize)
 
     for start, stop, s_lo, s_hi, local in segment_chunks(segptr, block_nnz):
         if grouping.contiguous:
@@ -282,21 +288,20 @@ def edge_update_groups(
                 factor[parent_index_cols[chunk, col]]
                 for col, factor in zip(sibling_cols, sibling_factors)
             ]
-        kron_scratch = (
-            workspace.take((stop - start, sib_width), dtype, tag="dimtree-kron")
-            if workspace is not None and len(blocks) > 1
-            else None
-        )
-        kron = batch_kron_rows(blocks, out=kron_scratch)
-        insert_scratch = (
-            workspace.take(
-                (stop - start, child_width), dtype, tag="dimtree-insert"
-            )
-            if workspace is not None
-            else None
-        )
-        combined = kron_insert(pay, kron, lo_width, hi_width, out=insert_scratch)
-        write_segment_sums(
-            out, slice(s_lo, s_hi), segptr[s_lo] < start, local, combined
-        )
+        rows, continued = slice(s_lo, s_hi), segptr[s_lo] < start
+        if pay.shape[1] == 1:
+            write_kron_row_sums(out, rows, continued, local, blocks, pay[:, 0])
+            continue
+        sib = batch_kron_rows(blocks)
+        if hi_width == 1:
+            write_segment_sums(out, rows, continued, local, pay, sib)
+        elif lo_width == 1:
+            write_segment_sums(out, rows, continued, local, sib, pay)
+        else:
+            # As in write_segment_sums: a segment the previous block began
+            # adds this block's sum to its row.
+            carry = out[s_lo].copy() if continued else None
+            _middle_segment_sums(local, pay, sib, lo_width, hi_width, out[rows])
+            if continued:
+                out[s_lo] += carry
     return out

@@ -46,6 +46,7 @@ __all__ = [
     "gather_ranges",
     "segment_chunks",
     "write_segment_sums",
+    "write_kron_row_sums",
     "coo_segment_ttmc",
     "compiled_coo_ttmc",
     "coo_rows_range",
@@ -138,6 +139,32 @@ def write_segment_sums(
     if continued:
         sums[0] += out[rows.start if isinstance(rows, slice) else rows[0]]
     out[rows] = sums
+
+
+def write_kron_row_sums(
+    out: np.ndarray,
+    rows,
+    continued: bool,
+    segptr: np.ndarray,
+    factor_rows: Sequence[np.ndarray],
+    weights: np.ndarray,
+) -> None:
+    """Assign one block's weighted Kronecker-row segment sums to ``out[rows]``.
+
+    Position ``z`` contributes ``weights[z] · kron_rows([B[z] for B in
+    factor_rows])``: one gathered ``(m, R_t)`` factor block per multiplied
+    mode, in ascending mode order, and one scalar per position (a nonzero's
+    value, or a dimension-tree root fiber's).  The first ``len − 1`` blocks
+    are combined with :func:`batch_kron_rows`; the last one and the weights
+    go to :func:`repro.core.kron.segment_kron_sum` column by column, so the
+    full-width Kronecker row is never built.  ``rows`` and ``continued`` are
+    as in :func:`write_segment_sums`.
+    """
+    if len(factor_rows) > 1:
+        left, right = batch_kron_rows(factor_rows[:-1]), factor_rows[-1]
+    else:
+        left, right = factor_rows[0], None
+    write_segment_sums(out, rows, continued, segptr, left, right, weights)
 
 
 def _factor_widths(
@@ -272,10 +299,10 @@ def coo_segment_ttmc(
     (``segptr[0] == 0``); its TTMc row is *assigned* to ``out[target[s]]``,
     or to ``out[s]`` when ``target`` is ``None`` — the compiled kernel's
     contract (:func:`compiled_coo_ttmc`).  Blocks of ``block_nnz`` nonzeros
-    gather their factor rows, combine the first ``N − 2`` with
-    :func:`batch_kron_rows` and hand the last factor and the values to
-    :func:`segment_kron_sum`.  ``block_nnz`` defaults to a size bounding a
-    block's ``(segments × ∏R_t)`` sums to ~64 MB.  Called through
+    gather their factor rows and reduce them with the values as weights
+    (:func:`write_kron_row_sums`, which the dimension tree's root edges
+    share).  ``block_nnz`` defaults to a size bounding a block's
+    ``(segments × ∏R_t)`` sums to ~64 MB.  Called through
     :func:`coo_rows_range`.
     """
     dtype = out.dtype
@@ -286,16 +313,13 @@ def coo_segment_ttmc(
     for start, stop, s_lo, s_hi, local in segment_chunks(segptr, block_nnz):
         chunk = positions[start:stop]
         idx = tensor.indices[chunk]
-        rows = [factor[idx[:, t]] for factor, t in zip(factor_arrays, cols)]
-        if len(rows) > 1:
-            left, right = batch_kron_rows(rows[:-1]), rows[-1]
-        else:
-            left, right = rows[0], None
-        write_segment_sums(
+        write_kron_row_sums(
             out,
             slice(s_lo, s_hi) if target is None else target[s_lo:s_hi],
             segptr[s_lo] < start,
-            local, left, right, tensor.values[chunk],
+            local,
+            [factor[idx[:, t]] for factor, t in zip(factor_arrays, cols)],
+            tensor.values[chunk],
         )
     return out
 

@@ -17,7 +17,11 @@ modes; the leaf for mode ``n`` (free = ``{n}``) holds exactly the matricized
 TTMc ``Y_(n)`` rows the factor update needs.  Values are *semi-sparse
 intermediates* (:mod:`repro.core.subset_ttmc`): the distinct index tuples
 over the free modes (fibers, merged once symbolically per edge) paired with
-a dense payload over the multiplied ranks.
+a dense payload over the multiplied ranks.  An edge update sums
+``parent payload ⊗ sibling factor rows`` over each child fiber's parent
+fibers as CSR sparse × dense products written straight into the child
+payload (:func:`~repro.core.subset_ttmc.edge_update_groups`) — the segment
+sums of the per-mode kernels; a root edge is exactly a COO TTMc block.
 
 Caching and invalidation
 ------------------------
@@ -45,7 +49,9 @@ Node payloads live in the engine's :class:`~repro.engine.workspace.WorkspacePool
 (one buffer per node, reused across iterations), trading
 ``Σ_nodes fibers × ∏ranks`` of resident memory for the recomputation the
 per-mode strategy performs — the tradeoff ``HOOIOptions.ttmc_strategy``
-selects.
+selects.  Edge updates draw no scratch from the pool: their per-block
+temporaries (gathered rows, at most sibling-width Kronecker rows) are
+private, which keeps every range body lock-free.
 
 Execution
 ---------
@@ -307,7 +313,10 @@ class DimensionTree(TTMcPlan):
         return self.nodes[node_id].num_fibers
 
     def body(self, node_id: int, start: int, stop: int, workspace=None) -> None:
-        """Refine fibers ``[start, stop)`` of one edge into the node payload."""
+        """Refine fibers ``[start, stop)`` of one edge into the node payload.
+
+        Allocates its block temporaries privately; ``workspace`` is unused.
+        """
         node = self.nodes[node_id]
         parent = node.parent
         ranks = [None if f is None else f.shape[1] for f in self.factors]
@@ -327,7 +336,6 @@ class DimensionTree(TTMcPlan):
             hi_width,
             node.payload[start:stop],
             block_nnz=self.block_nnz,
-            workspace=workspace,
         )
 
     def ttmc(self, mode: int, run, out=None, workspace=None) -> np.ndarray:
@@ -354,13 +362,13 @@ class DimensionTree(TTMcPlan):
 
         Matches :func:`repro.core.ttmc.ttmc_matricized` in shape, column
         order and dtype promotion.  ``factors[mode]`` is never multiplied and
-        may be ``None``.  ``workspace`` supplies the node payload and scratch
-        buffers; ``run(node_id)`` refines a stale node over all its fibers
-        (a dispatcher's range runner — inline by default).  ``zero``
-        controls how much of a caller-provided ``out`` is cleared
-        (``"full"``/``"touched"``/``"none"``); the leaf rows are *assigned*,
-        so ``"none"`` is sufficient when the caller keeps the empty rows
-        zero (the engine's per-mode pooled buffers do).
+        may be ``None``.  ``workspace`` supplies the node payload buffers
+        (edges draw no scratch from it); ``run(node_id)`` refines a stale
+        node over all its fibers (a dispatcher's range runner — inline by
+        default).  ``zero`` controls how much of a caller-provided ``out``
+        is cleared (``"full"``/``"touched"``/``"none"``); the leaf rows are
+        *assigned*, so ``"none"`` is sufficient when the caller keeps the
+        empty rows zero (the engine's per-mode pooled buffers do).
         """
         mode = check_axis(mode, self.order)
         if zero not in ("full", "touched", "none"):
@@ -388,7 +396,7 @@ class DimensionTree(TTMcPlan):
         self.factors = list(factors)
         if run is None:
             def run(node_id: int) -> None:
-                self.body(node_id, 0, self.items(node_id), workspace)
+                self.body(node_id, 0, self.items(node_id))
 
         path = self.path(mode)
         for node in path:

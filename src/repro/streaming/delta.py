@@ -24,6 +24,7 @@ from repro.core.sparse_tensor import (
     as_supported_float,
     resolve_dtype,
 )
+from repro.util.validation import check_finite
 
 __all__ = ["DeltaBatch", "apply_delta"]
 
@@ -95,6 +96,7 @@ class DeltaBatch:
                 raise ValueError("indices must be a 2-D array of shape (nnz, order)")
         if values.ndim != 1 or values.shape[0] != indices.shape[0]:
             raise ValueError("values must be 1-D with one entry per nonzero")
+        check_finite(values)
         if indices.shape[0] and (indices.min(axis=0) < 0).any():
             raise ValueError("negative indices are not allowed")
         self.indices = indices

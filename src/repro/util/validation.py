@@ -19,6 +19,7 @@ __all__ = [
     "check_rank_feasibility",
     "check_same_order",
     "check_dtype_real",
+    "check_finite",
 ]
 
 
@@ -123,3 +124,20 @@ def check_dtype_real(array: np.ndarray, name: str) -> np.ndarray:
     if not np.issubdtype(arr.dtype, np.floating):
         arr = arr.astype(np.float64)
     return arr
+
+
+def check_finite(values: np.ndarray) -> None:
+    """Reject NaN and ±Inf entries of a tensor's or batch's values.
+
+    Raises one :class:`ValueError` giving the number of non-finite entries
+    and the position and value of the first, before a kernel can turn them
+    into an SVD that does not converge.
+    """
+    if np.isfinite(values).all():
+        return
+    bad = np.flatnonzero(~np.isfinite(values))
+    raise ValueError(
+        f"values contain {bad.size} non-finite "
+        f"entr{'y' if bad.size == 1 else 'ies'} (NaN or ±Inf); the first is "
+        f"{values[bad[0]]}, at position {bad[0]}"
+    )

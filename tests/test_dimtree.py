@@ -4,7 +4,7 @@ Covers the tentpole contract of the dimtree backend:
 
 * tree construction for orders 3..6 — leaf/internal mode sets partition
   correctly and node fibers are exactly the distinct index tuples;
-* the subset kernels (fiber grouping, Kronecker insertion) against explicit
+* the subset kernels (fiber grouping, edge updates) against explicit
   references;
 * cache invalidation — after refreshing a factor, exactly the root-to-leaf
   path of that mode stays fresh, a steady HOOI sweep recomputes each
@@ -26,13 +26,14 @@ import pytest
 from repro.core import (
     HOOIOptions,
     SparseTensor,
+    edge_update_groups,
     group_fibers,
     hooi,
-    kron_insert,
     kron_rows,
     subset_widths,
     ttmc_matricized,
 )
+from repro.core.subset_ttmc import group_fibers_presorted
 from repro.data import planted_lowrank_tensor
 from repro.engine import (
     DimensionTree,
@@ -137,23 +138,137 @@ class TestSubsetKernels:
                 cols[members], np.tile(uniq[g], (len(members), 1))
             )
 
-    def test_kron_insert_matches_explicit_kron(self):
-        rng = np.random.default_rng(1)
-        lo, mid, hi = 3, 4, 2
-        low = rng.standard_normal((7, lo))
-        middle = rng.standard_normal((7, mid))
-        high = rng.standard_normal((7, hi))
-        payload = np.stack([kron_rows([a, c]) for a, c in zip(low, high)])
-        inserted = kron_insert(payload, middle, lo, hi)
-        expected = np.stack(
-            [kron_rows([a, b, c]) for a, b, c in zip(low, middle, high)]
-        )
-        assert np.allclose(inserted, expected, atol=1e-12)
-
     def test_subset_widths(self):
         assert subset_widths((2, 3, 4, 5), 1, 2) == (2, 5)
         assert subset_widths((2, 3, 4, 5), 0, 3) == (1, 1)
         assert subset_widths((2, None, None, 5), 1, 2) == (2, 5)
+
+
+#: Edge shapes: (payload low width, payload high width, sibling ranks).
+#: Width-1 payloads are root edges; only trees of order >= 6 have edges
+#: with both payload blocks wider than 1.
+_EDGE_CASES = {
+    "root-one-sibling": (1, 1, (3,)),
+    "root-two-siblings": (1, 1, (3, 2)),
+    "hi-width-1": (6, 1, (4,)),
+    "lo-width-1": (1, 5, (3, 2)),
+    "both-wide": (3, 2, (4,)),
+    "both-wide-wider-sibling": (2, 2, (3, 3)),
+}
+
+
+def _edge_problem(case, contiguous, dtype="float64", seed=0):
+    """A parent node of 80 fibers over (group, sibling...) columns.
+
+    Group 2 holds 15 of the fibers, so a small ``block_nnz`` splits it over
+    several blocks.  Contiguous groupings come from lex-sorted parents
+    (:func:`group_fibers_presorted`), permuted ones from a sort.
+    """
+    lo, hi, sib_ranks = _EDGE_CASES[case]
+    rng = np.random.default_rng(seed)
+    m = 80
+    group_col = np.concatenate([np.full(15, 2), rng.integers(0, 9, m - 15)])
+    cols = np.column_stack(
+        [group_col] + [rng.integers(0, 7, m) for _ in sib_ranks]
+    )
+    if contiguous:
+        cols = cols[np.lexsort(cols[:, ::-1].T)]
+        grouping = group_fibers_presorted(cols[:, :1])
+    else:
+        cols = cols[rng.permutation(m)]
+        grouping = group_fibers(cols[:, :1])
+    low = rng.standard_normal((m, lo)).astype(dtype)
+    high = rng.standard_normal((m, hi)).astype(dtype)
+    factors = [rng.standard_normal((7, r)).astype(dtype) for r in sib_ranks]
+    payload = np.stack([kron_rows([a, b]) for a, b in zip(low, high)])
+    return grouping, cols, low, high, payload, factors
+
+
+def _edge_reference(grouping, start, stop, cols, low, high, factors):
+    """Loop reference: per group, Σ kron(low, sibling rows, high) of its parents."""
+    rows = []
+    for g in range(start, stop):
+        parents = grouping.perm[grouping.segptr[g]:grouping.segptr[g + 1]]
+        rows.append(sum(
+            kron_rows(
+                [low[p]]
+                + [f[cols[p, 1 + i]] for i, f in enumerate(factors)]
+                + [high[p]]
+            )
+            for p in parents
+        ))
+    return np.array(rows)
+
+
+def _edge_update(grouping, start, stop, cols, payload, factors, lo, hi,
+                 block_nnz=None):
+    width = lo * hi * int(np.prod([f.shape[1] for f in factors]))
+    # NaN-filled, so a row the update leaves unassigned shows up.
+    out = np.full((stop - start, width), np.nan, dtype=payload.dtype)
+    return edge_update_groups(
+        grouping, start, stop, payload, cols,
+        list(range(1, 1 + len(factors))), factors, lo, hi, out,
+        block_nnz=block_nnz,
+    )
+
+
+class TestEdgeUpdate:
+    """``edge_update_groups`` against a Python-loop Kronecker reference."""
+
+    @pytest.mark.parametrize("contiguous", [True, False],
+                             ids=["contiguous", "permuted"])
+    @pytest.mark.parametrize("case", sorted(_EDGE_CASES))
+    def test_matches_loop_reference(self, case, contiguous):
+        grouping, cols, low, high, payload, factors = _edge_problem(
+            case, contiguous
+        )
+        lo, hi, _ = _EDGE_CASES[case]
+        got = _edge_update(
+            grouping, 0, grouping.num_groups, cols, payload, factors, lo, hi
+        )
+        expected = _edge_reference(
+            grouping, 0, grouping.num_groups, cols, low, high, factors
+        )
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("contiguous", [True, False],
+                             ids=["contiguous", "permuted"])
+    @pytest.mark.parametrize("case", sorted(_EDGE_CASES))
+    def test_group_split_over_blocks_in_a_sub_range(self, case, contiguous):
+        grouping, cols, low, high, payload, factors = _edge_problem(
+            case, contiguous, seed=1
+        )
+        lo, hi, _ = _EDGE_CASES[case]
+        start, stop, block_nnz = 1, grouping.num_groups - 1, 6
+        # Group 2 (15 fibers) spans three blocks of 6.
+        assert grouping.group_sizes()[2] > 2 * block_nnz
+        got = _edge_update(
+            grouping, start, stop, cols, payload, factors, lo, hi,
+            block_nnz=block_nnz,
+        )
+        expected = _edge_reference(
+            grouping, start, stop, cols, low, high, factors
+        )
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("case", sorted(_EDGE_CASES))
+    def test_float32_stays_float32(self, case):
+        grouping, cols, low, high, payload, factors = _edge_problem(
+            case, contiguous=False, dtype="float32", seed=2
+        )
+        lo, hi, _ = _EDGE_CASES[case]
+        got = _edge_update(
+            grouping, 0, grouping.num_groups, cols, payload, factors, lo, hi,
+            block_nnz=7,
+        )
+        expected = _edge_reference(
+            grouping, 0, grouping.num_groups, cols,
+            low.astype(np.float64), high.astype(np.float64),
+            [f.astype(np.float64) for f in factors],
+        )
+        assert got.dtype == np.float32
+        scale = np.abs(expected).max()
+        assert np.abs(got - expected).max() <= 1e-5 * scale
 
 
 class TestCacheInvalidation:

@@ -312,7 +312,7 @@ class TestWorkspacePool:
     def test_tags_separate_equal_shapes(self):
         pool = WorkspacePool()
         a = pool.take((4, 4), np.float64, tag="ttmc-out")
-        b = pool.take((4, 4), np.float64, tag="dimtree-insert")
+        b = pool.take((4, 4), np.float64, tag="dimtree0-node1")
         assert a is not b
 
     def test_scratch_never_aliases_output(self):

@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.core import SparseTensor
+from repro.data import read_tns
+from repro.streaming import DeltaBatch
 from repro.util.validation import (
     check_axis,
     check_dtype_real,
+    check_finite,
     check_positive_int,
     check_rank_vector,
     check_same_order,
@@ -120,3 +124,52 @@ class TestCheckDtypeReal:
     def test_complex_rejected(self):
         with pytest.raises(TypeError):
             check_dtype_real(np.array([1j]), "a")
+
+
+_NON_FINITE = pytest.mark.parametrize(
+    "bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"]
+)
+
+
+class TestNonFiniteValues:
+    """One gate, at tensor and delta-batch construction, names count and position."""
+
+    INDICES = np.array([[0, 0, 0], [1, 2, 3], [2, 4, 5], [3, 1, 1]])
+
+    def test_check_finite_passes_finite_values(self):
+        check_finite(np.array([0.0, -1.5, 1e300], dtype=np.float64))
+        check_finite(np.empty(0, dtype=np.float32))
+
+    def test_message_gives_count_and_first_position(self):
+        values = np.array([1.0, np.inf, 2.0, np.nan])
+        with pytest.raises(ValueError, match=r"2 non-finite entries .* inf, at position 1"):
+            check_finite(values)
+
+    @_NON_FINITE
+    def test_sparse_tensor_rejects(self, bad):
+        values = np.array([1.0, 2.0, bad, 3.0])
+        with pytest.raises(ValueError, match=r"1 non-finite entry .* at position 2"):
+            SparseTensor(self.INDICES, values, (4, 5, 6))
+
+    @_NON_FINITE
+    def test_delta_batch_rejects(self, bad):
+        values = np.array([bad, 1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match=r"1 non-finite entry .* at position 0"):
+            DeltaBatch(self.INDICES, values)
+
+    def test_float32_overflow_rejected(self):
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(ValueError, match="non-finite"):
+                SparseTensor(self.INDICES[:1], np.array([1e39]), (4, 5, 6),
+                             dtype="float32")
+
+    def test_tns_file_with_nan(self, tmp_path):
+        path = tmp_path / "bad.tns"
+        path.write_text("1 1 1 1.0\n2 3 4 nan\n3 5 6 2.0\n")
+        with pytest.raises(ValueError, match=r"1 non-finite entry .* at position 1"):
+            read_tns(path)
+
+    def test_scale_by_inf(self):
+        tensor = SparseTensor(self.INDICES, np.arange(1.0, 5.0), (4, 5, 6))
+        with pytest.raises(ValueError, match="4 non-finite entries"):
+            tensor.scale(np.inf)
