@@ -2,7 +2,7 @@
 
 These are not tied to a specific paper table; they time the building blocks
 whose design DESIGN.md calls out — the symbolic preprocessing, the numeric
-TTMc with and without reusing the symbolic data, the TRSVD solvers and the
+TTMc with and without reusing the symbolic data, the Lanczos TRSVD and the
 hypergraph partitioner — so regressions in any of them are visible.
 """
 
@@ -13,7 +13,6 @@ import pytest
 from repro.core import (
     SymbolicTTMc,
     lanczos_svd,
-    randomized_svd,
     symbolic_ttmc,
     ttmc_matricized,
 )
@@ -78,26 +77,14 @@ def test_trsvd_lanczos(benchmark, tensor, factors, symbolic):
     assert result.left.shape == (tensor.shape[0], 10)
 
 
-def test_trsvd_randomized(benchmark, tensor, factors, symbolic):
-    """Randomized TRSVD on the same matrix (solver ablation)."""
-    y = ttmc_matricized(tensor, factors, 0, symbolic=symbolic[0])
-    result = benchmark(randomized_svd, y, 10, power_iterations=2, seed=0)
-    assert result.left.shape == (tensor.shape[0], 10)
-
-
 def test_fine_hypergraph_build(benchmark, tensor):
     """Constructing the fine-grain hypergraph model."""
     hg, _ = benchmark(build_fine_hypergraph, tensor)
     assert hg.num_vertices == tensor.nnz
 
 
-@pytest.mark.slow
 def test_multilevel_partitioner(benchmark, tensor):
-    """Multilevel K-way partitioning of the fine-grain model (PaToH stand-in).
-
-    One round takes about a minute on 2 CPUs, so it runs outside tier-1
-    (``-m slow``).
-    """
+    """Multilevel K-way partitioning of the fine-grain model (PaToH stand-in)."""
     hg, _ = build_fine_hypergraph(tensor)
     options = PartitionerOptions(seed=0)
     parts = benchmark.pedantic(

@@ -48,13 +48,11 @@ from repro.core.subset_ttmc import (
 )
 from repro.core.ttm import SemiSparseTensor, sparse_ttm, sparse_ttm_chain, sparse_ttv
 from repro.core.trsvd import (
-    CountingOperator,
     DenseOperator,
     LinearOperator,
     TRSVDResult,
     gram_svd,
     lanczos_svd,
-    randomized_svd,
     truncated_svd,
 )
 from repro.core.hosvd import hosvd_init, initialize_factors, random_init
@@ -93,13 +91,11 @@ __all__ = [
     "sparse_ttm",
     "sparse_ttm_chain",
     "sparse_ttv",
-    "CountingOperator",
     "DenseOperator",
     "LinearOperator",
     "TRSVDResult",
     "gram_svd",
     "lanczos_svd",
-    "randomized_svd",
     "truncated_svd",
     "hosvd_init",
     "initialize_factors",

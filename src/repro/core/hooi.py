@@ -40,12 +40,11 @@ __all__ = [
 
 #: Values each option axis accepts, anywhere.  Context-specific composition
 #: rules live in :meth:`HOOIOptions.validate`; the conformance matrix
-#: (``tests/test_conformance_matrix.py``) sweeps these axes.  Two values sit
+#: (``tests/test_conformance_matrix.py``) sweeps these axes.  One value sits
 #: outside its full cross product: ``"process"`` (distributed rejection is in
 #: the matrix; single-node parity lives in ``tests/test_process_backend.py``,
-#: which spawns real worker pools) and ``"dense"`` (matrix asserts the
-#: distributed rejection; it is a small-problem debugging solver).
-TRSVD_METHODS = ("lanczos", "randomized", "gram", "dense")
+#: which spawns real worker pools).
+TRSVD_METHODS = ("lanczos", "gram")
 TTMC_STRATEGIES = ("per-mode", "dimtree")
 EXECUTIONS = ("sequential", "thread", "process")
 TENSOR_FORMATS = ("coo", "csf")
@@ -93,12 +92,11 @@ class HOOIOptions:
     """Knobs of the HOOI drivers (defaults follow the paper's experiments).
 
     ``trsvd_method`` selects the factor-update solver: ``"lanczos"`` (the
-    default, mirroring SLEPc), ``"randomized"`` (seeded Halko-style range
-    finder), ``"gram"`` (eigendecomposition of the small ``W × W`` Gram
-    matrix ``YᵀY`` — the right tool when the matricized width
+    default and the paper's method, mirroring SLEPc; the only solver the
+    distributed driver runs) or ``"gram"`` (eigendecomposition of the small
+    ``W × W`` Gram matrix ``YᵀY`` — the right tool when the matricized width
     ``W = ∏_{t≠n} R_t`` is small relative to ``I_n``, with a squared-spectrum
-    conditioning caveat; see :func:`repro.core.trsvd.gram_svd`) or
-    ``"dense"`` (full LAPACK SVD, small problems only).  ``dtype``
+    conditioning caveat; see :func:`repro.core.trsvd.gram_svd`).  ``dtype``
     is the engine's precision policy (``"float32"`` or ``"float64"``) applied
     to the tensor values, factors, TTMc and TRSVD operands alike.
     ``ttmc_strategy`` selects how the sequential and shared-memory drivers
@@ -267,9 +265,9 @@ class HOOIOptions:
                 raise ValueError(
                     "the distributed driver supports only "
                     f"trsvd_method='lanczos', got {self.trsvd_method!r}: the "
-                    "gram/randomized/dense solvers have no distributed "
-                    "(fold/scatter) implementation — run them on the "
-                    "single-node drivers instead"
+                    "gram solver has no distributed (fold/scatter) "
+                    "implementation — run it on the single-node drivers "
+                    "instead"
                 )
             if execution == "process":
                 raise ValueError(

@@ -3,8 +3,8 @@
 Algorithm 1 of the paper initializes the factor matrices either randomly or
 with the higher-order SVD (HOSVD) [De Lathauwer et al. 2000]: ``U_n`` is set
 to the leading ``R_n`` left singular vectors of the sparse matricization
-``X_(n)``.  Both options are provided; the HOSVD path works directly on the
-sparse CSR matricization so it scales to large sparse tensors.
+``X_(n)``.  Both options are provided; the HOSVD path hands the sparse CSR
+matricization to ARPACK, so it scales to large sparse tensors.
 """
 
 from __future__ import annotations
@@ -12,29 +12,13 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.core.sparse_tensor import SparseTensor
-from repro.core.trsvd import LinearOperator, lanczos_svd
 from repro.util.linalg import random_orthonormal
 from repro.util.validation import check_rank_vector
 
 __all__ = ["random_init", "hosvd_init", "initialize_factors"]
-
-
-class _SparseMatricizationOperator(LinearOperator):
-    """Matrix-free wrapper around a CSR matricization (for the Lanczos path)."""
-
-    def __init__(self, matrix: sp.csr_matrix) -> None:
-        self.matrix = matrix
-        self.shape = matrix.shape
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.matrix @ x).ravel()
-
-    def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        return np.asarray(self.matrix.T @ y).ravel()
 
 
 def random_init(
@@ -53,16 +37,15 @@ def hosvd_init(
     tensor: SparseTensor,
     ranks: Sequence[int] | int,
     *,
-    backend: str = "scipy",
     seed: Optional[int] = 0,
 ) -> List[np.ndarray]:
     """HOSVD initialization: leading left singular vectors of each ``X_(n)``.
 
-    ``backend`` selects the sparse SVD solver: ``"scipy"`` uses
-    ``scipy.sparse.linalg.svds`` (ARPACK), ``"lanczos"`` uses the library's own
-    matrix-free solver.  Modes whose rank equals the mode size fall back to a
-    dense SVD of the matricization's Gram-free thin SVD when small, or to the
-    Lanczos solver otherwise.
+    Each sparse CSR matricization goes to ``scipy.sparse.linalg.svds``
+    (ARPACK) with a seeded start vector.  When the rank is too close to the
+    matricization's dimensions for ARPACK (``rank >= min(rows, cols) - 1``),
+    one side of it has at most ``rank + 1`` entries, so it is densified and
+    takes a thin SVD instead.
     """
     ranks = check_rank_vector(ranks, tensor.shape)
     factors: List[np.ndarray] = []
@@ -70,15 +53,12 @@ def hosvd_init(
         mat = tensor.matricize(mode)
         rows, cols = mat.shape
         max_arpack = min(rows, cols) - 1
-        if backend == "scipy" and 0 < rank <= max_arpack:
+        if 0 < rank <= max_arpack:
             rng = np.random.default_rng(None if seed is None else seed + mode)
             v0 = rng.standard_normal(min(rows, cols))
             u, _, _ = spla.svds(mat.astype(np.float64), k=rank, v0=v0)
             # svds returns singular values (and vectors) in ascending order.
             factors.append(np.ascontiguousarray(u[:, ::-1]))
-        elif backend == "lanczos" and rank <= max_arpack:
-            result = lanczos_svd(_SparseMatricizationOperator(mat), rank, seed=seed)
-            factors.append(result.left)
         else:
             # Rank too close to the matrix dimensions for an iterative solver:
             # densify only this matricization (rows == shape[mode] is small in

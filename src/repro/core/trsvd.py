@@ -11,19 +11,19 @@ algorithm hooks into: the fine-grain variant keeps ``Y_(n)`` in sum-distributed
 form and implements the two products with communication (see
 :mod:`repro.distributed.dist_trsvd`).
 
-Three solvers are provided:
+Two solvers are provided:
 
 * :func:`lanczos_svd` — Golub-Kahan Lanczos bidiagonalization with full
   reorthogonalization and implicit restarting; the default, mirroring the
-  Krylov solvers SLEPc provides.
-* :func:`randomized_svd` — a randomized range finder with power iterations,
-  useful as a cross-check and for the ablation benchmarks.
+  Krylov solvers SLEPc provides.  The same loop runs on a dense ``Y_(n)``
+  and on one rank's block of a distributed ``Y_(n)``: the operator supplies
+  the row-space reductions (see :class:`LinearOperator`).
 * :func:`gram_svd` — ``eigh`` of the *small* ``W × W`` Gram matrix ``YᵀY``
   plus the recovery ``U = Y V Σ⁻¹``; the fast path when the matricized
   width ``W = ∏_{t≠n} R_t`` is small relative to ``I_n`` (it squares the
   spectrum, so trailing singular values lose accuracy — see its docstring).
 
-The iterative solvers report the number of operator applications so
+The Lanczos solver reports the number of operator applications so
 experiments can account for per-iteration communication exactly as the
 paper does.
 """
@@ -42,10 +42,8 @@ from repro.util.linalg import orthonormalize
 __all__ = [
     "LinearOperator",
     "DenseOperator",
-    "CountingOperator",
     "TRSVDResult",
     "lanczos_svd",
-    "randomized_svd",
     "gram_svd",
     "truncated_svd",
 ]
@@ -56,6 +54,14 @@ class LinearOperator:
 
     Subclasses implement ``matvec(x) -> A @ x`` (length ``shape[0]``) and
     ``rmatvec(y) -> A.T @ y`` (length ``shape[1]``).
+
+    :func:`lanczos_svd` also reduces over the row (left) space: it needs the
+    global row count, ``basisᵀ @ v`` against its left basis, left norms and
+    a generator for left deflation vectors.  The defaults assume this
+    process holds every row.  An operator whose rows are spread over ranks
+    (:class:`~repro.distributed.dist_trsvd.DistributedTTMcMatrix`) holds
+    only a segment, so ``shape[0]`` is the local row count, and overrides
+    these four with allreduces and a rank-local stream.
     """
 
     shape: Tuple[int, int]
@@ -66,14 +72,27 @@ class LinearOperator:
     def rmatvec(self, y: np.ndarray) -> np.ndarray:  # pragma: no cover - interface
         raise NotImplementedError
 
-    def matmat(self, block: np.ndarray) -> np.ndarray:
-        """Apply the operator to each column of ``block`` (default: loop)."""
-        block = np.asarray(block)
-        return np.column_stack([self.matvec(block[:, j]) for j in range(block.shape[1])])
+    def global_rows(self) -> int:
+        """Row count of the whole operator (clamps the rank and subspace)."""
+        return int(self.shape[0])
 
-    def rmatmat(self, block: np.ndarray) -> np.ndarray:
-        block = np.asarray(block)
-        return np.column_stack([self.rmatvec(block[:, j]) for j in range(block.shape[1])])
+    def left_dot(self, basis: np.ndarray, vector: np.ndarray) -> np.ndarray:
+        """``basisᵀ @ vector`` for a left basis ``(shape[0], j)``."""
+        return basis.T @ vector
+
+    def left_norm(self, vector: np.ndarray) -> float:
+        """2-norm of a left vector."""
+        return float(np.linalg.norm(vector))
+
+    def left_rng(
+        self, shared: np.random.Generator, seed: Optional[int]
+    ) -> np.random.Generator:
+        """Generator that deflated left vectors are redrawn from.
+
+        ``shared`` is the solver's own stream (seeded with ``seed``), which
+        also draws the right starting and deflation vectors.
+        """
+        return shared
 
 
 class DenseOperator(LinearOperator):
@@ -96,38 +115,6 @@ class DenseOperator(LinearOperator):
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         return self.matrix.T @ y
-
-    def matmat(self, block: np.ndarray) -> np.ndarray:
-        return self.matrix @ block
-
-    def rmatmat(self, block: np.ndarray) -> np.ndarray:
-        return self.matrix.T @ block
-
-
-class CountingOperator(LinearOperator):
-    """Decorator counting operator applications (MxV / MTxV)."""
-
-    def __init__(self, inner: LinearOperator) -> None:
-        self.inner = inner
-        self.shape = inner.shape
-        self.matvec_count = 0
-        self.rmatvec_count = 0
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        self.matvec_count += 1
-        return self.inner.matvec(x)
-
-    def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        self.rmatvec_count += 1
-        return self.inner.rmatvec(y)
-
-    def matmat(self, block: np.ndarray) -> np.ndarray:
-        self.matvec_count += block.shape[1]
-        return self.inner.matmat(block)
-
-    def rmatmat(self, block: np.ndarray) -> np.ndarray:
-        self.rmatvec_count += block.shape[1]
-        return self.inner.rmatmat(block)
 
 
 @dataclass
@@ -167,24 +154,32 @@ def lanczos_svd(
 
     The bidiagonalization is run with full reorthogonalization up to a
     subspace of ``subspace`` vectors (default ``max(2 * rank + 4, rank + 8)``,
-    capped at ``min(op.shape)``); if the top-``rank`` triplets have not
-    converged the factorization is (thick-)restarted from the current Ritz
-    vectors, up to ``max_restarts`` times.  Convergence of triplet ``i`` is
-    declared when its residual bound ``beta * |last Ritz component|`` falls
-    below ``tol * sigma_max``.
+    capped at the smaller global dimension); if the top-``rank`` triplets
+    have not converged the factorization is (thick-)restarted from the
+    current Ritz vectors, up to ``max_restarts`` times.  Convergence of
+    triplet ``i`` is declared when its residual bound
+    ``beta * |last Ritz component|`` falls below ``tol * sigma_max``.
+
+    Left vectors have ``op.shape[0]`` rows and every reduction over them
+    goes through the operator's ``left_*`` methods, so on a distributed
+    operator each rank gets its own row segment of ``left`` back.  Right
+    vectors are short and replicated; every rank runs the same scalar
+    control flow, so the restart decisions agree without extra messages.
     """
     op = _as_operator(matrix)
-    counter = op if isinstance(op, CountingOperator) else CountingOperator(op)
-    m, n = counter.shape
+    m, n = op.shape
+    rows = op.global_rows()
     rank = int(rank)
     if rank <= 0:
         raise ValueError("rank must be positive")
-    rank = min(rank, m, n)
+    cap = min(rows, n) if rows > 0 else n
+    rank = max(min(rank, cap), 1)
     if subspace is None:
         subspace = max(2 * rank + 4, rank + 8)
-    subspace = int(min(max(subspace, rank + 1), min(m, n)))
+    subspace = int(min(max(subspace, rank + 1), max(cap, 1)))
 
     rng = np.random.default_rng(seed)
+    left_rng = op.left_rng(rng, seed)
     # Right starting vector.
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
@@ -195,6 +190,7 @@ def lanczos_svd(
     betas = np.zeros(subspace)
 
     total_restarts = 0
+    matvecs = rmatvecs = 0
     converged = False
     left = np.zeros((m, rank))
     right = np.zeros((n, rank))
@@ -209,15 +205,18 @@ def lanczos_svd(
         total_restarts = restart + 1
         j = start
         while j < subspace:
-            u = counter.matvec(V[:, j]) - beta_prev * u_prev
+            u = op.matvec(V[:, j]) - beta_prev * u_prev
+            matvecs += 1
             # Full reorthogonalization against previous left vectors.
             if j > 0:
-                u -= U[:, :j] @ (U[:, :j].T @ u)
-            alpha = np.linalg.norm(u)
+                u -= U[:, :j] @ op.left_dot(U[:, :j], u)
+            alpha = op.left_norm(u)
             if alpha < 1e-14:
-                u = rng.standard_normal(m)
-                u -= U[:, :j] @ (U[:, :j].T @ u)
-                alpha_norm = np.linalg.norm(u)
+                # Deflate with a random direction orthogonal to the basis.
+                u = left_rng.standard_normal(m)
+                if j > 0:
+                    u -= U[:, :j] @ op.left_dot(U[:, :j], u)
+                alpha_norm = op.left_norm(u)
                 u = u / alpha_norm if alpha_norm > 0 else u
                 alpha = 0.0
             else:
@@ -225,7 +224,8 @@ def lanczos_svd(
             U[:, j] = u
             alphas[j] = alpha
 
-            w = counter.rmatvec(u) - alpha * V[:, j]
+            w = op.rmatvec(u) - alpha * V[:, j]
+            rmatvecs += 1
             w -= V[:, : j + 1] @ (V[:, : j + 1].T @ w)
             beta = np.linalg.norm(w)
             if beta < 1e-14:
@@ -293,58 +293,9 @@ def lanczos_svd(
         singular_values=np.ascontiguousarray(sigma[:rank]),
         right=np.ascontiguousarray(right[:, :rank]) if compute_right else None,
         iterations=total_restarts,
-        matvecs=counter.matvec_count,
-        rmatvecs=counter.rmatvec_count,
+        matvecs=matvecs,
+        rmatvecs=rmatvecs,
         converged=converged,
-    )
-
-
-def randomized_svd(
-    matrix: Union[np.ndarray, LinearOperator],
-    rank: int,
-    *,
-    oversample: int = 8,
-    power_iterations: int = 2,
-    seed: Optional[int] = 0,
-    compute_right: bool = True,
-) -> TRSVDResult:
-    """Randomized truncated SVD (Halko-Martinsson-Tropp range finder).
-
-    Uses ``rank + oversample`` random probes and ``power_iterations`` rounds of
-    subspace (power) iteration with re-orthonormalization, then a dense SVD of
-    the small projected matrix.  All accesses go through ``matmat``/``rmatmat``
-    so the same distributed operators work here too.
-    """
-    op = _as_operator(matrix)
-    counter = op if isinstance(op, CountingOperator) else CountingOperator(op)
-    m, n = counter.shape
-    rank = int(rank)
-    if rank <= 0:
-        raise ValueError("rank must be positive")
-    rank = min(rank, m, n)
-    probes = min(rank + int(oversample), n)
-
-    rng = np.random.default_rng(seed)
-    omega = rng.standard_normal((n, probes))
-    sample = counter.matmat(omega)
-    q, _ = np.linalg.qr(sample)
-    for _ in range(int(power_iterations)):
-        z = counter.rmatmat(q)
-        z, _ = np.linalg.qr(z)
-        sample = counter.matmat(z)
-        q, _ = np.linalg.qr(sample)
-    # Project: B = Qᵀ A  (n columns), computed as (Aᵀ Q)ᵀ.
-    b = counter.rmatmat(q).T
-    ub, s, vt = np.linalg.svd(b, full_matrices=False)
-    left = q @ ub[:, :rank]
-    return TRSVDResult(
-        left=np.ascontiguousarray(left),
-        singular_values=np.ascontiguousarray(s[:rank]),
-        right=np.ascontiguousarray(vt[:rank].T) if compute_right else None,
-        iterations=int(power_iterations) + 1,
-        matvecs=counter.matvec_count,
-        rmatvecs=counter.rmatvec_count,
-        converged=True,
     )
 
 
@@ -366,9 +317,9 @@ def gram_svd(
 
     Conditioning caveat: the Gram matrix squares the spectrum, so singular
     values below roughly ``√ε · σ_max`` are lost to rounding and their
-    vectors are unreliable.  Numerically tiny directions are repaired by
-    re-orthonormalization (random completion), keeping ``U`` orthonormal;
-    prefer ``"lanczos"`` when trailing singular values matter.
+    vectors are unreliable.  Numerically tiny directions are replaced by a
+    completion of the resolved ones to an orthonormal basis, keeping ``U``
+    orthonormal; prefer ``"lanczos"`` when trailing singular values matter.
     """
     dense = as_supported_float(np.asarray(matrix))
     if dense.ndim != 2:
@@ -398,7 +349,7 @@ def gram_svd(
     left[:, safe] /= sigma[safe]
     if not np.all(safe):
         # Directions squashed by the squared spectrum: zero them out and let
-        # the orthonormalization complete the basis with random directions.
+        # the orthonormalization complete the basis.
         left[:, ~safe] = 0.0
         left = orthonormalize(left)
     return TRSVDResult(
@@ -419,10 +370,9 @@ def truncated_svd(
     method: str = "lanczos",
     **kwargs,
 ) -> TRSVDResult:
-    """Dispatch to a truncated-SVD backend.
+    """Dispatch to a truncated-SVD solver.
 
-    ``method`` is one of ``"lanczos"`` (default), ``"randomized"``, ``"dense"``
-    (full LAPACK SVD — only for small matrices / tests), or ``"gram"``
+    ``method`` is ``"lanczos"`` (default, :func:`lanczos_svd`) or ``"gram"``
     (:func:`gram_svd`: ``eigh`` of the small ``W × W`` Gram matrix ``YᵀY``
     plus the recovery ``U = Y V Σ⁻¹`` — the fast path for tall-and-skinny
     operands, with a squared-spectrum conditioning caveat).
@@ -433,26 +383,10 @@ def truncated_svd(
     maybe_fail("trsvd")
     if method == "lanczos":
         return lanczos_svd(matrix, rank, **kwargs)
-    if method == "randomized":
-        return randomized_svd(matrix, rank, **kwargs)
-    if method == "dense":
-        dense = matrix.matrix if isinstance(matrix, DenseOperator) else np.asarray(matrix)
-        if isinstance(matrix, LinearOperator) and not isinstance(matrix, DenseOperator):
-            raise TypeError("method='dense' needs an explicit matrix")
-        u, s, vt = np.linalg.svd(dense, full_matrices=False)
-        rank = min(int(rank), s.shape[0])
-        return TRSVDResult(
-            left=np.ascontiguousarray(u[:, :rank]),
-            singular_values=s[:rank].copy(),
-            right=np.ascontiguousarray(vt[:rank].T),
-            iterations=1,
-            matvecs=0,
-            rmatvecs=0,
-            converged=True,
-        )
     if method == "gram":
-        dense = matrix.matrix if isinstance(matrix, DenseOperator) else np.asarray(matrix)
-        if isinstance(matrix, LinearOperator) and not isinstance(matrix, DenseOperator):
+        if isinstance(matrix, DenseOperator):
+            matrix = matrix.matrix
+        elif isinstance(matrix, LinearOperator):
             raise TypeError("method='gram' needs an explicit matrix")
-        return gram_svd(dense, rank, **kwargs)
+        return gram_svd(matrix, rank, **kwargs)
     raise ValueError(f"unknown TRSVD method {method!r}")

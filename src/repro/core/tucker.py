@@ -11,7 +11,7 @@ from repro.core.dense import dense_ttm_chain, fold, tensor_norm
 from repro.core.kron import batch_kron_rows
 from repro.core.sparse_tensor import SparseTensor, as_supported_float
 
-__all__ = ["TuckerTensor", "core_from_ttmc", "tucker_fit"]
+__all__ = ["TuckerTensor", "core_from_ttmc", "fit_from_core", "tucker_fit"]
 
 
 @dataclass
@@ -120,6 +120,20 @@ def core_from_ttmc(
     return fold(core_mat, len(ranks) - 1, ranks)
 
 
+def fit_from_core(norm_x: float, core: np.ndarray) -> float:
+    """Fit ``1 - ||X - X̂|| / ||X||`` from the core norm (orthonormal factors).
+
+    With orthonormal factors the residual satisfies
+    ``||X - X̂||² = ||X||² - ||G||²``, so the fit needs no reconstruction —
+    this is the quantity every HOOI driver monitors for convergence.
+    """
+    if not norm_x:
+        return 1.0
+    core_norm = float(np.linalg.norm(np.asarray(core).ravel()))
+    residual_sq = max(norm_x**2 - core_norm**2, 0.0)
+    return 1.0 - float(np.sqrt(residual_sq)) / norm_x
+
+
 def tucker_fit(
     tensor: SparseTensor,
     decomposition: TuckerTensor,
@@ -128,9 +142,8 @@ def tucker_fit(
 ) -> float:
     """Fit ``1 - ||X - X̂|| / ||X||`` of a Tucker model to a sparse tensor.
 
-    With orthonormal factors (the HOOI invariant) the residual satisfies
-    ``||X - X̂||² = ||X||² - ||G||²``, so no reconstruction is needed — this is
-    the quantity whose change HOOI monitors for convergence.  The general path
+    With orthonormal factors (the HOOI invariant) this is
+    :func:`fit_from_core`, which needs no reconstruction.  The general path
     evaluates the model at the nonzero coordinates and corrects for the dense
     model mass, which is exact only when X̂ is evaluated densely; therefore the
     general path densifies and is meant for small tensors / tests.
@@ -139,8 +152,7 @@ def tucker_fit(
     if norm_x == 0.0:
         return 1.0
     if assume_orthonormal and all(_is_orthonormal(f) for f in decomposition.factors):
-        residual_sq = max(norm_x**2 - decomposition.core_norm() ** 2, 0.0)
-        return 1.0 - float(np.sqrt(residual_sq)) / norm_x
+        return fit_from_core(norm_x, decomposition.core)
     dense = tensor.to_dense()
     residual = tensor_norm(dense - decomposition.to_dense())
     return 1.0 - residual / norm_x

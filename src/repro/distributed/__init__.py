@@ -7,11 +7,7 @@ from repro.distributed.plan import (
     RankPlan,
     build_plans,
 )
-from repro.distributed.dist_trsvd import (
-    DistributedTTMcMatrix,
-    DistTRSVDResult,
-    distributed_lanczos_svd,
-)
+from repro.distributed.dist_trsvd import DistributedTTMcMatrix
 from repro.distributed.factor_exchange import exchange_factor_rows
 from repro.distributed.dist_hooi import (
     DistributedHOOIResult,
@@ -33,8 +29,6 @@ __all__ = [
     "RankPlan",
     "build_plans",
     "DistributedTTMcMatrix",
-    "DistTRSVDResult",
-    "distributed_lanczos_svd",
     "exchange_factor_rows",
     "DistributedHOOIResult",
     "RankRunResult",

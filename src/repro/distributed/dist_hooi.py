@@ -50,11 +50,9 @@ from repro.core.dense import fold
 from repro.core.hooi import HOOIOptions
 from repro.core.hosvd import initialize_factors
 from repro.core.sparse_tensor import SparseTensor
+from repro.core.trsvd import lanczos_svd
 from repro.core.tucker import TuckerTensor
-from repro.distributed.dist_trsvd import (
-    DistributedTTMcMatrix,
-    distributed_lanczos_svd,
-)
+from repro.distributed.dist_trsvd import DistributedTTMcMatrix
 from repro.distributed.factor_exchange import exchange_factor_rows
 from repro.distributed.plan import GlobalPlan, RankPlan, build_plans
 from repro.engine.backend import ExecutionBackend
@@ -279,11 +277,13 @@ class DistributedBackend(ExecutionBackend):
             block,
             model_threads=self._model_threads,
         )
-        trsvd = distributed_lanczos_svd(
+        trsvd = lanczos_svd(
             op,
             eng.ranks[mode],
             tol=eng.options.trsvd_tol,
+            max_restarts=12,
             seed=eng.options.seed if eng.options.seed is not None else 0,
+            compute_right=False,
         )
         self.trsvd_iteration_counts.append(trsvd.iterations)
 
@@ -293,8 +293,8 @@ class DistributedBackend(ExecutionBackend):
         new_factor = np.zeros(
             (self.plan.shape[mode], eng.ranks[mode]), dtype=eng.dtype
         )
-        got = trsvd.left_owned.shape[1]
-        new_factor[mode_plan.owned_nonempty_rows, :got] = trsvd.left_owned
+        got = trsvd.left.shape[1]
+        new_factor[mode_plan.owned_nonempty_rows, :got] = trsvd.left
         exchange_factor_rows(self.comm, mode_plan.factor_exchange, new_factor)
         # The rank-local TTMc backend never sees this factor refresh; tell it
         # so cached state (the dimension tree's partial chains) invalidates.

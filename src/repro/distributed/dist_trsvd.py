@@ -18,33 +18,39 @@ prescribes:
   back to the contributors, local multiply, then an all-to-all reduction
   (allreduce) of the short ``x`` vector.
 
-``distributed_lanczos_svd`` runs Golub-Kahan Lanczos bidiagonalization on that
-operator with the *left* vectors distributed by row ownership and the *right*
-vectors (length ``Π_{t≠n} R_t``) replicated; all reductions are allreduces of
-short vectors.  Every rank executes the same scalar logic with the same seed,
-so the solver state stays bit-identical across ranks without extra
-synchronization.
+The operator is a :class:`~repro.core.trsvd.LinearOperator` over this rank's
+*owned* row segment, so :func:`repro.core.trsvd.lanczos_svd` runs on it
+unchanged: the *left* vectors are distributed by row ownership, the *right*
+vectors (length ``Π_{t≠n} R_t``) are replicated, and the operator's
+row-space reductions (global row count, ``basisᵀ·v``, left norm) are
+allreduces of short vectors.  Left deflation vectors come from a rank-local
+stream, so a rank-dependent number of draws cannot desynchronize the shared
+stream that every rank draws the right vectors from; the solver state
+therefore stays bit-identical across ranks without extra synchronization.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.sparse_tensor import as_supported_float
+from repro.core.trsvd import LinearOperator
 from repro.distributed.plan import ModePlan
 from repro.simmpi.communicator import Communicator
 
-__all__ = ["DistributedTTMcMatrix", "DistTRSVDResult", "distributed_lanczos_svd"]
+__all__ = ["DistributedTTMcMatrix"]
 
 TAG_FOLD = 101
 TAG_SCATTER = 102
 
 
-class DistributedTTMcMatrix:
+class DistributedTTMcMatrix(LinearOperator):
     """Sum/row-distributed ``Y_(n)`` exposing communication-aware MxV / MTxV.
+
+    ``shape`` is ``(owned non-empty rows, ncols)``: ``matvec`` returns and
+    ``rmatvec`` takes this rank's owned segment of the left vector.
 
     Parameters
     ----------
@@ -86,6 +92,7 @@ class DistributedTTMcMatrix:
             raise ValueError("local_block must have one row per block row")
         self.ncols = int(self.local_block.shape[1])
         self.owned_rows = mode_plan.owned_nonempty_rows
+        self.shape = (int(self.owned_rows.shape[0]), self.ncols)
         self.charge_time = charge_time
         self.model_threads = model_threads
 
@@ -109,10 +116,6 @@ class DistributedTTMcMatrix:
         for peer, rows in sorted(mode_plan.fold.send.items()):
             positions = np.array([owned_pos[int(r)] for r in rows], dtype=np.int64)
             self._from_toucher.append((peer, positions))
-
-        # Statistics for reporting (one MxV+MTxV pair per Lanczos step).
-        self.matvec_count = 0
-        self.rmatvec_count = 0
 
     # ------------------------------------------------------------------ #
     @property
@@ -153,7 +156,6 @@ class DistributedTTMcMatrix:
         for toucher, positions in self._from_toucher:
             data = self.comm.recv(source=toucher, tag=TAG_FOLD)
             y[positions] += data
-        self.matvec_count += 1
         return y
 
     def rmatvec(self, y_owned: np.ndarray) -> np.ndarray:
@@ -173,180 +175,34 @@ class DistributedTTMcMatrix:
         x_local = self.local_block.T @ y_block
         self._charge(2.0 * self.local_rows * self.ncols,
                      8.0 * self.local_rows * self.ncols)
-        x = self.comm.allreduce(x_local)
-        self.rmatvec_count += 1
-        return x
+        return self.comm.allreduce(x_local)
 
-    # ------------------------------------------------------------------ #
-    def dot_owned(self, a: np.ndarray, b: np.ndarray) -> float:
-        """Global dot product of two owned-segment vectors."""
-        local = float(a @ b)
-        return float(self.comm.allreduce(np.array([local]))[0])
+    # -- row-space reductions of the Lanczos loop ------------------------ #
+    def global_rows(self) -> int:
+        """Owned non-empty rows summed over all ranks."""
+        return int(
+            self.comm.allreduce(np.array([self.owned_count], dtype=np.float64))[0]
+        )
 
-    def block_dot_owned(self, basis: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    def left_dot(self, basis: np.ndarray, vector: np.ndarray) -> np.ndarray:
         """Global ``basisᵀ @ vector`` for an owned-segment basis (m × j)."""
-        if basis.shape[1] == 0:
-            return np.zeros(0, dtype=np.float64)
-        local = basis.T @ vector
-        return self.comm.allreduce(local)
+        return self.comm.allreduce(basis.T @ vector)
 
+    def left_norm(self, vector: np.ndarray) -> float:
+        """Global 2-norm of an owned-segment vector."""
+        local = float(vector @ vector)
+        total = float(self.comm.allreduce(np.array([local]))[0])
+        return float(np.sqrt(max(total, 0.0)))
 
-@dataclass
-class DistTRSVDResult:
-    """Outcome of a distributed truncated SVD solve (per rank)."""
+    def left_rng(
+        self, shared: np.random.Generator, seed: Optional[int]
+    ) -> np.random.Generator:
+        """A rank-local stream seeded ``seed + 7919 * (rank + 1)``.
 
-    left_owned: np.ndarray          # (num owned non-empty rows, k)
-    singular_values: np.ndarray
-    iterations: int
-    matvecs: int
-    rmatvecs: int
-    converged: bool
-
-
-def distributed_lanczos_svd(
-    op: DistributedTTMcMatrix,
-    rank: int,
-    *,
-    tol: float = 1e-8,
-    max_restarts: int = 12,
-    subspace: Optional[int] = None,
-    seed: Optional[int] = 0,
-) -> DistTRSVDResult:
-    """Golub-Kahan Lanczos bidiagonalization on a distributed operator.
-
-    The algorithm is the distributed counterpart of
-    :func:`repro.core.trsvd.lanczos_svd`: right (short) vectors are replicated,
-    left vectors live on the owned row segments, and every inner product is a
-    short allreduce.  All ranks run the identical scalar control flow, so no
-    additional synchronization is required for the restart decisions.
-    """
-    total_rows = int(
-        op.comm.allreduce(np.array([op.owned_count], dtype=np.float64))[0]
-    )
-    n = op.ncols
-    rank = int(rank)
-    if rank <= 0:
-        raise ValueError("rank must be positive")
-    rank = min(rank, total_rows, n) if total_rows > 0 else min(rank, n)
-    rank = max(rank, 1)
-    if subspace is None:
-        subspace = max(2 * rank + 4, rank + 8)
-    cap = min(total_rows, n) if total_rows > 0 else n
-    subspace = int(min(max(subspace, rank + 1), max(cap, 1)))
-
-    # ``rng`` drives decisions that must be identical on every rank (the right
-    # starting vector and right-side deflations); it must therefore see the
-    # same number of draws everywhere.  ``local_rng`` is only used for
-    # left-side (owned-segment) deflation vectors, whose content is allowed to
-    # differ across ranks, so drawing a rank-dependent number of values from
-    # it cannot desynchronize the shared stream.
-    rng = np.random.default_rng(seed)
-    local_rng = np.random.default_rng(None if seed is None else seed + 7919 * (op.comm.rank + 1))
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-
-    m_local = op.owned_count
-    V = np.zeros((n, subspace + 1))
-    U = np.zeros((m_local, subspace))
-    alphas = np.zeros(subspace)
-    betas = np.zeros(subspace)
-
-    V[:, 0] = v
-    start = 0
-    beta_prev = 0.0
-    u_prev = np.zeros(m_local)
-    locked_sigma = np.zeros(0)
-    restart_coupling = np.zeros(0)
-
-    left = np.zeros((m_local, rank))
-    sigma = np.zeros(rank)
-    converged = False
-    total_restarts = 0
-
-    for restart in range(max_restarts):
-        total_restarts = restart + 1
-        j = start
-        while j < subspace:
-            u = op.matvec(V[:, j]) - beta_prev * u_prev
-            if j > 0:
-                coeffs = op.block_dot_owned(U[:, :j], u)
-                u -= U[:, :j] @ coeffs
-            alpha = float(np.sqrt(max(op.dot_owned(u, u), 0.0)))
-            if alpha < 1e-14:
-                # Deflate with a random direction orthogonal to the basis.
-                u = local_rng.standard_normal(m_local) if m_local else u
-                if j > 0:
-                    coeffs = op.block_dot_owned(U[:, :j], u)
-                    u -= U[:, :j] @ coeffs
-                norm_u = float(np.sqrt(max(op.dot_owned(u, u), 0.0)))
-                if norm_u > 0:
-                    u = u / norm_u
-                alpha = 0.0
-            else:
-                u = u / alpha
-            U[:, j] = u
-            alphas[j] = alpha
-
-            w = op.rmatvec(u) - alpha * V[:, j]
-            w -= V[:, : j + 1] @ (V[:, : j + 1].T @ w)
-            beta = float(np.linalg.norm(w))
-            if beta < 1e-14:
-                w = rng.standard_normal(n)
-                w -= V[:, : j + 1] @ (V[:, : j + 1].T @ w)
-                norm_w = float(np.linalg.norm(w))
-                if norm_w > 0:
-                    w = w / norm_w
-                beta = 0.0
-            else:
-                w = w / beta
-            V[:, j + 1] = w
-            betas[j] = beta
-            beta_prev = beta
-            u_prev = u
-            j += 1
-
-        B = np.zeros((subspace, subspace))
-        if start > 0:
-            B[:start, :start] = np.diag(locked_sigma)
-            B[:start, start] = restart_coupling
-        for i in range(start, subspace):
-            B[i, i] = alphas[i]
-            if i + 1 < subspace:
-                B[i, i + 1] = betas[i]
-
-        P, s, Qt = np.linalg.svd(B)
-        sigma = s[:rank]
-        beta_last = betas[subspace - 1]
-        residuals = np.abs(beta_last * P[subspace - 1, :rank])
-        threshold = tol * max(float(s[0]), 1e-300)
-        left = U[:, :subspace] @ P[:, :rank]
-        right = V[:, :subspace] @ Qt.T
-        # Stop on convergence, on the restart budget, or when the subspace
-        # already spans the whole problem (rank == subspace), in which case a
-        # thick restart has nothing left to add.
-        if (
-            np.all(residuals <= threshold)
-            or restart == max_restarts - 1
-            or rank >= subspace
-        ):
-            converged = bool(np.all(residuals <= threshold)) or rank >= subspace
-            break
-
-        keep = rank
-        locked_sigma = s[:keep].copy()
-        restart_coupling = beta_last * P[subspace - 1, :keep].copy()
-        U[:, :keep] = left[:, :keep]
-        V[:, :keep] = right[:, :keep]
-        V[:, keep] = V[:, subspace]
-        start = keep
-        beta_prev = 0.0
-        u_prev = np.zeros(m_local)
-
-    return DistTRSVDResult(
-        left_owned=np.ascontiguousarray(left[:, :rank]),
-        singular_values=np.ascontiguousarray(sigma[:rank]),
-        iterations=total_restarts,
-        matvecs=op.matvec_count,
-        rmatvecs=op.rmatvec_count,
-        converged=converged,
-    )
+        Ranks own different numbers of rows, so their left deflation draws
+        differ in length; drawing them from ``shared`` would desynchronize
+        the right vectors every rank draws from it.
+        """
+        return np.random.default_rng(
+            None if seed is None else seed + 7919 * (self.comm.rank + 1)
+        )

@@ -18,7 +18,7 @@ from repro.engine.backend import (
     trsvd_kwargs,
 )
 from repro.engine.dimtree import DimensionTree, DimTreeNode
-from repro.engine.driver import HOOIEngine, hooi_fit
+from repro.engine.driver import HOOIEngine
 from repro.engine.plans import (
     COORowsPlan,
     CSFSlabPlan,
@@ -42,6 +42,5 @@ __all__ = [
     "DimTreeNode",
     "resolve_ttmc_backend",
     "HOOIEngine",
-    "hooi_fit",
     "WorkspacePool",
 ]

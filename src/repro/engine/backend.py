@@ -67,14 +67,11 @@ __all__ = [
 def trsvd_kwargs(options) -> dict:
     """Solver keyword arguments implied by :class:`HOOIOptions`.
 
-    The Lanczos solver takes the tolerance and seed; the randomized
-    (Halko-style) range finder is seeded for reproducibility; the dense and
-    Gram baselines take no knobs.
+    The Lanczos solver takes the tolerance and seed; the Gram path takes no
+    knobs.
     """
     if options.trsvd_method == "lanczos":
         return {"tol": options.trsvd_tol, "seed": options.seed}
-    if options.trsvd_method == "randomized":
-        return {"seed": options.seed}
     return {}
 
 

@@ -41,27 +41,13 @@ import numpy as np
 from repro.core.hooi import HOOIOptions, HOOIResult
 from repro.core.sparse_tensor import resolve_dtype
 from repro.core.trsvd import TRSVDResult
-from repro.core.tucker import TuckerTensor
+from repro.core.tucker import TuckerTensor, fit_from_core
 from repro.engine.backend import ExecutionBackend, PlanBackend
 from repro.engine.workspace import WorkspacePool
 from repro.util.timing import TimingBreakdown
 from repro.util.validation import check_rank_feasibility, check_rank_vector
 
-__all__ = ["HOOIEngine", "hooi_fit"]
-
-
-def hooi_fit(norm_x: float, core: np.ndarray) -> float:
-    """Fit ``1 - ||X - X̂|| / ||X||`` from the core norm (orthonormal factors).
-
-    With orthonormal factors the residual satisfies
-    ``||X - X̂||² = ||X||² - ||G||²``, so the fit needs no reconstruction —
-    this is the quantity every HOOI driver monitors for convergence.
-    """
-    if not norm_x:
-        return 1.0
-    core_norm = float(np.linalg.norm(np.asarray(core).ravel()))
-    residual_sq = max(norm_x**2 - core_norm**2, 0.0)
-    return 1.0 - float(np.sqrt(residual_sq)) / norm_x
+__all__ = ["HOOIEngine"]
 
 
 class HOOIEngine:
@@ -238,7 +224,7 @@ class HOOIEngine:
 
             if options.track_fit:
                 with timings.time("fit"):
-                    fit = hooi_fit(norm_x, core)
+                    fit = fit_from_core(norm_x, core)
                 fit_history.append(fit)
                 if callback is not None:
                     callback(iteration, fit)
@@ -260,7 +246,7 @@ class HOOIEngine:
             # fit must still be populated: evaluate it once from the final
             # core so HOOIResult.fit is never NaN on a completed run.
             with timings.time("fit"):
-                fit_history.append(hooi_fit(norm_x, core))
+                fit_history.append(fit_from_core(norm_x, core))
 
         decomposition = TuckerTensor(core=core, factors=list(self.factors))
         return HOOIResult(

@@ -131,6 +131,9 @@ def _greedy_growth_bisection(
     vptr, vnets = hg.vertex_ptr, hg.vertex_nets
     nptr, pins = hg.net_ptr, hg.pins
     in_front = np.zeros(num_v, dtype=bool)
+    # A scanned net has every pin in part 0 or in the frontier, and neither
+    # flag is ever cleared, so scanning it again would add nothing.
+    net_done = np.zeros(hg.num_nets, dtype=bool)
     seed = int(rng.integers(num_v))
     frontier = [seed]
     in_front[seed] = True
@@ -142,6 +145,9 @@ def _greedy_growth_bisection(
         parts[v] = 0
         weight0 += weights[v]
         for e in vnets[vptr[v]: vptr[v + 1]]:
+            if net_done[e]:
+                continue
+            net_done[e] = True
             for u in pins[nptr[e]: nptr[e + 1]]:
                 if parts[u] == 1 and not in_front[u]:
                     in_front[u] = True

@@ -6,7 +6,7 @@ where a fault at sweep ``N`` is most expensive: everything up to sweep
 determines the rest of the run is small — the factor matrices, the core,
 the fit history, the sweep counter — because the TTMc/TRSVD of sweep ``N``
 depends only on the tensor (immutable) and the factors at the end of sweep
-``N−1``, and every stochastic ingredient (init, randomized TRSVD) is
+``N−1``, and every stochastic ingredient (init, the Lanczos start vector) is
 re-seeded per call from ``HOOIOptions.seed``.  Snapshotting at sweep
 boundaries therefore makes a resumed run reproduce the uninterrupted one
 **exactly** (bitwise where representable; asserted to 1e-10 in the test
@@ -128,7 +128,7 @@ def _capture_rng_state() -> dict:
     """The legacy global NumPy RNG state, JSON-ready (keys stored aside).
 
     Nothing in the engine draws from the global stream today (init and the
-    randomized TRSVD re-seed per call), but snapshotting it is cheap and
+    Lanczos TRSVD re-seed per call), but snapshotting it is cheap and
     future-proofs the exact-resume guarantee against a kernel that does.
     """
     kind, keys, pos, has_gauss, cached = np.random.get_state()

@@ -15,12 +15,13 @@ __all__ = [
 
 
 def orthonormalize(matrix: np.ndarray) -> np.ndarray:
-    """Return an orthonormal basis for the column space of ``matrix``.
+    """Return an orthonormal basis that spans the columns of ``matrix``.
 
-    Uses a thin QR factorization; columns that are (numerically) linearly
-    dependent are replaced by random directions re-orthogonalized against the
-    basis, so the result always has exactly ``matrix.shape[1]`` orthonormal
-    columns (useful when a factor matrix loses rank during HOOI).
+    The result always has exactly ``matrix.shape[1]`` orthonormal columns:
+    the ``Q`` of a Householder QR factorization, which is orthonormal by
+    construction and holds every input column (``A = QR``).  Where the
+    input loses rank, ``Q`` completes the basis with directions orthogonal
+    to the rest (useful when a factor matrix loses rank during HOOI).
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
@@ -30,20 +31,7 @@ def orthonormalize(matrix: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"cannot build {cols} orthonormal columns in dimension {rows}"
         )
-    q, r = np.linalg.qr(matrix)
-    # Detect rank deficiency from tiny diagonal entries of R.
-    diag = np.abs(np.diag(r))
-    tol = max(rows, cols) * np.finfo(np.float64).eps * (diag.max() if diag.size else 0.0)
-    deficient = np.flatnonzero(diag <= tol)
-    if deficient.size:
-        rng = np.random.default_rng(0)
-        for j in deficient:
-            v = rng.standard_normal(rows)
-            for _ in range(2):  # two rounds of classical Gram-Schmidt
-                v -= q @ (q.T @ v)
-            norm = np.linalg.norm(v)
-            if norm > 0:
-                q[:, j] = v / norm
+    q, _ = np.linalg.qr(matrix)
     return q
 
 

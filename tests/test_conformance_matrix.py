@@ -5,7 +5,7 @@ One parametrized suite sweeps every point of
     grain ∈ {single-node, coarse, fine}
   × execution ∈ {sequential, thread}
   × ttmc_strategy ∈ {per-mode, dimtree}
-  × trsvd_method ∈ {lanczos, gram, randomized}
+  × trsvd_method ∈ {lanczos, gram} ∪ retired {randomized, dense}
   × dtype ∈ {float32, float64}
   × tensor_format ∈ {coo, csf}
   × kernel ∈ {numpy, numba}
@@ -18,11 +18,12 @@ vectors rotate freely even though the fit agrees).
 sequential float64 per-mode oracle of the same ``trsvd_method`` (float32
 within 1e-3); the execution / grain / strategy / format / kernel axes must
 never change the numbers.  *Unsupported* combinations assert
-:class:`ValueError` with an actionable message.  Two composition rules
-carve the matrix: the distributed grains support only the Lanczos TRSVD,
-and ``kernel="numba"`` serves only the per-mode COO/CSF sweeps — the
-dimension tree's subset-fiber kernels have no compiled implementation
-(the rejection names the missing entry points and why
+:class:`ValueError` with an actionable message.  Three composition rules
+carve the matrix: a retired ``trsvd_method`` (a deleted solver) is an
+unknown value on every path, the distributed grains support only the
+Lanczos TRSVD, and ``kernel="numba"`` serves only the per-mode COO/CSF
+sweeps — the dimension tree's subset-fiber kernels have no compiled
+implementation (the rejection names the missing entry points and why
 ``REPRO_KERNEL_FORCE_PYTHON`` cannot bridge them).  The former csf holes
 are closed: ``tensor_format="csf"`` composes with
 ``ttmc_strategy="dimtree"`` (the tree's nodes are built over the shared
@@ -50,6 +51,7 @@ from repro.data import planted_lowrank_tensor
 from repro.distributed import distributed_hooi
 from repro.kernels import numba_available
 from repro.partition import make_partition
+from repro.util.validation import check_rank_feasibility
 
 SHAPE = (16, 12, 10)
 RANKS = (3, 3, 2)
@@ -59,7 +61,9 @@ ITERATIONS = 2
 GRAINS = ("single-node", "coarse", "fine")
 EXECUTIONS = ("sequential", "thread")
 STRATEGIES = ("per-mode", "dimtree")
-TRSVD_METHODS = ("lanczos", "gram", "randomized")
+TRSVD_METHODS = ("lanczos", "gram")
+#: Deleted solvers: every composition must reject them as unknown values.
+RETIRED_TRSVD_METHODS = ("randomized", "dense")
 DTYPES = ("float64", "float32")
 FORMATS = ("coo", "csf")
 KERNELS = ("numpy", "numba")
@@ -72,6 +76,8 @@ def combo_supported(
     grain: str, strategy: str, trsvd_method: str, fmt: str, kernel: str
 ) -> bool:
     """The composition rule of the matrix (mirrors HOOIOptions.validate)."""
+    if trsvd_method in RETIRED_TRSVD_METHODS:
+        return False  # validate checks the method before any other rule
     if kernel == "numba" and strategy == "dimtree":
         return False  # no compiled subset-fiber kernels
     if grain == "single-node":
@@ -83,6 +89,8 @@ def unsupported_match(
     grain: str, strategy: str, trsvd_method: str, fmt: str, kernel: str
 ) -> str:
     """Substring the rejection message must contain."""
+    if trsvd_method in RETIRED_TRSVD_METHODS:
+        return "unknown trsvd_method"
     if kernel == "numba" and strategy == "dimtree":
         # The fail-fast must name the missing entry points and say why the
         # interpreted-fallback hook cannot serve them.
@@ -91,7 +99,10 @@ def unsupported_match(
 
 
 ALL_COMBOS = list(
-    product(GRAINS, EXECUTIONS, STRATEGIES, TRSVD_METHODS, DTYPES, FORMATS, KERNELS)
+    product(
+        GRAINS, EXECUTIONS, STRATEGIES,
+        TRSVD_METHODS + RETIRED_TRSVD_METHODS, DTYPES, FORMATS, KERNELS,
+    )
 )
 SUPPORTED = [c for c in ALL_COMBOS if combo_supported(c[0], c[2], c[3], c[5], c[6])]
 UNSUPPORTED = [
@@ -174,11 +185,11 @@ def build_options(
     )
 
 
-def run_combo(tensor, partitions, grain, options):
+def run_combo(tensor, partitions, grain, options, ranks=RANKS):
     if grain == "single-node":
-        result = hooi(tensor, RANKS, options)
+        result = hooi(tensor, ranks, options)
         return result.fit_history, result.decomposition.factors
-    result = distributed_hooi(tensor, RANKS, partitions[grain], options)
+    result = distributed_hooi(tensor, ranks, partitions[grain], options)
     return result.fit_history, result.decomposition.factors
 
 
@@ -241,11 +252,6 @@ class TestUnsupportedCombinations:
         with pytest.raises(ValueError, match="oversubscribe"):
             distributed_hooi(tensor, RANKS, partitions[grain], options)
 
-    def test_distributed_rejects_dense_trsvd(self, tensor, partitions):
-        options = HOOIOptions(max_iterations=1, trsvd_method="dense")
-        with pytest.raises(ValueError, match="lanczos"):
-            distributed_hooi(tensor, RANKS, partitions["fine"], options)
-
     def test_numba_dimtree_rejection_names_missing_kernels(self):
         """The fail-fast names the unimplemented entry points by name."""
         from repro.kernels import MISSING_DIMTREE_KERNELS
@@ -258,6 +264,40 @@ class TestUnsupportedCombinations:
             assert name in message
         assert "REPRO_KERNEL_FORCE_PYTHON" in message
         assert "MISSING_DIMTREE_KERNELS" in message
+
+
+class TestInfeasibleRanks:
+    """An infeasible rank vector fails with one message on every path.
+
+    ``R_2 = 10`` exceeds ``R_0 · R_1 = 9``: ``Y_(2)`` has only 9 columns,
+    so no TRSVD can keep 10 singular vectors.  Every supported composition
+    must reject it before the first sweep with exactly the message of
+    :func:`~repro.util.validation.check_rank_feasibility`.
+    """
+
+    INFEASIBLE = (3, 3, 10)
+
+    @pytest.fixture(scope="class")
+    def message(self):
+        with pytest.raises(ValueError) as excinfo:
+            check_rank_feasibility(self.INFEASIBLE)
+        return str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "grain,execution,strategy,trsvd_method,dtype,fmt,kernel",
+        SUPPORTED,
+        ids=[combo_id(c) for c in SUPPORTED],
+    )
+    def test_same_rank_error_on_every_path(
+        self, tensor, partitions, message, grain, execution, strategy,
+        trsvd_method, dtype, fmt, kernel,
+    ):
+        options = build_options(
+            execution, strategy, trsvd_method, dtype, fmt, kernel
+        )
+        with pytest.raises(ValueError) as excinfo:
+            run_combo(tensor, partitions, grain, options, self.INFEASIBLE)
+        assert str(excinfo.value) == message
 
 
 class TestCSFProcessParity:

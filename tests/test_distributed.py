@@ -9,13 +9,12 @@ from repro.core import (
     lanczos_svd,
     ttmc_matricized,
 )
-from repro.data import power_law_sparse_tensor
+from repro.data import planted_lowrank_tensor, power_law_sparse_tensor
 from repro.distributed import (
     DistributedTTMcMatrix,
     build_plans,
     collect_partition_statistics,
     distributed_hooi,
-    distributed_lanczos_svd,
     estimate_iteration_time,
 )
 from repro.parallel.shared_ttmc import ttmc_row_block
@@ -106,7 +105,7 @@ class TestPlans:
 class TestDistributedTRSVD:
     @pytest.mark.parametrize("strategy", ["fine-hp", "coarse-bl"])
     def test_matches_sequential_lanczos(self, tensor, ranks, strategy):
-        """Distributed operator + distributed Lanczos == sequential Lanczos."""
+        """The Lanczos loop on the distributed operator == on dense ``Y``."""
         partition = make_partition(tensor, 3, strategy, seed=0)
         _, plans = build_plans(tensor, partition, ranks)
         mode = 1
@@ -125,8 +124,9 @@ class TestDistributedTRSVD:
                                    plan.symbolic[mode], positions)
             op = DistributedTTMcMatrix(comm, mp, sym_rows[positions], block,
                                        charge_time=False)
-            res = distributed_lanczos_svd(op, ranks[mode], seed=0)
-            return mp.owned_nonempty_rows, res.left_owned, res.singular_values
+            res = lanczos_svd(op, ranks[mode], seed=0, compute_right=False)
+            assert res.right is None
+            return mp.owned_nonempty_rows, res.left, res.singular_values
 
         spmd = run_spmd(program, 3)
         sing = spmd.values[0][2]
@@ -138,6 +138,25 @@ class TestDistributedTRSVD:
         ours = assembled[nonempty] @ assembled[nonempty].T
         ref = reference.left @ reference.left.T
         assert np.allclose(ours, ref, atol=1e-5)
+
+    @pytest.mark.parametrize("strategy", ["coarse-bl", "fine-rd", "fine-hp"])
+    def test_rank_without_rows_joins_every_reduction(self, strategy):
+        """A rank that owns no row of a mode still runs the whole loop.
+
+        Its share of every left-space reduction covers zero rows, but it
+        must join each allreduce, or the other ranks deadlock or diverge.
+        """
+        tensor, _ = planted_lowrank_tensor((3, 30, 25), (2, 3, 3), 500, seed=4)
+        ranks = (2, 3, 3)
+        partition = make_partition(tensor, 4, strategy, seed=0)
+        _, plans = build_plans(tensor, partition, ranks)
+        assert plans[3].modes[0].owned_nonempty_rows.size == 0
+        options = HOOIOptions(max_iterations=3, init="random", seed=0)
+        sequential = hooi(tensor, ranks, options)
+        distributed = distributed_hooi(tensor, ranks, partition, options)
+        assert np.allclose(
+            distributed.fit_history, sequential.fit_history, atol=1e-10
+        )
 
     def test_matvec_rmatvec_match_dense(self, tensor, ranks):
         partition = make_partition(tensor, 3, "fine-rd", seed=2)

@@ -111,11 +111,6 @@ class TestInitialization:
             ref = u[:, :k] @ u[:, :k].T
             assert np.allclose(ours, ref, atol=1e-6)
 
-    def test_hosvd_lanczos_backend(self, small_tensor_3d):
-        factors = hosvd_init(small_tensor_3d, 3, backend="lanczos")
-        for f in factors:
-            assert np.allclose(f.T @ f, np.eye(3), atol=1e-8)
-
     def test_initialize_factors_explicit_list(self, small_tensor_3d, factors_3d):
         out = initialize_factors(small_tensor_3d, (5, 4, 3), init=factors_3d)
         for a, b in zip(out, factors_3d):
@@ -180,13 +175,6 @@ class TestHOOI:
             callback=lambda it, fit: calls.append((it, fit)),
         )
         assert len(calls) == 3
-
-    def test_randomized_trsvd_backend(self, small_tensor_3d):
-        a = hooi(small_tensor_3d, 3, HOOIOptions(max_iterations=3, seed=0))
-        b = hooi(small_tensor_3d, 3,
-                 HOOIOptions(max_iterations=3, trsvd_method="randomized", seed=0))
-        # Both should reach a similar fit (the subspaces agree to solver accuracy).
-        assert abs(a.fit - b.fit) < 1e-3
 
     def test_iteration_stats(self, small_tensor_3d):
         result = hooi(small_tensor_3d, 3, HOOIOptions(max_iterations=2))

@@ -31,6 +31,31 @@ class TestOrthonormalize:
         q = orthonormalize(deficient)
         assert np.allclose(q.T @ q, np.eye(3), atol=1e-8)
 
+    @staticmethod
+    def _assert_orthonormal_basis_of(a):
+        q = orthonormalize(a)
+        assert q.shape == a.shape
+        assert np.abs(q.T @ q - np.eye(a.shape[1])).max() < 1e-12
+        # Every input column stays in span(q).
+        assert np.abs(q @ (q.T @ a) - a).max() < 1e-12
+
+    @pytest.mark.parametrize("zeroed", [(3,), (2, 5)])
+    def test_square_input_with_zero_columns(self, rng, zeroed):
+        a = rng.standard_normal((8, 8))
+        a[:, list(zeroed)] = 0.0
+        self._assert_orthonormal_basis_of(a)
+
+    def test_square_input_with_dependent_columns(self, rng):
+        a = rng.standard_normal((8, 8))
+        a[:, 2] = a[:, 0] + a[:, 1]
+        a[:, 5] = 3.0 * a[:, 4]
+        self._assert_orthonormal_basis_of(a)
+
+    def test_tall_input_keeps_span_with_middle_column_zeroed(self, rng):
+        a = rng.standard_normal((30, 5))
+        a[:, 1] = 0.0
+        self._assert_orthonormal_basis_of(a)
+
     def test_too_many_columns_raises(self):
         with pytest.raises(ValueError):
             orthonormalize(np.ones((3, 5)))
