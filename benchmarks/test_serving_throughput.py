@@ -17,6 +17,12 @@ Both paths are also registered as pytest-benchmark kernels so the committed
 ``BENCH_baseline.json`` tracks them and ``scripts/compare_bench.py`` gates
 regressions (the "Serving throughput" CI step runs the acceptance test by
 name before the aggregate comparison).
+
+These 300-nnz jobs are far below the crew's break-even
+(:data:`repro.engine.backend.CREW_BREAK_EVEN_FLOPS`), so the gate and the
+two kernels pin it to 0 to keep both sides on workers.  The count-based
+companion test runs the same stream under the real break-even, where every
+job runs inline and the service serves no pool generation.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ import pytest
 
 from repro.core import HOOIOptions, hooi
 from repro.data import random_sparse_tensor
+from repro.engine import backend
 from repro.serving import DecompositionService
 
 #: Number of jobs in the stream (the acceptance gate requires >= 20).
@@ -48,6 +55,11 @@ EXPECTED_SPEEDUP = float(os.environ.get("REPRO_SERVING_SPEEDUP", "1.5"))
 JOB_OPTIONS = dict(
     trsvd_method="gram", max_iterations=3, tolerance=0.0, seed=0
 )
+
+#: The crew's real break-even, read before any test pins it.
+REAL_BREAK_EVEN_FLOPS = backend.CREW_BREAK_EVEN_FLOPS
+
+pytestmark = pytest.mark.usefixtures("every_job_on_the_crew")
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +139,23 @@ def test_serving_beats_per_request_spinup(tensors):
         f"spin-up — {speedup:.2f}x, below the required "
         f"{EXPECTED_SPEEDUP:.2f}x"
     )
+
+
+def test_small_stream_spawns_no_pool_generation(tensors, monkeypatch):
+    """Under the real break-even the same stream never reaches the crew.
+
+    Count-based, so it holds on any host: all 20 jobs complete inline on
+    the service thread and ``metrics()`` reports zero pool generations.
+    """
+    monkeypatch.setattr(backend, "CREW_BREAK_EVEN_FLOPS", REAL_BREAK_EVEN_FLOPS)
+    runner = _ServiceRunner()
+    try:
+        runner.run(tensors)
+        metrics = runner.service.metrics()
+    finally:
+        runner.close()
+    assert metrics["jobs"]["done"] == NUM_JOBS
+    assert metrics["pool"]["generations"] == 0
 
 
 def test_stream_via_service(benchmark, tensors):

@@ -19,6 +19,7 @@ import numpy as np
 
 from repro import SparseTensor, decompose, tucker_fit
 from repro.core import HOOIOptions
+from repro.engine.backend import crew_pays
 from repro.parallel import ParallelConfig, shared_hooi
 
 
@@ -82,14 +83,20 @@ def main() -> None:
 
     # ------------------------------------------------------------------ #
     # 4b. True multicore: the same row-parallel decomposition on worker
-    #     processes with zero-copy shared memory (GIL-free numerics).
+    #     processes with zero-copy shared memory (GIL-free numerics).  A
+    #     plan whose TTMc work is below the crew's break-even runs inline
+    #     instead, spawning nothing — either way the result is sequential's.
     # ------------------------------------------------------------------ #
     process_result = decompose(observed, (4, 3, 2),
                                execution="process", num_workers=4,
                                max_iterations=10, init="hosvd",
                                tolerance=1e-6, seed=0)
+    ran_on = (
+        "4 worker processes" if crew_pays(observed.nnz, (4, 3, 2))
+        else "inline, below the crew's break-even"
+    )
     print(f"process HOOI fit         : {process_result.fit:.4f} "
-          "(4 worker processes, results identical to sequential)")
+          f"({ran_on}; results identical to sequential)")
 
     # ------------------------------------------------------------------ #
     # 5. Predict held-out entries with the fitted model.

@@ -109,7 +109,10 @@ class HOOIOptions:
     decomposition, limited wall-clock gain in CPython) or ``"process"``
     (worker processes with zero-copy shared memory — true multicore;
     ``num_workers`` sets the worker count for both).  Both compose with
-    either ``ttmc_strategy`` and with the dtype policy.
+    either ``ttmc_strategy`` and with the dtype policy.  A ``"process"``
+    run whose per-sweep TTMc work is below the crew's break-even
+    (:func:`repro.engine.backend.crew_pays`) runs inline instead: it spawns
+    no worker and returns exactly the sequential result.
     ``tensor_format`` selects the storage the TTMc phase executes on:
     ``"coo"`` (the flat coordinate layout every other axis value was built
     on) or ``"csf"`` (Compressed Sparse Fiber trees,

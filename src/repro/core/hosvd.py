@@ -16,7 +16,7 @@ import scipy.sparse.linalg as spla
 
 from repro.core.sparse_tensor import SparseTensor
 from repro.util.linalg import random_orthonormal
-from repro.util.validation import check_rank_vector
+from repro.util.validation import check_finite, check_rank_vector
 
 __all__ = ["random_init", "hosvd_init", "initialize_factors"]
 
@@ -79,7 +79,7 @@ def initialize_factors(
     """Resolve an ``init`` specification into a list of factor matrices.
 
     ``init`` may be ``"hosvd"``, ``"random"``, or an explicit list of
-    matrices (validated for shape).
+    matrices (validated for shape and finite values).
     """
     ranks = check_rank_vector(ranks, tensor.shape)
     if isinstance(init, str):
@@ -99,4 +99,5 @@ def initialize_factors(
                 f"init factor {n} has shape {factor.shape}, expected "
                 f"{(tensor.shape[n], rank)}"
             )
+        check_finite(factor, name=f"init factor {n}")
     return [f.copy() for f in factors]

@@ -30,7 +30,9 @@ without ``parfor``), on a thread team (:class:`ThreadDispatcher`,
 Algorithm 3) or on a crew of worker processes over zero-copy shared memory
 (:class:`ProcessDispatcher` — true multicore, GIL-free).
 :func:`resolve_ttmc_backend` picks the plan from ``(tensor_format,
-ttmc_strategy)`` and the dispatcher from ``execution``, independently.  The
+ttmc_strategy)`` and the dispatcher from ``execution``, independently;
+:func:`crew_pays` then keeps plans too small to outweigh the crew's
+hand-off cost off the worker processes (they run inline instead).  The
 distributed per-rank backend lives in :mod:`repro.distributed.dist_hooi`
 next to the plan/exchange machinery it drives, and the baselines provide
 TTM-chain (MET) and dense (Gram) backends — all drivers share this one loop.
@@ -47,21 +49,44 @@ from repro.core.hosvd import initialize_factors
 from repro.core.kron import kron_row_length
 from repro.core.sparse_tensor import SparseTensor
 from repro.core.trsvd import TRSVDResult, truncated_svd
+from repro.core.ttmc import ttmc_flops
 from repro.core.tucker import core_from_ttmc
 from repro.engine.dimtree import DimensionTree
 from repro.engine.plans import COORowsPlan, CSFSlabPlan, TTMcPlan
 
 __all__ = [
+    "CREW_BREAK_EVEN_FLOPS",
     "ExecutionBackend",
     "PlanBackend",
     "InlineDispatcher",
     "ThreadDispatcher",
     "ProcessDispatcher",
+    "crew_pays",
     "pooled_out",
     "resolve_plan",
     "resolve_ttmc_backend",
     "trsvd_kwargs",
 ]
+
+#: Per-sweep TTMc work (Σ_n ``ttmc_flops``) from which a process job rides
+#: the worker crew; below it the job runs inline (:func:`crew_pays`).
+#: Measured on 2 vCPUs with planted 3-mode tensors (ranks 6 and 8, COO and
+#: CSF, ``gram``, 6 sweeps, median sweep of 5 alternating repeats), a
+#: persistent 2-worker crew against inline execution:
+#:
+#: * crew overhead — the crew's extra time per sweep on 1.5k–6k nonzero
+#:   plans, where the kernels cost almost nothing — 5.6–9.6 ms, median
+#:   8.2 ms;
+#: * inline cost — sweep time over W_TTMc on 24k–384k nonzero plans —
+#:   0.72–1.11 ns per flop, median 0.95 ns;
+#: * two pure-Python processes ran 1.24–1.89× faster than one, so the host
+#:   gave the crew one to two cores, and the crew never won (1.01–4.4× the
+#:   inline sweep time).
+#:
+#: With two real cores a crew halves the inline time at best, so it pays
+#: above overhead ÷ (½ × inline seconds per flop) = 8.2 ms ÷ 0.47 ns
+#: ≈ 17M flops per sweep.
+CREW_BREAK_EVEN_FLOPS = 17_000_000
 
 
 def trsvd_kwargs(options) -> dict:
@@ -321,6 +346,15 @@ class PlanBackend(ExecutionBackend):
         return self.dispatcher.pool
 
     def prepare(self, eng) -> None:
+        dispatcher = self.dispatcher
+        if (
+            isinstance(dispatcher, ProcessDispatcher)
+            and dispatcher._owns_pool
+            and not crew_pays(eng.tensor.nnz, eng.ranks)
+        ):
+            # Too little work to pay for a crew: spawn nothing, pack no
+            # arena, and run exactly the sequential sweep.
+            self.dispatcher = InlineDispatcher()
         source = self.plan_source
         self.plan = (
             source
@@ -376,6 +410,20 @@ def resolve_plan(options):
     if (options.tensor_format or "coo") == "csf":
         return CSFSlabPlan
     return COORowsPlan
+
+
+def crew_pays(nnz: int, ranks) -> bool:
+    """Whether a plan's TTMc work is worth handing to the worker crew.
+
+    The work is the paper's per-sweep ``W_TTMc``, Σ_n
+    :func:`~repro.core.ttmc.ttmc_flops` over the tensor's nonzeros and
+    ranks, compared with :data:`CREW_BREAK_EVEN_FLOPS` (read at call time).
+    :meth:`PlanBackend.prepare` runs a self-owned process dispatcher inline
+    below it, and the service routes small process jobs to its direct path
+    (:func:`repro.serving.executor.pooled_eligible`).
+    """
+    work = sum(ttmc_flops(nnz, ranks, mode) for mode in range(len(ranks)))
+    return work >= CREW_BREAK_EVEN_FLOPS
 
 
 def resolve_ttmc_backend(options, config=None) -> PlanBackend:

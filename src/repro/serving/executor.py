@@ -3,10 +3,12 @@
 Two execution paths, chosen per job by the dispatcher:
 
 * :func:`run_direct` — one ordinary :func:`repro.core.hooi.hooi` call on the
-  service's worker thread, for every job whose effective options are not
-  ``execution="process"``.
+  service's worker thread, for every job that is not :func:`pooled_eligible`:
+  sequential and thread jobs, and process jobs below the crew's break-even
+  (which the engine then runs inline).
 
-* :func:`run_process_batch` — the persistent-crew path for process jobs.
+* :func:`run_process_batch` — the persistent-crew path for process jobs
+  whose TTMc work reaches the break-even.
   Each member's work plan (COO rows, CSF root-fiber slabs or a dimension
   tree, :mod:`repro.engine.plans`) is built over its dtype-cast tensor and
   all of them are packed into ONE
@@ -34,7 +36,12 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.core.hooi import hooi
 from repro.core.sparse_tensor import SparseTensor, resolve_dtype
-from repro.engine.backend import PlanBackend, ProcessDispatcher, resolve_plan
+from repro.engine.backend import (
+    PlanBackend,
+    ProcessDispatcher,
+    crew_pays,
+    resolve_plan,
+)
 from repro.engine.driver import HOOIEngine
 from repro.engine.workspace import WorkspacePool
 from repro.parallel.process_pool import (
@@ -63,12 +70,18 @@ Outcome = Tuple[Job, str, object]
 def pooled_eligible(job: Job) -> bool:
     """Whether a job runs on the persistent crew's batched generations.
 
-    Every process-execution job does, whatever its plan.  Judged on the
-    job's *effective* options: a job the degradation ladder moved off the
-    process tier routes through :func:`run_direct` from then on, whatever
-    its request asked for.
+    A process-execution job does, whatever its plan, when its TTMc work
+    reaches the crew's break-even (:func:`~repro.engine.backend.crew_pays`,
+    the rule ``decompose()`` applies); a smaller one — fresh or delta —
+    runs inline through :func:`run_direct`, with the same result.  Judged
+    on the job's *effective* options: a job the degradation ladder moved
+    off the process tier routes through :func:`run_direct` from then on,
+    whatever its request asked for.
     """
-    return job.effective_options.execution == "process"
+    request = job.request
+    return job.effective_options.execution == "process" and crew_pays(
+        request.tensor.nnz, request.ranks
+    )
 
 
 def _classify(job: Job, exc: BaseException) -> Outcome:

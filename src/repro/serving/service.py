@@ -12,14 +12,18 @@ pipeline:
   is served instantly, born ``DONE`` with ``cached=True``), and enforces
   the pending-queue bound (:class:`~repro.serving.jobs.AdmissionError`).
 
-* **Dispatch** — one asyncio task drains the FIFO queue.  Consecutive
-  *small* process-execution jobs are packed into one batched pool
-  generation (:func:`~repro.serving.executor.run_process_batch`) on the
-  persistent worker crew, so a stream of small tensors pays one worker
-  attach/detach per batch and zero process spawns; everything else runs
-  through the ordinary drivers (:func:`~repro.serving.executor.run_direct`).
-  All numeric work happens on ONE worker thread — the event loop stays
-  responsive while decompositions grind.
+* **Dispatch** — one asyncio task drains the FIFO queue.  A
+  process-execution job whose per-sweep TTMc work reaches the crew's
+  break-even (:func:`~repro.serving.executor.pooled_eligible`, the rule
+  ``decompose()`` applies) runs on the persistent worker crew, and
+  consecutive ones with few nonzeros are packed into one batched pool
+  generation (:func:`~repro.serving.executor.run_process_batch`), so they
+  pay one worker attach/detach per batch and zero process spawns.
+  Everything else — smaller process jobs, fresh or delta, and sequential
+  or thread jobs — runs inline through the ordinary drivers
+  (:func:`~repro.serving.executor.run_direct`).  All numeric work happens
+  on ONE worker thread — the event loop stays responsive while
+  decompositions grind.
 
 * **Outcomes** — applied back on the loop thread: results land in the
   cache and resolve futures; cancellations and timeouts raise their typed
@@ -106,10 +110,11 @@ class DecompositionService:
     cache_capacity:
         LRU result-cache entries (0 disables caching).
     batch_max / batch_nnz_limit:
-        Admission batching: up to ``batch_max`` consecutive queued
-        process-execution jobs whose tensors have at most
-        ``batch_nnz_limit`` nonzeros share one pool generation.  Larger
-        pooled jobs still run on the crew, one generation each.
+        Admission batching: up to ``batch_max`` consecutive queued pooled
+        jobs whose tensors have at most ``batch_nnz_limit`` nonzeros share
+        one pool generation.  Larger pooled jobs still run on the crew, one
+        generation each; process jobs below the crew's break-even are not
+        pooled at all.
     default_timeout:
         Per-job timeout in seconds applied when ``submit`` passes none
         (None = unlimited).  Timeouts abort cooperatively at the next mode

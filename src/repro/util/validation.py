@@ -126,18 +126,20 @@ def check_dtype_real(array: np.ndarray, name: str) -> np.ndarray:
     return arr
 
 
-def check_finite(values: np.ndarray) -> None:
-    """Reject NaN and ±Inf entries of a tensor's or batch's values.
+def check_finite(values: np.ndarray, name: str = "values") -> None:
+    """Reject NaN and ±Inf entries of a tensor's values, a batch's or a factor.
 
-    Raises one :class:`ValueError` giving the number of non-finite entries
-    and the position and value of the first, before a kernel can turn them
-    into an SVD that does not converge.
+    Raises one :class:`ValueError` naming ``name`` and giving the number of
+    non-finite entries and the position and value of the first, before a
+    kernel can turn them into an SVD that does not converge.
     """
     if np.isfinite(values).all():
         return
     bad = np.flatnonzero(~np.isfinite(values))
+    first = np.unravel_index(bad[0], values.shape)
+    position = int(first[0]) if values.ndim == 1 else tuple(map(int, first))
     raise ValueError(
-        f"values contain {bad.size} non-finite "
+        f"{name}: {bad.size} non-finite "
         f"entr{'y' if bad.size == 1 else 'ies'} (NaN or ±Inf); the first is "
-        f"{values[bad[0]]}, at position {bad[0]}"
+        f"{values[first]}, at position {position}"
     )

@@ -40,6 +40,7 @@ interpreted-fallback hook (``REPRO_KERNEL_FORCE_PYTHON``) — the exact loop
 bodies numba would compile, so the parity contract is still exercised.
 """
 
+import dataclasses
 import os
 from itertools import product
 
@@ -51,7 +52,8 @@ from repro.data import planted_lowrank_tensor
 from repro.distributed import distributed_hooi
 from repro.kernels import numba_available
 from repro.partition import make_partition
-from repro.util.validation import check_rank_feasibility
+from repro.util.linalg import random_orthonormal
+from repro.util.validation import check_finite, check_rank_feasibility
 
 SHAPE = (16, 12, 10)
 RANKS = (3, 3, 2)
@@ -300,6 +302,69 @@ class TestInfeasibleRanks:
         assert str(excinfo.value) == message
 
 
+class TestNonFiniteInit:
+    """A non-finite explicit ``init`` factor fails at the input check.
+
+    One NaN in ``init[1]`` must raise exactly the message of
+    :func:`~repro.util.validation.check_finite` for that factor on every
+    supported composition, distributed grains included — not an SVD that
+    does not converge after the first sweep started.
+    """
+
+    @pytest.fixture(scope="class")
+    def init(self):
+        factors = [
+            random_orthonormal(size, rank, seed=n)
+            for n, (size, rank) in enumerate(zip(SHAPE, RANKS))
+        ]
+        factors[1][4, 2] = np.nan
+        return factors
+
+    @pytest.fixture(scope="class")
+    def message(self, init):
+        with pytest.raises(ValueError) as excinfo:
+            check_finite(init[1], name="init factor 1")
+        return str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "grain,execution,strategy,trsvd_method,dtype,fmt,kernel",
+        SUPPORTED,
+        ids=[combo_id(c) for c in SUPPORTED],
+    )
+    def test_same_init_error_on_every_path(
+        self, tensor, partitions, init, message, grain, execution, strategy,
+        trsvd_method, dtype, fmt, kernel,
+    ):
+        options = dataclasses.replace(
+            build_options(execution, strategy, trsvd_method, dtype, fmt, kernel),
+            init=init,
+        )
+        with pytest.raises(ValueError) as excinfo:
+            run_combo(tensor, partitions, grain, options)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.usefixtures("every_job_on_the_crew")
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_process_run_fails_before_spawning(
+        self, tensor, init, message, monkeypatch, strategy, fmt
+    ):
+        from repro.parallel.process_pool import PersistentWorkerCrew
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the crew spawned before the input check")
+
+        monkeypatch.setattr(PersistentWorkerCrew, "__init__", forbidden)
+        options = dataclasses.replace(
+            build_options("process", strategy, "lanczos", "float64", fmt),
+            init=init,
+        )
+        with pytest.raises(ValueError) as excinfo:
+            hooi(tensor, RANKS, options)
+        assert str(excinfo.value) == message
+
+
+@pytest.mark.usefixtures("every_job_on_the_crew")
 class TestCSFProcessParity:
     """csf × process through the real worker pool, both TTMc strategies.
 
@@ -329,6 +394,7 @@ class TestCSFProcessParity:
             )
 
 
+@pytest.mark.usefixtures("every_job_on_the_crew")
 class TestDegradationRungs:
     """Every rung of the full (process, numba, csf) descent is sound.
 

@@ -39,7 +39,11 @@ from repro.resilience.faults import (
     maybe_fail,
 )
 
-pytestmark = pytest.mark.chaos
+pytestmark = [
+    pytest.mark.chaos,
+    # The worker faults need crew jobs; these tensors are below its break-even.
+    pytest.mark.usefixtures("every_job_on_the_crew"),
+]
 
 GRAM = dict(trsvd_method="gram", seed=0)
 needs_posix = pytest.mark.skipif(

@@ -41,6 +41,9 @@ from repro.parallel import (
 from repro.parallel.process_pool import PersistentWorkerCrew
 from repro.util.linalg import random_orthonormal
 
+# Every tensor here is below the crew's break-even; keep them on workers.
+pytestmark = pytest.mark.usefixtures("every_job_on_the_crew")
+
 RANKS = 5
 
 

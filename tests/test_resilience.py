@@ -49,6 +49,9 @@ from repro.resilience.degrade import (
 )
 from repro.resilience.retry import RetryPolicy
 
+# The process runs and served jobs here are below the crew's break-even.
+pytestmark = pytest.mark.usefixtures("every_job_on_the_crew")
+
 GRAM = dict(trsvd_method="gram", seed=0)
 
 

@@ -41,9 +41,11 @@ from repro.serving import (
     pooled_eligible,
 )
 
-pytestmark = pytest.mark.skipif(
-    os.name != "posix", reason="the worker crew requires POSIX"
-)
+pytestmark = [
+    pytest.mark.skipif(os.name != "posix", reason="the worker crew requires POSIX"),
+    # These small jobs would run inline under the crew's break-even.
+    pytest.mark.usefixtures("every_job_on_the_crew"),
+]
 
 GRAM = dict(trsvd_method="gram", max_iterations=3, seed=0)
 
