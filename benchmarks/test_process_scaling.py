@@ -98,9 +98,8 @@ def _process_sweep(pool, order):
 
 
 def _make_process_pool(tensor, factors, symbolic, workers):
-    pool = HOOIProcessPool.for_plans(
-        {None: _coo_plan(tensor, symbolic)},
-        config=ProcessConfig(num_workers=workers),
+    pool = HOOIProcessPool(
+        _coo_plan(tensor, symbolic), config=ProcessConfig(num_workers=workers)
     )
     for mode, factor in enumerate(factors):
         pool.write_factor(mode, factor)

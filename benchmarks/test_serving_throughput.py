@@ -2,7 +2,7 @@
 
 The serving acceptance gate (ISSUE 7): a stream of ≥20 small decomposition
 jobs through :class:`~repro.serving.DecompositionService` — one persistent
-worker crew, jobs batched onto shared pool generations — must complete at
+worker crew, each job one pool generation on it — must complete at
 least ``REPRO_SERVING_SPEEDUP``× (default 1.5×) faster than the same jobs
 run as back-to-back ``hooi(execution="process")`` calls, each of which pays
 worker spawn, shared-arena attach and teardown on its own.
@@ -20,9 +20,10 @@ name before the aggregate comparison).
 
 These 300-nnz jobs are far below the crew's break-even
 (:data:`repro.engine.backend.CREW_BREAK_EVEN_FLOPS`), so the gate and the
-two kernels pin it to 0 to keep both sides on workers.  The count-based
-companion test runs the same stream under the real break-even, where every
-job runs inline and the service serves no pool generation.
+two kernels pin it to 0 to keep both sides on workers.  Two count-based
+companion tests hold on any host: pinned, the stream spawns the service's
+crew once and serves one pool generation per job; under the real
+break-even every job runs inline and the service serves no pool generation.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import pytest
 from repro.core import HOOIOptions, hooi
 from repro.data import random_sparse_tensor
 from repro.engine import backend
-from repro.serving import DecompositionService
+from repro.serving import DecompositionService, pool_manager
 
 #: Number of jobs in the stream (the acceptance gate requires >= 20).
 NUM_JOBS = 20
@@ -101,8 +102,7 @@ class _ServiceRunner:
     def __init__(self) -> None:
         self.loop = asyncio.new_event_loop()
         self.service = DecompositionService(
-            num_workers=NUM_WORKERS, batch_max=8, cache_capacity=0,
-            warmup=True,
+            num_workers=NUM_WORKERS, cache_capacity=0, warmup=True,
         )
         self.loop.run_until_complete(self.service.start())
         # Expose the loop the way run_service expects it.
@@ -139,6 +139,33 @@ def test_serving_beats_per_request_spinup(tensors):
         f"spin-up — {speedup:.2f}x, below the required "
         f"{EXPECTED_SPEEDUP:.2f}x"
     )
+
+
+def test_pooled_stream_reuses_one_crew(tensors, monkeypatch):
+    """Pinned to the crew, the stream spawns it once: one generation per job.
+
+    Count-based, so it holds on any host: the crew the service spawns at
+    start serves all 20 jobs, each packed into its own generation, and no
+    job spawns workers of its own.
+    """
+    spawned = []
+    crew_class = pool_manager.PersistentWorkerCrew
+
+    def counting_crew(*args, **kwargs):
+        spawned.append(crew_class(*args, **kwargs))
+        return spawned[-1]
+
+    monkeypatch.setattr(pool_manager, "PersistentWorkerCrew", counting_crew)
+    runner = _ServiceRunner()
+    try:
+        runner.run(tensors)
+        metrics = runner.service.metrics()
+    finally:
+        runner.close()
+    assert metrics["jobs"]["done"] == NUM_JOBS
+    assert len(spawned) == 1
+    assert metrics["pool"]["generations"] == NUM_JOBS
+    assert metrics["pool"]["resets"] == 0
 
 
 def test_small_stream_spawns_no_pool_generation(tensors, monkeypatch):

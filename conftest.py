@@ -12,7 +12,7 @@ def every_job_on_the_crew(monkeypatch):
     Below :data:`repro.engine.backend.CREW_BREAK_EVEN_FLOPS` of TTMc work
     per sweep, ``decompose(execution="process")`` and the service run a
     job inline.  Modules that exist to exercise the crew — spawn, arena,
-    batching, crash retry, breaker — do so on small tensors, so they set
+    crew reuse, crash retry, breaker — do so on small tensors, so they set
     the break-even to 0 and keep every process job on real workers.
     """
     from repro.engine import backend

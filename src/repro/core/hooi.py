@@ -416,8 +416,9 @@ def hooi(
     cancel_check: Optional[Callable[[], None]] = None,
     checkpoint=None,
     resume=None,
+    crew=None,
 ) -> HOOIResult:
-    """Run sequential HOOI on a sparse tensor.
+    """Run HOOI on a sparse tensor with the composition ``options`` select.
 
     Parameters
     ----------
@@ -453,6 +454,12 @@ def hooi(
         when present, start fresh otherwise).  The resumed run reproduces
         the uninterrupted one's remaining sweeps; structural or numeric
         option mismatches are rejected with an actionable error.
+    crew:
+        Optional :class:`repro.parallel.process_pool.PersistentWorkerCrew`
+        an ``execution="process"`` run borrows instead of spawning its own:
+        the run packs its plan into one generation on those workers, at
+        their width, and leaves them alive (how the service runs each
+        pooled job).
     """
     from repro.engine.backend import resolve_ttmc_backend
     from repro.engine.driver import HOOIEngine
@@ -462,7 +469,7 @@ def hooi(
         tensor,
         ranks,
         options,
-        backend=resolve_ttmc_backend(options),
+        backend=resolve_ttmc_backend(options, crew=crew),
         workspace=workspace,
     )
     return engine.run(

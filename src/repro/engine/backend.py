@@ -277,46 +277,49 @@ class ThreadDispatcher(InlineDispatcher):
 
 
 class ProcessDispatcher(InlineDispatcher):
-    """Runs packed plans as ``make_chunks`` ranges on a worker crew.
+    """Runs a packed plan as ``make_chunks`` ranges on a worker crew.
 
-    Without ``pool`` it owns a one-shot generation: :meth:`open` packs the
-    plan with :meth:`~repro.parallel.process_pool.HOOIProcessPool.for_plans`
-    (spawning a private crew) and :meth:`close` tears it down.  With
-    ``pool`` and ``job`` it is attached to a generation someone else owns —
-    a serving batch — and leaves it open.  Either way :meth:`open` writes
-    the engine's factors into the generation, per-mode TTMc runs through
-    ``pool.ttmc(mode, job=)`` and refreshed factors are broadcast through
-    ``pool.write_factor``.  Plans outside the generation (a distributed row
-    subset) run inline.
+    :meth:`open` packs the plan into a one-plan
+    :class:`~repro.parallel.process_pool.HOOIProcessPool` generation and
+    writes the engine's factors into it; per-mode TTMc runs through
+    ``pool.ttmc(mode)``, refreshed factors are broadcast through
+    ``pool.write_factor`` and :meth:`close` tears the generation down.
+    Without ``crew`` the generation spawns a private crew and closes it;
+    with ``crew`` (the service's :class:`~repro.parallel.process_pool.
+    PersistentWorkerCrew`) it borrows those workers, runs at the crew's
+    width and leaves them alive.  Plans outside the generation (a
+    distributed row subset) run inline.
     """
 
     name = "process"
 
-    def __init__(self, config=None, *, pool=None, job=None) -> None:
+    def __init__(self, config=None, *, crew=None) -> None:
         from repro.parallel.process_pool import ProcessConfig
 
-        self.config = config or ProcessConfig()
-        self.width = self.config.num_workers
-        self.pool = pool
-        self.job = job
-        self._owns_pool = pool is None
+        if config is None:
+            config = ProcessConfig(
+                num_workers=crew.num_workers if crew is not None else 1
+            )
+        self.config = config
+        self.width = config.num_workers
+        self.crew = crew
+        self.pool = None
 
     def open(self, eng, plan: TTMcPlan) -> None:
-        if self._owns_pool:
-            from repro.parallel.process_pool import HOOIProcessPool
+        from repro.parallel.process_pool import HOOIProcessPool
 
-            self.pool = HOOIProcessPool.for_plans({None: plan}, config=self.config)
+        self.pool = HOOIProcessPool(plan, config=self.config, crew=self.crew)
         for mode, factor in enumerate(eng.factors):
-            self.pool.write_factor(mode, factor, job=self.job)
+            self.pool.write_factor(mode, factor)
 
     def compute(self, eng, plan: TTMcPlan, mode: int) -> np.ndarray:
-        return self.pool.ttmc(mode, job=self.job)
+        return self.pool.ttmc(mode)
 
     def factor_updated(self, mode: int, factor: np.ndarray) -> None:
-        self.pool.write_factor(mode, factor, job=self.job)
+        self.pool.write_factor(mode, factor)
 
     def close(self) -> None:
-        if self._owns_pool and self.pool is not None:
+        if self.pool is not None:
             self.pool.close()
             self.pool = None
 
@@ -327,7 +330,7 @@ class PlanBackend(ExecutionBackend):
     ``plan`` is a plan class (built in :meth:`prepare` over the engine's
     dtype-cast tensor, with the dispatcher's width overlapping the
     symbolic step) or an already built plan (a preset memory-mapped tree
-    set, a rank's seeded symbolic data, a serving batch member).
+    set, a rank's seeded symbolic data).
     ``dispatcher`` defaults to inline execution.  ``pool`` is the process
     dispatcher's live generation (``None`` otherwise).
     """
@@ -347,10 +350,8 @@ class PlanBackend(ExecutionBackend):
 
     def prepare(self, eng) -> None:
         dispatcher = self.dispatcher
-        if (
-            isinstance(dispatcher, ProcessDispatcher)
-            and dispatcher._owns_pool
-            and not crew_pays(eng.tensor.nnz, eng.ranks)
+        if isinstance(dispatcher, ProcessDispatcher) and not crew_pays(
+            eng.tensor.nnz, eng.ranks
         ):
             # Too little work to pay for a crew: spawn nothing, pack no
             # arena, and run exactly the sequential sweep.
@@ -418,15 +419,15 @@ def crew_pays(nnz: int, ranks) -> bool:
     The work is the paper's per-sweep ``W_TTMc``, Σ_n
     :func:`~repro.core.ttmc.ttmc_flops` over the tensor's nonzeros and
     ranks, compared with :data:`CREW_BREAK_EVEN_FLOPS` (read at call time).
-    :meth:`PlanBackend.prepare` runs a self-owned process dispatcher inline
-    below it, and the service routes small process jobs to its direct path
+    :meth:`PlanBackend.prepare` runs a process dispatcher inline below it,
+    and the service keeps small process jobs off its crew
     (:func:`repro.serving.executor.pooled_eligible`).
     """
     work = sum(ttmc_flops(nnz, ranks, mode) for mode in range(len(ranks)))
     return work >= CREW_BREAK_EVEN_FLOPS
 
 
-def resolve_ttmc_backend(options, config=None) -> PlanBackend:
+def resolve_ttmc_backend(options, config=None, *, crew=None) -> PlanBackend:
     """Backend implied by ``ttmc_strategy``, ``tensor_format`` and ``execution``.
 
     The plan comes from ``(tensor_format, ttmc_strategy)``
@@ -435,7 +436,10 @@ def resolve_ttmc_backend(options, config=None) -> PlanBackend:
     processes; ``config`` (a
     :class:`~repro.parallel.parallel_for.ParallelConfig`, passed by the
     threaded driver) supplies the thread count and schedule instead.  A
-    width of one runs inline: no threads, processes or shared memory.  The
+    width of one runs inline: no threads, processes or shared memory.  A
+    process run given ``crew`` (a
+    :class:`~repro.parallel.process_pool.PersistentWorkerCrew`) runs on
+    those workers at their width, however many, instead.  The
     ``kernel`` axis needs no routing — plans read ``options.kernel`` — and
     the ``validate`` call here rejects unavailable or non-composing tiers
     before anything is built.  Option values and composition are checked by
@@ -448,6 +452,8 @@ def resolve_ttmc_backend(options, config=None) -> PlanBackend:
     execution = options.execution or "sequential"
     width = int(options.num_workers or 1)
     if execution == "process":
+        if crew is not None:
+            return PlanBackend(plan, ProcessDispatcher(crew=crew))
         from repro.parallel.process_pool import ProcessConfig
 
         if width <= 1 and config is not None:

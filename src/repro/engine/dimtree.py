@@ -468,7 +468,7 @@ class DimensionTree(TTMcPlan):
     # ------------------------------------------------------------------ #
     # Shared-arena layout
     # ------------------------------------------------------------------ #
-    def pack(self, arena, prefix: str) -> dict:
+    def pack(self, arena) -> dict:
         """Groupings and every node payload go into shared segments.
 
         The root's index matrix and values are the *tree's* (a CSF-sourced
@@ -479,9 +479,9 @@ class DimensionTree(TTMcPlan):
         """
         dtype = self.dtype
         ranks = self.ranks
-        arena.put(f"{prefix}indices", np.ascontiguousarray(self.root.index_cols))
+        arena.put("indices", np.ascontiguousarray(self.root.index_cols))
         self.root.payload = arena.put(
-            f"{prefix}payload{self.root.node_id}", self._values.reshape(-1, 1)
+            f"payload{self.root.node_id}", self._values.reshape(-1, 1)
         )
         self.root.cache_dtype = dtype
         for node in self.nodes[1:]:
@@ -489,37 +489,37 @@ class DimensionTree(TTMcPlan):
             width = lo_width * hi_width * kron_row_length(
                 [ranks[m] for m in node.sibling_modes]
             )
-            arena.put(f"{prefix}grp-idx{node.node_id}", node.grouping.indices)
-            arena.put(f"{prefix}grp-perm{node.node_id}", node.grouping.perm)
-            arena.put(f"{prefix}grp-segptr{node.node_id}", node.grouping.segptr)
+            arena.put(f"grp-idx{node.node_id}", node.grouping.indices)
+            arena.put(f"grp-perm{node.node_id}", node.grouping.perm)
+            arena.put(f"grp-segptr{node.node_id}", node.grouping.segptr)
             node.payload = arena.zeros(
-                f"{prefix}payload{node.node_id}", (node.num_fibers, width), dtype
+                f"payload{node.node_id}", (node.num_fibers, width), dtype
             )
         self._shared = True
         contiguous = [
             bool(node.grouping.contiguous) for node in self.nodes[1:]
         ]
-        return dict(super().pack(arena, prefix), contiguous=contiguous)
+        return dict(super().pack(arena), contiguous=contiguous)
 
     @classmethod
-    def attach(cls, view, meta: dict, prefix: str) -> "DimensionTree":
+    def attach(cls, view, meta: dict) -> "DimensionTree":
         tree = cls.__new__(cls)
         TTMcPlan.__init__(
             tree, meta["shape"], meta["ranks"], block_nnz=meta["block_nnz"]
         )
         tree._init_topology()
         tree._shared = True
-        tree.root.index_cols = view[f"{prefix}indices"]
-        tree.root.payload = view[f"{prefix}payload{tree.root.node_id}"]
+        tree.root.index_cols = view["indices"]
+        tree.root.payload = view[f"payload{tree.root.node_id}"]
         tree._values = tree.root.payload[:, 0]
         for node, contiguous in zip(tree.nodes[1:], meta["contiguous"]):
             nid = node.node_id
             node.grouping = FiberGrouping(
-                indices=view[f"{prefix}grp-idx{nid}"],
-                perm=view[f"{prefix}grp-perm{nid}"],
-                segptr=view[f"{prefix}grp-segptr{nid}"],
+                indices=view[f"grp-idx{nid}"],
+                perm=view[f"grp-perm{nid}"],
+                segptr=view[f"grp-segptr{nid}"],
                 contiguous=contiguous,
             )
             node.index_cols = node.grouping.indices
-            node.payload = view[f"{prefix}payload{nid}"]
-        return tree._attach_buffers(view, prefix)
+            node.payload = view[f"payload{nid}"]
+        return tree._attach_buffers(view)

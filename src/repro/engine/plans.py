@@ -156,7 +156,7 @@ class TTMcPlan:
         """``U_mode`` was replaced (plans caching factor products react)."""
 
     # -- shared-arena layout --------------------------------------------- #
-    def pack(self, arena, prefix: str) -> dict:
+    def pack(self, arena) -> dict:
         """Place factors and outputs in ``arena``; return the attach meta.
 
         Subclasses put their symbolic arrays first and extend the meta.
@@ -168,10 +168,10 @@ class TTMcPlan:
         for n in range(self.order):
             width = kron_row_length([self.ranks[t] for t in range(self.order) if t != n])
             self.factors[n] = arena.zeros(
-                f"{prefix}factor{n}", (self.shape[n], self.ranks[n]), self.dtype
+                f"factor{n}", (self.shape[n], self.ranks[n]), self.dtype
             )
             self.outs[n] = arena.zeros(
-                f"{prefix}out{n}", (self.shape[n], width), self.dtype
+                f"out{n}", (self.shape[n], width), self.dtype
             )
         return {
             "kind": self.kind,
@@ -181,18 +181,18 @@ class TTMcPlan:
             "kernel": self.kernel,
         }
 
-    def _attach_buffers(self, view, prefix: str) -> "TTMcPlan":
-        self.factors = [view[f"{prefix}factor{n}"] for n in range(self.order)]
-        self.outs = {n: view[f"{prefix}out{n}"] for n in range(self.order)}
+    def _attach_buffers(self, view) -> "TTMcPlan":
+        self.factors = [view[f"factor{n}"] for n in range(self.order)]
+        self.outs = {n: view[f"out{n}"] for n in range(self.order)}
         return self
 
 
-def attach_plan(view, meta: dict, prefix: str = "") -> TTMcPlan:
+def attach_plan(view, meta: dict) -> TTMcPlan:
     """Rebuild a packed plan over a worker's views of the shared arena."""
     from repro.engine.dimtree import DimensionTree
 
     kinds = {cls.kind: cls for cls in (COORowsPlan, CSFSlabPlan, DimensionTree)}
-    return kinds[meta["kind"]].attach(view, meta, prefix)
+    return kinds[meta["kind"]].attach(view, meta)
 
 
 class COORowsPlan(TTMcPlan):
@@ -240,33 +240,31 @@ class COORowsPlan(TTMcPlan):
         sub.outs[mode] = self._zeros_out(mode, positions.shape[0], factors)
         return sub
 
-    def pack(self, arena, prefix: str) -> dict:
-        arena.put(f"{prefix}indices", self.tensor.indices)
-        arena.put(f"{prefix}values", self.tensor.values)
+    def pack(self, arena) -> dict:
+        arena.put("indices", self.tensor.indices)
+        arena.put("values", self.tensor.values)
         for n, sym in self.symbolic.items():
-            arena.put(f"{prefix}sym-rows{n}", sym.rows)
-            arena.put(f"{prefix}sym-perm{n}", sym.perm)
-            arena.put(f"{prefix}sym-rowptr{n}", sym.rowptr)
-        return super().pack(arena, prefix)
+            arena.put(f"sym-rows{n}", sym.rows)
+            arena.put(f"sym-perm{n}", sym.perm)
+            arena.put(f"sym-rowptr{n}", sym.rowptr)
+        return super().pack(arena)
 
     @classmethod
-    def attach(cls, view, meta: dict, prefix: str) -> "COORowsPlan":
+    def attach(cls, view, meta: dict) -> "COORowsPlan":
         shape = tuple(meta["shape"])
-        tensor = SparseTensor(
-            view[f"{prefix}indices"], view[f"{prefix}values"], shape, copy=False
-        )
+        tensor = SparseTensor(view["indices"], view["values"], shape, copy=False)
         symbolic = {
             n: ModeSymbolic(
                 mode=n,
-                rows=view[f"{prefix}sym-rows{n}"],
-                perm=view[f"{prefix}sym-perm{n}"],
-                rowptr=view[f"{prefix}sym-rowptr{n}"],
+                rows=view[f"sym-rows{n}"],
+                perm=view[f"sym-perm{n}"],
+                rowptr=view[f"sym-rowptr{n}"],
             )
             for n in range(len(shape))
         }
         plan = cls(tensor, symbolic, meta["ranks"],
                    block_nnz=meta["block_nnz"], kernel=meta["kernel"])
-        return plan._attach_buffers(view, prefix)
+        return plan._attach_buffers(view)
 
 
 class CSFSlabPlan(TTMcPlan):
@@ -313,20 +311,20 @@ class CSFSlabPlan(TTMcPlan):
         )
         self.outs[mode][rows] = block
 
-    def pack(self, arena, prefix: str) -> dict:
+    def pack(self, arena) -> dict:
         mode_orders = []
         for n in range(self.order):
             csf = self.trees.tree_for(n)
             for level in range(self.order):
-                arena.put(f"{prefix}csf{n}-fids{level}", csf.fids[level])
+                arena.put(f"csf{n}-fids{level}", csf.fids[level])
             for level in range(self.order - 1):
-                arena.put(f"{prefix}csf{n}-fptr{level}", csf.fptr[level])
-            arena.put(f"{prefix}csf{n}-values", csf.values)
+                arena.put(f"csf{n}-fptr{level}", csf.fptr[level])
+            arena.put(f"csf{n}-values", csf.values)
             mode_orders.append(tuple(int(m) for m in csf.mode_order))
-        return dict(super().pack(arena, prefix), mode_orders=mode_orders)
+        return dict(super().pack(arena), mode_orders=mode_orders)
 
     @classmethod
-    def attach(cls, view, meta: dict, prefix: str) -> "CSFSlabPlan":
+    def attach(cls, view, meta: dict) -> "CSFSlabPlan":
         from repro.sparse.csf import CSFTensor, CSFTensorSet
 
         shape = tuple(meta["shape"])
@@ -336,13 +334,13 @@ class CSFSlabPlan(TTMcPlan):
             n: CSFTensor.from_arrays(
                 shape,
                 meta["mode_orders"][n],
-                [view[f"{prefix}csf{n}-fids{lvl}"] for lvl in range(order)],
-                [view[f"{prefix}csf{n}-fptr{lvl}"] for lvl in range(order - 1)],
-                view[f"{prefix}csf{n}-values"],
+                [view[f"csf{n}-fids{lvl}"] for lvl in range(order)],
+                [view[f"csf{n}-fptr{lvl}"] for lvl in range(order - 1)],
+                view[f"csf{n}-values"],
             )
             for n in range(order)
         }
         plan = cls(CSFTensorSet(trees, shared=False), meta["ranks"],
                    block_nnz=meta["block_nnz"], kernel=meta["kernel"])
-        return plan._attach_buffers(view, prefix)
+        return plan._attach_buffers(view)
 

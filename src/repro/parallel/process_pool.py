@@ -6,15 +6,14 @@ them does not, so threads scale only on large ranges.  This module runs the
 same lock-free ranges on worker *processes* with zero-copy shared memory:
 
 * A :class:`PersistentWorkerCrew` is a set of long-lived worker processes.
-* A :class:`HOOIProcessPool` is one *generation* on a crew:
-  :meth:`HOOIProcessPool.for_plans` packs any mix of work plans
-  (:mod:`repro.engine.plans` — COO rows, CSF root-fiber slabs,
-  dimension-tree edges) into one :class:`~repro.parallel.shm.ShmArena` —
-  each plan's symbolic arrays, factors and outputs under its job's prefix —
-  and every worker rebuilds each plan from its views plus a small meta
+* A :class:`HOOIProcessPool` is one *generation* on a crew: it packs one
+  work plan (:mod:`repro.engine.plans` — COO rows, CSF root-fiber slabs or
+  dimension-tree edges) into a :class:`~repro.parallel.shm.ShmArena` —
+  the plan's symbolic arrays, factors and outputs — and every worker
+  rebuilds the plan from its views plus a small meta
   (:func:`~repro.engine.plans.attach_plan`).
-* Numeric work is dispatched as tiny ``(job, key, start, stop)``
-  descriptors over the same static/dynamic/guided
+* Numeric work is dispatched as tiny ``(key, start, stop)`` descriptors
+  over the same static/dynamic/guided
   :func:`~repro.parallel.parallel_for.make_chunks` schedules the thread
   dispatcher uses; a worker runs the plan's range body, which writes a
   row-disjoint slice of the shared output — no locks, and no result
@@ -26,15 +25,16 @@ same lock-free ranges on worker *processes* with zero-copy shared memory:
   driver's version counters decide which edges went stale; workers stay
   stateless and simply execute the ranges they are handed.
 
-A generation built without ``crew=`` spawns a private crew and owns it (the
-one-shot ``hooi(...)`` lifecycle); with ``crew=`` (the serving lifecycle) it
-attaches on construction and detaches on close, leaving the processes alive
-for the next generation.  :meth:`HOOIProcessPool.close` is idempotent and
-crash-safe (the arena unlinks its segments even on abnormal teardown).
+A generation built without ``crew=`` spawns a private crew and owns it (a
+one-shot ``hooi(...)`` run); with ``crew=`` (``hooi(..., crew=)``, how the
+service runs each pooled job) it attaches on construction and detaches on
+close, leaving the processes alive for the next generation.
+:meth:`HOOIProcessPool.close` is idempotent and crash-safe (the arena
+unlinks its segments even on abnormal teardown).
 
 To debug a plan's worker side in-process, rebuild it exactly as a worker
-does: ``attach_plan(ShmView(pool._arena.specs), meta, prefix)`` with the
-meta the plan's ``pack`` returned.
+does: ``attach_plan(ShmView(pool._arena.specs), meta)`` with the meta the
+plan's ``pack`` returned.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import os
 import queue as queue_module
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import multiprocessing as mp
 
@@ -100,27 +100,18 @@ class WorkerCrashError(RuntimeError):
     """A worker process died while (or before) executing dispatched work."""
 
 
-class WorkerCrashError(RuntimeError):
-    """A worker process died while (or before) executing dispatched work."""
-
-
-def _prefix(job) -> str:
-    """Arena namespace of one generation member (empty for a lone plan)."""
-    return f"{job}:" if job is not None else ""
-
-
 # --------------------------------------------------------------------------- #
 # Worker side
 # --------------------------------------------------------------------------- #
-def _generation_loop(worker_id: int, plans: Dict, task_q, done_q) -> None:
+def _generation_loop(worker_id: int, plan, task_q, done_q) -> None:
     """Run range bodies until the generation's detach sentinel arrives."""
     while True:
         task = task_q.get()
         if task is None:
             return
-        task_id, job, key, start, stop = task
+        task_id, key, start, stop = task
         try:
-            plans[job].body(key, start, stop)
+            plan.body(key, start, stop)
             error = None
         except BaseException as exc:
             error = f"{type(exc).__name__}: {exc}"
@@ -135,9 +126,9 @@ def _worker_main(worker_id: int, task_q, done_q, ctrl_q) -> None:
     """Crew worker entry point.
 
     Blocks on the private control queue for ``("__attach__", specs, meta)``
-    commands, rebuilds every member plan over zero-copy views of the
-    generation's arena, serves range tasks until the shared work queue
-    delivers the detach sentinel, acks ``"__detached__"`` and loops.
+    commands, rebuilds the generation's plan over zero-copy views of its
+    arena, serves range tasks until the shared work queue delivers the
+    detach sentinel, acks ``"__detached__"`` and loops.
     """
     from repro.engine.plans import attach_plan
 
@@ -151,10 +142,7 @@ def _worker_main(worker_id: int, task_q, done_q, ctrl_q) -> None:
         try:
             view = ShmView(specs)
             try:
-                plans = {
-                    job: attach_plan(view, job_meta, _prefix(job))
-                    for job, job_meta in meta
-                }
+                plan = attach_plan(view, meta)
             except BaseException:
                 view.close()
                 raise
@@ -163,9 +151,9 @@ def _worker_main(worker_id: int, task_q, done_q, ctrl_q) -> None:
             continue
         done_q.put(("__ready__", worker_id, None))
         try:
-            _generation_loop(worker_id, plans, task_q, done_q)
+            _generation_loop(worker_id, plan, task_q, done_q)
         finally:
-            plans = None  # drop the plans' views so the segments can unmap
+            plan = None  # drop the plan's views so the segments can unmap
             view.close()
         done_q.put(("__detached__", worker_id, None))
 
@@ -197,9 +185,8 @@ class PersistentWorkerCrew:
     with the generation.
 
     The crew is not usable concurrently: at most one generation may be
-    attached at a time (the serving layer's admission batching exists to
-    pack many small jobs into one generation rather than to multiplex
-    generations).  A crew whose worker died — or that timed out detaching —
+    attached at a time (the service runs one job at a time, each in its own
+    generation).  A crew whose worker died — or that timed out detaching —
     is *broken*: :attr:`alive` turns false and the owner is expected to
     :meth:`close` it and build a fresh one (the serving layer's
     crash-retry path).
@@ -326,25 +313,23 @@ class PersistentWorkerCrew:
 
 
 class HOOIProcessPool:
-    """One generation: work plans packed into a shared arena on a crew.
+    """One generation: a work plan packed into a shared arena on a crew.
 
-    Build one with :meth:`for_plans` (any mix of plans, keyed by job),
-    drive member ``job`` with :meth:`ttmc` / :meth:`run` /
+    Construct it over a plan (``ranks`` set: they size the factor and
+    output segments), drive it with :meth:`ttmc` / :meth:`run` /
     :meth:`write_factor`, and release it with :meth:`close` (or use it as
-    a context manager).  Once packed, each driver-side plan reads and writes
-    the shared segments its workers see.  Members run one at a time (the
-    pool is single-consumer); a lone plan is keyed ``None``.
+    a context manager).  Once packed, the driver-side plan reads and writes
+    the shared segments its workers see.  Factor segments start zeroed:
+    write the initial factors before the first :meth:`ttmc`.
 
     Without ``crew`` the generation spawns a private
     :class:`PersistentWorkerCrew` and closes it with itself; with ``crew``
     it attaches the caller's crew and detaches — but keeps alive — on close.
     """
 
-    def __init__(self, plans: Dict, *, config: Optional[ProcessConfig] = None,
+    def __init__(self, plan, *, config: Optional[ProcessConfig] = None,
                  crew: Optional[PersistentWorkerCrew] = None) -> None:
-        self._plans = dict(plans)
-        if not self._plans:
-            raise ValueError("a generation needs at least one plan")
+        self._plan = plan
         self.config = _resolve_config(config, crew)
         self._arena = ShmArena()
         self._crew = crew
@@ -355,10 +340,7 @@ class HOOIProcessPool:
         self._task_counter = 0
         self.workers: List[mp.process.BaseProcess] = []
         try:
-            meta = [
-                (job, plan.pack(self._arena, _prefix(job)))
-                for job, plan in self._plans.items()
-            ]
+            meta = plan.pack(self._arena)
             if crew is None:
                 crew = self._crew = PersistentWorkerCrew(
                     self.config.num_workers,
@@ -391,26 +373,6 @@ class HOOIProcessPool:
 
     # -- constructors ---------------------------------------------------- #
     @classmethod
-    def for_plans(
-        cls,
-        plans: Dict,
-        *,
-        config: Optional[ProcessConfig] = None,
-        crew: Optional[PersistentWorkerCrew] = None,
-    ) -> "HOOIProcessPool":
-        """Pack ``{job: plan}`` into ONE generation.
-
-        Every member's operands land in the same arena under a
-        ``<job>:``-prefixed namespace and all workers attach them in a
-        single ``__attach__`` cycle — the admission batching the serving
-        layer uses so a stream of small tensors costs one attach/detach per
-        *batch* instead of one per job.  Members may mix plan kinds and
-        dtypes; each plan must carry its ranks.  Factor segments start
-        zeroed: write the initial factors before the first :meth:`ttmc`.
-        """
-        return cls(plans, config=config, crew=crew)
-
-    @classmethod
     def for_csf(
         cls,
         trees,
@@ -426,10 +388,9 @@ class HOOIProcessPool:
     ) -> "HOOIProcessPool":
         """A one-plan generation over CSF ``trees`` with ``factors`` written in.
 
-        A thin wrapper over :meth:`for_plans` with a
-        :class:`~repro.engine.plans.CSFSlabPlan`; ``tensor`` and ``dtype``
-        describe what the trees were built from (their values must already
-        carry ``dtype``).
+        The plan is a :class:`~repro.engine.plans.CSFSlabPlan`; ``tensor``
+        and ``dtype`` describe what the trees were built from (their values
+        must already carry ``dtype``).
         """
         from repro.engine.plans import CSFSlabPlan
 
@@ -439,7 +400,7 @@ class HOOIProcessPool:
                 f"the trees hold {plan.dtype} values of shape {plan.shape}, "
                 f"not {np.dtype(dtype)} of shape {tuple(tensor.shape)}"
             )
-        pool = cls.for_plans({None: plan}, config=config, crew=crew)
+        pool = cls(plan, config=config, crew=crew)
         for mode, factor in enumerate(factors):
             pool.write_factor(mode, factor)
         return pool
@@ -525,26 +486,26 @@ class HOOIProcessPool:
         )
 
     # -- public operations ----------------------------------------------- #
-    def run(self, job, key) -> None:
-        """Execute every item of ``key`` of member ``job`` on the workers."""
+    def run(self, key) -> None:
+        """Execute every item of ``key`` on the workers."""
         self._check_usable()
-        num_items = self._plans[job].items(key)
+        num_items = self._plan.items(key)
         if num_items:
             self._dispatch(
-                [(job, key, start, stop) for start, stop in self._chunks(num_items)]
+                [(key, start, stop) for start, stop in self._chunks(num_items)]
             )
 
-    def ttmc(self, mode: int, *, job=None) -> np.ndarray:
-        """Member ``job``'s ``Y_(mode)``, returned in its shared buffer.
+    def ttmc(self, mode: int) -> np.ndarray:
+        """``Y_(mode)``, returned in its shared buffer.
 
-        The member's plan decides which ranges that takes: the mode's rows
+        The plan decides which ranges that takes: the mode's rows
         or root-fiber slabs, or the stale edges on a dimension tree's
         root-to-leaf path; either way each range writes a disjoint row set.
         """
         self._check_usable()
-        return self._plans[job].ttmc(mode, lambda key: self.run(job, key))
+        return self._plan.ttmc(mode, self.run)
 
-    def write_factor(self, mode: int, array: np.ndarray, *, job=None) -> None:
+    def write_factor(self, mode: int, array: np.ndarray) -> None:
         """Broadcast a refreshed factor by writing its shared segment.
 
         The write happens-before the next task dispatch (queue hand-off), so
@@ -552,7 +513,7 @@ class HOOIProcessPool:
         """
         if self._closed:
             raise RuntimeError("the process pool is closed")
-        segment = self._arena[f"{_prefix(job)}factor{mode}"]
+        segment = self._arena[f"factor{mode}"]
         array = np.asarray(array, dtype=segment.dtype)
         if array.shape != segment.shape:
             raise ValueError(
@@ -633,8 +594,7 @@ class HOOIProcessPool:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "closed" if self._closed else ("broken" if self._broken else "live")
-        kinds = sorted({plan.kind for plan in self._plans.values()})
         return (
             f"HOOIProcessPool(workers={len(self.workers)}, "
-            f"plans={len(self._plans)} {kinds}, {state})"
+            f"plan={self._plan.kind}, {state})"
         )

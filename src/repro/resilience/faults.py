@@ -24,9 +24,10 @@ Injection points wired into the codebase
                      enqueued.
 ``trsvd``            :func:`repro.core.trsvd.truncated_svd` — the factor
                      update of every mode of every sweep.
-``serving.run_direct`` / ``serving.run_batch``
-                     the serving executor's two run paths, before any work
-                     starts.
+``serving.run_direct``
+                     :func:`repro.serving.executor.run_direct`, the
+                     service's one run path (pooled jobs included),
+                     before any work starts.
 ==================== ====================================================
 
 Activation
@@ -61,7 +62,7 @@ import os
 import random
 import threading
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Dict, Optional, Sequence, Tuple
 
 __all__ = [
@@ -90,7 +91,6 @@ INJECTION_POINTS = (
     "pool.dispatch",
     "trsvd",
     "serving.run_direct",
-    "serving.run_batch",
 )
 
 #: Actions a spec may take when it fires.

@@ -6,11 +6,11 @@ keeps the workers alive between requests and fronts them with an asyncio
 job engine:
 
 * :class:`DecompositionService` — submit/await endpoint with admission
-  control, FIFO dispatch, small-job batching onto single pool generations,
-  an LRU result cache keyed by content fingerprints, cooperative
-  cancellation, per-job timeouts, crash retry with sweep-checkpoint resume,
-  a circuit-breaker-guarded degradation ladder and a metrics snapshot
-  (see :mod:`repro.resilience`).
+  control, FIFO dispatch of one job at a time (a pooled job borrows the
+  persistent crew for one pool generation), an LRU result cache keyed by
+  content fingerprints, cooperative cancellation, per-job timeouts, crash
+  retry with sweep-checkpoint resume, a circuit-breaker-guarded
+  degradation ladder and a metrics snapshot (see :mod:`repro.resilience`).
 * :class:`JobHandle` / :class:`JobState` / :class:`JobRequest` — the job
   surface (see :mod:`repro.serving.jobs`).
 * :class:`HOOIPoolManager` / :class:`ResultCache` — the reusable pieces
@@ -21,11 +21,7 @@ CONTRIBUTING for the job-state extension guidelines.
 """
 
 from repro.serving.cache import ResultCache
-from repro.serving.executor import (
-    pooled_eligible,
-    run_direct,
-    run_process_batch,
-)
+from repro.serving.executor import pooled_eligible, run_direct
 from repro.serving.jobs import (
     AdmissionError,
     Job,
@@ -53,5 +49,4 @@ __all__ = [
     "HOOIPoolManager",
     "pooled_eligible",
     "run_direct",
-    "run_process_batch",
 ]

@@ -10,8 +10,8 @@ calls, and final teardown.  Cumulative counters (``resets``,
 ``generations``) survive crew replacement so the metrics snapshot reflects
 the service's whole lifetime, not the current crew's.
 
-Since PR 8 the manager also hosts the process tier's
-:class:`~repro.resilience.degrade.CircuitBreaker`: consecutive pooled-batch
+The manager also hosts the process tier's
+:class:`~repro.resilience.degrade.CircuitBreaker`: consecutive pooled-job
 failures open the circuit and :meth:`acquire` raises
 :class:`~repro.resilience.degrade.CircuitOpenError` for the cooldown, so
 the service degrades jobs down the fallback ladder immediately instead of
@@ -28,7 +28,7 @@ from typing import Optional
 from repro.kernels.registry import kernel_available, warmup_kernels
 from repro.parallel.process_pool import PersistentWorkerCrew
 from repro.parallel.shm import cleanup_orphans as _cleanup_shm_orphans
-from repro.resilience.degrade import CircuitBreaker, CircuitOpenError
+from repro.resilience.degrade import CircuitBreaker
 
 __all__ = ["HOOIPoolManager"]
 
@@ -42,7 +42,7 @@ class HOOIPoolManager:
 
     ``breaker`` guards the whole process tier (pass ``None`` to disable —
     acquire then never raises :class:`CircuitOpenError`); callers report
-    batch outcomes through :meth:`record_success` / :meth:`record_failure`.
+    pooled-job outcomes through :meth:`record_success` / :meth:`record_failure`.
     ``cleanup_orphans=True`` runs an age-gated sweep of stale repro-owned
     shared-memory segments once, before the first crew is built.
     """
@@ -97,12 +97,12 @@ class HOOIPoolManager:
 
     # -- breaker bookkeeping (no-ops without a breaker) ------------------- #
     def record_success(self) -> None:
-        """Report a completed pooled batch (closes a half-open circuit)."""
+        """Report a completed pooled job (closes a half-open circuit)."""
         if self.breaker is not None:
             self.breaker.record_success()
 
     def record_failure(self) -> None:
-        """Report a failed pooled batch (may trip the circuit)."""
+        """Report a crashed pooled job (may trip the circuit)."""
         if self.breaker is not None:
             self.breaker.record_failure()
 
@@ -124,7 +124,7 @@ class HOOIPoolManager:
         WorkerCrashError` the old crew's surviving processes may hold
         attachments to an arena that is being unlinked, so the whole crew is
         reaped (releasing every shared-memory mapping) before the retried
-        jobs run on new workers.
+        job runs on new workers.
         """
         with self._lock:
             self._retire_locked()

@@ -12,16 +12,15 @@ pipeline:
   is served instantly, born ``DONE`` with ``cached=True``), and enforces
   the pending-queue bound (:class:`~repro.serving.jobs.AdmissionError`).
 
-* **Dispatch** — one asyncio task drains the FIFO queue.  A
-  process-execution job whose per-sweep TTMc work reaches the crew's
-  break-even (:func:`~repro.serving.executor.pooled_eligible`, the rule
-  ``decompose()`` applies) runs on the persistent worker crew, and
-  consecutive ones with few nonzeros are packed into one batched pool
-  generation (:func:`~repro.serving.executor.run_process_batch`), so they
-  pay one worker attach/detach per batch and zero process spawns.
-  Everything else — smaller process jobs, fresh or delta, and sequential
-  or thread jobs — runs inline through the ordinary drivers
-  (:func:`~repro.serving.executor.run_direct`).  All numeric work happens
+* **Dispatch** — one asyncio task drains the FIFO queue one job at a
+  time, and every job runs through the ordinary driver
+  (:func:`~repro.serving.executor.run_direct`).  A process-execution job
+  whose per-sweep TTMc work reaches the crew's break-even
+  (:func:`~repro.serving.executor.pooled_eligible`, the rule
+  ``decompose()`` applies) borrows the persistent worker crew for one pool
+  generation, so it pays one worker attach/detach and zero process
+  spawns.  Everything else — smaller process jobs, fresh or delta, and
+  sequential or thread jobs — runs without it.  All numeric work happens
   on ONE worker thread — the event loop stays responsive while
   decompositions grind.
 
@@ -29,7 +28,7 @@ pipeline:
   cache and resolve futures; cancellations and timeouts raise their typed
   errors; a worker crash retires the crew
   (:meth:`~repro.serving.pool_manager.HOOIPoolManager.reset`) and requeues
-  the affected jobs up to ``max_retries`` times.
+  the job up to ``max_retries`` times.
 
 * **Metrics** — :meth:`DecompositionService.metrics` snapshots queue depth,
   per-state counts, cache accounting, pool generations/resets, throughput
@@ -43,7 +42,6 @@ loop.  See README "Serving decompositions" for the end-to-end example.
 from __future__ import annotations
 
 import asyncio
-import functools
 import hashlib
 import itertools
 import time
@@ -51,7 +49,7 @@ import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, List, Optional, Union
 
 from repro.core.hooi import HOOIOptions
 from repro.engine.workspace import WorkspacePool
@@ -63,12 +61,7 @@ from repro.resilience.degrade import (
 )
 from repro.resilience.retry import RetryPolicy
 from repro.serving.cache import ResultCache
-from repro.serving.executor import (
-    Outcome,
-    pooled_eligible,
-    run_direct,
-    run_process_batch,
-)
+from repro.serving.executor import Outcome, pooled_eligible, run_direct
 from repro.serving.jobs import (
     AdmissionError,
     Job,
@@ -109,12 +102,6 @@ class DecompositionService:
         :class:`AdmissionError` (cache hits are exempt — they never queue).
     cache_capacity:
         LRU result-cache entries (0 disables caching).
-    batch_max / batch_nnz_limit:
-        Admission batching: up to ``batch_max`` consecutive queued pooled
-        jobs whose tensors have at most ``batch_nnz_limit`` nonzeros share
-        one pool generation.  Larger pooled jobs still run on the crew, one
-        generation each; process jobs below the crew's break-even are not
-        pooled at all.
     default_timeout:
         Per-job timeout in seconds applied when ``submit`` passes none
         (None = unlimited).  Timeouts abort cooperatively at the next mode
@@ -138,7 +125,7 @@ class DecompositionService:
         file is removed when its job completes.
     breaker_threshold / breaker_cooldown:
         The process-pool circuit breaker: ``breaker_threshold`` consecutive
-        pooled-batch failures open the circuit for ``breaker_cooldown``
+        pooled-job failures open the circuit for ``breaker_cooldown``
         seconds, during which pooled jobs degrade immediately (no retries
         against a broken tier) and a half-open probe re-tests the pool.
         ``breaker_threshold=0`` disables the breaker.
@@ -153,8 +140,6 @@ class DecompositionService:
         num_workers: int = 1,
         max_pending: int = 64,
         cache_capacity: int = 64,
-        batch_max: int = 4,
-        batch_nnz_limit: int = 50_000,
         default_timeout: Optional[float] = None,
         max_retries: int = 1,
         retry_policy: Optional[RetryPolicy] = None,
@@ -168,8 +153,6 @@ class DecompositionService:
     ) -> None:
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
-        if batch_max < 1:
-            raise ValueError(f"batch_max must be >= 1, got {batch_max}")
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         if checkpoint_interval < 1:
@@ -181,8 +164,6 @@ class DecompositionService:
                 f"breaker_threshold must be >= 0, got {breaker_threshold}"
             )
         self.max_pending = max_pending
-        self.batch_max = batch_max
-        self.batch_nnz_limit = batch_nnz_limit
         self.default_timeout = default_timeout
         self._retry_policy = retry_policy or RetryPolicy(max_retries=max_retries)
         self.max_retries = self._retry_policy.max_retries
@@ -245,7 +226,7 @@ class DecompositionService:
         """Stop the service; ``drain=True`` finishes queued work first.
 
         With ``drain=False`` every still-queued job is finalized as
-        cancelled (the in-flight batch always completes — cancellation is
+        cancelled (the in-flight job always completes — cancellation is
         cooperative).  Either way the worker thread is joined and the crew
         reaped, so no worker process or shared-memory segment outlives the
         service.
@@ -444,145 +425,92 @@ class DecompositionService:
                 await self._wakeup.wait()
                 self._wakeup.clear()
                 continue
-            kind, batch = self._next_batch()
-            if not batch:
+            job = self._next_job()
+            if job is None:
                 continue
-            now = time.monotonic()
-            for job in batch:
-                job.state = JobState.RUNNING
-                job.started_at = now
-                job.attempts += 1
-            self._inflight = len(batch)
+            job.state = JobState.RUNNING
+            job.started_at = time.monotonic()
+            job.attempts += 1
+            self._inflight = 1
             try:
-                if kind == "pooled":
-                    outcomes = await self._loop.run_in_executor(
-                        self._executor, self._run_pooled, batch
-                    )
-                else:
-                    # Direct runs share one workspace pool: the single
-                    # worker thread is the only consumer, so same-shape
-                    # requests stop allocating after the first.
-                    outcomes = await self._loop.run_in_executor(
-                        self._executor,
-                        functools.partial(
-                            run_direct, batch[0], workspace=self._workspace
-                        ),
-                    )
-                    outcomes = [outcomes]
+                outcome = await self._loop.run_in_executor(
+                    self._executor, self._run, job
+                )
             finally:
                 self._inflight = 0
-            await self._apply_outcomes(outcomes)
+            await self._apply_outcome(outcome)
 
-    def _run_pooled(self, jobs: Sequence[Job]) -> List[Outcome]:
-        """Worker-thread entry: acquire a healthy crew, run the batch.
+    def _run(self, job: Job) -> Outcome:
+        """Worker-thread entry: run one job, on the crew when it is pooled.
 
-        An open circuit breaker surfaces as ``"breaker"`` outcomes — the
-        dispatcher degrades those jobs down the ladder without burning
-        retries against a tier that is known broken.  Batch results feed
-        the breaker: any crash counts as a pool failure, a crash-free batch
-        as a success.
+        Every job shares one workspace pool: the single worker thread is
+        the only consumer, so same-shape requests stop allocating after the
+        first.  A pooled job borrows a healthy crew; an open circuit
+        breaker surfaces as a ``"breaker"`` outcome — the dispatcher
+        degrades the job down the ladder without burning retries against a
+        tier that is known broken.  Pooled outcomes feed the breaker: a
+        crash counts as a pool failure, anything else as a success.
         """
+        if not pooled_eligible(job):
+            return run_direct(job, workspace=self._workspace)
         try:
             crew = self._pool.acquire()
         except CircuitOpenError as exc:
-            return [(job, "breaker", exc) for job in jobs]
-        outcomes = run_process_batch(crew, jobs)
-        if any(kind == "crash" for _job, kind, _payload in outcomes):
+            return (job, "breaker", exc)
+        outcome = run_direct(job, workspace=self._workspace, crew=crew)
+        if outcome[1] == "crash":
             self._pool.record_failure()
         else:
             self._pool.record_success()
-        return outcomes
+        return outcome
 
-    def _next_batch(self) -> Tuple[str, List[Job]]:
-        """Pop the next unit of work, folding in admission batching.
+    def _next_job(self) -> Optional[Job]:
+        """Pop the next job to run, in FIFO order.
 
         Queued jobs whose cancellation was requested are finalized here
-        without running.  Small pooled jobs are taken as a *consecutive
-        prefix* (FIFO order is preserved — the batch never reaches past a
-        non-batchable job).
+        without running.
         """
-        head: Optional[Job] = None
         while self._queue:
-            candidate = self._queue.popleft()
-            if candidate.cancel_requested:
-                self._finalize(
-                    candidate, "cancelled",
-                    JobCancelledError(
-                        f"job {candidate.id} was cancelled while queued"
-                    ),
-                )
-                continue
-            head = candidate
-            break
-        if head is None:
-            return ("direct", [])
-        if not pooled_eligible(head):
-            return ("direct", [head])
-        batch = [head]
-        if head.request.tensor.nnz <= self.batch_nnz_limit:
-            while self._queue and len(batch) < self.batch_max:
-                nxt = self._queue[0]
-                if nxt.cancel_requested:
-                    self._queue.popleft()
-                    self._finalize(
-                        nxt, "cancelled",
-                        JobCancelledError(
-                            f"job {nxt.id} was cancelled while queued"
-                        ),
-                    )
-                    continue
-                if not (
-                    pooled_eligible(nxt)
-                    and nxt.request.tensor.nnz <= self.batch_nnz_limit
-                ):
-                    break
-                batch.append(self._queue.popleft())
-        return ("pooled", batch)
+            job = self._queue.popleft()
+            if not job.cancel_requested:
+                return job
+            self._finalize(
+                job, "cancelled",
+                JobCancelledError(f"job {job.id} was cancelled while queued"),
+            )
+        return None
 
     # -- outcome application (loop thread) -------------------------------- #
-    async def _apply_outcomes(self, outcomes: List[Outcome]) -> None:
-        retry: List[Job] = []
-        degraded: List[Job] = []
-        crashed = False
-        backoff = 0.0
-        for job, kind, payload in outcomes:
-            if kind == "crash":
-                crashed = True
-                if (
-                    self._retry_policy.should_retry(job.attempts)
-                    and not job.cancel_requested
-                ):
-                    retry.append(job)
-                    backoff = max(
-                        backoff, self._retry_policy.delay(job.attempts + 1)
-                    )
-                    continue
-                if not job.cancel_requested and self._degrade(job, payload):
-                    degraded.append(job)
-                    continue
-            elif kind == "breaker":
-                # The pool is known broken: skip retries entirely and step
-                # the job down the ladder now (or fail it if it cannot).
-                if not job.cancel_requested and self._degrade(job, payload):
-                    degraded.append(job)
-                    continue
-            self._finalize(job, kind, payload)
-        if crashed:
-            # Retire the crew whether or not anything retries: its workers
+    async def _apply_outcome(self, outcome: Outcome) -> None:
+        job, kind, payload = outcome
+        if kind == "crash":
+            # Retire the crew whether or not the job runs again: its workers
             # may still map an arena that is gone.  reset() is cheap when
             # the crash already killed everyone, and the worker thread is
             # the right place to join processes from.
             await self._loop.run_in_executor(self._executor, self._pool.reset)
-        if backoff > 0.0:
-            # Deterministic bounded backoff before the crashed jobs run
-            # again (RetryPolicy; 0 under the defaults).
-            await asyncio.sleep(backoff)
-        for job in reversed(degraded + retry):
-            job.state = JobState.QUEUED
-            self._queue.appendleft(job)
-        self._retries += len(retry)
-        if retry or degraded:
-            self._wakeup.set()
+        if kind in ("crash", "breaker") and not job.cancel_requested:
+            if kind == "crash" and self._retry_policy.should_retry(job.attempts):
+                # Deterministic bounded backoff before the crashed job runs
+                # again (RetryPolicy; 0 under the defaults).
+                backoff = self._retry_policy.delay(job.attempts + 1)
+                if backoff > 0.0:
+                    await asyncio.sleep(backoff)
+                self._retries += 1
+                self._requeue(job)
+                return
+            # Retries are exhausted, or the pool is known broken (the
+            # breaker): step the job down the ladder now, if it can.
+            if self._degrade(job, payload):
+                self._requeue(job)
+                return
+        self._finalize(job, kind, payload)
+
+    def _requeue(self, job: Job) -> None:
+        """Put a job back at the head of the queue for its next attempt."""
+        job.state = JobState.QUEUED
+        self._queue.appendleft(job)
+        self._wakeup.set()
 
     def _degrade(self, job: Job, cause: BaseException) -> bool:
         """Move a job one ladder rung down; False when it must fail instead.
@@ -650,10 +578,11 @@ class DecompositionService:
         """A point-in-time snapshot of the service's counters.
 
         ``jobs``: submitted / per-terminal-state counts / retries /
-        checkpoint-resumed sweeps, plus the live queue depth and in-flight
-        batch size.  ``cache``: the :meth:`ResultCache.snapshot`
-        accounting.  ``pool``: crew size, generations served (across crew
-        rebuilds), crash resets and the circuit breaker's state.
+        checkpoint-resumed sweeps, plus the live queue depth and the
+        in-flight job count (0 or 1).  ``cache``: the
+        :meth:`ResultCache.snapshot` accounting.  ``pool``: crew size,
+        generations served (across crew rebuilds), crash resets and the
+        circuit breaker's state.
         ``fallbacks``: per-destination-tier degradation counts (e.g.
         ``{"thread": 1}`` after one process→thread descent; empty while
         nothing degraded).  ``latency_seconds``: end-to-end (submit → done)

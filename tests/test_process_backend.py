@@ -2,10 +2,11 @@
 
 Contract: ``execution="process"`` matches the sequential backend to 1e-10
 (float64) for both ``ttmc_strategy`` values, respects the float32 dtype
-policy, runs inline at ``num_workers=1``, packs any mix of plans into one
-generation on one crew, and — crucially for a shared-memory subsystem —
-never leaks segments: clean runs, double teardown and worker crashes must
-all leave ``/dev/shm`` empty and the resource tracker silent.
+policy, runs inline at ``num_workers=1``, and — crucially for a
+shared-memory subsystem — never leaks segments: clean runs, double teardown
+and worker crashes must all leave ``/dev/shm`` empty and the resource
+tracker silent.  Reuse of one crew by many generations is covered by the
+service's ``TestCrewReuse`` (``tests/test_serving.py``).
 """
 
 from __future__ import annotations
@@ -26,11 +27,9 @@ from repro.engine import (
     HOOIEngine,
     InlineDispatcher,
     PlanBackend,
-    ProcessDispatcher,
     parallel_symbolic,
     resolve_ttmc_backend,
 )
-from repro.engine.backend import resolve_plan
 from repro.parallel import (
     HOOIProcessPool,
     ProcessConfig,
@@ -60,8 +59,8 @@ def _per_mode_pool(tensor, num_workers=2, **kwargs):
     factors = [
         random_orthonormal(s, RANKS, seed=i) for i, s in enumerate(tensor.shape)
     ]
-    pool = HOOIProcessPool.for_plans(
-        {None: COORowsPlan(tensor, symbolic, [RANKS] * tensor.order)},
+    pool = HOOIProcessPool(
+        COORowsPlan(tensor, symbolic, [RANKS] * tensor.order),
         config=ProcessConfig(num_workers=num_workers, **kwargs),
     )
     for mode, factor in enumerate(factors):
@@ -281,46 +280,6 @@ class TestTeardownAndLeaks:
         assert result.returncode == 0, result.stderr
         assert "leaked shared_memory" not in result.stderr
         assert "resource_tracker" not in result.stderr
-
-
-class TestMixedGeneration:
-    def test_coo_csf_dimtree_members_share_one_crew(
-        self, small_tensor_3d, small_tensor_4d, medium_tensor_3d
-    ):
-        members = {
-            "coo": (medium_tensor_3d, (4, 4, 3), dict(tensor_format="coo")),
-            "csf": (small_tensor_4d, (3, 3, 2, 2), dict(tensor_format="csf")),
-            "dimtree": (small_tensor_3d, (3, 3, 2), dict(ttmc_strategy="dimtree")),
-        }
-        base = dict(max_iterations=3, init="hosvd", seed=0)
-        with PersistentWorkerCrew(2) as crew:
-            plans = {
-                job: resolve_plan(HOOIOptions(**axes)).build(
-                    tensor, ranks, HOOIOptions(**axes)
-                )
-                for job, (tensor, ranks, axes) in members.items()
-            }
-            pool = HOOIProcessPool.for_plans(plans, crew=crew)
-            names = pool.segment_names
-            try:
-                for job, (tensor, ranks, axes) in members.items():
-                    options = HOOIOptions(**base, **axes)
-                    backend = PlanBackend(
-                        plans[job], ProcessDispatcher(pool=pool, job=job)
-                    )
-                    pooled = HOOIEngine(tensor, ranks, options, backend=backend).run()
-                    reference = hooi(tensor, ranks, options)
-                    np.testing.assert_allclose(
-                        pooled.fit_history, reference.fit_history, atol=1e-10
-                    )
-                    for a, b in zip(pooled.decomposition.factors,
-                                    reference.decomposition.factors):
-                        np.testing.assert_allclose(a, b, atol=1e-10)
-            finally:
-                pool.close()
-            assert crew.generations == 1
-            assert crew.alive  # detached, not killed: the crew outlives it
-        assert names and _leftover_segments(names) == []
 
 
 class TestGuards:

@@ -495,14 +495,15 @@ class TestServingResilience:
         from repro.serving import service as service_module
 
         calls = []
+        run_direct = service_module.run_direct
 
-        def always_crash(crew, jobs):
-            calls.append(len(jobs))
-            return [
-                (job, "crash", WorkerCrashError("injected")) for job in jobs
-            ]
+        def always_crash(job, *, crew=None, **kwargs):
+            if crew is None:  # a degraded (thread-tier) attempt runs for real
+                return run_direct(job, **kwargs)
+            calls.append(job.id)
+            return (job, "crash", WorkerCrashError("injected"))
 
-        monkeypatch.setattr(service_module, "run_process_batch", always_crash)
+        monkeypatch.setattr(service_module, "run_direct", always_crash)
 
         async def main():
             async with DecompositionService(
@@ -551,10 +552,8 @@ class TestServingResilience:
         from repro.serving import service as service_module
 
         monkeypatch.setattr(
-            service_module, "run_process_batch",
-            lambda crew, jobs: [
-                (job, "crash", WorkerCrashError("injected")) for job in jobs
-            ],
+            service_module, "run_direct",
+            lambda job, **kwargs: (job, "crash", WorkerCrashError("injected")),
         )
 
         async def main():

@@ -1,10 +1,12 @@
-"""The decomposition service: jobs, cache, batching, failure handling.
+"""The decomposition service: jobs, cache, crew reuse, failure handling.
 
 Each test drives a real :class:`~repro.serving.DecompositionService` — real
 worker crew, real shared-memory arenas — through ``asyncio.run`` (no asyncio
 test plugin needed).  The suite covers the serving contract end to end:
 
 * results match the direct drivers to 1e-10 under concurrent submission;
+* back-to-back pooled jobs of every plan kind reuse one crew, one pool
+  generation each;
 * cache accounting is exact and a resubmission recomputes nothing (the
   crew's generation counter does not move on a hit);
 * cancellation works both queued and mid-iteration, cooperatively;
@@ -12,10 +14,11 @@ test plugin needed).  The suite covers the serving contract end to end:
 * teardown — including after cancels and crashes — leaks no ``/dev/shm``
   segment and no worker process.
 
-Everything but the dimension-tree crew test runs on ``num_workers=1``
-crews: the protocol (attach/detach, batching, crash handling) is identical
-at any width and the CI box has a single core; that test needs two workers
-to show a process job never spawns more than the service's crew.
+Everything but the two crew tests runs on ``num_workers=1`` crews: the
+protocol (attach/detach, crash handling) is identical at any width and the
+CI box has a single core; the dimension-tree crew test needs two workers to
+show a process job never spawns more than the service's crew, and the
+crew-reuse test runs its jobs at that width too.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import numpy as np
 import pytest
 
 from repro.core import HOOIOptions, hooi
+from repro.parallel.shm import SHM_PREFIX
 from repro.serving import (
     AdmissionError,
     DecompositionService,
@@ -54,7 +58,10 @@ def _shm_segments():
     base = Path("/dev/shm")
     if not base.exists():
         return set()
-    return {p.name for p in base.iterdir() if p.name.startswith("psm_")}
+    return {
+        p.name for p in base.iterdir()
+        if p.name.startswith(("psm_", f"{SHM_PREFIX}-"))
+    }
 
 
 def _service(**kwargs):
@@ -86,7 +93,7 @@ class TestParity:
         ]
 
         async def main():
-            async with _service(batch_max=4) as service:
+            async with _service() as service:
                 handles = await asyncio.gather(
                     *[
                         service.submit(t, rank, execution=execution, **GRAM)
@@ -110,46 +117,60 @@ class TestParity:
                 atol=1e-10,
             )
 
-    def test_small_pooled_jobs_share_one_generation(
-        self, small_tensor_3d, small_tensor_4d
+
+class TestCrewReuse:
+    def test_coo_csf_dimtree_jobs_reuse_one_crew(
+        self, small_tensor_3d, small_tensor_4d, medium_tensor_3d
     ):
+        """Back-to-back pooled jobs of every plan kind share one crew.
+
+        Each job packs its own one-plan generation onto the service's crew
+        (``hooi(..., crew=)``): the worker processes survive every job, the
+        crew serves one generation per job, and each result is the
+        sequential one.
+        """
+        jobs = [
+            (medium_tensor_3d, (4, 4, 3), dict(tensor_format="coo")),
+            (small_tensor_4d, (3, 3, 2, 2), dict(tensor_format="csf")),
+            (small_tensor_3d, (3, 3, 2), dict(ttmc_strategy="dimtree")),
+        ]
+        base = dict(max_iterations=3, init="hosvd", seed=0)
+        before = _shm_segments()
+
         async def main():
-            async with _service(batch_max=4, warmup=True) as service:
+            async with _service(num_workers=2) as service:
+                crew = service._pool._crew
+                pids = [w.pid for w in crew.workers]
                 handles = [
-                    await service.submit(t, 3, execution="process", **GRAM)
-                    for t in (small_tensor_3d, small_tensor_4d)
+                    await service.submit(
+                        tensor, ranks, execution="process", **base, **axes
+                    )
+                    for tensor, ranks, axes in jobs
                 ]
-                await asyncio.gather(*[h.result() for h in handles])
-                return service.metrics()
-
-        metrics = asyncio.run(main())
-        # Both jobs were admitted before dispatch ran, so the batcher packed
-        # them into a single attach/detach cycle.
-        assert metrics["pool"]["generations"] == 1
-        assert metrics["jobs"]["done"] == 2
-
-    def test_large_pooled_job_runs_unbatched(self, small_tensor_3d):
-        async def main():
-            async with _service(batch_nnz_limit=10) as service:
-                h1 = await service.submit(
-                    small_tensor_3d, 3, execution="process", **GRAM
+                assert all(
+                    pooled_eligible(service._jobs[h.job_id]) for h in handles
                 )
-                h2 = await service.submit(
-                    small_tensor_3d, 4, execution="process", **GRAM
-                )
-                await asyncio.gather(h1.result(), h2.result())
-                # Identical to a *completed* request: served by the cache.
-                h3 = await service.submit(
-                    small_tensor_3d, 3, execution="process", **GRAM
-                )
-                await h3.result()
-                return service.metrics()
+                results = await asyncio.gather(*[h.result() for h in handles])
+                assert service._pool._crew is crew and crew.alive
+                assert [w.pid for w in crew.workers] == pids
+                # Each job unlinked its arena; only the crew outlives it.
+                assert _shm_segments() - before == set()
+                return results, service.metrics()
 
-        metrics = asyncio.run(main())
-        # nnz exceeds the batch limit: every computed job got its own
-        # generation (the identical resubmission was served by the cache).
-        assert metrics["pool"]["generations"] == 2
-        assert metrics["cache"]["hits"] == 1
+        results, metrics = asyncio.run(main())
+        assert metrics["pool"]["generations"] == len(jobs)
+        assert metrics["pool"]["resets"] == 0
+        for (tensor, ranks, axes), served in zip(jobs, results):
+            reference = hooi(tensor, ranks, HOOIOptions(
+                execution="sequential", **base, **axes
+            ))
+            np.testing.assert_allclose(
+                served.fit_history, reference.fit_history, atol=1e-10
+            )
+            for a, b in zip(served.decomposition.factors,
+                            reference.decomposition.factors):
+                np.testing.assert_allclose(a, b, atol=1e-10)
+        assert _shm_segments() - before == set()
 
 
 # --------------------------------------------------------------------------- #
@@ -378,15 +399,11 @@ class TestCrashRetry:
 
         calls = []
 
-        def always_crash(crew, jobs):
-            calls.append(len(jobs))
-            return [
-                (job, "crash", WorkerCrashError("injected")) for job in jobs
-            ]
+        def always_crash(job, **kwargs):
+            calls.append(job.id)
+            return (job, "crash", WorkerCrashError("injected"))
 
-        monkeypatch.setattr(
-            service_module, "run_process_batch", always_crash
-        )
+        monkeypatch.setattr(service_module, "run_direct", always_crash)
 
         async def main():
             async with _service(max_retries=1, warmup=False) as service:
