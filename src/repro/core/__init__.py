@@ -36,7 +36,6 @@ from repro.core.symbolic import (
 from repro.core.ttmc import (
     default_block_size,
     gather_ranges,
-    ttmc_contributions,
     ttmc_flops,
     ttmc_matricized,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "symbolic_ttmc",
     "default_block_size",
     "gather_ranges",
-    "ttmc_contributions",
     "ttmc_flops",
     "ttmc_matricized",
     "FiberGrouping",

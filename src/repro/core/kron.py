@@ -84,7 +84,7 @@ def batch_kron_rows(
     equal to ``kron_rows([blocks[0][p], blocks[1][p], ...])``.
 
     This is the workhorse of the numeric TTMc: the factor rows for a block of
-    nonzeros are gathered with fancy indexing and combined here without any
+    nonzeros are gathered with ``np.take`` and combined here without any
     Python-level per-nonzero loop.  ``out``, when given, receives the final
     (largest) expansion step in place — the engine's workspace pool passes a
     reused ``(m, prod R_t)`` scratch buffer here so the hot loop performs no

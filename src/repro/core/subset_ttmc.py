@@ -71,7 +71,7 @@ class FiberGrouping:
     contiguous:
         True when ``perm`` is the identity — group ``g``'s parent positions
         are literally the slice ``segptr[g]:segptr[g + 1]``.  Numeric passes
-        may then read the parent payload through views instead of fancy
+        may then read the parent payload through views instead of
         gathers.  :func:`group_fibers_presorted` always produces contiguous
         groupings; :func:`group_fibers` never claims the flag (even when its
         sort happens to be the identity) so the flag stays a structural
@@ -266,7 +266,7 @@ def edge_update_groups(
     # A contiguous grouping's perm is the identity: parent fibers for the
     # requested range are literally rows segptr[0]:segptr[-1], so each block
     # below reads the payload and index columns through slice views instead
-    # of fancy gathers.
+    # of gathers.
     # The block order, segment boundaries and accumulation order are the same
     # either way, so both paths produce bit-identical payloads.
     segptr = grouping.segptr[group_start : group_stop + 1]
@@ -278,14 +278,14 @@ def edge_update_groups(
             pay = parent_payload[start:stop]
             idx_rows = parent_index_cols[start:stop]
             blocks = [
-                factor[idx_rows[:, col]]
+                np.take(factor, idx_rows[:, col], axis=0)
                 for col, factor in zip(sibling_cols, sibling_factors)
             ]
         else:
             chunk = grouping.perm[start:stop]
-            pay = parent_payload[chunk]
+            pay = np.take(parent_payload, chunk, axis=0)
             blocks = [
-                factor[parent_index_cols[chunk, col]]
+                np.take(factor, parent_index_cols[chunk, col], axis=0)
                 for col, factor in zip(sibling_cols, sibling_factors)
             ]
         rows, continued = slice(s_lo, s_hi), segptr[s_lo] < start

@@ -13,9 +13,16 @@ using the symbolic structure from :mod:`repro.core.symbolic`.
 Performance notes (per the HPC-Python guides): there is no per-nonzero Python
 loop.  Nonzeros are processed in blocks of the row-grouped order produced by
 the symbolic step, whose ``rowptr`` is a CSR matrix: the accumulation into
-``Y_(n)`` is a sparse × dense product.  Factor rows are gathered with fancy
-indexing, the first ``N − 2`` are combined with
-:func:`repro.core.kron.batch_kron_rows` and
+``Y_(n)`` is a sparse × dense product.  The body reads a block's nonzeros as
+a :class:`ModeStream` — the other modes' index columns, each contiguous, plus
+the values, in update-list order.  Without a stored stream every block
+gathers one from the tensor through ``perm`` (:func:`gather_stream`); a
+:class:`~repro.engine.plans.COORowsPlan` keeps each mode's stream, fills it
+during the mode's first TTMc and reads contiguous slices of it afterwards,
+so later sweeps do no random row reads.  Factor rows are gathered with
+``np.take(U_t, col, axis=0)``, which took a third of the time of ``U_t[col]``
+on 65,536 × 5 rows on a 2-vCPU host; the first ``N − 2`` are combined
+with :func:`repro.core.kron.batch_kron_rows` and
 :func:`repro.core.kron.segment_kron_sum` folds in the last factor and the
 values one column at a time, so the full ``∏R_t``-wide Kronecker row of a
 nonzero is never built.
@@ -23,6 +30,7 @@ nonzero is never built.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -38,8 +46,8 @@ from repro.core.symbolic import ModeSymbolic, symbolic_ttmc
 from repro.util.validation import check_axis, check_same_order
 
 __all__ = [
+    "ModeStream",
     "ttmc_matricized",
-    "ttmc_contributions",
     "ttmc_dtype",
     "ttmc_flops",
     "default_block_size",
@@ -47,6 +55,7 @@ __all__ = [
     "segment_chunks",
     "write_segment_sums",
     "write_kron_row_sums",
+    "gather_stream",
     "coo_segment_ttmc",
     "compiled_coo_ttmc",
     "coo_rows_range",
@@ -206,47 +215,6 @@ def ttmc_flops(tensor_nnz: int, ranks: Sequence[int], mode: int) -> int:
     return int(tensor_nnz) * (flops + 2 * width)
 
 
-def ttmc_contributions(
-    tensor: SparseTensor,
-    factors: Sequence[Optional[np.ndarray]],
-    mode: int,
-    nonzero_positions: np.ndarray,
-    *,
-    block_nnz: Optional[int] = None,
-) -> np.ndarray:
-    """Per-nonzero TTMc contributions ``x * kron(U_t[i_t, :], t != n)``.
-
-    Returns an array of shape ``(len(nonzero_positions), prod R_t)``.  This is
-    the fine-grain (z-task) primitive; callers that want the assembled rows of
-    ``Y_(n)`` should use :func:`ttmc_matricized` instead.
-    """
-    mode = check_axis(mode, tensor.order)
-    check_same_order(tensor.order, factors, "factors")
-    widths = _factor_widths(factors, tensor.shape, mode)
-    width = kron_row_length(widths)
-    dtype = ttmc_dtype(tensor, factors, mode)
-    positions = np.asarray(nonzero_positions, dtype=np.int64)
-    out = np.empty((positions.shape[0], width), dtype=dtype)
-    if block_nnz is None:
-        block_nnz = default_block_size(width, itemsize=dtype.itemsize)
-    factor_arrays = [
-        None if t == mode else np.asarray(factors[t], dtype=dtype)
-        for t in range(tensor.order)
-    ]
-    for start in range(0, positions.shape[0], block_nnz):
-        chunk = positions[start:start + block_nnz]
-        idx = tensor.indices[chunk]
-        blocks = [
-            factor_arrays[t][idx[:, t]]
-            for t in range(tensor.order)
-            if t != mode
-        ]
-        kron = batch_kron_rows(blocks)
-        kron *= tensor.values[chunk][:, None]
-        out[start:start + chunk.shape[0]] = kron
-    return out
-
-
 def compiled_coo_ttmc(
     table,
     tensor: SparseTensor,
@@ -282,6 +250,47 @@ def compiled_coo_ttmc(
     return out
 
 
+@dataclass(frozen=True)
+class ModeStream:
+    """Nonzeros of one mode in update-list order, column by column.
+
+    ``cols`` is ``(N − 1, m)``: row ``k`` holds the index column of the
+    ``k``-th other mode (ascending mode order), contiguous; ``values`` holds
+    the ``m`` values.  Slicing a stream slices its positions.
+    """
+
+    cols: np.ndarray
+    values: np.ndarray
+
+    def __getitem__(self, positions: slice) -> "ModeStream":
+        return ModeStream(self.cols[:, positions], self.values[positions])
+
+
+def gather_stream(
+    tensor: SparseTensor,
+    mode: int,
+    positions: np.ndarray,
+    out: Optional[ModeStream] = None,
+) -> ModeStream:
+    """The nonzeros at ``positions`` as a :class:`ModeStream` of ``mode``.
+
+    One ``np.take`` of the index rows, then a copy per column, written into
+    ``out`` when given (a plan's stream slice, whose index columns may be
+    int32) and into fresh arrays otherwise.
+    """
+    if out is None:
+        out = ModeStream(
+            np.empty((tensor.order - 1, positions.shape[0]), tensor.indices.dtype),
+            np.empty(positions.shape[0], tensor.values.dtype),
+        )
+    idx = np.take(tensor.indices, positions, axis=0)
+    others = [t for t in range(tensor.order) if t != mode]
+    for col, t in zip(out.cols, others):
+        col[...] = idx[:, t]
+    np.take(tensor.values, positions, out=out.values)
+    return out
+
+
 def coo_segment_ttmc(
     tensor: SparseTensor,
     factors: Sequence[Optional[np.ndarray]],
@@ -292,6 +301,8 @@ def coo_segment_ttmc(
     *,
     target: Optional[np.ndarray] = None,
     block_nnz: Optional[int] = None,
+    stream: Optional[ModeStream] = None,
+    filled: bool = False,
 ) -> np.ndarray:
     """The numpy-tier COO TTMc body over CSR-grouped nonzeros.
 
@@ -299,27 +310,33 @@ def coo_segment_ttmc(
     (``segptr[0] == 0``); its TTMc row is *assigned* to ``out[target[s]]``,
     or to ``out[s]`` when ``target`` is ``None`` — the compiled kernel's
     contract (:func:`compiled_coo_ttmc`).  Blocks of ``block_nnz`` nonzeros
-    gather their factor rows and reduce them with the values as weights
+    read their index columns and values as a :class:`ModeStream` block,
+    take the factor rows and reduce them with the values as weights
     (:func:`write_kron_row_sums`, which the dimension tree's root edges
-    share).  ``block_nnz`` defaults to a size bounding a block's
-    ``(segments × ∏R_t)`` sums to ~64 MB.  Called through
+    share).  ``stream`` lines up with ``positions``: when ``filled`` the
+    blocks slice it, otherwise each block gathers its nonzeros from
+    ``tensor`` into it (:func:`gather_stream`); without a stream they
+    gather into temporaries.  ``block_nnz`` defaults to a size bounding a
+    block's ``(segments × ∏R_t)`` sums to ~64 MB.  Called through
     :func:`coo_rows_range`.
     """
     dtype = out.dtype
-    cols = [t for t in range(tensor.order) if t != mode]
-    factor_arrays = [np.asarray(factors[t], dtype=dtype) for t in cols]
+    factor_arrays = [
+        np.asarray(factors[t], dtype=dtype) for t in range(tensor.order) if t != mode
+    ]
     if block_nnz is None:
         block_nnz = default_block_size(out.shape[1], itemsize=dtype.itemsize)
     for start, stop, s_lo, s_hi, local in segment_chunks(segptr, block_nnz):
-        chunk = positions[start:stop]
-        idx = tensor.indices[chunk]
+        block = None if stream is None else stream[start:stop]
+        if block is None or not filled:
+            block = gather_stream(tensor, mode, positions[start:stop], out=block)
         write_kron_row_sums(
             out,
             slice(s_lo, s_hi) if target is None else target[s_lo:s_hi],
             segptr[s_lo] < start,
             local,
-            [factor[idx[:, t]] for factor, t in zip(factor_arrays, cols)],
-            tensor.values[chunk],
+            [np.take(f, col, axis=0) for f, col in zip(factor_arrays, block.cols)],
+            block.values,
         )
     return out
 
@@ -371,9 +388,10 @@ def ttmc_matricized(
     kernel:
         Implementation tier of the inner loop: ``"numpy"`` (default — the
         blocked gather + sparse × dense segment-sum of
-        :func:`coo_segment_ttmc`) or ``"numba"`` (:mod:`repro.kernels` — one
-        fused pass per output row; ``block_nnz`` is unused there).  Same
-        numerics up to floating-point reassociation.
+        :func:`coo_segment_ttmc`; without a plan every call gathers its
+        nonzeros) or ``"numba"`` (:mod:`repro.kernels` — one fused pass per
+        output row; ``block_nnz`` is unused there).  Same numerics up to
+        floating-point reassociation.
 
     Returns
     -------
@@ -458,6 +476,8 @@ def coo_rows_range(
     *,
     block_nnz: Optional[int] = None,
     kernel: str = "numpy",
+    stream: Optional[ModeStream] = None,
+    filled: bool = False,
 ) -> np.ndarray:
     """Assign ``out[symbolic.rows[start:stop]]``: the TTMc of a ``J_n`` range.
 
@@ -467,11 +487,15 @@ def coo_rows_range(
     exactly this call, so disjoint ranges run concurrently without locks.
     ``(0, num_rows)`` is the whole sequential TTMc.  ``kernel`` selects the
     numpy tier (:func:`coo_segment_ttmc`) or the fused compiled loops.
+    ``stream`` is the whole mode's :class:`ModeStream` (aligned with
+    ``perm``): the numpy tier reads the range's slice of it when ``filled``
+    and fills that slice otherwise, so concurrent ranges fill disjoint
+    slices.  The compiled tier reads ``positions`` and ignores it.
     """
     from repro.kernels import kernel_table
 
-    lo = int(symbolic.rowptr[start])
-    positions = symbolic.perm[lo:symbolic.rowptr[stop]]
+    lo, hi = int(symbolic.rowptr[start]), int(symbolic.rowptr[stop])
+    positions = symbolic.perm[lo:hi]
     segptr = symbolic.rowptr[start:stop + 1] - lo
     target = symbolic.rows[start:stop]
     if target.shape[0] == 0:
@@ -484,4 +508,5 @@ def coo_rows_range(
     return coo_segment_ttmc(
         tensor, factors, mode, positions, segptr, out,
         target=target, block_nnz=block_nnz,
+        stream=None if stream is None else stream[lo:hi], filled=filled,
     )

@@ -32,7 +32,7 @@ import numpy as np
 from repro.core.kron import kron_dtype, kron_row_length
 from repro.core.sparse_tensor import SparseTensor
 from repro.core.symbolic import ModeSymbolic, symbolic_ttmc
-from repro.core.ttmc import coo_rows_range, restrict_symbolic
+from repro.core.ttmc import ModeStream, coo_rows_range, restrict_symbolic
 
 __all__ = [
     "TTMcPlan",
@@ -201,6 +201,18 @@ class COORowsPlan(TTMcPlan):
     The body is :func:`repro.core.ttmc.coo_rows_range`: a range slices
     ``perm[rowptr[start]:rowptr[stop]]`` and writes ``out[rows[start:stop]]``
     in place.
+
+    The numpy tier also keeps each mode's nonzeros in update-list order, a
+    :class:`~repro.core.ttmc.ModeStream` in :attr:`streams`: the other
+    modes' index columns (:attr:`index_dtype`, int32 when every mode size
+    fits) and the values, ``N · nnz · ((N − 1) · 4 + itemsize)`` bytes in
+    all.  Nothing fills them at set-up.  A mode's first :meth:`ttmc`
+    allocates its stream and every range fills its own slice with the
+    gather through ``perm`` it needs anyway; once every range has run,
+    :meth:`ttmc` sets the mode's :attr:`filled` flag, and every later TTMc
+    of the mode reads contiguous stream slices.  A TTMc that fails leaves
+    the flag unset.  The row blocks :meth:`restrict` builds run once and
+    gather instead; the numba tier reads ``perm`` and keeps no streams.
     """
 
     kind = "coo"
@@ -210,6 +222,10 @@ class COORowsPlan(TTMcPlan):
         super().__init__(tensor.shape, ranks, block_nnz=block_nnz, kernel=kernel)
         self.tensor = tensor
         self.symbolic = symbolic
+        fits = max(self.shape, default=0) <= np.iinfo(np.int32).max
+        self.index_dtype = np.dtype(np.int32 if fits else np.int64)
+        self.streams: Dict[int, ModeStream] = {}
+        self.filled = np.zeros(self.order, dtype=bool)
 
     @classmethod
     def build(cls, tensor, ranks, options, threads=1):
@@ -227,6 +243,26 @@ class COORowsPlan(TTMcPlan):
         coo_rows_range(
             self.tensor, self.factors, mode, self.symbolic[mode], start, stop,
             self.outs[mode], block_nnz=self.block_nnz, kernel=self.kernel,
+            stream=self.streams.get(mode), filled=bool(self.filled[mode]),
+        )
+
+    def ttmc(self, mode: int, run, out=None, workspace=None) -> np.ndarray:
+        if self.kernel == "numpy" and mode not in self.streams:
+            self.streams[mode] = self._new_stream(mode)
+        result = super().ttmc(mode, run, out=out, workspace=workspace)
+        self.filled[mode] = mode in self.streams
+        return result
+
+    def _new_stream(self, mode: int, arena=None) -> ModeStream:
+        """An unfilled stream of ``mode``: shared segments in ``arena`` if given."""
+        cols, values = (self.order - 1, self.tensor.nnz), (self.tensor.nnz,)
+        if arena is None:
+            return ModeStream(
+                np.empty(cols, self.index_dtype), np.empty(values, self.dtype)
+            )
+        return ModeStream(
+            arena.create(f"stream{mode}-cols", cols, self.index_dtype),
+            arena.create(f"stream{mode}-values", values, self.dtype),
         )
 
     def restrict(self, mode, rows, factors):
@@ -247,6 +283,11 @@ class COORowsPlan(TTMcPlan):
             arena.put(f"sym-rows{n}", sym.rows)
             arena.put(f"sym-perm{n}", sym.perm)
             arena.put(f"sym-rowptr{n}", sym.rowptr)
+        if self.kernel == "numpy":
+            # Unfilled shared streams: the first TTMc's ranges fill them in
+            # the workers, and the driver publishes each mode's flag.
+            self.streams = {n: self._new_stream(n, arena) for n in self.symbolic}
+            self.filled = arena.zeros("stream-filled", (self.order,), bool)
         return super().pack(arena)
 
     @classmethod
@@ -264,6 +305,12 @@ class COORowsPlan(TTMcPlan):
         }
         plan = cls(tensor, symbolic, meta["ranks"],
                    block_nnz=meta["block_nnz"], kernel=meta["kernel"])
+        if "stream-filled" in view:
+            plan.streams = {
+                n: ModeStream(view[f"stream{n}-cols"], view[f"stream{n}-values"])
+                for n in symbolic
+            }
+            plan.filled = view["stream-filled"]
         return plan._attach_buffers(view)
 
 

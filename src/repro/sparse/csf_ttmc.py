@@ -151,7 +151,7 @@ def _pullup(
             segment_kron_sum(
                 csf.fptr[level - 1][parent_lo:parent_hi + 1] - lo,
                 below,
-                factor[csf.fids[level][lo:hi]],
+                np.take(factor, csf.fids[level][lo:hi], axis=0),
                 out=reduced,
             )
         below = reduced
@@ -182,7 +182,7 @@ def _pushdown(
         )
         np.take(root_factor, csf.fids[0], axis=0, out=above)
     else:
-        above = root_factor[csf.fids[0]]
+        above = np.take(root_factor, csf.fids[0], axis=0)
     for level in range(1, target_level + 1):
         if table is not None:
             refine = level < target_level
@@ -209,7 +209,9 @@ def _pushdown(
             above = np.repeat(above, np.diff(csf.fptr[level - 1]), axis=0)
             if level < target_level:
                 mode_here = csf.mode_order[level]
-                factor_rows = factor_arrays[mode_here][csf.fids[level]]
+                factor_rows = np.take(
+                    factor_arrays[mode_here], csf.fids[level], axis=0
+                )
                 above = batch_kron_rows([factor_rows, above])
     return above
 

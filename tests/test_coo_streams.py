@@ -1,0 +1,283 @@
+"""The COO plan's mode streams: parity, reuse and index dtype.
+
+A :class:`~repro.engine.plans.COORowsPlan` keeps each mode's nonzeros in
+update-list order.  A mode's first TTMc fills its stream through ``perm``;
+every later TTMc reads stream slices and never touches the tensor again.
+
+* Parity: the plan's first and second sweeps equal ``ttmc_matricized``
+  under ``np.array_equal`` for orders 2–5, both dtypes, inline, on threads
+  and on a worker crew, with blocks small enough to split segments and a
+  mode with empty rows.  Threads and workers split the rows into ranges
+  whose blocks start elsewhere than the sequential call's, which
+  reassociates the sums of split segments, so those cases use small
+  integer values and factor entries: every product and sum is exact, and
+  any association gives the same bits.  Inline runs use the sequential
+  call's blocks and random floats.
+* Later sweeps stream: once every mode has run once, the plan's copy of the
+  tensor is overwritten with out-of-range indices and NaN values, and the
+  next sweep must still equal the first.
+"""
+
+from __future__ import annotations
+
+import sys
+
+import numpy as np
+import pytest
+
+from repro.core import HOOIOptions, SparseTensor, ttmc_matricized
+from repro.engine import (
+    COORowsPlan,
+    HOOIEngine,
+    InlineDispatcher,
+    ThreadDispatcher,
+    parallel_symbolic,
+    resolve_ttmc_backend,
+)
+from repro.parallel import HOOIProcessPool
+from repro.parallel.parallel_for import ParallelConfig
+from repro.parallel.process_pool import PersistentWorkerCrew
+from repro.util.linalg import random_orthonormal
+
+#: (shape, per-mode rank, nonzeros drawn) per order; mode 0 only uses even
+#: indices, so it has empty rows.
+CASES = {
+    2: ((40, 25), 4, 300),
+    3: ((24, 15, 12), 3, 300),
+    4: ((12, 9, 8, 7), 2, 250),
+    5: ((10, 6, 5, 4, 4), 2, 250),
+}
+#: Small enough that most update lists split across blocks.
+SMALL_BLOCK = 7
+
+DISPATCHERS = {
+    "inline": InlineDispatcher,
+    "thread2-static": lambda: ThreadDispatcher(ParallelConfig(2, "static")),
+    "thread2-dynamic": lambda: ThreadDispatcher(ParallelConfig(2, "dynamic")),
+    "thread3-static": lambda: ThreadDispatcher(ParallelConfig(3, "static")),
+    "thread3-dynamic": lambda: ThreadDispatcher(ParallelConfig(3, "dynamic")),
+}
+
+
+def _tensor(order, dtype, *, exact, seed=0):
+    shape, _rank, nnz = CASES[order]
+    rng = np.random.default_rng(seed)
+    indices = np.column_stack([rng.integers(0, s, nnz) for s in shape])
+    indices[:, 0] -= indices[:, 0] % 2
+    if exact:
+        values = rng.integers(1, 5, nnz) * rng.choice([-1, 1], nnz)
+    else:
+        values = rng.standard_normal(nnz)
+    return SparseTensor(indices, values.astype(dtype), shape, sum_duplicates=True)
+
+
+def _factors(order, dtype, *, exact, seed=0):
+    shape, rank, _nnz = CASES[order]
+    if exact:
+        rng = np.random.default_rng(seed + 1)
+        return [rng.integers(-3, 4, (s, rank)).astype(dtype) for s in shape]
+    return [
+        random_orthonormal(s, rank, seed=seed + t).astype(dtype)
+        for t, s in enumerate(shape)
+    ]
+
+
+def _plan(tensor, ranks=None, block_nnz=None):
+    return COORowsPlan(
+        tensor, parallel_symbolic(tensor, 1), ranks, block_nnz=block_nnz
+    )
+
+
+def _sweep(ttmc, order):
+    return [ttmc(mode).copy() for mode in range(order)]
+
+
+def _expected(tensor, factors, block_nnz=None):
+    return [
+        ttmc_matricized(tensor, factors, mode, block_nnz=block_nnz)
+        for mode in range(tensor.order)
+    ]
+
+
+def _assert_equal(got, expected):
+    for mode, (a, b) in enumerate(zip(got, expected)):
+        assert a.dtype == b.dtype, mode
+        assert np.array_equal(a, b), f"mode {mode} differs"
+
+
+def _poison(indices, values):
+    """Make any later read of the tensor fail or turn NaN."""
+    indices[...] = np.iinfo(np.int32).max + 7
+    values[...] = np.nan
+
+
+@pytest.fixture(scope="module")
+def crew():
+    with PersistentWorkerCrew(2) as crew:
+        yield crew
+
+
+@pytest.mark.parametrize("order", sorted(CASES))
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("block_nnz", [None, SMALL_BLOCK])
+class TestParity:
+    def test_inline_random_values(self, order, dtype, block_nnz):
+        tensor = _tensor(order, dtype, exact=False)
+        factors = _factors(order, dtype, exact=False)
+        plan = _plan(tensor, block_nnz=block_nnz)
+        expected = _expected(tensor, factors, block_nnz)
+        dispatcher = InlineDispatcher()
+        for _ in range(2):
+            _assert_equal(
+                _sweep(lambda n: dispatcher.ttmc(plan, n, factors), order),
+                expected,
+            )
+            assert plan.filled.all()
+
+    @pytest.mark.parametrize("dispatcher", sorted(DISPATCHERS))
+    def test_dispatchers_exact_values(self, order, dtype, block_nnz, dispatcher):
+        tensor = _tensor(order, dtype, exact=True)
+        factors = _factors(order, dtype, exact=True)
+        plan = _plan(tensor, block_nnz=block_nnz)
+        expected = _expected(tensor, factors, block_nnz)
+        run = DISPATCHERS[dispatcher]()
+        for _ in range(2):
+            _assert_equal(
+                _sweep(lambda n: run.ttmc(plan, n, factors), order), expected
+            )
+
+    def test_crew_exact_values(self, order, dtype, block_nnz, crew):
+        tensor = _tensor(order, dtype, exact=True)
+        factors = _factors(order, dtype, exact=True)
+        ranks = [f.shape[1] for f in factors]
+        expected = _expected(tensor, factors, block_nnz)
+        with HOOIProcessPool(_plan(tensor, ranks, block_nnz), crew=crew) as pool:
+            for mode, factor in enumerate(factors):
+                pool.write_factor(mode, factor)
+            for _ in range(2):
+                _assert_equal(_sweep(pool.ttmc, order), expected)
+
+
+class TestLaterSweepsStream:
+    @pytest.mark.parametrize("dispatcher", ["inline", "thread2-static",
+                                            "thread3-dynamic"])
+    @pytest.mark.parametrize("block_nnz", [None, SMALL_BLOCK])
+    def test_poisoned_tensor_is_never_read_again(self, dispatcher, block_nnz):
+        tensor = _tensor(4, np.float64, exact=False)
+        factors = _factors(4, np.float64, exact=False)
+        plan = _plan(tensor.copy(), block_nnz=block_nnz)
+        run = DISPATCHERS[dispatcher]()
+        first = _sweep(lambda n: run.ttmc(plan, n, factors), 4)
+        _poison(plan.tensor.indices, plan.tensor.values)
+        second = _sweep(lambda n: run.ttmc(plan, n, factors), 4)
+        _assert_equal(second, first)
+
+    def test_poisoned_arena_is_never_read_again(self, crew):
+        tensor = _tensor(3, np.float64, exact=False)
+        factors = _factors(3, np.float64, exact=False)
+        plan = _plan(tensor, [f.shape[1] for f in factors], SMALL_BLOCK)
+        with HOOIProcessPool(plan, crew=crew) as pool:
+            for mode, factor in enumerate(factors):
+                pool.write_factor(mode, factor)
+            first = _sweep(pool.ttmc, 3)
+            _poison(pool._arena["indices"], pool._arena["values"])
+            second = _sweep(pool.ttmc, 3)
+        _assert_equal(second, first)
+
+    @pytest.mark.usefixtures("every_job_on_the_crew")
+    def test_crew_run_ignores_a_poisoned_arena(self):
+        tensor = _tensor(3, np.float64, exact=False)
+        options = HOOIOptions(
+            execution="process", num_workers=2, max_iterations=3,
+            tolerance=0.0, seed=0,
+        )
+
+        def run(callback):
+            backend = resolve_ttmc_backend(options)
+            engine = HOOIEngine(tensor, 3, options, backend=backend)
+            return engine.run(callback=lambda it, fit: callback(backend))
+
+        def poison(backend):
+            arena = backend.pool._arena
+            _poison(arena["indices"], arena["values"])
+
+        clean = run(lambda backend: None)
+        poisoned = run(poison)
+        assert poisoned.fit_history == clean.fit_history
+        for a, b in zip(
+            poisoned.decomposition.factors, clean.decomposition.factors
+        ):
+            assert np.array_equal(a, b)
+        assert np.array_equal(poisoned.decomposition.core, clean.decomposition.core)
+
+
+class TestThreadStress:
+    def test_many_threads_fill_disjoint_slices(self):
+        """More threads than cores, one row per chunk, frequent switches."""
+        tensor = _tensor(4, np.float64, exact=True)
+        factors = _factors(4, np.float64, exact=True)
+        plan = _plan(tensor, block_nnz=SMALL_BLOCK)
+        expected = _expected(tensor, factors, SMALL_BLOCK)
+        run = ThreadDispatcher(ParallelConfig(6, "dynamic", chunk_size=1))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(2):
+                _assert_equal(
+                    _sweep(lambda n: run.ttmc(plan, n, factors), 4), expected
+                )
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestStreamState:
+    def test_failed_ttmc_publishes_nothing(self):
+        tensor = _tensor(3, np.float64, exact=False)
+        factors = _factors(3, np.float64, exact=False)
+        plan = _plan(tensor.copy(), block_nnz=SMALL_BLOCK)
+        plan.factors = factors
+        half = plan.items(1) // 2
+
+        def fail_halfway(mode):
+            plan.body(mode, 0, half)
+            raise RuntimeError("cancelled")
+
+        with pytest.raises(RuntimeError, match="cancelled"):
+            plan.ttmc(1, fail_halfway)
+        assert not plan.filled[1]
+        got = InlineDispatcher().ttmc(plan, 1, factors)
+        assert plan.filled[1]
+        assert np.array_equal(got, ttmc_matricized(
+            tensor, factors, 1, block_nnz=SMALL_BLOCK
+        ))
+
+    def test_row_blocks_keep_no_streams(self):
+        tensor = _tensor(3, np.float64, exact=False)
+        factors = _factors(3, np.float64, exact=False)
+        plan = _plan(tensor)
+        rows = plan.symbolic[0].rows[::3]
+        sub = plan.restrict(0, rows, factors)
+        InlineDispatcher().run(sub, 0)
+        assert sub.streams == {} and not sub.filled.any()
+        assert plan.streams == {}
+        full = ttmc_matricized(tensor, factors, 0)
+        assert np.array_equal(sub.outs[0], full[rows])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_stream_bytes(self, dtype):
+        tensor = _tensor(4, dtype, exact=False)
+        factors = _factors(4, dtype, exact=False)
+        plan = _plan(tensor)
+        _sweep(lambda n: InlineDispatcher().ttmc(plan, n, factors), 4)
+        assert plan.index_dtype == np.int32
+        assert all(s.cols.dtype == np.int32 for s in plan.streams.values())
+        assert all(s.cols.flags.c_contiguous for s in plan.streams.values())
+        stored = sum(s.cols.nbytes + s.values.nbytes for s in plan.streams.values())
+        order, nnz = tensor.order, tensor.nnz
+        assert stored == order * nnz * ((order - 1) * 4 + np.dtype(dtype).itemsize)
+
+    def test_int64_columns_beyond_int32_mode_sizes(self):
+        shape = (2**31 + 5, 3, 4)
+        indices = np.array([[2**31 + 1, 0, 3], [7, 2, 1], [0, 1, 0]])
+        tensor = SparseTensor(indices, np.array([1.0, 2.0, 3.0]), shape)
+        assert _plan(tensor).index_dtype == np.int64

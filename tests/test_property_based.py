@@ -1,21 +1,27 @@
 """Property-based tests (hypothesis) on the core data structures and invariants."""
 
+import itertools
+
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core import (
+    HOOIOptions,
     SparseTensor,
     batch_kron_rows,
     dense_ttm_chain,
     fold,
+    hooi,
     kron_rows,
     symbolic_ttmc,
     ttmc_matricized,
     unfold,
 )
 from repro.core.trsvd import lanczos_svd
+from repro.data import planted_lowrank_tensor
 from repro.distributed import build_plans
 from repro.engine.dimtree import DimensionTree
 from repro.sparse import CSFTensor, csf_ttmc_matricized
@@ -325,6 +331,60 @@ class TestDimTreeInvalidationProperties:
                 ttmc_matricized(tensor, factors, m),
                 atol=1e-10,
             )
+
+
+@st.composite
+def planted_tensors(draw):
+    """A planted low-rank tensor of order 3 or 4 and feasible ranks."""
+    order = draw(st.integers(min_value=3, max_value=4))
+    shape = tuple(draw(st.integers(min_value=6, max_value=14)) for _ in range(order))
+    ranks = tuple(draw(st.integers(min_value=2, max_value=3)) for _ in shape)
+    nnz = draw(st.integers(min_value=150, max_value=600))
+    noise = draw(st.sampled_from([0.0, 0.1]))
+    seed = draw(st.integers(0, 2**31 - 1))
+    tensor, _ = planted_lowrank_tensor(shape, ranks, nnz, noise=noise, seed=seed)
+    return tensor, ranks
+
+
+#: Largest sweep-to-sweep fit decrease that is still rounding.
+FIT_SLACK = {"float64": 1e-10, "float32": 1e-5}
+
+
+class TestMonotoneFit:
+    """HOOI never lowers the fit from one sweep to the next.
+
+    Each sweep replaces ``U_n`` by the leading left singular vectors of
+    ``Y_(n)``, which maximizes ``‖G‖`` over ``U_n`` with the other factors
+    fixed, so the exact fit cannot fall.  Across the TTMc plans, both TRSVD
+    methods and both dtypes, a reported ``fit_history`` may dip only by
+    rounding.  Examples are derandomized, so the suite runs the same
+    tensors every time.
+    """
+
+    @settings(
+        max_examples=6,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @pytest.mark.parametrize(
+        "tensor_format, strategy, method, dtype",
+        list(itertools.product(
+            ["coo", "csf"], ["per-mode", "dimtree"], ["lanczos", "gram"],
+            ["float64", "float32"],
+        )),
+    )
+    @given(planted_tensors())
+    def test_fit_never_decreases(self, tensor_format, strategy, method, dtype, case):
+        tensor, ranks = case
+        options = HOOIOptions(
+            tensor_format=tensor_format, ttmc_strategy=strategy,
+            trsvd_method=method, dtype=dtype, max_iterations=8, tolerance=0.0,
+            seed=0,
+        )
+        fits = np.asarray(hooi(tensor, ranks, options).fit_history)
+        assert len(fits) == 8
+        assert np.diff(fits).min(initial=0.0) >= -FIT_SLACK[dtype], fits
 
 
 @st.composite

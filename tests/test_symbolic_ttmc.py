@@ -11,7 +11,6 @@ from repro.core import (
     dense_ttm_chain,
     stable_radix_order,
     symbolic_ttmc,
-    ttmc_contributions,
     ttmc_flops,
     ttmc_matricized,
     unfold,
@@ -187,17 +186,6 @@ class TestNumericTTMc:
         sym = symbolic_ttmc(small_tensor_3d, 0)
         with pytest.raises(ValueError):
             ttmc_matricized(small_tensor_3d, factors_3d, 1, symbolic=sym)
-
-    def test_contributions_sum_to_rows(self, small_tensor_3d, factors_3d):
-        mode = 0
-        contributions = ttmc_contributions(
-            small_tensor_3d, factors_3d, mode,
-            np.arange(small_tensor_3d.nnz),
-        )
-        full = ttmc_matricized(small_tensor_3d, factors_3d, mode)
-        manual = np.zeros_like(full)
-        np.add.at(manual, small_tensor_3d.indices[:, mode], contributions)
-        assert np.allclose(manual, full)
 
 
 class TestHelpers:
