@@ -82,14 +82,10 @@ def _coo_plan(tensor, symbolic):
 
 
 def _threaded_sweep(tensor, factors, symbolic, pool, config):
-    width = kron_row_length([RANK] * (tensor.order - 1))
     plan = _coo_plan(tensor, symbolic)
     threads = ThreadDispatcher(config)
     for mode in range(tensor.order):
-        out = pool.take((tensor.shape[mode], width), tensor.dtype,
-                        tag=f"out-{mode}")
-        out[...] = 0
-        threads.ttmc(plan, mode, factors, out=out)
+        threads.ttmc(plan, mode, factors, workspace=pool)
 
 
 def _process_sweep(pool, order):
@@ -145,7 +141,7 @@ def test_process_sweep_matches_sequential(tensor, factors, symbolic):
         for mode in range(tensor.order):
             expected = ttmc_matricized(
                 tensor, factors, mode, symbolic=symbolic[mode]
-            )
+            )[symbolic[mode].rows]
             assert np.allclose(pool.ttmc(mode), expected, atol=1e-10)
         names = pool.segment_names
     leftovers = [

@@ -2,7 +2,8 @@
 
 HOOI needs, for each mode ``n``, the leading ``R_n`` *left* singular vectors
 of the matricized TTMc result ``Y_(n)`` — a dense, usually tall-and-skinny
-matrix with up to millions of rows.  Following Section III-A.2 of the paper we
+matrix with up to millions of rows, of which the engine passes only the
+``|J_n|`` non-empty ones.  Following Section III-A.2 of the paper we
 never form the Gram matrix ``Y Yᵀ`` (its side would be ``I_n``) and we never
 compute a full SVD; instead we run an iterative method whose only access to
 the matrix is through matrix-vector (``MxV``) and transposed matrix-vector
@@ -184,19 +185,20 @@ def lanczos_svd(
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
 
-    V = np.zeros((n, subspace + 1))
-    U = np.zeros((m, subspace))
+    # One basis vector per row: reorthogonalization reads contiguous rows.
+    V = np.zeros((subspace + 1, n))
+    U = np.zeros((subspace, m))
     alphas = np.zeros(subspace)
     betas = np.zeros(subspace)
 
     total_restarts = 0
     matvecs = rmatvecs = 0
     converged = False
-    left = np.zeros((m, rank))
-    right = np.zeros((n, rank))
+    left = np.zeros((rank, m))
+    right = np.zeros((rank, n))
     sigma = np.zeros(rank)
 
-    V[:, 0] = v
+    V[0] = v
     start = 0          # number of locked/restart basis vectors already in place
     beta_prev = 0.0
     u_prev = np.zeros(m)
@@ -205,38 +207,38 @@ def lanczos_svd(
         total_restarts = restart + 1
         j = start
         while j < subspace:
-            u = op.matvec(V[:, j]) - beta_prev * u_prev
+            u = op.matvec(V[j]) - beta_prev * u_prev
             matvecs += 1
             # Full reorthogonalization against previous left vectors.
             if j > 0:
-                u -= U[:, :j] @ op.left_dot(U[:, :j], u)
+                u -= op.left_dot(U[:j].T, u) @ U[:j]
             alpha = op.left_norm(u)
             if alpha < 1e-14:
                 # Deflate with a random direction orthogonal to the basis.
                 u = left_rng.standard_normal(m)
                 if j > 0:
-                    u -= U[:, :j] @ op.left_dot(U[:, :j], u)
+                    u -= op.left_dot(U[:j].T, u) @ U[:j]
                 alpha_norm = op.left_norm(u)
                 u = u / alpha_norm if alpha_norm > 0 else u
                 alpha = 0.0
             else:
                 u /= alpha
-            U[:, j] = u
+            U[j] = u
             alphas[j] = alpha
 
-            w = op.rmatvec(u) - alpha * V[:, j]
+            w = op.rmatvec(u) - alpha * V[j]
             rmatvecs += 1
-            w -= V[:, : j + 1] @ (V[:, : j + 1].T @ w)
+            w -= (V[: j + 1] @ w) @ V[: j + 1]
             beta = np.linalg.norm(w)
             if beta < 1e-14:
                 w = rng.standard_normal(n)
-                w -= V[:, : j + 1] @ (V[:, : j + 1].T @ w)
+                w -= (V[: j + 1] @ w) @ V[: j + 1]
                 beta_norm = np.linalg.norm(w)
                 w = w / beta_norm if beta_norm > 0 else w
                 beta = 0.0
             else:
                 w /= beta
-            V[:, j + 1] = w
+            V[j + 1] = w
             betas[j] = beta
             beta_prev = beta
             u_prev = u
@@ -263,8 +265,8 @@ def lanczos_svd(
         beta_last = betas[subspace - 1]
         residuals = np.abs(beta_last * P[subspace - 1, :k])
         threshold = tol * max(s[0], 1e-300)
-        left = U[:, :subspace] @ P[:, :k]
-        right = V[:, :subspace] @ Qt.T[:, :k]
+        left = P[:, :k].T @ U
+        right = Qt[:k] @ V[:subspace]
         # Stop on convergence, on the restart budget, or when the subspace
         # already spans the whole problem (rank == subspace), in which case a
         # thick restart has nothing left to add.
@@ -281,17 +283,17 @@ def lanczos_svd(
         keep = rank
         locked_sigma = s[:keep].copy()
         restart_coupling = beta_last * P[subspace - 1, :keep].copy()
-        U[:, :keep] = left[:, :keep]
-        V[:, :keep] = right[:, :keep]
-        V[:, keep] = V[:, subspace]
+        U[:keep] = left[:keep]
+        V[:keep] = right[:keep]
+        V[keep] = V[subspace]
         start = keep
         beta_prev = 0.0
         u_prev = np.zeros(m)
 
     return TRSVDResult(
-        left=np.ascontiguousarray(left[:, :rank]),
+        left=np.ascontiguousarray(left[:rank].T),
         singular_values=np.ascontiguousarray(sigma[:rank]),
-        right=np.ascontiguousarray(right[:, :rank]) if compute_right else None,
+        right=np.ascontiguousarray(right[:rank].T) if compute_right else None,
         iterations=total_restarts,
         matvecs=matvecs,
         rmatvecs=rmatvecs,

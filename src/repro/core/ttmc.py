@@ -6,9 +6,11 @@ This implements the paper's equation (4) / Algorithm 2: for the target mode
     ``x * kron(U_t[i_t, :] for t != n)``
 
 to row ``i_n`` of the matricized result ``Y_(n)`` (an ``I_n x prod_{t != n} R_t``
-dense matrix).  The kernels here are the sequential building blocks; the
-shared-memory and distributed layers parallelize *over rows* of ``Y_(n)``
-using the symbolic structure from :mod:`repro.core.symbolic`.
+dense matrix); only its non-empty rows ``J_n`` can be non-zero, and the
+engine's plans compute just those, as a ``|J_n| × W`` block.  The kernels
+here are the sequential building blocks; the shared-memory and distributed
+layers parallelize *over rows* of ``Y_(n)`` using the symbolic structure
+from :mod:`repro.core.symbolic`.
 
 Performance notes (per the HPC-Python guides): there is no per-nonzero Python
 loop.  Nonzeros are processed in blocks of the row-grouped order produced by
@@ -60,6 +62,7 @@ __all__ = [
     "compiled_coo_ttmc",
     "coo_rows_range",
     "restrict_symbolic",
+    "zeroed_out",
 ]
 
 #: Upper bound on nonzeros processed per vectorized block.
@@ -350,7 +353,6 @@ def ttmc_matricized(
     rows: Optional[np.ndarray] = None,
     block_nnz: Optional[int] = None,
     out: Optional[np.ndarray] = None,
-    zero: str = "full",
     kernel: str = "numpy",
 ) -> np.ndarray:
     """Mode-``n`` matricized TTMc result ``Y_(n) = (X ×_{-n} Uᵀ)_(n)``.
@@ -368,23 +370,13 @@ def ttmc_matricized(
         Pre-built update lists for ``mode`` (built on the fly when omitted).
         Reusing this across HOOI iterations is the point of the symbolic step.
     rows:
-        Optional subset of mode-``n`` indices to compute (the distributed
-        coarse-grain algorithm restricts computation to its owned rows
-        ``I_n^k``).  Other rows of the output stay zero.
+        Optional subset of mode-``n`` indices to compute; the other rows of
+        the output stay zero.
     block_nnz:
         Nonzeros per vectorized block (defaults to a size bounding each
         block's per-row sums to ~64 MB; see :func:`coo_segment_ttmc`).
     out:
         Optional preallocated ``(I_n, prod R_t)`` output buffer (zeroed here).
-    zero:
-        How much of a caller-provided ``out`` to clear before accumulating:
-        ``"full"`` (default) memsets the whole ``I_n × W`` buffer;
-        ``"touched"`` zeroes only the rows this call accumulates into (the
-        ``|J_n|`` non-empty rows, or the ``rows`` subset) — valid when the
-        caller guarantees every *other* row is already zero, as the engine's
-        per-mode pooled buffers do between sweeps; ``"none"`` skips zeroing
-        entirely (the caller takes full responsibility).  Ignored when
-        ``out`` is ``None`` (a fresh buffer is allocated zeroed).
     kernel:
         Implementation tier of the inner loop: ``"numpy"`` (default — the
         blocked gather + sparse × dense segment-sum of
@@ -399,25 +391,12 @@ def ttmc_matricized(
     """
     mode = check_axis(mode, tensor.order)
     check_same_order(tensor.order, factors, "factors")
-    if zero not in ("full", "touched", "none"):
-        raise ValueError(f"unknown zero policy {zero!r}")
     widths = _factor_widths(factors, tensor.shape, mode)
     width = kron_row_length(widths)
     n_rows = tensor.shape[mode]
     dtype = ttmc_dtype(tensor, factors, mode)
 
-    if out is None:
-        out = np.zeros((n_rows, width), dtype=dtype)
-        zero = "none"
-    else:
-        if out.shape != (n_rows, width) or out.dtype != dtype:
-            raise ValueError(
-                f"out has shape {out.shape} / dtype {out.dtype}, expected "
-                f"{(n_rows, width)} / {dtype}"
-            )
-        if zero == "full":
-            out[:] = 0.0
-
+    out = zeroed_out(out, (n_rows, width), dtype)
     if tensor.nnz == 0:
         return out
 
@@ -427,11 +406,6 @@ def ttmc_matricized(
         raise ValueError("symbolic data does not match the tensor/mode")
 
     if rows is not None:
-        rows = np.asarray(rows, dtype=np.int64)
-        # Both tiers assign every J_n row they compute, so under "touched"
-        # only rows *requested but absent from J_n* need an explicit clear.
-        if zero == "touched":
-            out[rows[~np.isin(rows, symbolic.rows)]] = 0.0
         symbolic = restrict_symbolic(
             symbolic, np.flatnonzero(np.isin(symbolic.rows, rows))
         )
@@ -441,17 +415,24 @@ def ttmc_matricized(
     )
 
 
-def restrict_symbolic(
-    symbolic: ModeSymbolic,
-    positions: np.ndarray,
-    rows: Optional[np.ndarray] = None,
-) -> ModeSymbolic:
+def zeroed_out(out: Optional[np.ndarray], shape, dtype) -> np.ndarray:
+    """``out`` checked and zeroed, or a new zeroed full ``Y_(n)`` buffer."""
+    if out is None:
+        return np.zeros(shape, dtype=dtype)
+    if out.shape != tuple(shape) or out.dtype != dtype:
+        raise ValueError(
+            f"out has shape {out.shape} / dtype {out.dtype}, expected "
+            f"{tuple(shape)} / {np.dtype(dtype)}"
+        )
+    out[:] = 0.0
+    return out
+
+
+def restrict_symbolic(symbolic: ModeSymbolic, positions: np.ndarray) -> ModeSymbolic:
     """Update lists of just the ``J_n`` entries at ``positions`` (sorted).
 
-    The result's segments are ``symbolic``'s segments at those positions,
-    packed back to back.  Its target rows are the selected tensor indices,
-    or ``rows`` when given — ``np.arange(len(positions))`` addresses a
-    compact block instead of the full ``Y_(n)``.
+    The result's segments and rows are ``symbolic``'s at those positions,
+    packed back to back.
     """
     positions = np.asarray(positions, dtype=np.int64)
     counts = symbolic.rowptr[positions + 1] - symbolic.rowptr[positions]
@@ -459,7 +440,7 @@ def restrict_symbolic(
     np.cumsum(counts, out=rowptr[1:])
     return ModeSymbolic(
         mode=symbolic.mode,
-        rows=symbolic.rows[positions] if rows is None else rows,
+        rows=symbolic.rows[positions],
         perm=gather_ranges(symbolic.perm, symbolic.rowptr[positions], counts),
         rowptr=rowptr,
     )
@@ -474,6 +455,7 @@ def coo_rows_range(
     stop: int,
     out: np.ndarray,
     *,
+    compact: bool = False,
     block_nnz: Optional[int] = None,
     kernel: str = "numpy",
     stream: Optional[ModeStream] = None,
@@ -485,7 +467,9 @@ def coo_rows_range(
     row task): the range's nonzeros are the slice
     ``perm[rowptr[start]:rowptr[stop]]`` and each target row is written by
     exactly this call, so disjoint ranges run concurrently without locks.
-    ``(0, num_rows)`` is the whole sequential TTMc.  ``kernel`` selects the
+    ``(0, num_rows)`` is the whole sequential TTMc.  With ``compact``,
+    ``out`` is the ``|J_n| × W`` block: the range fills rows ``start:stop``.
+    ``kernel`` selects the
     numpy tier (:func:`coo_segment_ttmc`) or the fused compiled loops.
     ``stream`` is the whole mode's :class:`ModeStream` (aligned with
     ``perm``): the numpy tier reads the range's slice of it when ``filled``
@@ -497,16 +481,18 @@ def coo_rows_range(
     lo, hi = int(symbolic.rowptr[start]), int(symbolic.rowptr[stop])
     positions = symbolic.perm[lo:hi]
     segptr = symbolic.rowptr[start:stop + 1] - lo
-    target = symbolic.rows[start:stop]
-    if target.shape[0] == 0:
-        return out
+    dest = out[start:stop] if compact else out
+    target = None if compact else symbolic.rows[start:stop]
     table = kernel_table(kernel)
     if table is not None:
-        return compiled_coo_ttmc(
-            table, tensor, factors, mode, positions, segptr, target, out
+        compiled_coo_ttmc(
+            table, tensor, factors, mode, positions, segptr,
+            np.arange(stop - start) if target is None else target, dest,
         )
-    return coo_segment_ttmc(
-        tensor, factors, mode, positions, segptr, out,
-        target=target, block_nnz=block_nnz,
-        stream=None if stream is None else stream[lo:hi], filled=filled,
-    )
+    else:
+        coo_segment_ttmc(
+            tensor, factors, mode, positions, segptr, dest,
+            target=target, block_nnz=block_nnz,
+            stream=None if stream is None else stream[lo:hi], filled=filled,
+        )
+    return out

@@ -32,7 +32,8 @@ worker team inside every simulated rank (the row-disjoint lock-free
 decomposition of the COO plan over the rank's update lists) and
 ``ttmc_strategy="dimtree"`` builds a rank-local dimension tree over the
 rank's nonzeros whose leaves serve the rank's owned/local rows
-(:meth:`~repro.engine.backend.PlanBackend.compute_ttmc_rows`).  Execution strategy changes local compute only: results
+(:meth:`~repro.engine.backend.PlanBackend.compute_ttmc_rows`).  Execution
+strategy changes local compute only: results
 match the sequential-rank run to 1e-10 and the communication statistics are
 byte-identical.  ``execution="process"`` is rejected — one worker-process
 pool per simulated rank would oversubscribe the node
@@ -62,6 +63,7 @@ from repro.partition.strategies import TensorPartition
 from repro.simmpi.communicator import Communicator
 from repro.simmpi.launcher import run_spmd
 from repro.simmpi.machine import BGQ_MACHINE, MachineModel
+from repro.util.linalg import complete_basis
 from repro.util.validation import check_rank_feasibility, check_rank_vector
 
 __all__ = [
@@ -287,9 +289,8 @@ class DistributedBackend(ExecutionBackend):
         )
         self.trsvd_iteration_counts.append(trsvd.iterations)
 
-        # The solver may return fewer columns than requested when the matrix
-        # has fewer non-empty rows than the rank (tiny tensors); the missing
-        # columns stay zero.
+        # Below R_n non-empty rows the solver returns |J_n| columns; the rest
+        # stay zero here and distributed_hooi completes the assembled factors.
         new_factor = np.zeros(
             (self.plan.shape[mode], eng.ranks[mode]), dtype=eng.dtype
         )
@@ -423,7 +424,7 @@ def distributed_hooi(
         if not np.allclose(rr.fit_history, reference.fit_history, atol=1e-9):
             raise RuntimeError("ranks disagree on the fit history — SPMD bug")
 
-    # Assemble the factor matrices from the owned rows.
+    # Assemble the factor matrices from the owned rows and complete them.
     factors = [
         np.zeros((tensor.shape[mode], ranks[mode]), dtype=reference.core.dtype)
         for mode in range(tensor.order)
@@ -431,6 +432,8 @@ def distributed_hooi(
     for rr in rank_results:
         for mode, (rows, values) in enumerate(rr.owned_factor_rows):
             factors[mode][rows] = values
+    for mode, factor in enumerate(factors):
+        complete_basis(factor, tensor.nonempty_rows(mode))
 
     decomposition = TuckerTensor(core=reference.core, factors=factors)
     iterations = reference.iterations

@@ -10,7 +10,10 @@ distributed drivers is only *how* the three heavy steps are executed:
 * the core-tensor formation from the last mode's TTMc (``form_core``),
 
 plus where the tensor norm comes from and how the initial factors are
-produced.  :class:`ExecutionBackend` is that seam.  The engine calls the
+produced.  :class:`ExecutionBackend` is that seam.  ``compute_ttmc`` returns
+the rows ``ttmc_rows`` names (a plan's non-empty rows ``J_n``); the TRSVD
+runs on that block, the new factor is zero outside ``J_n`` and the core is
+``U_N[J_N]ᵀ · block``.  The engine calls the
 hooks in a fixed order; backends may keep per-run state (symbolic data,
 communicators, clocks) between calls.
 
@@ -46,13 +49,13 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core.hosvd import initialize_factors
-from repro.core.kron import kron_row_length
 from repro.core.sparse_tensor import SparseTensor
 from repro.core.trsvd import TRSVDResult, truncated_svd
 from repro.core.ttmc import ttmc_flops
 from repro.core.tucker import core_from_ttmc
 from repro.engine.dimtree import DimensionTree
 from repro.engine.plans import COORowsPlan, CSFSlabPlan, TTMcPlan
+from repro.util.linalg import complete_basis
 
 __all__ = [
     "CREW_BREAK_EVEN_FLOPS",
@@ -62,7 +65,6 @@ __all__ = [
     "ThreadDispatcher",
     "ProcessDispatcher",
     "crew_pays",
-    "pooled_out",
     "resolve_plan",
     "resolve_ttmc_backend",
     "trsvd_kwargs",
@@ -100,29 +102,6 @@ def trsvd_kwargs(options) -> dict:
     return {}
 
 
-def pooled_out(eng, mode: int) -> np.ndarray:
-    """The engine's pooled ``(I_n, ∏R_t)`` output buffer for mode ``mode``.
-
-    Buffers are keyed per mode and fully zeroed only on their first use
-    in a run; afterwards the range bodies overwrite just the ``|J_n|``
-    touched rows, so steady-state sweeps never memset the full ``I_n × W``
-    matrix — measurable on hypersparse modes.  The per-run set of primed
-    buffers lives on the engine (``eng._primed_ttmc_out``), which
-    :meth:`HOOIEngine.run` resets.
-    """
-    width = kron_row_length(
-        [eng.factors[t].shape[1] for t in range(eng.order) if t != mode]
-    )
-    buffer = eng.workspace.take(
-        (eng.tensor.shape[mode], width), eng.dtype, tag=f"ttmc-out-{mode}"
-    )
-    key = (mode, buffer.shape, buffer.dtype)
-    if key not in eng._primed_ttmc_out:
-        buffer[...] = 0
-        eng._primed_ttmc_out.add(key)
-    return buffer
-
-
 class ExecutionBackend:
     """How one HOOI engine run executes its heavy steps.
 
@@ -154,19 +133,20 @@ class ExecutionBackend:
         """Build per-run reusable state (symbolic data, trees, worker pools)."""
 
     # -- the three heavy steps ------------------------------------------- #
+    def ttmc_rows(self, eng, mode: int) -> Optional[np.ndarray]:
+        """The sorted rows :meth:`compute_ttmc` returns; ``None`` for all."""
+        return None
+
     def compute_ttmc(self, eng, mode: int) -> np.ndarray:
-        """Numeric TTMc of ``mode``: the matricized ``Y_(mode)``."""
+        """Numeric TTMc of ``mode``: the :meth:`ttmc_rows` of ``Y_(mode)``."""
         raise NotImplementedError
 
     def compute_ttmc_rows(self, eng, mode: int, rows: np.ndarray) -> np.ndarray:
-        """Compact TTMc block: ``Y_(mode)`` restricted to the given rows.
+        """``Y_(mode)`` on the sorted global ``rows`` (zero where empty).
 
-        ``rows`` is a sorted array of global mode-``mode`` indices; the
-        result has shape ``(len(rows), ∏_{t≠mode} R_t)`` with row ``p``
-        holding ``Y_(mode)(rows[p], :)`` (zero for a row without local
-        nonzeros).  This is the rank-scoped seam the distributed driver
-        composes with: each simulated MPI rank computes only its owned/local
-        rows through whatever plan and dispatcher the options select.
+        The rank-scoped seam of the distributed driver: each simulated rank
+        computes its owned/local rows through the plan and dispatcher the
+        options select.
         """
         raise NotImplementedError
 
@@ -180,7 +160,12 @@ class ExecutionBackend:
             method=eng.options.trsvd_method,
             **trsvd_kwargs(eng.options),
         )
-        return np.asarray(result.left, dtype=eng.dtype), result
+        rows = self.ttmc_rows(eng, mode)
+        if rows is None:
+            return np.asarray(result.left, dtype=eng.dtype), result
+        factor = np.zeros((eng.shape[mode], eng.ranks[mode]), dtype=eng.dtype)
+        factor[rows, : result.left.shape[1]] = result.left
+        return complete_basis(factor, rows), result
 
     def notify_factor_updated(self, eng, mode: int) -> None:
         """A factor was replaced *outside* :meth:`update_factor`.
@@ -193,8 +178,10 @@ class ExecutionBackend:
         """
 
     def form_core(self, eng, last_ttmc: np.ndarray) -> np.ndarray:
-        """Fold the last mode's TTMc into the core tensor (one small GEMM)."""
-        return core_from_ttmc(last_ttmc, eng.factors[-1], eng.ranks)
+        """Fold the last mode's TTMc into the core: ``U_N[J_N]ᵀ · block``."""
+        rows = self.ttmc_rows(eng, eng.order - 1)
+        last = eng.factors[-1] if rows is None else np.take(eng.factors[-1], rows, 0)
+        return core_from_ttmc(last_ttmc, last, eng.ranks)
 
     # -- hooks (no-ops by default) --------------------------------------- #
     def on_iteration_start(self, eng, iteration: int) -> None:
@@ -234,19 +221,16 @@ class InlineDispatcher:
     def open(self, eng, plan: TTMcPlan) -> None:
         """Per-run setup once the plan is built (nothing in-process)."""
 
-    def ttmc(self, plan: TTMcPlan, mode: int, factors, out=None, workspace=None):
-        """``Y_(mode)`` of ``plan`` with ``factors`` (into ``out`` if given)."""
+    def ttmc(self, plan: TTMcPlan, mode: int, factors, workspace=None):
+        """The compact ``Y_(mode)`` block of ``plan`` with ``factors``."""
         plan.factors = factors
         return plan.ttmc(
-            mode, lambda key: self.run(plan, key, workspace),
-            out=out, workspace=workspace,
+            mode, lambda key: self.run(plan, key, workspace), workspace=workspace
         )
 
     def compute(self, eng, plan: TTMcPlan, mode: int) -> np.ndarray:
-        """The engine's ``Y_(mode)``, into its pooled buffer."""
-        return self.ttmc(
-            plan, mode, eng.factors, pooled_out(eng, mode), eng.workspace
-        )
+        """The engine's ``Y_(mode)`` block, in its pooled buffers."""
+        return self.ttmc(plan, mode, eng.factors, eng.workspace)
 
     def factor_updated(self, mode: int, factor: np.ndarray) -> None:
         """``U_mode`` was refreshed (in-process plans read it directly)."""
@@ -364,26 +348,33 @@ class PlanBackend(ExecutionBackend):
         )
         self.dispatcher.open(eng, self.plan)
 
+    def ttmc_rows(self, eng, mode: int) -> Optional[np.ndarray]:
+        rows = self.plan.rows(mode)
+        return None if rows.shape[0] == eng.shape[mode] else rows
+
     def compute_ttmc(self, eng, mode: int) -> np.ndarray:
         return self.dispatcher.compute(eng, self.plan, mode)
 
     def compute_ttmc_rows(self, eng, mode: int, rows: np.ndarray) -> np.ndarray:
         """Compact row block; COO plans compute just these rows.
 
-        Fiber-tree plans have no cheaper form than their full ``Y_(n)``, so
-        the rows are gathered from it into a pooled block (rows without
-        local nonzeros are zero there).
+        Fiber-tree plans have no cheaper form than their whole block, so
+        the rows are taken from it by position in ``J_n``.
         """
         rows = np.asarray(rows, dtype=np.int64)
         sub = self.plan.restrict(mode, rows, eng.factors)
         if sub is not None:
             self.dispatcher.run(sub, mode, eng.workspace)
             return sub.outs[mode]
-        full = self.compute_ttmc(eng, mode)
+        block = self.compute_ttmc(eng, mode)
         out = eng.workspace.take(
-            (rows.shape[0], full.shape[1]), full.dtype, tag=f"ttmc-rows-{mode}"
+            (rows.shape[0], block.shape[1]), block.dtype, tag=f"ttmc-rows-{mode}"
         )
-        return np.take(full, rows, axis=0, out=out)
+        have = self.plan.rows(mode)
+        found = np.isin(rows, have)
+        out[~found] = 0
+        out[found] = block[np.searchsorted(have, rows[found])]
+        return out
 
     def update_factor(self, eng, mode: int, y_mat: np.ndarray):
         new_factor, stats = super().update_factor(eng, mode, y_mat)

@@ -14,7 +14,8 @@ and represents the input tensor multiplied by the factors of every *other*
 mode.  The root (free = all modes) is the raw tensor; a node's two children
 split its range in half, each refining the parent's chain by the sibling's
 modes; the leaf for mode ``n`` (free = ``{n}``) holds exactly the matricized
-TTMc ``Y_(n)`` rows the factor update needs.  Values are *semi-sparse
+TTMc ``Y_(n)`` rows the factor update needs: its payload *is* the
+``|J_n| × W`` block the engine reads.  Values are *semi-sparse
 intermediates* (:mod:`repro.core.subset_ttmc`): the distinct index tuples
 over the free modes (fibers, merged once symbolically per edge) paired with
 a dense payload over the multiplied ranks.  An edge update sums
@@ -81,6 +82,7 @@ from repro.core.subset_ttmc import (
     group_fibers_presorted,
     subset_widths,
 )
+from repro.core.ttmc import zeroed_out
 from repro.engine.plans import TTMcPlan
 from repro.util.validation import check_axis
 
@@ -148,7 +150,7 @@ class DimensionTree(TTMcPlan):
     """Symbolic dimension tree plus the per-factor-version payload cache.
 
     Built once per tensor (a lexsort per edge, the analogue of the per-mode
-    symbolic step); :meth:`leaf_matricized` then serves any mode's ``Y_(n)``,
+    symbolic step); :meth:`leaf_block` then serves any mode's ``Y_(n)`` rows,
     recomputing only the stale part of the root-to-leaf path, and
     :meth:`invalidate_factor` must be called whenever a factor matrix is
     replaced.  ``edge_updates`` counts numeric node recomputations — a steady
@@ -309,6 +311,9 @@ class DimensionTree(TTMcPlan):
     # ------------------------------------------------------------------ #
     # The plan: keys are nodes, items are a node's fibers
     # ------------------------------------------------------------------ #
+    def rows(self, mode: int) -> np.ndarray:
+        return self.leaves[mode].index_cols[:, 0]
+
     def items(self, node_id: int) -> int:
         return self.nodes[node_id].num_fibers
 
@@ -338,11 +343,8 @@ class DimensionTree(TTMcPlan):
             block_nnz=self.block_nnz,
         )
 
-    def ttmc(self, mode: int, run, out=None, workspace=None) -> np.ndarray:
-        return self.leaf_matricized(
-            mode, self.factors, out=self.outs.get(mode) if out is None else out,
-            workspace=workspace, run=run, zero="none",
-        )
+    def ttmc(self, mode: int, run, workspace=None) -> np.ndarray:
+        return self.leaf_block(mode, self.factors, workspace=workspace, run=run)
 
     # ------------------------------------------------------------------ #
     # Numeric evaluation
@@ -355,24 +357,33 @@ class DimensionTree(TTMcPlan):
         dtype=None,
         out: Optional[np.ndarray] = None,
         workspace=None,
-        run=None,
-        zero: str = "full",
     ) -> np.ndarray:
-        """Serve ``Y_(mode)`` from the tree, refreshing stale path nodes.
+        """The full ``Y_(mode)`` (see :meth:`leaf_block`), as ``ttmc_matricized``.
 
-        Matches :func:`repro.core.ttmc.ttmc_matricized` in shape, column
-        order and dtype promotion.  ``factors[mode]`` is never multiplied and
-        may be ``None``.  ``workspace`` supplies the node payload buffers
-        (edges draw no scratch from it); ``run(node_id)`` refines a stale
-        node over all its fibers (a dispatcher's range runner — inline by
-        default).  ``zero`` controls how much of a caller-provided ``out``
-        is cleared (``"full"``/``"touched"``/``"none"``); the leaf rows are
-        *assigned*, so ``"none"`` is sufficient when the caller keeps the
-        empty rows zero (the engine's per-mode pooled buffers do).
+        Same shape, column order, dtype promotion and ``out`` contract.
+        """
+        block = self.leaf_block(mode, factors, dtype=dtype, workspace=workspace)
+        out = zeroed_out(out, (self.shape[mode], block.shape[1]), block.dtype)
+        out[self.rows(mode)] = block
+        return out
+
+    def leaf_block(
+        self,
+        mode: int,
+        factors: Sequence[Optional[np.ndarray]],
+        *,
+        dtype=None,
+        workspace=None,
+        run=None,
+    ) -> np.ndarray:
+        """The leaf payload: ``Y_(mode)``'s :meth:`rows`, refreshing stale nodes.
+
+        ``factors[mode]`` is never multiplied and may be ``None``.
+        ``workspace`` supplies the node payload buffers (edges draw no
+        scratch from it); ``run(node_id)`` refines a stale node over all its
+        fibers (a dispatcher's range runner — inline by default).
         """
         mode = check_axis(mode, self.order)
-        if zero not in ("full", "touched", "none"):
-            raise ValueError(f"unknown zero policy {zero!r}")
         if len(factors) != self.order:
             raise ValueError(
                 f"expected {self.order} factors, got {len(factors)}"
@@ -401,26 +412,7 @@ class DimensionTree(TTMcPlan):
         path = self.path(mode)
         for node in path:
             self._ensure_fresh(node, ranks, dtype, workspace, run)
-        leaf = path[-1]
-
-        width = kron_row_length(
-            [ranks[t] for t in range(self.order) if t != mode]
-        )
-        if out is None:
-            out = np.zeros((self.shape[mode], width), dtype=dtype)
-        else:
-            if out.shape != (self.shape[mode], width) or out.dtype != dtype:
-                raise ValueError(
-                    f"out has shape {out.shape} / dtype {out.dtype}, expected "
-                    f"{(self.shape[mode], width)} / {dtype}"
-                )
-            if zero == "full":
-                out[:] = 0.0
-            # "touched" degenerates to "none" here: the touched rows are the
-            # leaf's fiber rows, which the assignment below overwrites anyway.
-        if leaf.num_fibers:
-            out[leaf.index_cols[:, 0]] = leaf.payload
-        return out
+        return path[-1].payload
 
     def _ensure_fresh(self, node: DimTreeNode, ranks, dtype, workspace, run) -> None:
         if node is self.root:
@@ -474,9 +466,11 @@ class DimensionTree(TTMcPlan):
         The root's index matrix and values are the *tree's* (a CSF-sourced
         tree's groupings reference the lexicographically sorted row order),
         and contiguous groupings carry their flag so workers take the sliced
-        edge-update path too.  The driver's nodes then hold the shared
-        payloads, so its leaf scatter reads what the workers wrote.
+        edge-update path too; a leaf's payload is its mode's ``out{n}``.
+        The driver's nodes then hold the shared payloads, so the block it
+        serves is what the workers wrote.
         """
+        meta = super().pack(arena)
         dtype = self.dtype
         ranks = self.ranks
         arena.put("indices", np.ascontiguousarray(self.root.index_cols))
@@ -492,14 +486,14 @@ class DimensionTree(TTMcPlan):
             arena.put(f"grp-idx{node.node_id}", node.grouping.indices)
             arena.put(f"grp-perm{node.node_id}", node.grouping.perm)
             arena.put(f"grp-segptr{node.node_id}", node.grouping.segptr)
-            node.payload = arena.zeros(
+            node.payload = self.outs[node.lo] if node.is_leaf else arena.zeros(
                 f"payload{node.node_id}", (node.num_fibers, width), dtype
             )
         self._shared = True
         contiguous = [
             bool(node.grouping.contiguous) for node in self.nodes[1:]
         ]
-        return dict(super().pack(arena), contiguous=contiguous)
+        return dict(meta, contiguous=contiguous)
 
     @classmethod
     def attach(cls, view, meta: dict) -> "DimensionTree":
@@ -521,5 +515,5 @@ class DimensionTree(TTMcPlan):
                 contiguous=contiguous,
             )
             node.index_cols = node.grouping.indices
-            node.payload = view[f"payload{nid}"]
+            node.payload = view[f"out{node.lo}" if node.is_leaf else f"payload{nid}"]
         return tree._attach_buffers(view)

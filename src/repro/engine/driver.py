@@ -6,9 +6,11 @@ Every HOOI variant in this repository — sequential (Algorithm 1/3 minus the
 
 1. initialize the factor matrices;
 2. build reusable per-run state (the symbolic TTMc data) once;
-3. per iteration and per mode: numeric TTMc into the matricized ``Y_(n)``,
-   then a truncated SVD of ``Y_(n)`` refreshing ``U_n``;
-4. after the last mode, fold ``Y_(N)`` into the core tensor;
+3. per iteration and per mode: numeric TTMc of the non-empty rows ``J_n``
+   of the matricized ``Y_(n)`` (a compact ``|J_n| × W`` block), then a
+   truncated SVD of that block refreshing ``U_n``, zero outside ``J_n``;
+4. after the last mode, fold the ``Y_(N)`` block into the core tensor
+   (``U_N[J_N]ᵀ · block``);
 5. track the fit ``1 - ||X - X̂|| / ||X||`` and stop when its improvement
    falls below the tolerance.
 
@@ -17,8 +19,8 @@ runs is delegated to an :class:`~repro.engine.backend.ExecutionBackend` —
 for every single-node TTMc composition the one
 :class:`~repro.engine.backend.PlanBackend`, a work plan × a dispatcher;
 *where* the driver thread's big buffers come from is delegated to a
-:class:`~repro.engine.workspace.WorkspacePool` (the ``(I_n × ∏R_t)`` TTMc
-outputs, CSF level buffers and dimension-tree payloads are reused across
+:class:`~repro.engine.workspace.WorkspacePool` (the ``(|J_n| × ∏R_t)`` TTMc
+blocks, CSF level buffers and dimension-tree payloads are reused across
 modes and iterations); and *what precision* everything computes in is the
 engine's dtype policy (``HOOIOptions.dtype``, ``float32`` or ``float64``,
 threaded through ``SparseTensor → kron → ttmc → trsvd``).  Ranks enter here
@@ -80,9 +82,6 @@ class HOOIEngine:
         self.timings = TimingBreakdown()
         self.factors: Optional[List[np.ndarray]] = None
         self.iteration_seconds: List[float] = []
-        # Pooled TTMc output buffers already fully zeroed this run (the
-        # backend's pooled_out handshake; reset per run).
-        self._primed_ttmc_out: set = set()
 
     def run(
         self,
@@ -132,7 +131,6 @@ class HOOIEngine:
                 interval=getattr(options, "checkpoint_interval", 1),
             )
 
-        self._primed_ttmc_out = set()
         backend.prepare_tensor(self)
         with timings.time("init"):
             self.factors = [

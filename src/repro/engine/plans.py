@@ -12,6 +12,9 @@ is a task that needs no locks.  A *plan* is one such decomposition:
 * :class:`~repro.engine.dimtree.DimensionTree` — the memoized dimension
   tree; its keys are tree nodes and the items of a node are its fibers.
 
+A plan computes only the non-empty rows ``J_n`` (:meth:`TTMcPlan.rows`),
+as a ``|J_n| × W`` block of ``Y_(n)`` whose every row is assigned.
+
 A plan owns its symbolic state, its item count per key (:meth:`items`), one
 range body (:meth:`body`) that writes output rows no other range writes, and
 its shared-arena layout: :meth:`pack` places the plan's arrays, factors and
@@ -83,10 +86,10 @@ class TTMcPlan:
     """Shared state and arena layout of every plan.
 
     ``factors`` are the matrices the body reads and ``outs[mode]`` the
-    ``Y_(mode)`` buffer it writes; the dispatcher binds both per call on the
-    driver, and :meth:`pack` / :func:`attach_plan` bind them to shared
-    segments for a process crew.  ``ranks`` size those segments and are
-    needed only to pack.
+    compact ``|J_n| × W`` block it writes; the dispatcher binds both per
+    call on the driver, and :meth:`pack` / :func:`attach_plan` bind them to
+    shared segments for a process crew.  ``ranks`` size those segments and
+    are needed only to pack.
     """
 
     #: Registry key a worker rebuilds the plan from (see :func:`attach_plan`).
@@ -111,6 +114,10 @@ class TTMcPlan:
         """Value dtype of the plan's nonzeros (the engine's dtype policy)."""
         raise NotImplementedError
 
+    def rows(self, mode: int) -> np.ndarray:
+        """``J_n``: the sorted rows of ``Y_(mode)`` that :meth:`ttmc` returns."""
+        raise NotImplementedError
+
     def items(self, key) -> int:
         """Number of work items of ``key`` (a mode, or a tree node)."""
         raise NotImplementedError
@@ -123,32 +130,35 @@ class TTMcPlan:
         """
         raise NotImplementedError
 
-    def ttmc(self, mode: int, run, out=None, workspace=None) -> np.ndarray:
-        """``Y_(mode)``: drive every range it needs through ``run(key)``.
+    def ttmc(self, mode: int, run, workspace=None) -> np.ndarray:
+        """The ``|J_n| × W`` block of ``Y_(mode)``: every range via ``run(key)``.
 
-        Writes into ``out`` when given, else into the plan's own buffer (a
-        shared segment once packed, a fresh zeroed array otherwise).
+        Written into the plan's shared segment once packed, else into a
+        ``workspace`` buffer (tag ``ttmc-out-<mode>``) or one of its own.
         """
-        if out is not None:
-            self.outs[mode] = out
-        elif mode not in self.outs:
-            self.outs[mode] = self._zeros_out(mode, self.shape[mode], self.factors)
+        shape, dtype = self._block_layout(mode)
+        out = self.outs.get(mode)
+        if workspace is not None:
+            out = workspace.take(shape, dtype, tag=f"ttmc-out-{mode}")
+        elif out is None or out.shape != shape or out.dtype != dtype:
+            out = np.empty(shape, dtype)
+        self.outs[mode] = out
         run(mode)
-        return self.outs[mode]
+        return out
 
-    def _zeros_out(self, mode: int, num_rows: int, factors) -> np.ndarray:
-        """A zeroed ``(num_rows, ∏_{t≠mode} R_t)`` block in the TTMc dtype."""
-        others = [f for t, f in enumerate(factors) if t != mode]
-        return np.zeros(
-            (num_rows, kron_row_length([f.shape[1] for f in others])),
-            dtype=kron_dtype(np.empty(0, self.dtype), *others),
+    def _block_layout(self, mode: int):
+        """Shape and dtype of ``mode``'s block under the bound factors."""
+        others = [f for t, f in enumerate(self.factors) if t != mode]
+        width = kron_row_length([f.shape[1] for f in others])
+        return (self.rows(mode).shape[0], width), kron_dtype(
+            np.empty(0, self.dtype), *others
         )
 
     def restrict(self, mode: int, rows: np.ndarray, factors) -> Optional["TTMcPlan"]:
         """A plan computing only ``rows`` of ``Y_(mode)`` as a compact block.
 
-        ``None`` when the plan has no cheaper form than the full ``Y_(n)``
-        (the caller then gathers the rows from it).
+        ``None`` when the plan has no cheaper form than its whole block
+        (the caller then takes the rows from it).
         """
         return None
 
@@ -170,8 +180,8 @@ class TTMcPlan:
             self.factors[n] = arena.zeros(
                 f"factor{n}", (self.shape[n], self.ranks[n]), self.dtype
             )
-            self.outs[n] = arena.zeros(
-                f"out{n}", (self.shape[n], width), self.dtype
+            self.outs[n] = arena.create(
+                f"out{n}", (self.rows(n).shape[0], width), self.dtype
             )
         return {
             "kind": self.kind,
@@ -199,8 +209,8 @@ class COORowsPlan(TTMcPlan):
     """Per-mode update lists over COO storage; items are the rows ``J_n``.
 
     The body is :func:`repro.core.ttmc.coo_rows_range`: a range slices
-    ``perm[rowptr[start]:rowptr[stop]]`` and writes ``out[rows[start:stop]]``
-    in place.
+    ``perm[rowptr[start]:rowptr[stop]]`` and writes rows ``start..stop`` of
+    the compact block in place.
 
     The numpy tier also keeps each mode's nonzeros in update-list order, a
     :class:`~repro.core.ttmc.ModeStream` in :attr:`streams`: the other
@@ -236,20 +246,24 @@ class COORowsPlan(TTMcPlan):
     def dtype(self) -> np.dtype:
         return self.tensor.values.dtype
 
+    def rows(self, mode: int) -> np.ndarray:
+        return self.symbolic[mode].rows
+
     def items(self, mode: int) -> int:
         return self.symbolic[mode].num_rows
 
     def body(self, mode: int, start: int, stop: int, workspace=None) -> None:
         coo_rows_range(
             self.tensor, self.factors, mode, self.symbolic[mode], start, stop,
-            self.outs[mode], block_nnz=self.block_nnz, kernel=self.kernel,
-            stream=self.streams.get(mode), filled=bool(self.filled[mode]),
+            self.outs[mode], compact=True, block_nnz=self.block_nnz,
+            kernel=self.kernel, stream=self.streams.get(mode),
+            filled=bool(self.filled[mode]),
         )
 
-    def ttmc(self, mode: int, run, out=None, workspace=None) -> np.ndarray:
+    def ttmc(self, mode: int, run, workspace=None) -> np.ndarray:
         if self.kernel == "numpy" and mode not in self.streams:
             self.streams[mode] = self._new_stream(mode)
-        result = super().ttmc(mode, run, out=out, workspace=workspace)
+        result = super().ttmc(mode, run, workspace=workspace)
         self.filled[mode] = mode in self.streams
         return result
 
@@ -267,13 +281,12 @@ class COORowsPlan(TTMcPlan):
 
     def restrict(self, mode, rows, factors):
         positions = symbolic_row_positions(self.symbolic[mode], rows)
-        compact = restrict_symbolic(
-            self.symbolic[mode], positions, rows=np.arange(positions.shape[0])
+        sub = COORowsPlan(
+            self.tensor, {mode: restrict_symbolic(self.symbolic[mode], positions)},
+            block_nnz=self.block_nnz, kernel=self.kernel,
         )
-        sub = COORowsPlan(self.tensor, {mode: compact},
-                          block_nnz=self.block_nnz, kernel=self.kernel)
         sub.factors = factors
-        sub.outs[mode] = self._zeros_out(mode, positions.shape[0], factors)
+        sub.outs[mode] = np.empty(*sub._block_layout(mode))
         return sub
 
     def pack(self, arena) -> dict:
@@ -318,7 +331,8 @@ class CSFSlabPlan(TTMcPlan):
     """CSF fiber trees; items are root-fiber slabs of mode ``n``'s tree.
 
     A slab's subtree is a contiguous node range at every level and its
-    output rows are exactly its root fibers, so slabs are lock-free ranges
+    output rows are exactly its root fibers (``J_n``), so slab ``[start,
+    stop)`` writes rows ``start..stop`` of the block, lock-free
     (:func:`repro.sparse.csf_ttmc.csf_ttmc_compact` with ``roots=``).  When
     mode ``n`` sits below the root (a shared tree) its pushdown/pullup pass
     does not split by output row, so the whole mode is one item.  ``trees``
@@ -344,6 +358,9 @@ class CSFSlabPlan(TTMcPlan):
     def dtype(self) -> np.dtype:
         return self.trees.tree_for(0).values.dtype
 
+    def rows(self, mode: int) -> np.ndarray:
+        return self.trees.tree_for(mode).target_rows(mode)
+
     def items(self, mode: int) -> int:
         csf = self.trees.tree_for(mode)
         return csf.num_fibers(0) if csf.level_of(mode) == 0 else 1
@@ -352,11 +369,12 @@ class CSFSlabPlan(TTMcPlan):
         from repro.sparse import csf_ttmc_compact
 
         csf = self.trees.tree_for(mode)
-        rows, block = csf_ttmc_compact(
+        rooted = csf.level_of(mode) == 0
+        csf_ttmc_compact(
             csf, self.factors, mode, workspace=workspace, kernel=self.kernel,
-            roots=(start, stop) if csf.level_of(mode) == 0 else None,
+            roots=(start, stop) if rooted else None,
+            out=self.outs[mode][start:stop] if rooted else self.outs[mode],
         )
-        self.outs[mode][rows] = block
 
     def pack(self, arena) -> dict:
         mode_orders = []

@@ -9,8 +9,8 @@ same lock-free ranges on worker *processes* with zero-copy shared memory:
 * A :class:`HOOIProcessPool` is one *generation* on a crew: it packs one
   work plan (:mod:`repro.engine.plans` — COO rows, CSF root-fiber slabs or
   dimension-tree edges) into a :class:`~repro.parallel.shm.ShmArena` —
-  the plan's symbolic arrays, factors and outputs — and every worker
-  rebuilds the plan from its views plus a small meta
+  the plan's symbolic arrays, factors and ``|J_n| × W`` output blocks —
+  and every worker rebuilds the plan from its views plus a small meta
   (:func:`~repro.engine.plans.attach_plan`).
 * Numeric work is dispatched as tiny ``(key, start, stop)`` descriptors
   over the same static/dynamic/guided
@@ -496,7 +496,7 @@ class HOOIProcessPool:
             )
 
     def ttmc(self, mode: int) -> np.ndarray:
-        """``Y_(mode)``, returned in its shared buffer.
+        """The compact ``|J_n| × W`` block of ``Y_(mode)``, in its shared buffer.
 
         The plan decides which ranges that takes: the mode's rows
         or root-fiber slabs, or the stale edges on a dimension tree's

@@ -54,10 +54,8 @@ def ttmc_row_block(
     out = np.empty(
         (row_positions.shape[0], width), dtype=ttmc_dtype(tensor, factors, mode)
     )
-    compact = restrict_symbolic(
-        symbolic, row_positions, rows=np.arange(row_positions.shape[0])
-    )
+    subset = restrict_symbolic(symbolic, row_positions)
     return coo_rows_range(
-        tensor, factors, mode, compact, 0, compact.num_rows, out,
-        block_nnz=block_nnz, kernel=kernel,
+        tensor, factors, mode, subset, 0, subset.num_rows, out,
+        compact=True, block_nnz=block_nnz, kernel=kernel,
     )

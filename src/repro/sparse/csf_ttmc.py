@@ -24,10 +24,11 @@ target node's pushdown and pullup vectors, segment-summed by target index
 (again one :func:`~repro.core.kron.segment_kron_sum`).
 With the target at the root (a :func:`~repro.sparse.csf.rooted_mode_order`
 tree) the pushdown vanishes and the output rows are exactly the sorted,
-unique root fibers — the layout the engine's CSF plan exploits: contiguous
-*root-fiber slabs* map to disjoint output rows, so thread and process
-workers write lock-free (``make_chunks`` schedules over root fibers,
-mirroring the paper's row decomposition).
+unique root fibers ``J_n`` — the layout the engine's CSF plan exploits:
+root-fiber slab ``[start, stop)`` is rows ``start..stop`` of the compact
+``|J_n| × ∏R`` block, so thread and process workers write disjoint slices
+lock-free (``make_chunks`` schedules over root fibers, mirroring the
+paper's row decomposition).
 
 There is no per-nonzero (or per-fiber) Python loop anywhere: every level is
 a constant number of NumPy calls.  Results match ``ttmc_matricized`` in
@@ -47,7 +48,7 @@ from repro.core.kron import (
     kron_row_length,
     segment_kron_sum,
 )
-from repro.core.ttmc import _factor_widths
+from repro.core.ttmc import _factor_widths, zeroed_out
 from repro.sparse.csf import CSFTensor
 from repro.util.validation import check_axis, check_same_order
 
@@ -244,14 +245,17 @@ def _to_engine_columns(
     matricization orders them by mode index (smaller modes fastest).  Both
     are fixed interleavings, so one transpose of the reshaped width axis —
     applied once to the assembled block, not per fiber — converts between
-    them.  When the layouts already agree, ``block`` itself is returned and
-    ``out`` is ignored; otherwise the permutation lands in ``out`` when
-    given (a pooled buffer or an output slice), or in a fresh array.
+    them.  The result lands in ``out`` when given (a pooled buffer or a
+    slice of a plan's block); otherwise a permutation lands in a fresh
+    array, and agreeing layouts return ``block`` itself.
     """
     axis_modes = _tree_axis_modes(csf, target_level)
     desired = sorted(axis_modes, reverse=True)  # engine: smallest mode fastest
     if axis_modes == desired:
-        return block
+        if out is None:
+            return block
+        out[...] = block
+        return out
     widths = [factor_arrays[m].shape[1] for m in axis_modes]
     reshaped = block.reshape([block.shape[0]] + widths)
     axes = [0] + [1 + axis_modes.index(m) for m in desired]
@@ -281,14 +285,15 @@ def csf_ttmc_compact(
     workspace=None,
     kernel: str = "numpy",
     roots: Optional[Tuple[int, int]] = None,
+    out: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Compact mode-``n`` TTMc: ``(rows, block)`` over the non-empty rows.
 
     ``rows`` is the sorted array ``J_n`` of mode-``n`` indices with at least
     one nonzero and ``block[p]`` is ``Y_(n)(rows[p], :)`` — the same numbers
-    :func:`repro.core.ttmc.ttmc_matricized` scatters into the full
-    ``(I_n, ∏R_t)`` matrix, without materializing the empty rows (the form
-    the distributed driver's row-block seam consumes).
+    :func:`repro.core.ttmc.ttmc_matricized` writes into the full
+    ``(I_n, ∏R_t)`` matrix, without materializing the empty rows (the block
+    the engine's CSF plan writes into ``out``).
 
     ``roots=(start, stop)`` restricts a sweep whose target mode is the
     tree's root to one *root-fiber slab*: its subtree is a contiguous node
@@ -329,9 +334,11 @@ def csf_ttmc_compact(
     table = kernel_table(kernel)
 
     def _cols_out(num_rows: int) -> Optional[np.ndarray]:
-        """Pooled destination for the column permutation (None = allocate)."""
-        if workspace is None or not _columns_permuted(csf, target_level):
-            return None
+        """Destination of the column permutation (None = allocate)."""
+        if out is not None or workspace is None or not _columns_permuted(
+            csf, target_level
+        ):
+            return out
         return workspace.take(
             (num_rows, width), dtype, tag=f"{csf._token}-cols-{target_level}"
         )
@@ -383,38 +390,19 @@ def csf_ttmc_matricized(
     *,
     out: Optional[np.ndarray] = None,
     workspace=None,
-    zero: str = "full",
     kernel: str = "numpy",
 ) -> np.ndarray:
     """Mode-``n`` matricized TTMc ``Y_(n)`` served from a CSF tree.
 
-    Matches :func:`repro.core.ttmc.ttmc_matricized` in shape, column order
-    and dtype promotion (to reassociation-level rounding).  ``out``/``zero``
-    follow the same contract: every ``J_n`` row is *assigned*, so
-    ``zero="none"`` suffices whenever the caller keeps the empty rows zero
-    (the engine's pooled per-mode buffers do); ``"touched"`` behaves the
-    same here, ``"full"`` (default) memsets the whole buffer first.
-    ``kernel`` is forwarded to :func:`csf_ttmc_compact`.
+    Matches :func:`repro.core.ttmc.ttmc_matricized` in shape, column order,
+    dtype promotion (to reassociation-level rounding) and ``out`` contract
+    (zeroed, then the ``J_n`` rows land).  ``kernel`` is forwarded to
+    :func:`csf_ttmc_compact`.
     """
     mode = check_axis(mode, csf.order)
-    if zero not in ("full", "touched", "none"):
-        raise ValueError(f"unknown zero policy {zero!r}")
     rows, block = csf_ttmc_compact(
         csf, factors, mode, workspace=workspace, kernel=kernel
     )
-    n_rows = csf.shape[mode]
-    width = block.shape[1]
-    dtype = block.dtype
-    if out is None:
-        out = np.zeros((n_rows, width), dtype=dtype)
-    else:
-        if out.shape != (n_rows, width) or out.dtype != dtype:
-            raise ValueError(
-                f"out has shape {out.shape} / dtype {out.dtype}, expected "
-                f"{(n_rows, width)} / {dtype}"
-            )
-        if zero == "full":
-            out[:] = 0.0
-    if rows.shape[0]:
-        out[rows] = block
+    out = zeroed_out(out, (csf.shape[mode], block.shape[1]), block.dtype)
+    out[rows] = block
     return out

@@ -7,6 +7,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 __all__ = [
+    "complete_basis",
     "orthonormalize",
     "random_orthonormal",
     "normalize_columns",
@@ -33,6 +34,22 @@ def orthonormalize(matrix: np.ndarray) -> np.ndarray:
         )
     q, _ = np.linalg.qr(matrix)
     return q
+
+
+def complete_basis(factor: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Fill the zero columns of a factor living on ``rows``, in place.
+
+    A solver on the sorted ``rows`` of an ``I × R`` factor returns only
+    ``min(len(rows), R)`` columns.  Each missing one becomes a unit vector
+    on one of the lowest-index rows outside ``rows``: disjoint supports, so
+    the result is exactly orthonormal and deterministic, with no QR.
+    """
+    got = min(len(rows), factor.shape[1])
+    missing = factor.shape[1] - got
+    if missing:
+        free = np.setdiff1d(np.arange(factor.shape[0]), rows, assume_unique=True)
+        factor[free[:missing], np.arange(got, factor.shape[1])] = 1.0
+    return factor
 
 
 def random_orthonormal(

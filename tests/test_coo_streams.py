@@ -4,8 +4,8 @@ A :class:`~repro.engine.plans.COORowsPlan` keeps each mode's nonzeros in
 update-list order.  A mode's first TTMc fills its stream through ``perm``;
 every later TTMc reads stream slices and never touches the tensor again.
 
-* Parity: the plan's first and second sweeps equal ``ttmc_matricized``
-  under ``np.array_equal`` for orders 2–5, both dtypes, inline, on threads
+* Parity: the plan's first and second sweeps equal the ``J_n`` rows of
+  ``ttmc_matricized`` under ``np.array_equal`` for orders 2–5, both dtypes, inline, on threads
   and on a worker crew, with blocks small enough to split segments and a
   mode with empty rows.  Threads and workers split the rows into ranges
   whose blocks start elsewhere than the sequential call's, which
@@ -93,8 +93,11 @@ def _sweep(ttmc, order):
 
 
 def _expected(tensor, factors, block_nnz=None):
+    """The plan's compact blocks: the ``J_n`` rows of the full TTMc."""
     return [
-        ttmc_matricized(tensor, factors, mode, block_nnz=block_nnz)
+        ttmc_matricized(tensor, factors, mode, block_nnz=block_nnz)[
+            tensor.nonempty_rows(mode)
+        ]
         for mode in range(tensor.order)
     ]
 
@@ -249,7 +252,7 @@ class TestStreamState:
         assert plan.filled[1]
         assert np.array_equal(got, ttmc_matricized(
             tensor, factors, 1, block_nnz=SMALL_BLOCK
-        ))
+        )[plan.rows(1)])
 
     def test_row_blocks_keep_no_streams(self):
         tensor = _tensor(3, np.float64, exact=False)

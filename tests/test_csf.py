@@ -203,7 +203,8 @@ class TestTTMcParity:
         for mode in range(4):
             expected = ttmc_matricized(small_tensor_4d, factors, mode)
             np.testing.assert_allclose(
-                threads.ttmc(plan, mode, factors), expected, atol=1e-10
+                threads.ttmc(plan, mode, factors), expected[plan.rows(mode)],
+                atol=1e-10,
             )
 
     def test_float32_stays_float32(self, small_tensor_3d):
@@ -220,19 +221,14 @@ class TestTTMcParity:
         assert csf_ttmc_matricized(CSFTensor(tensor), factors, 1).dtype == np.float64
 
     def test_out_and_zero_policies(self, small_tensor_3d):
+        """A given ``out`` is zeroed before the rows land; its shape is checked."""
         factors = make_factors(small_tensor_3d.shape)
         csf = CSFTensor(small_tensor_3d)
         expected = ttmc_matricized(small_tensor_3d, factors, 0)
         out = np.full_like(expected, 7.0)
-        result = csf_ttmc_matricized(csf, factors, 0, out=out, zero="full")
+        result = csf_ttmc_matricized(csf, factors, 0, out=out)
         assert result is out
         np.testing.assert_allclose(out, expected, atol=1e-10)
-        # zero="none" leaves untouched rows alone
-        out2 = np.zeros_like(expected)
-        csf_ttmc_matricized(csf, factors, 0, out=out2, zero="none")
-        np.testing.assert_allclose(out2, expected, atol=1e-10)
-        with pytest.raises(ValueError, match="zero"):
-            csf_ttmc_matricized(csf, factors, 0, out=out, zero="sometimes")
         with pytest.raises(ValueError, match="shape"):
             csf_ttmc_matricized(csf, factors, 0, out=out[:, :-1])
 

@@ -3,19 +3,22 @@
 The oracle is plain NumPy — unfold, full SVD, leading columns — and shares
 no code with the engine.  Both start from the same explicit ``init``
 factors and run the same sweeps; every TTMc plan (COO rows, CSF slabs and
-the dimension tree over either source) with either TRSVD method must reach
-the oracle's subspaces and its explicit-residual fit.
+the dimension tree over either source) with either TRSVD method, run
+sequentially, on two threads or on a two-worker crew, must reach the
+oracle's subspaces and its explicit-residual fit.
 
 The NELL analog at ranks (10, 8, 10) has ``R_1 = I_1 = 8`` and a
-rank-deficient ``Y_(1)`` (8 × 100 of rank 7): every solver must still
-return an orthonormal 8 × 8 factor there.
+rank-deficient ``Y_(1)`` (8 × 100 of rank 7, with one empty row): the
+solvers see only the 7 non-empty rows, and the engine must still return
+an orthonormal 8 × 8 factor there.
 
-Bounds, with the largest gap measured over these cases (4 sweeps):
+Bounds, with the largest gap measured over these cases (4 sweeps, every
+plan and execution):
 
-* ``lanczos`` (tolerance 1e-8): fit 1e-10 (measured 1.6e-12 explicit,
-  8.3e-12 over the reported history); subspace sine 5e-7 (measured 4.5e-8);
-* ``gram`` (a dense ``eigh`` of ``YᵀY``): fit 1e-13 (measured 2.4e-15);
-  subspace sine 1e-12 (measured 1.9e-14).
+* ``lanczos`` (tolerance 1e-8): fit 1e-10 (measured 1.8e-12 explicit,
+  1.7e-11 over the reported history); subspace sine 5e-7 (measured 3.4e-8);
+* ``gram`` (a dense ``eigh`` of ``YᵀY``): fit 1e-13 (measured 1.8e-15);
+  subspace sine 1e-12 (measured 1.7e-13).
 
 Subspaces are compared by the sine of the largest principal angle,
 ``‖B − A(AᵀB)‖₂``: arccos-based angles bottom out near 3e-8 in float64.
@@ -29,6 +32,7 @@ import pytest
 from dense_oracle import dense_hooi, explicit_fit, subspace_sine
 from repro import HOOIOptions, hooi
 from repro.data import make_dataset, planted_lowrank_tensor
+from repro.parallel.process_pool import PersistentWorkerCrew
 
 SWEEPS = 4
 
@@ -40,6 +44,13 @@ PLANS = {
     "csf": dict(tensor_format="csf"),
     "dimtree": dict(ttmc_strategy="dimtree"),
     "dimtree-csf": dict(ttmc_strategy="dimtree", tensor_format="csf"),
+}
+
+#: The execution axis; ``crew2`` keeps every job on a two-worker crew.
+EXECUTIONS = {
+    "sequential": dict(),
+    "thread2": dict(execution="thread", num_workers=2),
+    "crew2": dict(execution="process"),
 }
 
 
@@ -76,16 +87,31 @@ def oracle_runs():
     return runs
 
 
+@pytest.fixture(scope="module")
+def crew():
+    with PersistentWorkerCrew(2) as crew:
+        yield crew
+
+
+@pytest.mark.parametrize("execution", sorted(EXECUTIONS))
 @pytest.mark.parametrize("method", sorted(BOUNDS))
 @pytest.mark.parametrize("plan", sorted(PLANS))
 @pytest.mark.parametrize("case", ["planted-3mode", "planted-4mode", "nell"])
-def test_engine_matches_dense_oracle(oracle_runs, case, plan, method):
+def test_engine_matches_dense_oracle(oracle_runs, request, case, plan, method,
+                                     execution):
     tensor, ranks, dense, init, (factors, _, fits) = oracle_runs[case]
     fit_bound, sine_bound = BOUNDS[method]
+    crew = None
+    if execution == "crew2":
+        request.getfixturevalue("every_job_on_the_crew")
+        crew = request.getfixturevalue("crew")
+        generations = crew.generations
     result = hooi(tensor, ranks, HOOIOptions(
         init=init, max_iterations=SWEEPS, tolerance=0.0, trsvd_method=method,
-        seed=0, **PLANS[plan],
-    ))
+        seed=0, **PLANS[plan], **EXECUTIONS[execution],
+    ), crew=crew)
+    if crew is not None:
+        assert crew.generations == generations + 1
     ours = result.decomposition
     residual_fit = explicit_fit(dense, ours.core, ours.factors)
     assert abs(residual_fit - fits[-1]) <= fit_bound

@@ -426,7 +426,7 @@ class TestEquivalence:
         for mode in range(tensor.order):
             expected = ttmc_matricized(tensor, factors, mode)
             got = threads.ttmc(tree, mode, factors)
-            assert np.allclose(got, expected, atol=1e-10)
+            assert np.allclose(got, expected[tree.rows(mode)], atol=1e-10)
 
 
 def _rows_block(tensor, factors, mode, rows):

@@ -97,7 +97,7 @@ class TestParallelTTMc:
         for mode in range(3):
             expected = ttmc_matricized(medium_tensor_3d, factors, mode)
             actual = dispatcher.ttmc(plan, mode, factors)
-            assert np.allclose(actual, expected)
+            assert np.allclose(actual, expected[plan.rows(mode)])
 
     def test_row_block_matches_full(self, small_tensor_3d, factors_3d):
         mode = 1
@@ -115,13 +115,14 @@ class TestParallelTTMc:
         assert block.shape[0] == 0
 
     def test_out_buffer(self, small_tensor_3d, factors_3d):
+        """The dispatcher hands back the plan's own ``|J_n| × W`` block."""
         width = factors_3d[1].shape[1] * factors_3d[2].shape[1]
-        out = np.zeros((small_tensor_3d.shape[0], width))
         plan = COORowsPlan(small_tensor_3d, parallel_symbolic(small_tensor_3d, 1))
         result = ThreadDispatcher(ParallelConfig(num_threads=2)).ttmc(
-            plan, 0, factors_3d, out=out
+            plan, 0, factors_3d
         )
-        assert result is out
+        assert result is plan.outs[0]
+        assert result.shape == (small_tensor_3d.nonempty_rows(0).shape[0], width)
 
 
 class TestSharedHOOI:
