@@ -23,7 +23,8 @@ These 300-nnz jobs are far below the crew's break-even
 two kernels pin it to 0 to keep both sides on workers.  Two count-based
 companion tests hold on any host: pinned, the stream spawns the service's
 crew once and serves one pool generation per job; under the real
-break-even every job runs inline and the service serves no pool generation.
+break-even every job runs whole on one of the crew's workers and the
+service serves no pool generation.
 """
 
 from __future__ import annotations
@@ -169,10 +170,11 @@ def test_pooled_stream_reuses_one_crew(tensors, monkeypatch):
 
 
 def test_small_stream_spawns_no_pool_generation(tensors, monkeypatch):
-    """Under the real break-even the same stream never reaches the crew.
+    """Under the real break-even the same stream never needs a generation.
 
-    Count-based, so it holds on any host: all 20 jobs complete inline on
-    the service thread and ``metrics()`` reports zero pool generations.
+    Count-based, so it holds on any host: all 20 jobs complete whole on
+    the crew's idle workers, one job per worker at a time (the worker
+    lane), and ``metrics()`` reports zero pool generations.
     """
     monkeypatch.setattr(backend, "CREW_BREAK_EVEN_FLOPS", REAL_BREAK_EVEN_FLOPS)
     runner = _ServiceRunner()

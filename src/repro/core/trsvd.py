@@ -159,7 +159,10 @@ def lanczos_svd(
     have not converged the factorization is (thick-)restarted from the
     current Ritz vectors, up to ``max_restarts`` times.  Convergence of
     triplet ``i`` is declared when its residual bound
-    ``beta * |last Ritz component|`` falls below ``tol * sigma_max``.
+    ``beta * |last Ritz component|`` falls below ``tol * sigma_max``.  When
+    the subspace reaches the global row count (an operand with few rows),
+    one pass is exact: the left basis spans every row, so the solver takes
+    the SVD of the ``j × (j + 1)`` projection ``[B | beta_j e_j]`` and stops.
 
     Left vectors have ``op.shape[0]`` rows and every reduction over them
     goes through the operator's ``left_*`` methods, so on a distributed
@@ -178,6 +181,9 @@ def lanczos_svd(
     if subspace is None:
         subspace = max(2 * rank + 4, rank + 8)
     subspace = int(min(max(subspace, rank + 1), max(cap, 1)))
+    # Once the left basis spans every row, Y = U [B | beta_j e_j] V_{j+1}ᵀ
+    # holds exactly: the SVD of that j × (j + 1) matrix is the answer.
+    spans_rows = 0 < rows <= subspace
 
     rng = np.random.default_rng(seed)
     left_rng = op.left_rng(rng, seed)
@@ -249,16 +255,17 @@ def lanczos_svd(
         # coefficients; after a thick restart the first `start` columns hold
         # the locked Ritz values and couple to the first new column through
         # the saved residual coefficients (Baglama-Reichel style restart).
-        B = np.zeros((subspace, subspace))
+        width = subspace + 1 if spans_rows else subspace
+        B = np.zeros((subspace, width))
         if start > 0:
             B[:start, :start] = np.diag(locked_sigma)
             B[:start, start] = restart_coupling
         for i in range(start, subspace):
             B[i, i] = alphas[i]
-            if i + 1 < subspace:
+            if i + 1 < width:
                 B[i, i + 1] = betas[i]
 
-        P, s, Qt = np.linalg.svd(B)
+        P, s, Qt = np.linalg.svd(B, full_matrices=False)
         k = rank
         sigma = s[:k]
         # Residual bound for each Ritz triplet: beta_last * |P[last, i]|.
@@ -266,16 +273,17 @@ def lanczos_svd(
         residuals = np.abs(beta_last * P[subspace - 1, :k])
         threshold = tol * max(s[0], 1e-300)
         left = P[:, :k].T @ U
-        right = Qt[:k] @ V[:subspace]
+        right = Qt[:k] @ V[:width]
         # Stop on convergence, on the restart budget, or when the subspace
-        # already spans the whole problem (rank == subspace), in which case a
-        # thick restart has nothing left to add.
+        # already spans the whole problem (every row, or rank == subspace),
+        # in which case a thick restart has nothing left to add.
+        exact = spans_rows or rank >= subspace
         if (
-            np.all(residuals <= threshold)
+            exact
+            or np.all(residuals <= threshold)
             or restart == max_restarts - 1
-            or rank >= subspace
         ):
-            converged = bool(np.all(residuals <= threshold)) or rank >= subspace
+            converged = exact or bool(np.all(residuals <= threshold))
             break
 
         # Thick restart: keep the top `rank` Ritz vectors plus the residual

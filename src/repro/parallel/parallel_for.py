@@ -1,14 +1,17 @@
-"""A parallel-for abstraction over a pool of worker threads.
+"""A parallel-for abstraction over worker threads.
 
 The paper's shared-memory algorithm distributes the rows of ``Y_(n)`` to
 OpenMP threads with dynamic scheduling.  This module provides the equivalent
 primitive for Python: a chunked parallel loop with static, dynamic or guided
-scheduling executed on a reusable thread pool.  The work items handed to the
-pool here are NumPy-heavy (gathers, batched Kronecker products, GEMMs), which
-release the GIL inside BLAS/ufunc inner loops, so real overlap is possible;
-regardless of achieved speedup the *decomposition* of work is identical to the
-paper's, which is what the correctness tests and the work/communication
-accounting rely on.
+scheduling.  Each multi-threaded :func:`parallel_for` call starts a fresh
+:class:`~concurrent.futures.ThreadPoolExecutor` of ``num_threads`` threads
+and joins it before returning; a single thread, or a single chunk, runs
+inline with no pool at all.  The work items handed to the threads are
+NumPy-heavy (gathers, batched Kronecker products, GEMMs), which release the
+GIL inside BLAS/ufunc inner loops, so real overlap is possible; regardless
+of achieved speedup the *decomposition* of work is identical to the paper's,
+which is what the correctness tests and the work/communication accounting
+rely on.
 """
 
 from __future__ import annotations

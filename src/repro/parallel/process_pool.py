@@ -32,6 +32,16 @@ close, leaving the processes alive for the next generation.
 :meth:`HOOIProcessPool.close` is idempotent and crash-safe (the arena
 unlinks its segments even on abnormal teardown).
 
+Between generations a crew worker can also run one *whole job*
+(:meth:`PersistentWorkerCrew.run_job`): a module-level callable and its
+payload arrive over the worker's private control queue, and the value,
+plus any progress the job reports, comes back over the worker's own
+result queue.  Each worker has a cancel flag in shared memory that the
+job polls.  A worker limits OpenBLAS to one thread before its first whole
+job (:mod:`repro.parallel.blas`), because its siblings run jobs of their
+own beside it; a generation body calls no BLAS, so crews that only serve
+generations never pay for the limit.
+
 To debug a plan's worker side in-process, rebuild it exactly as a worker
 does: ``attach_plan(ShmView(pool._arena.specs), meta)`` with the meta the
 plan's ``pack`` returned.
@@ -40,15 +50,17 @@ plan's ``pack`` returned.
 from __future__ import annotations
 
 import os
+import pickle
 import queue as queue_module
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 import multiprocessing as mp
 
 import numpy as np
 
+from repro.parallel import blas
 from repro.parallel.parallel_for import make_chunks
 from repro.parallel.shm import ShmArena, ShmView
 from repro.resilience.faults import maybe_fail
@@ -58,11 +70,16 @@ __all__ = [
     "WorkerCrashError",
     "HOOIProcessPool",
     "PersistentWorkerCrew",
+    "WorkerJob",
     "default_start_method",
 ]
 
 #: Environment variable overriding the multiprocessing start method.
 START_METHOD_ENV = "REPRO_PROCESS_START_METHOD"
+
+#: How often a thread waiting on a whole job checks the worker's liveness
+#: and forwards a cancellation (replies wake it at once).
+_JOB_POLL_SECONDS = 0.05
 
 
 def default_start_method() -> str:
@@ -122,20 +139,70 @@ def _generation_loop(worker_id: int, plan, task_q, done_q) -> None:
         done_q.put((task_id, worker_id, error))
 
 
-def _worker_main(worker_id: int, task_q, done_q, ctrl_q) -> None:
+class WorkerJob:
+    """What a whole job sees of the worker it runs on.
+
+    ``state`` persists across the worker's jobs (a job keeps its workspace
+    pool there); :meth:`cancelled` reads the worker's shared cancel flag;
+    :meth:`report` relays a progress message to the thread waiting on the
+    job (:meth:`PersistentWorkerCrew.run_job`).
+    """
+
+    def __init__(self, worker_id: int, result_q, cancel) -> None:
+        self.worker_id = worker_id
+        self.state: dict = {}
+        self._result_q = result_q
+        self._cancel = cancel
+
+    def cancelled(self) -> bool:
+        return bool(self._cancel[self.worker_id])
+
+    def report(self, message) -> None:
+        # Fault point "worker.job": firing here (action="exit") kills the
+        # worker in the middle of a whole job, after a progress report.
+        maybe_fail("worker.job")
+        self._result_q.put(("__progress__", message))
+
+
+def _run_whole_job(job: WorkerJob, command: bytes, result_q) -> None:
+    """Run a pickled ``(fn, payload)`` as ``fn(payload, job)``; send the value.
+
+    The value is pickled here, not by the queue's feeder thread, so a value
+    that cannot be pickled becomes an error reply instead of a lost one.
+    """
+    try:
+        fn, payload = pickle.loads(command)
+        value = fn(payload, job)
+        reply = ("__done__", pickle.dumps(value, pickle.HIGHEST_PROTOCOL))
+    except Exception as exc:
+        reply = ("__error__", f"{type(exc).__name__}: {exc}")
+    result_q.put(reply)
+
+
+def _worker_main(worker_id: int, task_q, done_q, ctrl_q, result_q, cancel) -> None:
     """Crew worker entry point.
 
-    Blocks on the private control queue for ``("__attach__", specs, meta)``
-    commands, rebuilds the generation's plan over zero-copy views of its
-    arena, serves range tasks until the shared work queue delivers the
-    detach sentinel, acks ``"__detached__"`` and loops.
+    Blocks on the private control queue.  A ``("__job__", command)``
+    message runs one whole job (:func:`_run_whole_job`).  An
+    ``("__attach__", specs, meta)`` command rebuilds the generation's plan
+    over zero-copy views of its arena, serves range tasks until the shared
+    work queue delivers the detach sentinel, acks ``"__detached__"`` and
+    loops.
     """
     from repro.engine.plans import attach_plan
 
+    job = None
     while True:
         command = ctrl_q.get()
         if command is None or command[0] == "__stop__":
             return
+        if command[0] == "__job__":
+            if job is None:
+                # Siblings run whole jobs beside this one: one BLAS thread.
+                blas.set_threads(1)
+                job = WorkerJob(worker_id, result_q, cancel)
+            _run_whole_job(job, command[1], result_q)
+            continue
         if command[0] != "__attach__":  # pragma: no cover - defensive
             continue
         _, specs, meta = command
@@ -184,12 +251,14 @@ class PersistentWorkerCrew:
     one-shot ``hooi(...)`` run's pool spawns a private crew and closes it
     with the generation.
 
-    The crew is not usable concurrently: at most one generation may be
-    attached at a time (the service runs one job at a time, each in its own
-    generation).  A crew whose worker died — or that timed out detaching —
-    is *broken*: :attr:`alive` turns false and the owner is expected to
-    :meth:`close` it and build a fresh one (the serving layer's
-    crash-retry path).
+    Between generations each worker can run one whole job at a time
+    (:meth:`run_job`), so up to ``num_workers`` jobs run side by side.  A
+    generation needs every worker: the owner must not attach one while a
+    whole job is in flight, nor start a whole job while a generation is
+    attached (the service's dispatcher keeps the two apart).  A crew whose
+    worker died — or that timed out detaching — is *broken*: :attr:`alive`
+    turns false and the owner is expected to :meth:`close` it and build a
+    fresh one (the serving layer's crash-retry path).
     """
 
     def __init__(
@@ -210,6 +279,11 @@ class PersistentWorkerCrew:
         self.task_q = ctx.Queue()
         self.done_q = ctx.Queue()
         self.ctrl_qs = [ctx.Queue() for _ in range(num_workers)]
+        # Whole jobs: one result queue per worker, so a worker that dies
+        # mid-job cannot block its siblings' replies, and one cancel flag
+        # per worker in shared memory.
+        self.result_qs = [ctx.Queue() for _ in range(num_workers)]
+        self._cancel = ctx.RawArray("b", num_workers)
         self.workers: List[mp.process.BaseProcess] = []
         try:
             for worker_id in range(num_workers):
@@ -217,7 +291,8 @@ class PersistentWorkerCrew:
                     target=_worker_main,
                     args=(
                         worker_id, self.task_q, self.done_q,
-                        self.ctrl_qs[worker_id],
+                        self.ctrl_qs[worker_id], self.result_qs[worker_id],
+                        self._cancel,
                     ),
                     name=f"repro-crew-worker-{worker_id}",
                     daemon=True,
@@ -252,11 +327,67 @@ class PersistentWorkerCrew:
             ctrl_q.put(("__attach__", specs, meta))
         self.generations += 1
 
+    def run_job(
+        self,
+        worker_id: int,
+        fn: Callable[[Any, WorkerJob], Any],
+        payload,
+        *,
+        on_progress: Optional[Callable[[Any], None]] = None,
+        cancelled: Optional[Callable[[], bool]] = None,
+    ):
+        """Run ``fn(payload, job)`` whole on worker ``worker_id``; return its value.
+
+        ``fn`` must be a module-level callable (it is pickled by reference,
+        with ``payload``, on the calling thread) and the worker must be
+        idle: not attached to a generation and not running another whole
+        job.  The calling thread blocks until the value arrives.  Every
+        message the job reports (:meth:`WorkerJob.report`) goes to
+        ``on_progress``; once ``cancelled()`` turns true the worker's cancel
+        flag is set.  A worker that dies mid-job raises
+        :class:`WorkerCrashError`; an ``fn`` that raises (or returns a value
+        that cannot be pickled) raises :class:`RuntimeError`.
+        """
+        worker = self.workers[worker_id]
+        if self._closed or self._broken or not worker.is_alive():
+            raise WorkerCrashError(
+                f"worker {worker_id} cannot take a job: the crew is closed, "
+                "broken or the worker is dead"
+            )
+        # Pickled here: a payload that cannot be pickled raises now, rather
+        # than being dropped by the queue's feeder thread.
+        command = pickle.dumps((fn, payload), pickle.HIGHEST_PROTOCOL)
+        result_q = self.result_qs[worker_id]
+        self._cancel[worker_id] = 0
+        self.ctrl_qs[worker_id].put(("__job__", command))
+        while True:
+            if cancelled is not None and cancelled():
+                self._cancel[worker_id] = 1
+            try:
+                tag, value = result_q.get(timeout=_JOB_POLL_SECONDS)
+            except queue_module.Empty:
+                if not worker.is_alive():
+                    raise WorkerCrashError(
+                        f"worker {worker_id} died mid-job "
+                        f"(exit code {worker.exitcode})"
+                    ) from None
+                continue
+            if tag == "__progress__":
+                if on_progress is not None:
+                    on_progress(value)
+            elif tag == "__done__":
+                return pickle.loads(value)
+            else:
+                raise RuntimeError(f"worker {worker_id} job failed: {value}")
+
     def close(self) -> None:
         """Stop and reap the worker processes (idempotent)."""
         if self._closed:
             return
         self._closed = True
+        # A whole job in flight stops at its next cancel check.
+        for worker_id in range(self.num_workers):
+            self._cancel[worker_id] = 1
         for ctrl_q in self.ctrl_qs:
             try:
                 ctrl_q.put(("__stop__",))
@@ -285,7 +416,7 @@ class PersistentWorkerCrew:
         # tracker then reports them leaked.  A killed worker may have left
         # a pipe full, so that path must not wait.
         clean = all(worker.exitcode == 0 for worker in self.workers)
-        for q in (self.task_q, self.done_q, *self.ctrl_qs):
+        for q in (self.task_q, self.done_q, *self.ctrl_qs, *self.result_qs):
             try:
                 q.close()
                 if clean:

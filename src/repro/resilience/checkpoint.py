@@ -393,11 +393,19 @@ class Checkpointer:
         return load_checkpoint(self.path)
 
     def discard(self) -> None:
-        """Remove the rolling checkpoint (a completed run needs none)."""
-        try:
-            self.path.unlink()
-        except FileNotFoundError:
-            pass
+        """Remove the rolling checkpoint (a completed run needs none).
+
+        Temporary files that a writer killed mid-save left beside it go
+        too: a crew worker running a served job writes its checkpoints, and
+        a ``SIGKILL`` can land inside :func:`save_checkpoint`.
+        """
+        for path in (
+            self.path, *self.directory.glob(f"{self.path.name}.tmp-*")
+        ):
+            try:
+                path.unlink()
+            except FileNotFoundError:
+                pass
 
 
 def resolve_resume(

@@ -19,15 +19,19 @@ Injection points wired into the codebase
 ``worker.ack``       the worker task loop, just before a completed task is
                      acked (``action="exit"`` here is a mid-task worker
                      crash, the scripted equivalent of a ``SIGKILL``).
+``worker.job``       a whole job on a crew worker, at each progress report
+                     it sends (``action="exit"`` here kills the worker in
+                     the middle of a small served job).
 ``pool.dispatch``    :meth:`repro.parallel.process_pool.HOOIProcessPool.
                      _dispatch` — driver-side, before a task batch is
                      enqueued.
 ``trsvd``            :func:`repro.core.trsvd.truncated_svd` — the factor
                      update of every mode of every sweep.
 ``serving.run_direct``
-                     :func:`repro.serving.executor.run_direct`, the
-                     service's one run path (pooled jobs included),
-                     before any work starts.
+                     :func:`repro.serving.executor.run_direct` and
+                     :func:`~repro.serving.executor.run_on_worker`, the
+                     service's run paths (pooled and worker-lane jobs
+                     included), before any work starts.
 ==================== ====================================================
 
 Activation
@@ -88,6 +92,7 @@ FAULT_ENV = "REPRO_FAULTS"
 INJECTION_POINTS = (
     "shm.attach",
     "worker.ack",
+    "worker.job",
     "pool.dispatch",
     "trsvd",
     "serving.run_direct",

@@ -6,8 +6,9 @@ keeps the workers alive between requests and fronts them with an asyncio
 job engine:
 
 * :class:`DecompositionService` — submit/await endpoint with admission
-  control, FIFO dispatch of one job at a time (a pooled job borrows the
-  persistent crew for one pool generation), an LRU result cache keyed by
+  control, FIFO dispatch in two lanes (small process jobs run whole on
+  idle crew workers, one job per worker; any other job runs alone, a
+  pooled one as one pool generation on the crew), an LRU result cache keyed by
   content fingerprints, cooperative cancellation, per-job timeouts, crash
   retry with sweep-checkpoint resume, a circuit-breaker-guarded
   degradation ladder and a metrics snapshot (see :mod:`repro.resilience`).

@@ -11,7 +11,7 @@ key, so two submissions that *mean* the same decomposition — whatever keyword
 order or defaulted fields they were spelled with — hit the same cache line.
 
 :class:`Job` is the service-internal record (state machine, attempt counter,
-progress, the cancellation flag shared with the worker thread), and
+progress, the cancellation flag shared with the thread running the job), and
 :class:`JobHandle` is the caller-facing view: await :meth:`JobHandle.result`,
 poll :attr:`JobHandle.state` / :attr:`JobHandle.progress`, or
 :meth:`JobHandle.cancel`.
@@ -45,6 +45,7 @@ __all__ = [
     "AdmissionError",
     "JobCancelledError",
     "JobTimeoutError",
+    "make_cancel_check",
 ]
 
 
@@ -67,9 +68,10 @@ class JobTimeoutError(ServingError):
 class JobState(str, enum.Enum):
     """Lifecycle states of a service job.
 
-    ``QUEUED`` (admitted, awaiting dispatch) → ``RUNNING`` (on the worker
-    thread) → one of the terminal states ``DONE`` / ``FAILED`` /
-    ``CANCELLED``.  A crash-retried job transitions ``RUNNING → QUEUED``.
+    ``QUEUED`` (admitted, awaiting dispatch) → ``RUNNING`` (on the
+    service's executor thread or, whole, on a crew worker) → one of the
+    terminal states ``DONE`` / ``FAILED`` / ``CANCELLED``.  A crash-retried
+    job transitions ``RUNNING → QUEUED``.
     """
 
     QUEUED = "queued"
@@ -181,10 +183,11 @@ class Job:
     """The service-internal job record.
 
     Lives on both sides of the thread boundary: the event loop mutates
-    ``state`` / applies outcomes, the worker thread reads the cancellation
-    flag (a :class:`threading.Event`) and writes ``progress``.  The only
-    cross-thread signals are the event and the plain-tuple progress write,
-    both safe under the GIL.
+    ``state`` / applies outcomes, the executor thread running the job reads
+    the cancellation flag (a :class:`threading.Event`; for a job on a crew
+    worker, the thread copies it into the worker's shared flag) and writes
+    ``progress``.  The only cross-thread signals are the event and the
+    plain-tuple progress write, both safe under the GIL.
     """
 
     def __init__(
@@ -222,6 +225,9 @@ class Job:
         # seeds its run with instead of the options' initializer.  A
         # checkpoint resume (this job's own prior sweeps) takes precedence.
         self.warm_factors: Optional[list] = None
+        # The crew worker the latest attempt ran on whole (None: it ran on
+        # the service's executor thread).
+        self.worker: Optional[int] = None
 
     @property
     def effective_options(self) -> HOOIOptions:
@@ -259,28 +265,36 @@ class Job:
     def make_cancel_check(self) -> Callable[[], None]:
         """The engine's cooperative ``cancel_check`` for one run attempt.
 
-        Checked at every mode boundary of every sweep: a requested
-        cancellation raises :class:`JobCancelledError`; an expired per-job
-        timeout (measured from this attempt's start) raises
-        :class:`JobTimeoutError`.  Raising at the mode boundary — never
-        mid-dispatch — is what keeps a pooled run's worker generation
-        consistent on abort.
+        See :func:`make_cancel_check`; this one reads the job's own flag.
         """
-        deadline = (
-            time.monotonic() + self.timeout
-            if self.timeout is not None
-            else None
-        )
+        return make_cancel_check(self.id, self.timeout, self._cancel_flag.is_set)
 
-        def check() -> None:
-            if self._cancel_flag.is_set():
-                raise JobCancelledError(f"job {self.id} was cancelled")
-            if deadline is not None and time.monotonic() > deadline:
-                raise JobTimeoutError(
-                    f"job {self.id} exceeded its {self.timeout:g}s timeout"
-                )
 
-        return check
+def make_cancel_check(
+    job_id: str, timeout: Optional[float], cancelled: Callable[[], bool]
+) -> Callable[[], None]:
+    """The engine's cooperative ``cancel_check`` for one run attempt of a job.
+
+    Checked at every mode boundary of every sweep: once ``cancelled()``
+    turns true it raises :class:`JobCancelledError`; an expired per-job
+    ``timeout`` (measured from this call, the attempt's start) raises
+    :class:`JobTimeoutError`.  Raising at the mode boundary — never
+    mid-dispatch — is what keeps a pooled run's worker generation
+    consistent on abort.  A job that runs whole on a crew worker builds its
+    check there, over the worker's shared cancel flag, so both lanes raise
+    the same errors with the same messages.
+    """
+    deadline = time.monotonic() + timeout if timeout is not None else None
+
+    def check() -> None:
+        if cancelled():
+            raise JobCancelledError(f"job {job_id} was cancelled")
+        if deadline is not None and time.monotonic() > deadline:
+            raise JobTimeoutError(
+                f"job {job_id} exceeded its {timeout:g}s timeout"
+            )
+
+    return check
 
 
 class JobHandle:

@@ -15,7 +15,9 @@ The manager also hosts the process tier's
 failures open the circuit and :meth:`acquire` raises
 :class:`~repro.resilience.degrade.CircuitOpenError` for the cooldown, so
 the service degrades jobs down the fallback ladder immediately instead of
-burning retries against a broken tier.  An opt-in startup sweep
+burning retries against a broken tier.  The worker lane never builds a
+crew: :meth:`HOOIPoolManager.live_crew` hands out the current one only
+while it is healthy and the circuit is closed.  An opt-in startup sweep
 (``cleanup_orphans=True``) reclaims stale ``/dev/shm`` segments a previous
 SIGKILL'd owner left behind (:func:`repro.parallel.shm.cleanup_orphans`).
 """
@@ -26,6 +28,7 @@ import threading
 from typing import Optional
 
 from repro.kernels.registry import kernel_available, warmup_kernels
+from repro.parallel import blas
 from repro.parallel.process_pool import PersistentWorkerCrew
 from repro.parallel.shm import cleanup_orphans as _cleanup_shm_orphans
 from repro.resilience.degrade import CircuitBreaker
@@ -37,12 +40,13 @@ class HOOIPoolManager:
     """Owns the service's crew; hands out a healthy one, rebuilds dead ones.
 
     Thread-safe: :meth:`acquire` / :meth:`reset` are called from the
-    service's worker thread while :meth:`close` and the metrics reads happen
-    on the event-loop thread.
+    service's executor threads while :meth:`live_crew`, :meth:`close` and
+    the metrics reads happen on the event-loop thread.
 
     ``breaker`` guards the whole process tier (pass ``None`` to disable —
     acquire then never raises :class:`CircuitOpenError`); callers report
-    pooled-job outcomes through :meth:`record_success` / :meth:`record_failure`.
+    the outcomes of crew jobs (pooled and worker-lane) through
+    :meth:`record_success` / :meth:`record_failure`.
     ``cleanup_orphans=True`` runs an age-gated sweep of stale repro-owned
     shared-memory segments once, before the first crew is built.
     """
@@ -88,6 +92,9 @@ class HOOIPoolManager:
             if self._crew is not None and not self._crew.alive:
                 self._retire_locked()
             if self._crew is None:
+                # Look the BLAS thread setters up here, so forked workers
+                # inherit them for their first whole job.
+                blas.can_set_threads()
                 self._crew = PersistentWorkerCrew(
                     self.num_workers,
                     start_method=self.start_method,
@@ -95,14 +102,30 @@ class HOOIPoolManager:
                 )
             return self._crew
 
+    def live_crew(self) -> Optional[PersistentWorkerCrew]:
+        """The current crew when it can take whole jobs, else ``None``.
+
+        Never builds a crew.  ``None`` when there is none yet, when it is
+        closed or broken (a worker died), when the circuit breaker is not
+        closed, or when this process found no OpenBLAS thread setter: a
+        whole job beside its siblings must run on one BLAS thread.
+        """
+        if self.breaker is not None and self.breaker.state != "closed":
+            return None
+        with self._lock:
+            crew = self._crew
+            if self._closed or crew is None or not crew.alive:
+                return None
+        return crew if blas.can_set_threads() else None
+
     # -- breaker bookkeeping (no-ops without a breaker) ------------------- #
     def record_success(self) -> None:
-        """Report a completed pooled job (closes a half-open circuit)."""
+        """Report a completed crew job (closes a half-open circuit)."""
         if self.breaker is not None:
             self.breaker.record_success()
 
     def record_failure(self) -> None:
-        """Report a crashed pooled job (may trip the circuit)."""
+        """Report a crashed crew job (may trip the circuit)."""
         if self.breaker is not None:
             self.breaker.record_failure()
 

@@ -12,23 +12,31 @@ pipeline:
   is served instantly, born ``DONE`` with ``cached=True``), and enforces
   the pending-queue bound (:class:`~repro.serving.jobs.AdmissionError`).
 
-* **Dispatch** — one asyncio task drains the FIFO queue one job at a
-  time, and every job runs through the ordinary driver
-  (:func:`~repro.serving.executor.run_direct`).  A process-execution job
-  whose per-sweep TTMc work reaches the crew's break-even
+* **Dispatch** — one asyncio task drains the FIFO queue in two lanes,
+  and every job is one ordinary ``hooi()`` call
+  (:mod:`repro.serving.executor`).  The job at the head of the queue
+  decides.  A process job *below* the crew's break-even
+  (:func:`~repro.serving.executor.worker_eligible`) waits for an idle
+  worker of the live crew and runs there whole
+  (:func:`~repro.serving.executor.run_on_worker`), so up to
+  ``num_workers`` such jobs run at once.  Any other job waits until no
+  worker job is in flight and then runs alone
+  (:func:`~repro.serving.executor.run_direct`): a process job whose
+  per-sweep TTMc work reaches the break-even
   (:func:`~repro.serving.executor.pooled_eligible`, the rule
-  ``decompose()`` applies) borrows the persistent worker crew for one pool
-  generation, so it pays one worker attach/detach and zero process
-  spawns.  Everything else — smaller process jobs, fresh or delta, and
-  sequential or thread jobs — runs without it.  All numeric work happens
-  on ONE worker thread — the event loop stays responsive while
-  decompositions grind.
+  ``decompose()`` applies) borrows the crew for one pool generation, so
+  it pays one worker attach/detach and zero process spawns; sequential
+  and thread jobs run without it.  A small job never spawns a crew: with
+  none live (not yet built, broken, or the breaker not closed) it runs
+  alone, inline.  Jobs run on a ``1 + num_workers``-thread executor, so
+  the event loop stays responsive while decompositions grind.
 
 * **Outcomes** — applied back on the loop thread: results land in the
   cache and resolve futures; cancellations and timeouts raise their typed
   errors; a worker crash retires the crew
-  (:meth:`~repro.serving.pool_manager.HOOIPoolManager.reset`) and requeues
-  the job up to ``max_retries`` times.
+  (:meth:`~repro.serving.pool_manager.HOOIPoolManager.reset`) once no
+  other job is in flight, and requeues the job up to ``max_retries``
+  times.
 
 * **Metrics** — :meth:`DecompositionService.metrics` snapshots queue depth,
   per-state counts, cache accounting, pool generations/resets, throughput
@@ -61,7 +69,13 @@ from repro.resilience.degrade import (
 )
 from repro.resilience.retry import RetryPolicy
 from repro.serving.cache import ResultCache
-from repro.serving.executor import Outcome, pooled_eligible, run_direct
+from repro.serving.executor import (
+    Outcome,
+    pooled_eligible,
+    run_direct,
+    run_on_worker,
+    worker_eligible,
+)
 from repro.serving.jobs import (
     AdmissionError,
     Job,
@@ -96,7 +110,8 @@ class DecompositionService:
     Parameters
     ----------
     num_workers:
-        Worker-process count of the persistent crew (pooled jobs).
+        Worker-process count of the persistent crew: the width of a pooled
+        job's generation, and how many small process jobs run at once.
     max_pending:
         Admission bound on queued jobs; beyond it ``submit`` raises
         :class:`AdmissionError` (cache hits are exempt — they never queue).
@@ -193,7 +208,12 @@ class DecompositionService:
         self._workspace = WorkspacePool()
         self._started = False
         self._closing = False
-        self._inflight = 0
+        # In flight: worker id -> the job running whole on that worker, or
+        # the one job running alone.  Never both at once.
+        self._lane: Dict[int, Job] = {}
+        self._alone: Optional[Job] = None
+        self._reset_pending = False
+        self._tasks: set = set()
         self._counts = {state: 0 for state in JobState}
         self._submitted = 0
         self._retries = 0
@@ -205,13 +225,16 @@ class DecompositionService:
 
     # -- lifecycle -------------------------------------------------------- #
     async def start(self) -> "DecompositionService":
-        """Capture the loop, start the worker thread and the dispatcher."""
+        """Capture the loop, start the executor threads and the dispatcher."""
         if self._started:
             return self
         self._loop = asyncio.get_running_loop()
         self._wakeup = asyncio.Event()
+        # One thread per crew worker (each blocks on its worker's result
+        # queue) plus one for a job running alone.
         self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-serving"
+            max_workers=1 + self._pool.num_workers,
+            thread_name_prefix="repro-serving",
         )
         if self._warmup:
             await self._loop.run_in_executor(self._executor, self._pool.warmup)
@@ -226,10 +249,10 @@ class DecompositionService:
         """Stop the service; ``drain=True`` finishes queued work first.
 
         With ``drain=False`` every still-queued job is finalized as
-        cancelled (the in-flight job always completes — cancellation is
-        cooperative).  Either way the worker thread is joined and the crew
-        reaped, so no worker process or shared-memory segment outlives the
-        service.
+        cancelled (in-flight jobs always complete — cancellation is
+        cooperative).  Either way the executor threads are joined and the
+        crew reaped, so no worker process or shared-memory segment outlives
+        the service.
         """
         if not self._started:
             self._pool.close()
@@ -419,37 +442,106 @@ class DecompositionService:
 
     async def _dispatch_loop(self) -> None:
         while True:
-            if not self._queue:
-                if self._closing:
+            self._wakeup.clear()
+            self._drop_cancelled()
+            self._start_ready()
+            if self._closing and not self._queue and not self._running():
+                return
+            await self._wakeup.wait()
+
+    def _running(self) -> int:
+        return len(self._lane) + (self._alone is not None)
+
+    def _drop_cancelled(self) -> None:
+        """Finalize queued jobs whose cancellation was requested, unrun."""
+        for job in [job for job in self._queue if job.cancel_requested]:
+            self._queue.remove(job)
+            self._finalize(
+                job, "cancelled",
+                JobCancelledError(f"job {job.id} was cancelled while queued"),
+            )
+
+    def _start_ready(self) -> None:
+        """Start queued jobs in FIFO order while the lane rule allows.
+
+        The head decides: a small process job takes an idle worker of the
+        live crew; any other job (or a small one with no live crew) starts
+        once nothing is in flight and then runs alone.
+        """
+        while self._queue and self._alone is None:
+            job = self._queue[0]
+            crew = self._pool.live_crew() if worker_eligible(job) else None
+            if crew is not None:
+                idle = next(
+                    (w for w in range(crew.num_workers) if w not in self._lane),
+                    None,
+                )
+                if idle is None:
                     return
-                await self._wakeup.wait()
-                self._wakeup.clear()
-                continue
-            job = self._next_job()
-            if job is None:
-                continue
-            job.state = JobState.RUNNING
-            job.started_at = time.monotonic()
-            job.attempts += 1
-            self._inflight = 1
-            try:
+                self._lane[idle] = self._queue.popleft()
+                self._launch(job, crew, idle)
+            elif self._lane:
+                return
+            else:
+                self._alone = self._queue.popleft()
+                self._launch(self._alone, None, None)
+
+    def _launch(self, job: Job, crew, worker: Optional[int]) -> None:
+        job.state = JobState.RUNNING
+        job.started_at = time.monotonic()
+        job.attempts += 1
+        job.worker = worker
+        task = self._loop.create_task(self._execute(job, crew, worker))
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
+
+    async def _execute(self, job: Job, crew, worker: Optional[int]) -> None:
+        """Run one job on an executor thread and apply its outcome."""
+        try:
+            if crew is None:
                 outcome = await self._loop.run_in_executor(
                     self._executor, self._run, job
                 )
-            finally:
-                self._inflight = 0
+            else:
+                outcome = await self._loop.run_in_executor(
+                    self._executor, self._run_on_worker, job, crew, worker
+                )
+            if outcome[1] == "crash":
+                self._reset_pending = True
+            if self._reset_pending and self._running() == 1:
+                # Retire the crew whether or not the job runs again: its
+                # workers may still map an arena that is gone.  Waiting
+                # until this is the last job in flight lets a job on another
+                # worker finish first.  reset() joins processes, so it runs
+                # on an executor thread.
+                await self._loop.run_in_executor(
+                    self._executor, self._pool.reset
+                )
+                self._reset_pending = False
             await self._apply_outcome(outcome)
+        except Exception as exc:
+            # A fault in the outcome plumbing fails the job loudly instead
+            # of leaving its caller waiting.
+            if job.future.done():
+                raise
+            self._finalize(job, "error", exc)
+        finally:
+            if worker is None:
+                self._alone = None
+            else:
+                del self._lane[worker]
+            self._wakeup.set()
 
     def _run(self, job: Job) -> Outcome:
-        """Worker-thread entry: run one job, on the crew when it is pooled.
+        """Executor entry of a job running alone: on the crew when pooled.
 
-        Every job shares one workspace pool: the single worker thread is
-        the only consumer, so same-shape requests stop allocating after the
-        first.  A pooled job borrows a healthy crew; an open circuit
-        breaker surfaces as a ``"breaker"`` outcome — the dispatcher
-        degrades the job down the ladder without burning retries against a
-        tier that is known broken.  Pooled outcomes feed the breaker: a
-        crash counts as a pool failure, anything else as a success.
+        Every such job shares one workspace pool: jobs running alone never
+        overlap, so same-shape requests stop allocating after the first.  A
+        pooled job borrows a healthy crew; an open circuit breaker
+        surfaces as a ``"breaker"`` outcome — the dispatcher degrades the
+        job down the ladder without burning retries against a tier that is
+        known broken.  Pooled outcomes feed the breaker: a crash counts as
+        a pool failure, anything else as a success.
         """
         if not pooled_eligible(job):
             return run_direct(job, workspace=self._workspace)
@@ -457,38 +549,22 @@ class DecompositionService:
             crew = self._pool.acquire()
         except CircuitOpenError as exc:
             return (job, "breaker", exc)
-        outcome = run_direct(job, workspace=self._workspace, crew=crew)
+        return self._record(run_direct(job, workspace=self._workspace, crew=crew))
+
+    def _run_on_worker(self, job: Job, crew, worker: int) -> Outcome:
+        """Executor entry of a worker-lane job; its outcome feeds the breaker."""
+        return self._record(run_on_worker(job, crew, worker))
+
+    def _record(self, outcome: Outcome) -> Outcome:
         if outcome[1] == "crash":
             self._pool.record_failure()
         else:
             self._pool.record_success()
         return outcome
 
-    def _next_job(self) -> Optional[Job]:
-        """Pop the next job to run, in FIFO order.
-
-        Queued jobs whose cancellation was requested are finalized here
-        without running.
-        """
-        while self._queue:
-            job = self._queue.popleft()
-            if not job.cancel_requested:
-                return job
-            self._finalize(
-                job, "cancelled",
-                JobCancelledError(f"job {job.id} was cancelled while queued"),
-            )
-        return None
-
     # -- outcome application (loop thread) -------------------------------- #
     async def _apply_outcome(self, outcome: Outcome) -> None:
         job, kind, payload = outcome
-        if kind == "crash":
-            # Retire the crew whether or not the job runs again: its workers
-            # may still map an arena that is gone.  reset() is cheap when
-            # the crash already killed everyone, and the worker thread is
-            # the right place to join processes from.
-            await self._loop.run_in_executor(self._executor, self._pool.reset)
         if kind in ("crash", "breaker") and not job.cancel_requested:
             if kind == "crash" and self._retry_policy.should_retry(job.attempts):
                 # Deterministic bounded backoff before the crashed job runs
@@ -579,8 +655,9 @@ class DecompositionService:
 
         ``jobs``: submitted / per-terminal-state counts / retries /
         checkpoint-resumed sweeps, plus the live queue depth and the
-        in-flight job count (0 or 1).  ``cache``: the
-        :meth:`ResultCache.snapshot` accounting.  ``pool``: crew size,
+        in-flight job count (``running``: 0 or 1 while a job runs alone, up
+        to ``num_workers`` while small jobs run on the crew's workers).
+        ``cache``: the :meth:`ResultCache.snapshot` accounting.  ``pool``: crew size,
         generations served (across crew rebuilds), crash resets and the
         circuit breaker's state.
         ``fallbacks``: per-destination-tier degradation counts (e.g.
@@ -600,7 +677,7 @@ class DecompositionService:
             "jobs": {
                 "submitted": self._submitted,
                 "queued": len(self._queue),
-                "running": self._inflight,
+                "running": self._running(),
                 "done": done,
                 "failed": self._counts[JobState.FAILED],
                 "cancelled": self._counts[JobState.CANCELLED],

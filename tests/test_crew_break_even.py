@@ -4,8 +4,9 @@ One rule, :func:`repro.engine.backend.crew_pays`, compares a job's per-sweep
 TTMc work (Σ_n ``ttmc_flops`` over its nonzeros and ranks) with
 :data:`~repro.engine.backend.CREW_BREAK_EVEN_FLOPS`.  Below it,
 ``decompose(execution="process")`` spawns no worker, packs no arena and
-returns exactly the sequential result, and the service runs the job on its
-direct path; at or above it, both keep the crew.
+returns exactly the sequential result, and the service runs the job whole
+on one idle worker of its live crew (inline when it has none); at or above
+it, both run a pool generation over the crew.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ def _served(tensor, *, warmup, submit_delta=False):
             handle = await service.submit(
                 tensor, RANK, execution="process", **OPTIONS
             )
-            eligible = [pooled_eligible(service._jobs[handle.job_id])]
+            jobs = [service._jobs[handle.job_id]]
             results = [await handle.result()]
             if submit_delta:
                 rng = np.random.default_rng(3)
@@ -132,17 +133,22 @@ def _served(tensor, *, warmup, submit_delta=False):
                     rng.standard_normal(20),
                 )
                 delta = await service.submit_delta(handle, batch)
-                eligible.append(pooled_eligible(service._jobs[delta.job_id]))
+                jobs.append(service._jobs[delta.job_id])
                 results.append(await delta.result())
-            return results, eligible, service.metrics()
+            eligible = [pooled_eligible(job) for job in jobs]
+            workers = [job.worker for job in jobs]
+            return results, eligible, workers, service.metrics()
 
     return asyncio.run(main())
 
 
 class TestService:
-    def test_small_process_job_runs_direct(self, small_tensor_3d):
-        (result,), eligible, metrics = _served(small_tensor_3d, warmup=True)
+    def test_small_process_job_runs_on_a_worker(self, small_tensor_3d):
+        (result,), eligible, workers, metrics = _served(
+            small_tensor_3d, warmup=True
+        )
         assert eligible == [False]
+        assert workers == [0]  # whole, on the warm crew's first worker
         assert metrics["pool"]["generations"] == 0
         assert metrics["jobs"]["done"] == 1
         reference = hooi(small_tensor_3d, RANK, HOOIOptions(**OPTIONS))
@@ -150,10 +156,11 @@ class TestService:
 
     def test_small_jobs_never_spawn_a_lazy_crew(self, small_tensor_3d, monkeypatch):
         _forbid_crew(monkeypatch)
-        results, eligible, metrics = _served(
+        results, eligible, workers, metrics = _served(
             small_tensor_3d, warmup=False, submit_delta=True
         )
         assert eligible == [False, False]
+        assert workers == [None, None]  # inline: there is no crew to use
         assert metrics["jobs"]["done"] == 2
         assert metrics["jobs"]["warm_started"] == 1
         assert metrics["pool"]["generations"] == 0
@@ -162,8 +169,11 @@ class TestService:
         monkeypatch.setattr(
             backend_module, "CREW_BREAK_EVEN_FLOPS", _work(small_tensor_3d) - 1
         )
-        (result,), eligible, metrics = _served(small_tensor_3d, warmup=True)
+        (result,), eligible, workers, metrics = _served(
+            small_tensor_3d, warmup=True
+        )
         assert eligible == [True]
+        assert workers == [None]  # a generation over every worker
         assert metrics["pool"]["generations"] == 1
         reference = hooi(small_tensor_3d, RANK, HOOIOptions(**OPTIONS))
         np.testing.assert_allclose(

@@ -9,7 +9,11 @@ from repro.core import (
     lanczos_svd,
     ttmc_matricized,
 )
-from repro.data import planted_lowrank_tensor, power_law_sparse_tensor
+from repro.data import (
+    planted_lowrank_tensor,
+    power_law_sparse_tensor,
+    random_sparse_tensor,
+)
 from repro.distributed import (
     DistributedTTMcMatrix,
     build_plans,
@@ -157,6 +161,47 @@ class TestDistributedTRSVD:
         assert np.allclose(
             distributed.fit_history, sequential.fit_history, atol=1e-10
         )
+
+    @pytest.mark.parametrize("shape, mode_ranks", [
+        ((7, 30, 40), (7, 10, 10)),          # a 7 × 100 block at rank 7
+        ((7, 12, 10, 9), (5, 5, 5, 5)),      # a 7 × 125 block at rank 5
+    ])
+    @pytest.mark.parametrize("strategy", ["fine-hp", "coarse-bl"])
+    def test_seven_row_block_is_exact_in_one_pass(
+        self, shape, mode_ranks, strategy
+    ):
+        """Every rank's left segment together spans all 7 rows: one exact pass."""
+        tensor = random_sparse_tensor(shape, 1500, seed=5)
+        partition = make_partition(tensor, 3, strategy, seed=0)
+        _, plans = build_plans(tensor, partition, mode_ranks)
+        factors = [random_orthonormal(s, r, seed=70 + i)
+                   for i, (s, r) in enumerate(zip(shape, mode_ranks))]
+        nonempty = tensor.nonempty_rows(0)
+        assert nonempty.size == 7
+        y_full = ttmc_matricized(tensor, factors, 0)[nonempty]
+
+        def program(comm):
+            plan = plans[comm.rank]
+            mp = plan.modes[0]
+            sym_rows = plan.symbolic[0].rows
+            positions = np.flatnonzero(np.isin(sym_rows, mp.compute_rows))
+            block = ttmc_row_block(plan.local_tensor, factors, 0,
+                                   plan.symbolic[0], positions)
+            op = DistributedTTMcMatrix(comm, mp, sym_rows[positions], block,
+                                       charge_time=False)
+            res = lanczos_svd(op, mode_ranks[0], seed=0)
+            return mp.owned_nonempty_rows, res
+
+        spmd = run_spmd(program, 3)
+        assembled = np.zeros((shape[0], mode_ranks[0]))
+        for rows, res in spmd.values:
+            assert res.iterations == 1 and res.converged
+            assembled[rows] = res.left
+        sigma = spmd.values[0][1].singular_values
+        u, s, _ = np.linalg.svd(y_full, full_matrices=False)
+        assert np.max(np.abs(sigma - s[:sigma.size])) <= 1e-12 * s[0]
+        cosines = np.abs(np.sum(assembled[nonempty] * u[:, :sigma.size], axis=0))
+        assert np.all(cosines >= 1.0 - 1e-12), cosines
 
     def test_matvec_rmatvec_match_dense(self, tensor, ranks):
         partition = make_partition(tensor, 3, "fine-rd", seed=2)

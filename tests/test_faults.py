@@ -26,6 +26,7 @@ import pytest
 
 from repro.core.hooi import HOOIOptions, hooi
 from repro.core.sparse_tensor import SparseTensor
+from repro.engine import backend
 from repro.resilience.faults import (
     FAULT_ENV,
     INJECTION_POINTS,
@@ -38,6 +39,9 @@ from repro.resilience.faults import (
     install_faults,
     maybe_fail,
 )
+
+#: The crew's real break-even, read before ``every_job_on_the_crew`` pins it.
+REAL_BREAK_EVEN_FLOPS = backend.CREW_BREAK_EVEN_FLOPS
 
 pytestmark = [
     pytest.mark.chaos,
@@ -278,6 +282,53 @@ class TestWorkerFaults:
                 ),
             )
         assert _shm_segments() <= before  # crash path unlinked its arena
+
+    def test_worker_killed_mid_small_job_retries_inline(self, monkeypatch):
+        """A worker that exits mid whole job is a crash; the retry runs inline.
+
+        The job is below the crew's real break-even, so it runs whole on a
+        worker (the worker lane).  The worker exits at its first progress
+        report; the service retires the crew and retries the job, which,
+        with no live crew left, runs inline and completes.
+        """
+        import multiprocessing
+
+        from repro.serving import DecompositionService, JobState
+
+        monkeypatch.setattr(
+            backend, "CREW_BREAK_EVEN_FLOPS", REAL_BREAK_EVEN_FLOPS
+        )
+        plan = FaultPlan([FaultSpec("worker.job", action="exit")])
+        install_faults(plan)
+        monkeypatch.setenv(FAULT_ENV, plan.to_json())
+
+        async def main():
+            async with DecompositionService(
+                num_workers=2, max_retries=1
+            ) as service:
+                handle = await service.submit(
+                    _tensor(), 4, execution="process", max_iterations=3,
+                    **GRAM,
+                )
+                result = await handle.result()
+                job = service._jobs[handle.job_id]
+                return (
+                    result.fit_history, handle.state, job.attempts,
+                    job.worker, service.metrics(),
+                )
+
+        before = _shm_segments()
+        fit_history, state, attempts, worker, metrics = asyncio.run(main())
+        assert state is JobState.DONE
+        assert attempts == 2 and worker is None  # the retry ran inline
+        assert metrics["jobs"]["retries"] == 1
+        assert metrics["pool"]["resets"] == 1
+        assert metrics["pool"]["generations"] == 0
+        clear_faults()
+        reference = hooi(_tensor(), 4, HOOIOptions(max_iterations=3, **GRAM))
+        assert fit_history == reference.fit_history
+        assert _shm_segments() <= before
+        assert multiprocessing.active_children() == []
 
 
 # --------------------------------------------------------------------------- #

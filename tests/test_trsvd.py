@@ -137,6 +137,37 @@ class TestLanczos:
         assert np.allclose(result.singular_values, 0.0)
 
 
+def assert_exact_triplets(left, sigma, block):
+    """``sigma`` to 1e-12·σ_max and every left vector's |cos| to 1 − 1e-12."""
+    u, s, _ = np.linalg.svd(block, full_matrices=False)
+    rank = sigma.shape[0]
+    assert np.max(np.abs(sigma - s[:rank])) <= 1e-12 * s[0]
+    cosines = np.abs(np.sum(left * u[:, :rank], axis=0))
+    assert np.all(cosines >= 1.0 - 1e-12), cosines
+
+
+class TestFewRows:
+    """A block with no more rows than the subspace is solved in one pass.
+
+    Its left basis spans every row, so ``Y = U [B | β_j e_j] V_{j+1}ᵀ``
+    holds exactly; the Ritz values of ``B`` alone would be off.
+    """
+
+    @pytest.mark.parametrize("cols, rank", [(100, 7), (125, 5)])
+    def test_seven_row_block(self, rng, cols, rank):
+        u, _ = np.linalg.qr(rng.standard_normal((7, 7)))
+        v, _ = np.linalg.qr(rng.standard_normal((cols, 7)))
+        block = (u * 0.7 ** np.arange(7)) @ v.T
+        result = lanczos_svd(block, rank, seed=0)
+        assert result.iterations == 1 and result.converged
+        assert_exact_triplets(result.left, result.singular_values, block)
+        # The right vectors come from the same exact factorization.
+        np.testing.assert_allclose(
+            block @ result.right, result.left * result.singular_values,
+            atol=1e-12,
+        )
+
+
 class TestDispatcher:
     def test_gram_method(self, rng):
         a = spectrum_matrix(rng)
