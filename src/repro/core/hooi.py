@@ -189,8 +189,11 @@ class HOOIOptions:
           hybrid MPI+threads ranks) but not ``"process"`` — every simulated
           rank would spawn its own worker-process pool and oversubscribe the
           node;
-        * both ``ttmc_strategy`` values compose (each rank builds its own
-          per-mode symbolic data or rank-local dimension tree).
+        * both ``ttmc_strategy`` values and both ``tensor_format`` values
+          compose: each rank builds its plan once, before the iterations —
+          per-mode COO update lists or CSF trees over the nonzeros of the
+          rows it computes, or one dimension tree over its local nonzeros,
+          of whose leaves it keeps those rows.
 
         Returns ``self`` so drivers can validate inline; raises
         :class:`ValueError` with an actionable message otherwise.
@@ -376,6 +379,10 @@ class HOOIResult:
     :data:`TERMINATIONS`), so callers can tell a cancelled partial result
     from a converged one.  ``resumed_sweeps`` is the checkpoint's
     contribution (0 for a fresh run).
+
+    ``trsvd_stats`` holds one :class:`~repro.core.trsvd.TRSVDResult` per
+    mode of every sweep with its counters and singular values; ``left`` and
+    ``right`` are ``None``.
     """
 
     decomposition: TuckerTensor

@@ -12,10 +12,11 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.core.sparse_tensor import SparseTensor
-from repro.util.linalg import random_orthonormal
+from repro.util.linalg import orthonormalize, random_orthonormal
 from repro.util.validation import check_finite, check_rank_vector
 
 __all__ = ["random_init", "hosvd_init", "initialize_factors"]
@@ -41,17 +42,23 @@ def hosvd_init(
 ) -> List[np.ndarray]:
     """HOSVD initialization: leading left singular vectors of each ``X_(n)``.
 
-    Each sparse CSR matricization goes to ``scipy.sparse.linalg.svds``
-    (ARPACK) with a seeded start vector.  When the rank is too close to the
-    matricization's dimensions for ARPACK (``rank >= min(rows, cols) - 1``),
-    one side of it has at most ``rank + 1`` entries, so it is densified and
-    takes a thin SVD instead.
+    Each sparse CSR matricization, without its empty columns, goes to
+    ``scipy.sparse.linalg.svds`` (ARPACK) with a seeded start vector.
+    Dropping them leaves ``X_(n) X_(n)ᵀ``, hence ``U_n``, unchanged, while
+    the ``∏_{t≠n} I_t`` columns of ``X_(n)`` would make ARPACK's ``Xᵀ·v``
+    (columns × rank) or a dense copy that long.  When the rank is too close
+    to the remaining dimensions for ARPACK (``rank >= min(rows, cols) - 1``),
+    one side has at most ``rank + 1`` entries, so the matrix is densified
+    and takes a thin SVD instead; with fewer columns than the rank, its
+    basis is completed by orthonormal columns.
     """
     ranks = check_rank_vector(ranks, tensor.shape)
     factors: List[np.ndarray] = []
     for mode, rank in enumerate(ranks):
         mat = tensor.matricize(mode)
-        rows, cols = mat.shape
+        used, compact = np.unique(mat.indices, return_inverse=True)
+        rows, cols = mat.shape[0], used.shape[0]
+        mat = sp.csr_matrix((mat.data, compact, mat.indptr), shape=(rows, cols))
         max_arpack = min(rows, cols) - 1
         if 0 < rank <= max_arpack:
             rng = np.random.default_rng(None if seed is None else seed + mode)
@@ -61,10 +68,12 @@ def hosvd_init(
             factors.append(np.ascontiguousarray(u[:, ::-1]))
         else:
             # Rank too close to the matrix dimensions for an iterative solver:
-            # densify only this matricization (rows == shape[mode] is small in
-            # that situation) and take a thin SVD.
+            # densify only this matricization (one side has at most rank + 1
+            # entries) and take a thin SVD.
             dense = np.asarray(mat.todense(), dtype=np.float64)
             u, _, _ = np.linalg.svd(dense, full_matrices=False)
+            if u.shape[1] < rank:
+                u = orthonormalize(np.pad(u, ((0, 0), (0, rank - u.shape[1]))))
             factors.append(np.ascontiguousarray(u[:, :rank]))
     return factors
 

@@ -23,17 +23,22 @@ Tables II-IV report.  The driver :func:`distributed_hooi` builds the plans,
 runs the SPMD program on the simulated MPI world, checks that all ranks
 agree, and packages the results.
 
+Each rank builds its TTMc plan once, before the iterations, over the rows
+it computes (``K_n``; Algorithm 4, lines 1-2): the COO update lists and the
+CSF trees of mode ``n`` hold only the nonzeros of ``K_n``'s rows, and every
+sweep runs the plan's ordinary TTMc — the path the single-node drivers run,
+COO streams included.
+
 **Hybrid ranks** (the paper's headline configuration, Table V on top of
 Algorithm 4): each rank's local TTMc phase runs through the same
 rank-scoped backend composition the single-node drivers use
 (:func:`repro.engine.backend.resolve_ttmc_backend`), so
 ``HOOIOptions(execution="thread", num_workers=T)`` nests a ``T``-thread
 worker team inside every simulated rank (the row-disjoint lock-free
-decomposition of the COO plan over the rank's update lists) and
-``ttmc_strategy="dimtree"`` builds a rank-local dimension tree over the
-rank's nonzeros whose leaves serve the rank's owned/local rows
-(:meth:`~repro.engine.backend.PlanBackend.compute_ttmc_rows`).  Execution
-strategy changes local compute only: results
+decomposition of the plan's items) and ``ttmc_strategy="dimtree"`` builds
+one rank-local dimension tree over the rank's nonzeros.  Its leaves hold
+every local row, so in coarse grain the rank keeps ``K_n``'s rows of each
+leaf block.  Execution strategy changes local compute only: results
 match the sequential-rank run to 1e-10 and the communication statistics are
 byte-identical.  ``execution="process"`` is rejected — one worker-process
 pool per simulated rank would oversubscribe the node
@@ -56,7 +61,7 @@ from repro.core.tucker import TuckerTensor
 from repro.distributed.dist_trsvd import DistributedTTMcMatrix
 from repro.distributed.factor_exchange import exchange_factor_rows
 from repro.distributed.plan import GlobalPlan, RankPlan, build_plans
-from repro.engine.backend import ExecutionBackend
+from repro.engine.backend import ExecutionBackend, PlanBackend
 from repro.engine.driver import HOOIEngine
 from repro.parallel.work import core_phase_work, ttmc_phase_work
 from repro.partition.strategies import TensorPartition
@@ -147,7 +152,8 @@ class DistributedBackend(ExecutionBackend):
     experiment tables report.
 
     The local TTMc phase is delegated to a *rank-scoped* single-node backend
-    (``resolve_ttmc_backend(options)`` over the rank's local tensor), so
+    (``resolve_ttmc_backend(options)`` with its plan built once over the
+    rank's local tensor and the rows it computes), so
     ``execution="thread"`` and ``ttmc_strategy="dimtree"`` compose with both
     task grains exactly as on the single-node drivers — the paper's hybrid
     MPI+threads configuration.  With ``execution="thread"`` the simulated
@@ -175,9 +181,12 @@ class DistributedBackend(ExecutionBackend):
         self.phase_sim: Dict[str, float] = {"ttmc": 0.0, "trsvd": 0.0, "core": 0.0}
         self.per_mode_comm: List[int] = [0] * plan.order
         self.trsvd_iteration_counts: List[int] = []
-        self.local_backend: Optional[ExecutionBackend] = None
+        self.local_backend: Optional[PlanBackend] = None
         self._model_threads: Optional[int] = None
-        self._block_rows: Optional[np.ndarray] = None
+        # Per mode: K_n ∩ local J_n, the rows of the block compute_ttmc
+        # returns, and their positions in the plan's rows (None: all of them).
+        self.compute_block_rows: List[np.ndarray] = []
+        self._row_positions: List[Optional[np.ndarray]] = []
         self._mode_comm_before = 0
         self._iter_clock_start = 0.0
 
@@ -190,7 +199,8 @@ class DistributedBackend(ExecutionBackend):
 
     def prepare(self, eng) -> None:
         from repro.engine.backend import resolve_ttmc_backend
-        from repro.engine.plans import COORowsPlan
+        from repro.engine.plans import COORowsPlan, CSFSlabPlan
+        from repro.sparse import CSFTensorSet
 
         # Fail fast when the backend is driven directly (the driver already
         # checks before launching the SPMD world).
@@ -201,33 +211,34 @@ class DistributedBackend(ExecutionBackend):
         self._model_threads = (
             int(eng.options.num_workers) if execution == "thread" else None
         )
-        # Rank-scoped backend: the same composition the single-node drivers
-        # resolve, built over the rank's local tensor (``eng.tensor`` *is*
-        # ``plan.local_tensor``) — per-mode symbolic data or a rank-local
-        # dimension tree, sequential or nested worker threads.
-        self.local_backend = resolve_ttmc_backend(eng.options)
-        if self.local_backend.plan_source is COORowsPlan:
-            # The plan already built this rank's symbolic TTMc data
-            # (index-only, so the dtype cast is irrelevant); seed the COO
-            # plan with it instead of redoing the per-mode argsorts.
-            self.local_backend.plan_source = COORowsPlan(
-                eng.tensor, self.plan.symbolic,
-                block_nnz=eng.options.block_nnz, kernel=eng.options.kernel,
+        # Rank-scoped backend: the composition the single-node drivers
+        # resolve, its plan built here over the rank's local tensor
+        # (``eng.tensor`` *is* ``plan.local_tensor``, dtype-cast).  The COO
+        # update lists and the CSF tree of mode n hold only the nonzeros of
+        # K_n's rows; a dimension tree is one tree over the local tensor.
+        backend = resolve_ttmc_backend(eng.options)
+        symbolic = self.plan.symbolic
+        kwargs = dict(block_nnz=eng.options.block_nnz, kernel=eng.options.kernel)
+        if backend.plan_source is COORowsPlan:
+            backend.plan_source = COORowsPlan(eng.tensor, symbolic, **kwargs)
+        elif backend.plan_source is CSFSlabPlan:
+            trees = CSFTensorSet.per_mode(
+                eng.tensor, num_threads=backend.dispatcher.width,
+                subsets={mode: sym.perm for mode, sym in symbolic.items()},
             )
-        # Otherwise a rank-local dimension tree or rank-local CSF trees,
-        # built over the rank's local tensor (global index space, local
-        # nonzeros).
-        self.local_backend.prepare(eng)
+            backend.plan_source = CSFSlabPlan(trees, **kwargs)
+        backend.prepare(eng)
+        self.local_backend = backend
         # Rows each mode's local TTMc produces (line 4 vs 6 of Algorithm 4):
-        # fine grain the local ``J_n``, coarse grain the owned slices — in
-        # both cases intersected with the local ``J_n``, since a row without
-        # local nonzeros contributes nothing.
-        self.compute_block_rows: List[np.ndarray] = []
-        for mode in range(eng.order):
-            sym_rows = self.plan.symbolic[mode].rows
-            targets = self.plan.modes[mode].compute_rows
-            rows = np.intersect1d(sym_rows, targets, assume_unique=True)
-            self.compute_block_rows.append(rows.astype(np.int64))
+        # K_n ∩ local J_n, since a row without local nonzeros contributes
+        # nothing.  Only a coarse-grain tree's leaves hold more rows.
+        self.compute_block_rows = [symbolic[mode].rows for mode in range(eng.order)]
+        self._row_positions = []
+        for mode, rows in enumerate(self.compute_block_rows):
+            have = backend.plan.rows(mode)
+            self._row_positions.append(
+                None if have.shape == rows.shape else np.searchsorted(have, rows)
+            )
 
     # -- hooks: clocks and communication counters ------------------------ #
     def on_iteration_start(self, eng, iteration: int) -> None:
@@ -248,14 +259,15 @@ class DistributedBackend(ExecutionBackend):
     def compute_ttmc(self, eng, mode: int) -> np.ndarray:
         """Local numeric TTMc over the rank's update lists (lines 9-12).
 
-        Delegated to the rank-scoped backend's compact row-block seam, so
-        the thread / dimension-tree compositions reuse the single-node
-        kernels unchanged.
+        The rank-scoped backend's ordinary TTMc of the plan built in
+        :meth:`prepare`: the block of ``compute_block_rows[mode]``, taken
+        from the leaf block of a coarse-grain dimension tree.
         """
         clock_before = self.comm.clock.now
-        rows = self.compute_block_rows[mode]
-        block = self.local_backend.compute_ttmc_rows(eng, mode, rows)
-        self._block_rows = rows
+        block = self.local_backend.compute_ttmc(eng, mode)
+        positions = self._row_positions[mode]
+        if positions is not None:
+            block = np.take(block, positions, axis=0)
         self.comm.advance_compute(
             self.comm.machine.compute_time(
                 ttmc_phase_work(
@@ -275,7 +287,7 @@ class DistributedBackend(ExecutionBackend):
         op = DistributedTTMcMatrix(
             self.comm,
             mode_plan,
-            self._block_rows,
+            self.compute_block_rows[mode],
             block,
             model_threads=self._model_threads,
         )
@@ -306,17 +318,15 @@ class DistributedBackend(ExecutionBackend):
     def form_core(self, eng, last_block: np.ndarray) -> np.ndarray:
         """Core tensor: local GEMM on ``Y_(N)`` + all-reduce (lines 15-16)."""
         clock_before = self.comm.clock.now
-        last_rows = self._block_rows
-        if last_rows is not None and last_rows.size:
+        last_rows = self.compute_block_rows[-1]
+        if last_rows.size:
             core_local = eng.factors[-1][last_rows].T @ last_block
         else:
             width = int(np.prod([eng.ranks[t] for t in range(eng.order - 1)]))
             core_local = np.zeros((eng.ranks[-1], width), dtype=eng.dtype)
         self.comm.advance_compute(
             self.comm.machine.compute_time(
-                core_phase_work(
-                    int(last_rows.size) if last_rows is not None else 0, eng.ranks
-                ),
+                core_phase_work(int(last_rows.size), eng.ranks),
                 threads=self._model_threads,
             ),
             category="core",

@@ -3,8 +3,10 @@
 Given a :class:`~repro.partition.strategies.TensorPartition`, this module
 precomputes — once, outside the HOOI iterations — everything a rank needs:
 
-* its local nonzeros (``X^k``) and the symbolic TTMc of that local tensor;
-* the rows it owns in each mode (``I_n^k``) and the rows its local TTMc
+* its local nonzeros (``X^k``) and, per mode, the update lists of the rows
+  its TTMc computes (``K_n``: the owned rows in coarse grain, the local
+  ``J_n`` in fine grain) — the symbolic data of Algorithm 4, lines 1-2;
+* the rows it owns in each mode (``I_n^k``) and the rows its local tensor
   touches (``J_n`` of the local tensor);
 * the factor-row exchange plan of each mode (who sends which rows of ``U_n``
   to whom after the mode's TRSVD — Algorithm 4, line 14);
@@ -24,7 +26,8 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.core.sparse_tensor import SparseTensor
-from repro.core.symbolic import SymbolicTTMc
+from repro.core.symbolic import ModeSymbolic, symbolic_ttmc
+from repro.core.ttmc import restrict_symbolic
 from repro.partition.strategies import TensorPartition
 from repro.util.validation import check_rank_vector
 
@@ -81,13 +84,17 @@ class RankPlan:
     ranks_requested: Tuple[int, ...]   # decomposition ranks R_1..R_N
     local_positions: np.ndarray        # positions into the global nonzero list
     local_tensor: SparseTensor         # the rank's X^k (global index space)
-    symbolic: SymbolicTTMc             # symbolic TTMc of the local tensor
+    symbolic: Dict[int, ModeSymbolic]  # per mode: update lists of K_n in X^k
     modes: List[ModePlan]
-    ttmc_nonzeros: List[int]           # per-mode W_TTMc (contributions computed)
 
     @property
     def order(self) -> int:
         return len(self.shape)
+
+    @property
+    def ttmc_nonzeros(self) -> List[int]:
+        """Per-mode ``W_TTMc``: the nonzeros the mode's local TTMc reads."""
+        return [self.symbolic[mode].nnz for mode in range(self.order)]
 
 
 @dataclass
@@ -166,10 +173,8 @@ def build_plans(
         partition.local_nonzero_positions(tensor, rank) for rank in range(num_ranks)
     ]
     local_tensors = [tensor.select_nonzeros(pos) for pos in local_positions]
-    local_symbolics = [SymbolicTTMc(lt) for lt in local_tensors]
-
+    rank_symbolics: List[Dict[int, ModeSymbolic]] = [{} for _ in range(num_ranks)]
     rank_mode_plans: List[List[ModePlan]] = [[] for _ in range(num_ranks)]
-    ttmc_counts: List[List[int]] = [[] for _ in range(num_ranks)]
 
     for mode in range(order):
         row_owner = partition.row_owner[mode]
@@ -201,16 +206,13 @@ def build_plans(
             owned_nonempty = np.intersect1d(
                 owned_rows[rank], nonempty[mode], assume_unique=True
             )
+            symbolic = symbolic_ttmc(local_tensors[rank], mode)
             if partition.kind == "coarse":
-                # W_TTMc: nonzeros of the owned slices in this mode.
-                count = int(
-                    np.isin(
-                        local_tensors[rank].indices[:, mode], owned_rows[rank]
-                    ).sum()
-                ) if local_tensors[rank].nnz else 0
-            else:
-                count = local_tensors[rank].nnz
-            ttmc_counts[rank].append(count)
+                # Only the owned slices' update lists: K_n ∩ local J_n.
+                symbolic = restrict_symbolic(
+                    symbolic, np.flatnonzero(row_owner[symbolic.rows] == rank)
+                )
+            rank_symbolics[rank][mode] = symbolic
             rank_mode_plans[rank].append(
                 ModePlan(
                     mode=mode,
@@ -235,9 +237,8 @@ def build_plans(
             ranks_requested=ranks,
             local_positions=local_positions[rank],
             local_tensor=local_tensors[rank],
-            symbolic=local_symbolics[rank],
+            symbolic=rank_symbolics[rank],
             modes=rank_mode_plans[rank],
-            ttmc_nonzeros=ttmc_counts[rank],
         )
         for rank in range(num_ranks)
     ]

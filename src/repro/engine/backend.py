@@ -37,8 +37,10 @@ ttmc_strategy)`` and the dispatcher from ``execution``, independently;
 :func:`crew_pays` then keeps plans too small to outweigh the crew's
 hand-off cost off the worker processes (they run inline instead).  The
 distributed per-rank backend lives in :mod:`repro.distributed.dist_hooi`
-next to the plan/exchange machinery it drives, and the baselines provide
-TTM-chain (MET) and dense (Gram) backends — all drivers share this one loop.
+next to the plan/exchange machinery it drives; a rank's TTMc is a
+:class:`PlanBackend` whose plan the rank builds once, over the nonzeros of
+the rows it computes.  The baselines provide TTM-chain (MET) and dense
+(Gram) backends — all drivers share this one loop.
 """
 
 from __future__ import annotations
@@ -139,15 +141,6 @@ class ExecutionBackend:
 
     def compute_ttmc(self, eng, mode: int) -> np.ndarray:
         """Numeric TTMc of ``mode``: the :meth:`ttmc_rows` of ``Y_(mode)``."""
-        raise NotImplementedError
-
-    def compute_ttmc_rows(self, eng, mode: int, rows: np.ndarray) -> np.ndarray:
-        """``Y_(mode)`` on the sorted global ``rows`` (zero where empty).
-
-        The rank-scoped seam of the distributed driver: each simulated rank
-        computes its owned/local rows through the plan and dispatcher the
-        options select.
-        """
         raise NotImplementedError
 
     def update_factor(
@@ -271,8 +264,7 @@ class ProcessDispatcher(InlineDispatcher):
     Without ``crew`` the generation spawns a private crew and closes it;
     with ``crew`` (the service's :class:`~repro.parallel.process_pool.
     PersistentWorkerCrew`) it borrows those workers, runs at the crew's
-    width and leaves them alive.  Plans outside the generation (a
-    distributed row subset) run inline.
+    width and leaves them alive.
     """
 
     name = "process"
@@ -314,7 +306,7 @@ class PlanBackend(ExecutionBackend):
     ``plan`` is a plan class (built in :meth:`prepare` over the engine's
     dtype-cast tensor, with the dispatcher's width overlapping the
     symbolic step) or an already built plan (a preset memory-mapped tree
-    set, a rank's seeded symbolic data).
+    set, a distributed rank's plan over the rows it computes).
     ``dispatcher`` defaults to inline execution.  ``pool`` is the process
     dispatcher's live generation (``None`` otherwise).
     """
@@ -354,27 +346,6 @@ class PlanBackend(ExecutionBackend):
 
     def compute_ttmc(self, eng, mode: int) -> np.ndarray:
         return self.dispatcher.compute(eng, self.plan, mode)
-
-    def compute_ttmc_rows(self, eng, mode: int, rows: np.ndarray) -> np.ndarray:
-        """Compact row block; COO plans compute just these rows.
-
-        Fiber-tree plans have no cheaper form than their whole block, so
-        the rows are taken from it by position in ``J_n``.
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        sub = self.plan.restrict(mode, rows, eng.factors)
-        if sub is not None:
-            self.dispatcher.run(sub, mode, eng.workspace)
-            return sub.outs[mode]
-        block = self.compute_ttmc(eng, mode)
-        out = eng.workspace.take(
-            (rows.shape[0], block.shape[1]), block.dtype, tag=f"ttmc-rows-{mode}"
-        )
-        have = self.plan.rows(mode)
-        found = np.isin(rows, have)
-        out[~found] = 0
-        out[found] = block[np.searchsorted(have, rows[found])]
-        return out
 
     def update_factor(self, eng, mode: int, y_mat: np.ndarray):
         new_factor, stats = super().update_factor(eng, mode, y_mat)

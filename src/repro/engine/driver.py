@@ -36,6 +36,7 @@ wrappers over this class.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -210,7 +211,9 @@ class HOOIEngine:
                     new_factor, stats = backend.update_factor(self, mode, y_mat)
                 self.factors[mode] = new_factor
                 if stats is not None:
-                    trsvd_stats.append(stats)
+                    # Counters and singular values only: the vectors would
+                    # make every result (and every served reply) ~8x larger.
+                    trsvd_stats.append(replace(stats, left=None, right=None))
                 backend.on_mode_end(self, mode)
                 if mode == self.order - 1:
                     last_ttmc = y_mat

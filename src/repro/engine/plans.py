@@ -35,7 +35,7 @@ import numpy as np
 from repro.core.kron import kron_dtype, kron_row_length
 from repro.core.sparse_tensor import SparseTensor
 from repro.core.symbolic import ModeSymbolic, symbolic_ttmc
-from repro.core.ttmc import ModeStream, coo_rows_range, restrict_symbolic
+from repro.core.ttmc import ModeStream, coo_rows_range
 
 __all__ = [
     "TTMcPlan",
@@ -43,7 +43,6 @@ __all__ = [
     "CSFSlabPlan",
     "attach_plan",
     "parallel_symbolic",
-    "symbolic_row_positions",
 ]
 
 
@@ -55,31 +54,6 @@ def parallel_symbolic(tensor: SparseTensor, num_threads: int) -> Dict[int, ModeS
     with ThreadPoolExecutor(max_workers=min(num_threads, len(modes))) as pool:
         futures = {mode: pool.submit(symbolic_ttmc, tensor, mode) for mode in modes}
         return {mode: fut.result() for mode, fut in futures.items()}
-
-
-def symbolic_row_positions(symbolic: ModeSymbolic, rows: np.ndarray) -> np.ndarray:
-    """Positions of global row indices inside a mode's sorted ``J_n``.
-
-    ``rows`` must be sorted and every entry must be a non-empty row of the
-    mode (the distributed plans guarantee it by intersecting with ``J_n``);
-    a row outside ``J_n`` raises instead of silently mapping to a neighbour.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.size == 0:
-        return np.empty(0, dtype=np.int64)
-    positions = np.searchsorted(symbolic.rows, rows).astype(np.int64, copy=False)
-    if symbolic.num_rows:
-        clipped = np.minimum(positions, symbolic.num_rows - 1)
-        valid = (positions < symbolic.num_rows) & (symbolic.rows[clipped] == rows)
-    else:
-        valid = np.zeros(rows.shape[0], dtype=bool)
-    if not valid.all():
-        missing = rows[~valid]
-        raise ValueError(
-            f"rows {missing[:5].tolist()} are not non-empty rows of mode "
-            f"{symbolic.mode} (|J_n| = {symbolic.num_rows})"
-        )
-    return positions
 
 
 class TTMcPlan:
@@ -154,14 +128,6 @@ class TTMcPlan:
             np.empty(0, self.dtype), *others
         )
 
-    def restrict(self, mode: int, rows: np.ndarray, factors) -> Optional["TTMcPlan"]:
-        """A plan computing only ``rows`` of ``Y_(mode)`` as a compact block.
-
-        ``None`` when the plan has no cheaper form than its whole block
-        (the caller then takes the rows from it).
-        """
-        return None
-
     def factor_updated(self, mode: int) -> None:
         """``U_mode`` was replaced (plans caching factor products react)."""
 
@@ -212,17 +178,20 @@ class COORowsPlan(TTMcPlan):
     ``perm[rowptr[start]:rowptr[stop]]`` and writes rows ``start..stop`` of
     the compact block in place.
 
+    A mode's update lists may cover only some of the tensor's nonzeros: a
+    distributed rank's plan holds those of the rows it computes.
+
     The numpy tier also keeps each mode's nonzeros in update-list order, a
     :class:`~repro.core.ttmc.ModeStream` in :attr:`streams`: the other
     modes' index columns (:attr:`index_dtype`, int32 when every mode size
-    fits) and the values, ``N · nnz · ((N − 1) · 4 + itemsize)`` bytes in
-    all.  Nothing fills them at set-up.  A mode's first :meth:`ttmc`
-    allocates its stream and every range fills its own slice with the
-    gather through ``perm`` it needs anyway; once every range has run,
-    :meth:`ttmc` sets the mode's :attr:`filled` flag, and every later TTMc
-    of the mode reads contiguous stream slices.  A TTMc that fails leaves
-    the flag unset.  The row blocks :meth:`restrict` builds run once and
-    gather instead; the numba tier reads ``perm`` and keeps no streams.
+    fits) and the values, Σ_n ``symbolic[n].nnz · ((N − 1) · 4 +
+    itemsize)`` bytes in all (``N · nnz · …`` on a single node).  Nothing
+    fills them at set-up.  A mode's first :meth:`ttmc` allocates its stream
+    and every range fills its own slice with the gather through ``perm`` it
+    needs anyway; once every range has run, :meth:`ttmc` sets the mode's
+    :attr:`filled` flag, and every later TTMc of the mode reads contiguous
+    stream slices.  A TTMc that fails leaves the flag unset.  The numba
+    tier reads ``perm`` and keeps no streams.
     """
 
     kind = "coo"
@@ -269,7 +238,8 @@ class COORowsPlan(TTMcPlan):
 
     def _new_stream(self, mode: int, arena=None) -> ModeStream:
         """An unfilled stream of ``mode``: shared segments in ``arena`` if given."""
-        cols, values = (self.order - 1, self.tensor.nnz), (self.tensor.nnz,)
+        nnz = self.symbolic[mode].nnz
+        cols, values = (self.order - 1, nnz), (nnz,)
         if arena is None:
             return ModeStream(
                 np.empty(cols, self.index_dtype), np.empty(values, self.dtype)
@@ -278,16 +248,6 @@ class COORowsPlan(TTMcPlan):
             arena.create(f"stream{mode}-cols", cols, self.index_dtype),
             arena.create(f"stream{mode}-values", values, self.dtype),
         )
-
-    def restrict(self, mode, rows, factors):
-        positions = symbolic_row_positions(self.symbolic[mode], rows)
-        sub = COORowsPlan(
-            self.tensor, {mode: restrict_symbolic(self.symbolic[mode], positions)},
-            block_nnz=self.block_nnz, kernel=self.kernel,
-        )
-        sub.factors = factors
-        sub.outs[mode] = np.empty(*sub._block_layout(mode))
-        return sub
 
     def pack(self, arena) -> dict:
         arena.put("indices", self.tensor.indices)

@@ -11,7 +11,6 @@ true multicore execution).  The engine's dispatchers
 """
 
 from repro.parallel.parallel_for import ChunkSchedule, ParallelConfig, make_chunks, parallel_for
-from repro.parallel.shared_ttmc import ttmc_row_block
 from repro.parallel.shm import ShmArena, ShmArraySpec, ShmView
 from repro.parallel.process_pool import (
     HOOIProcessPool,
@@ -33,7 +32,6 @@ __all__ = [
     "ParallelConfig",
     "make_chunks",
     "parallel_for",
-    "ttmc_row_block",
     "ShmArena",
     "ShmArraySpec",
     "ShmView",

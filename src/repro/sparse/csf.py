@@ -472,18 +472,27 @@ class CSFTensorSet:
 
     @classmethod
     def per_mode(
-        cls, tensor: SparseTensor, *, num_threads: int = 1
+        cls,
+        tensor: SparseTensor,
+        *,
+        num_threads: int = 1,
+        subsets: Optional[Dict[int, np.ndarray]] = None,
     ) -> "CSFTensorSet":
         """One rooted tree per mode, built with up to one task per mode.
 
         The builds are independent full sorts of the nonzeros, so the
         threaded backend overlaps them exactly like the per-mode symbolic
-        step (``parallel_symbolic``).
+        step (``parallel_symbolic``).  With ``subsets``, tree ``n`` holds
+        only the nonzeros at positions ``subsets[n]`` (a distributed rank's
+        update lists of the mode-``n`` rows it computes).
         """
 
         def build(mode: int) -> CSFTensor:
+            source = (
+                tensor if subsets is None else tensor.select_nonzeros(subsets[mode])
+            )
             return CSFTensor(
-                tensor, mode_order=rooted_mode_order(tensor.shape, mode)
+                source, mode_order=rooted_mode_order(tensor.shape, mode)
             )
 
         modes = range(tensor.order)

@@ -32,7 +32,8 @@ from hypothesis import strategies as st
 
 from repro.core.sparse_tensor import SparseTensor
 from repro.core.symbolic import symbolic_ttmc
-from repro.core.ttmc import ttmc_matricized
+from repro.core.ttmc import restrict_symbolic, ttmc_matricized
+from repro.engine import COORowsPlan, InlineDispatcher
 from repro.engine.workspace import WorkspacePool
 from repro.kernels import (
     KERNEL_TIERS,
@@ -42,7 +43,6 @@ from repro.kernels import (
     require_kernel,
     warmup_kernels,
 )
-from repro.parallel.shared_ttmc import ttmc_row_block
 from repro.sparse import CSFTensor, csf_ttmc_compact, csf_ttmc_matricized
 from repro.sparse.csf import rooted_mode_order
 
@@ -129,15 +129,15 @@ class TestCOOEdgeCases:
     RANKS = (3, 2, 2)
 
     def test_empty_row_block(self):
-        """A worker handed zero rows must return a well-formed empty block."""
+        """A plan (or range) with zero rows gives a well-formed empty block."""
         tensor = make_tensor(self.SHAPE, 60, seed=0)
         factors = make_factors(self.SHAPE, self.RANKS, seed=1)
-        symbolic = symbolic_ttmc(tensor, 0)
-        block = ttmc_row_block(
-            tensor, factors, 0, symbolic, np.empty(0, dtype=np.int64),
-            kernel="numba",
+        subset = restrict_symbolic(
+            symbolic_ttmc(tensor, 0), np.empty(0, dtype=np.int64)
         )
-        assert block.shape == (0, 4)
+        plan = COORowsPlan(tensor, {0: subset}, kernel="numba")
+        assert InlineDispatcher().ttmc(plan, 0, factors).shape == (0, 4)
+        plan.body(0, 0, 0)  # the compiled range body on zero rows
 
     def test_row_subset_matches_numpy(self):
         """The compiled branch of the rows= path (incl. absent rows)."""

@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 from repro.core import HOOIOptions, SparseTensor, ttmc_matricized
+from repro.core.ttmc import restrict_symbolic
 from repro.engine import (
     COORowsPlan,
     HOOIEngine,
@@ -254,17 +255,30 @@ class TestStreamState:
             tensor, factors, 1, block_nnz=SMALL_BLOCK
         )[plan.rows(1)])
 
-    def test_row_blocks_keep_no_streams(self):
+    def test_row_subset_streams_its_own_nonzeros(self):
+        """A plan over some rows' update lists (a distributed rank's) streams
+        just their nonzeros, and its later sweeps read the stream."""
         tensor = _tensor(3, np.float64, exact=False)
         factors = _factors(3, np.float64, exact=False)
-        plan = _plan(tensor)
-        rows = plan.symbolic[0].rows[::3]
-        sub = plan.restrict(0, rows, factors)
-        InlineDispatcher().run(sub, 0)
-        assert sub.streams == {} and not sub.filled.any()
-        assert plan.streams == {}
-        full = ttmc_matricized(tensor, factors, 0)
-        assert np.array_equal(sub.outs[0], full[rows])
+        full_lists = parallel_symbolic(tensor, 1)
+        symbolic = {
+            n: restrict_symbolic(sym, np.arange(0, sym.num_rows, 3))
+            for n, sym in full_lists.items()
+        }
+        plan = COORowsPlan(tensor.copy(), symbolic)
+        expected = [
+            ttmc_matricized(tensor, factors, n)[symbolic[n].rows]
+            for n in range(tensor.order)
+        ]
+        first = _sweep(lambda n: InlineDispatcher().ttmc(plan, n, factors), 3)
+        assert plan.filled.all()
+        for n, stream in plan.streams.items():
+            assert stream.values.shape == (symbolic[n].nnz,)
+            assert symbolic[n].nnz < tensor.nnz
+        _poison(plan.tensor.indices, plan.tensor.values)
+        second = _sweep(lambda n: InlineDispatcher().ttmc(plan, n, factors), 3)
+        _assert_equal(first, expected)
+        _assert_equal(second, expected)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_stream_bytes(self, dtype):

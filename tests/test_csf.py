@@ -5,10 +5,12 @@ import pytest
 
 from repro.core import HOOIOptions, SparseTensor, hooi, ttmc_matricized
 from repro.core.symbolic import symbolic_ttmc
+from repro.core.ttmc import restrict_symbolic
 from repro.data import power_law_sparse_tensor
 from repro.engine import (
     CSFSlabPlan,
     HOOIEngine,
+    InlineDispatcher,
     PlanBackend,
     ThreadDispatcher,
     WorkspacePool,
@@ -317,25 +319,29 @@ class TestCSFBackends:
             result.fit_history, reference.fit_history, atol=1e-10
         )
 
-    def test_compute_ttmc_rows_subset(self, small_tensor_3d):
-        backend = PlanBackend(CSFSlabPlan)
-        opts = HOOIOptions(max_iterations=1, seed=0)
-        eng = HOOIEngine(small_tensor_3d, self.RANKS, opts, backend=backend)
-        eng.run()
-        rows = symbolic_ttmc(eng.tensor, 0).rows[::2]
-        block = backend.compute_ttmc_rows(eng, 0, rows)
-        full = ttmc_matricized(eng.tensor, eng.factors, 0)
-        np.testing.assert_allclose(block, full[rows], atol=1e-10)
-
-    def test_compute_ttmc_rows_missing_rows_zero(self, small_tensor_3d):
-        backend = PlanBackend(CSFSlabPlan)
-        opts = HOOIOptions(max_iterations=1, seed=0)
-        eng = HOOIEngine(small_tensor_3d, self.RANKS, opts, backend=backend)
-        eng.run()
-        empty_rows = np.setdiff1d(
-            np.arange(small_tensor_3d.shape[0]),
-            symbolic_ttmc(eng.tensor, 0).rows,
+    def test_subset_trees_compute_their_rows(self, small_tensor_3d, factors_3d):
+        """Trees over some rows' nonzeros (a distributed rank's) give those rows."""
+        lists = {}
+        for mode in range(small_tensor_3d.order):
+            sym = symbolic_ttmc(small_tensor_3d, mode)
+            lists[mode] = restrict_symbolic(sym, np.arange(0, sym.num_rows, 2))
+        trees = CSFTensorSet.per_mode(
+            small_tensor_3d, num_threads=2,
+            subsets={mode: sym.perm for mode, sym in lists.items()},
         )
-        if empty_rows.size:
-            block = backend.compute_ttmc_rows(eng, 0, empty_rows[:2])
-            assert not block.any()
+        plan = CSFSlabPlan(trees)
+        for mode, sym in lists.items():
+            assert np.array_equal(plan.rows(mode), sym.rows)
+            assert trees.tree_for(mode).nnz == sym.nnz
+            block = InlineDispatcher().ttmc(plan, mode, factors_3d)
+            full = ttmc_matricized(small_tensor_3d, factors_3d, mode)
+            np.testing.assert_allclose(block, full[sym.rows], atol=1e-10)
+
+    def test_empty_subset_tree(self, small_tensor_3d, factors_3d):
+        """A mode whose computed rows hold no nonzeros: empty tree, 0-row block."""
+        everything = np.arange(small_tensor_3d.nnz)
+        subsets = {0: np.empty(0, dtype=np.int64), 1: everything, 2: everything}
+        plan = CSFSlabPlan(CSFTensorSet.per_mode(small_tensor_3d, subsets=subsets))
+        assert plan.items(0) == 0
+        block = InlineDispatcher().ttmc(plan, 0, factors_3d)
+        assert block.shape == (0, 4 * 3)

@@ -429,52 +429,68 @@ class TestEquivalence:
             assert np.allclose(got, expected[tree.rows(mode)], atol=1e-10)
 
 
-def _rows_block(tensor, factors, mode, rows):
-    """``compute_ttmc_rows`` of a dimension-tree backend at fixed factors."""
-    backend = PlanBackend(DimensionTree)
-    eng = HOOIEngine(
-        tensor, [f.shape[1] for f in factors], HOOIOptions(), backend=backend
-    )
-    eng.factors = list(factors)
-    backend.prepare(eng)
-    return backend.compute_ttmc_rows(eng, mode, rows)
+def _rank_blocks(tensor, factors, parts):
+    """Each coarse-grain rank's dimension-tree TTMc blocks at fixed factors."""
+    from repro.distributed import build_plans
+    from repro.distributed.dist_hooi import DistributedBackend
+    from repro.partition import make_partition
+    from repro.simmpi import run_spmd
+
+    ranks = tuple(f.shape[1] for f in factors)
+    partition = make_partition(tensor, parts, "coarse-bl")
+    global_plan, plans = build_plans(tensor, partition, ranks)
+    options = HOOIOptions(ttmc_strategy="dimtree")
+
+    def program(comm):
+        plan = plans[comm.rank]
+        backend = DistributedBackend(comm, plan, global_plan, factors)
+        eng = HOOIEngine(plan.local_tensor, ranks, options, backend=backend)
+        eng.factors = list(factors)
+        backend.prepare(eng)
+        blocks = [
+            backend.compute_ttmc(eng, mode).copy() for mode in range(tensor.order)
+        ]
+        return plan, backend, blocks
+
+    return run_spmd(program, parts).values
 
 
-class TestLeafLocalRows:
-    """The distributed driver's hook: compact leaf blocks over chosen rows."""
+class TestCoarseRankRows:
+    """A coarse-grain rank's tree leaves hold every local row; it keeps ``K_n``'s."""
 
     @pytest.mark.parametrize("order", [3, 4])
-    def test_block_matches_full_result_rows(self, order):
+    def test_blocks_are_the_computed_rows(self, order):
         shape, ranks = _SHAPES[order]
         tensor = _random_tensor(shape, 300, seed=17)
         factors = _factors(shape, ranks, seed=3)
-        tree = DimensionTree(tensor)
-        rng = np.random.default_rng(5)
-        for mode in range(order):
-            full = tree.leaf_matricized(mode, factors)
-            # A sorted mix of non-empty and (possibly) empty rows.
-            rows = np.unique(rng.integers(0, shape[mode], 6))
-            block = _rows_block(tensor, factors, mode, rows)
-            assert block.shape == (rows.shape[0], full.shape[1])
-            assert np.allclose(block, full[rows], atol=1e-12)
+        picked = 0
+        for plan, backend, blocks in _rank_blocks(tensor, factors, 3):
+            leaves = backend.local_backend.plan
+            for mode, block in enumerate(blocks):
+                mp = plan.modes[mode]
+                rows = backend.compute_block_rows[mode]
+                assert np.array_equal(
+                    rows, np.intersect1d(mp.owned_rows, mp.local_rows)
+                )
+                full = ttmc_matricized(plan.local_tensor, factors, mode)
+                assert np.allclose(block, full[rows], atol=1e-12)
+                picked += rows.size < leaves.rows(mode).size
+        assert picked
 
-    def test_rows_without_local_nonzeros_come_back_zero(self):
-        shape, ranks = _SHAPES[3]
-        tensor = _random_tensor(shape, 40, seed=2)
-        factors = _factors(shape, ranks, seed=1)
-        empty_rows = np.setdiff1d(
-            np.arange(shape[0]), tensor.nonempty_rows(0)
+    def test_rank_without_computed_rows(self):
+        """A rank whose owned slices of a mode are empty gets a 0-row block."""
+        rng = np.random.default_rng(0)
+        indices = np.column_stack([rng.integers(0, 4, 120) for _ in range(3)])
+        tensor = SparseTensor(
+            indices, rng.standard_normal(120), (12, 10, 8), sum_duplicates=True
         )
-        if empty_rows.size:
-            block = _rows_block(tensor, factors, 0, empty_rows[:3])
-            assert not block.any()
-
-    def test_empty_row_set(self):
-        shape, ranks = _SHAPES[3]
-        tensor = _random_tensor(shape, 100, seed=9)
-        factors = _factors(shape, ranks, seed=0)
-        block = _rows_block(tensor, factors, 0, np.empty(0, dtype=np.int64))
-        assert block.shape[0] == 0
+        factors = _factors(tensor.shape, (2, 2, 2), seed=0)
+        empty = 0
+        for plan, backend, blocks in _rank_blocks(tensor, factors, 3):
+            for mode, block in enumerate(blocks):
+                assert block.shape == (backend.compute_block_rows[mode].size, 4)
+                empty += plan.local_tensor.nnz > 0 and block.shape[0] == 0
+        assert empty
 
 
 class TestStrategyPlumbing:
@@ -487,8 +503,8 @@ class TestStrategyPlumbing:
 
     def test_distributed_driver_runs_rank_local_dimtrees(self):
         # Since the hybrid-grain work the distributed driver composes with
-        # the dimension tree: each rank builds a rank-local tree and its
-        # leaves serve only the rank's rows, matching per-mode to 1e-10.
+        # the dimension tree: each rank builds a rank-local tree and keeps
+        # the rows it computes of each leaf, matching per-mode to 1e-10.
         from repro.distributed import distributed_hooi
         from repro.partition import make_partition
 

@@ -1,5 +1,8 @@
 """Tests for the distributed HOOI: plans, distributed TRSVD and Algorithm 4."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,9 @@ from repro.core import (
     lanczos_svd,
     ttmc_matricized,
 )
+from repro.core.hosvd import initialize_factors
+from repro.core.symbolic import symbolic_ttmc
+from repro.core.ttmc import restrict_symbolic
 from repro.data import (
     planted_lowrank_tensor,
     power_law_sparse_tensor,
@@ -21,9 +27,11 @@ from repro.distributed import (
     distributed_hooi,
     estimate_iteration_time,
 )
-from repro.parallel.shared_ttmc import ttmc_row_block
+from repro.distributed.dist_hooi import DistributedBackend
+from repro.engine import COORowsPlan, CSFSlabPlan, HOOIEngine, InlineDispatcher
 from repro.partition import make_partition
 from repro.simmpi import run_spmd
+from repro.sparse import CSFTensor
 from repro.util.linalg import random_orthonormal
 
 
@@ -38,6 +46,12 @@ def ranks():
 
 
 ALL_STRATEGIES = ["fine-hp", "fine-rd", "coarse-hp", "coarse-bl"]
+
+
+def _rank_block(plan, factors, mode):
+    """A rank's TTMc rows and block of ``mode``, through a plan of its rows."""
+    coo = COORowsPlan(plan.local_tensor, plan.symbolic)
+    return coo.rows(mode), InlineDispatcher().ttmc(coo, mode, factors)
 
 
 class TestPlans:
@@ -106,6 +120,100 @@ class TestPlans:
         assert all(p.order == tensor.order for p in plans)
 
 
+def _rank_runs(tensor, ranks, partition, options):
+    """Each rank's plan and backend after a whole run of the rank program."""
+    global_plan, plans = build_plans(tensor, partition, ranks)
+    init = initialize_factors(tensor, ranks, init="random", seed=0)
+
+    def program(comm):
+        plan = plans[comm.rank]
+        backend = DistributedBackend(comm, plan, global_plan, init)
+        HOOIEngine(plan.local_tensor, ranks, options, backend=backend).run()
+        return plan, backend
+
+    return run_spmd(program, partition.num_parts).values
+
+
+def _calls_after_prepare(monkeypatch):
+    """Names of symbolic or CSF builds a rank starts after its ``prepare``."""
+    state = threading.local()
+    late = []
+
+    def record(name):
+        if getattr(state, "prepared", False):
+            late.append(name)
+
+    def counted(func):
+        def call(*args, **kwargs):
+            record(func.__name__)
+            return func(*args, **kwargs)
+        return call
+
+    for func in (symbolic_ttmc, restrict_symbolic):
+        name = func.__name__
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("repro") and getattr(module, name, None) is func:
+                monkeypatch.setattr(module, name, counted(func))
+    monkeypatch.setattr(CSFTensor, "__init__", counted(CSFTensor.__init__))
+    prepare = DistributedBackend.prepare
+
+    def prepare_then_mark(self, eng):
+        prepare(self, eng)
+        state.prepared = True
+
+    monkeypatch.setattr(DistributedBackend, "prepare", prepare_then_mark)
+    return late
+
+
+class TestRankPlans:
+    """Each rank builds its plans once, over the rows it computes (``K_n``)."""
+
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+    def test_symbolic_holds_the_computed_rows(self, tensor, ranks, strategy):
+        partition = make_partition(tensor, 4, strategy, seed=0)
+        _, plans = build_plans(tensor, partition, ranks)
+        for plan in plans:
+            for mode, mp in enumerate(plan.modes):
+                sym = plan.symbolic[mode]
+                assert np.array_equal(
+                    sym.rows, np.intersect1d(mp.compute_rows, mp.local_rows)
+                )
+                column = plan.local_tensor.indices[:, mode]
+                assert np.array_equal(
+                    np.sort(sym.perm),
+                    np.flatnonzero(np.isin(column, mp.compute_rows)),
+                )
+                assert plan.ttmc_nonzeros[mode] == sym.nnz
+
+    @pytest.mark.parametrize("config", [
+        {}, dict(tensor_format="csf"), dict(ttmc_strategy="dimtree"),
+        dict(execution="thread", num_workers=2),
+    ], ids=["coo", "csf", "dimtree", "coo-thread2"])
+    @pytest.mark.parametrize("strategy", ["coarse-bl", "fine-hp"])
+    def test_plans_are_built_once_over_the_computed_rows(
+        self, monkeypatch, tensor, ranks, strategy, config
+    ):
+        partition = make_partition(tensor, 4, strategy, seed=0)
+        late = _calls_after_prepare(monkeypatch)
+        options = HOOIOptions(max_iterations=2, init="random", seed=0, **config)
+        for plan, backend in _rank_runs(tensor, ranks, partition, options):
+            built = backend.local_backend.plan
+            for mode, mp in enumerate(plan.modes):
+                k_rows = np.intersect1d(mp.compute_rows, mp.local_rows)
+                assert np.array_equal(backend.compute_block_rows[mode], k_rows)
+                nnz = plan.ttmc_nonzeros[mode]
+                if isinstance(built, (COORowsPlan, CSFSlabPlan)):
+                    assert np.array_equal(built.rows(mode), k_rows)
+                if isinstance(built, CSFSlabPlan):
+                    assert built.trees.tree_for(mode).nnz == nnz
+                if isinstance(built, COORowsPlan):
+                    assert built.streams[mode].values.shape == (nnz,)
+                    assert built.streams[mode].cols.shape == (tensor.order - 1, nnz)
+            if isinstance(built, COORowsPlan):
+                assert built.filled.all()
+        assert late == []
+
+
 class TestDistributedTRSVD:
     @pytest.mark.parametrize("strategy", ["fine-hp", "coarse-bl"])
     def test_matches_sequential_lanczos(self, tensor, ranks, strategy):
@@ -122,12 +230,8 @@ class TestDistributedTRSVD:
         def program(comm):
             plan = plans[comm.rank]
             mp = plan.modes[mode]
-            sym_rows = plan.symbolic[mode].rows
-            positions = np.flatnonzero(np.isin(sym_rows, mp.compute_rows))
-            block = ttmc_row_block(plan.local_tensor, factors, mode,
-                                   plan.symbolic[mode], positions)
-            op = DistributedTTMcMatrix(comm, mp, sym_rows[positions], block,
-                                       charge_time=False)
+            rows, block = _rank_block(plan, factors, mode)
+            op = DistributedTTMcMatrix(comm, mp, rows, block, charge_time=False)
             res = lanczos_svd(op, ranks[mode], seed=0, compute_right=False)
             assert res.right is None
             return mp.owned_nonempty_rows, res.left, res.singular_values
@@ -183,12 +287,8 @@ class TestDistributedTRSVD:
         def program(comm):
             plan = plans[comm.rank]
             mp = plan.modes[0]
-            sym_rows = plan.symbolic[0].rows
-            positions = np.flatnonzero(np.isin(sym_rows, mp.compute_rows))
-            block = ttmc_row_block(plan.local_tensor, factors, 0,
-                                   plan.symbolic[0], positions)
-            op = DistributedTTMcMatrix(comm, mp, sym_rows[positions], block,
-                                       charge_time=False)
+            rows, block = _rank_block(plan, factors, 0)
+            op = DistributedTTMcMatrix(comm, mp, rows, block, charge_time=False)
             res = lanczos_svd(op, mode_ranks[0], seed=0)
             return mp.owned_nonempty_rows, res
 
@@ -217,12 +317,8 @@ class TestDistributedTRSVD:
         def program(comm):
             plan = plans[comm.rank]
             mp = plan.modes[mode]
-            sym_rows = plan.symbolic[mode].rows
-            positions = np.flatnonzero(np.isin(sym_rows, mp.compute_rows))
-            block = ttmc_row_block(plan.local_tensor, factors, mode,
-                                   plan.symbolic[mode], positions)
-            op = DistributedTTMcMatrix(comm, mp, sym_rows[positions], block,
-                                       charge_time=False)
+            rows, block = _rank_block(plan, factors, mode)
+            op = DistributedTTMcMatrix(comm, mp, rows, block, charge_time=False)
             y_owned = op.matvec(v)
             x = op.rmatvec(y_owned)
             return mp.owned_nonempty_rows, y_owned, x
@@ -381,7 +477,7 @@ class TestHybridExecution:
         partition = make_partition(tensor, 3, "coarse-bl")
         base = dict(max_iterations=2, init="random", seed=0)
         per_mode = distributed_hooi(tensor, 2, partition, HOOIOptions(**base))
-        for config in HYBRID_CONFIGS.values():
+        for config in [*HYBRID_CONFIGS.values(), dict(tensor_format="csf")]:
             hybrid = distributed_hooi(
                 tensor, 2, partition, HOOIOptions(**base, **config)
             )

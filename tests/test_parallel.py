@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import HOOIOptions, hooi, symbolic_ttmc, ttmc_matricized
+from repro.core.ttmc import restrict_symbolic
 from repro.engine import COORowsPlan, ThreadDispatcher, parallel_symbolic
 from repro.parallel import (
     BGQ_NODE,
@@ -20,7 +21,6 @@ from repro.parallel import (
     shared_hooi,
     trsvd_phase_work,
     ttmc_phase_work,
-    ttmc_row_block,
 )
 
 
@@ -99,20 +99,23 @@ class TestParallelTTMc:
             actual = dispatcher.ttmc(plan, mode, factors)
             assert np.allclose(actual, expected[plan.rows(mode)])
 
-    def test_row_block_matches_full(self, small_tensor_3d, factors_3d):
+    def test_row_subset_plan_matches_full(self, small_tensor_3d, factors_3d):
+        """A plan over some rows' update lists (a distributed rank's)."""
         mode = 1
         sym = symbolic_ttmc(small_tensor_3d, mode)
         full = ttmc_matricized(small_tensor_3d, factors_3d, mode, symbolic=sym)
-        positions = np.arange(sym.num_rows)[::3]
-        block = ttmc_row_block(small_tensor_3d, factors_3d, mode, sym, positions)
-        assert np.allclose(block, full[sym.rows[positions]])
+        subset = restrict_symbolic(sym, np.arange(sym.num_rows)[::3])
+        plan = COORowsPlan(small_tensor_3d, {mode: subset})
+        threads = ThreadDispatcher(ParallelConfig(num_threads=2))
+        block = threads.ttmc(plan, mode, factors_3d)
+        assert np.allclose(block, full[subset.rows])
 
-    def test_row_block_empty_positions(self, small_tensor_3d, factors_3d):
+    def test_empty_row_subset(self, small_tensor_3d, factors_3d):
         sym = symbolic_ttmc(small_tensor_3d, 0)
-        block = ttmc_row_block(
-            small_tensor_3d, factors_3d, 0, sym, np.empty(0, dtype=np.int64)
-        )
-        assert block.shape[0] == 0
+        subset = restrict_symbolic(sym, np.empty(0, dtype=np.int64))
+        plan = COORowsPlan(small_tensor_3d, {0: subset})
+        threads = ThreadDispatcher(ParallelConfig(num_threads=2))
+        assert threads.ttmc(plan, 0, factors_3d).shape[0] == 0
 
     def test_out_buffer(self, small_tensor_3d, factors_3d):
         """The dispatcher hands back the plan's own ``|J_n| × W`` block."""

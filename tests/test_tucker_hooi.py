@@ -1,5 +1,7 @@
 """Tests for the TuckerTensor container, HOSVD init and the sequential HOOI."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from repro.core import (
     ttmc_matricized,
     unfold,
 )
-from repro.data import random_tucker_tensor
+from repro.data import planted_lowrank_tensor, random_tucker_tensor
 
 
 class TestTuckerTensor:
@@ -101,15 +103,40 @@ class TestInitialization:
             assert f.shape == (size, rank)
             assert np.allclose(f.T @ f, np.eye(rank), atol=1e-10)
 
-    def test_hosvd_init_captures_leading_subspace(self, small_tensor_3d):
-        factors = hosvd_init(small_tensor_3d, (5, 4, 3))
-        dense = small_tensor_3d.to_dense()
+    @pytest.mark.parametrize("planted", [False, True])
+    def test_hosvd_init_captures_leading_subspace(self, small_tensor_3d, planted):
+        tensor = small_tensor_3d
+        if planted:
+            # A planted spectrum with most columns of every X_(n) empty.
+            tensor, _ = planted_lowrank_tensor((40, 30, 20), (5, 4, 3), 900, seed=2)
+        factors = hosvd_init(tensor, (5, 4, 3))
+        dense = tensor.to_dense()
         for mode, factor in enumerate(factors):
             u, _, _ = np.linalg.svd(unfold(dense, mode), full_matrices=False)
             k = factor.shape[1]
             ours = factor @ factor.T
             ref = u[:, :k] @ u[:, :k].T
             assert np.allclose(ours, ref, atol=1e-6)
+
+    @pytest.mark.parametrize("ranks", [(3, 3, 3, 3), (8, 3, 3, 3)])
+    def test_hosvd_init_ignores_empty_columns(self, ranks):
+        """``X_(0)`` has 10^12 columns, of which at most 2,000 hold a nonzero."""
+        shape = (8, 10**4, 10**4, 10**4)
+        rng = np.random.default_rng(0)
+        indices = np.column_stack([rng.integers(0, s, 2000) for s in shape])
+        tensor = SparseTensor(indices, rng.standard_normal(2000), shape)
+        factors = hosvd_init(tensor, ranks)
+        for factor, size, rank in zip(factors, shape, ranks):
+            assert factor.shape == (size, rank)
+            assert np.allclose(factor.T @ factor, np.eye(rank), atol=1e-10)
+
+    def test_hosvd_init_with_fewer_columns_than_rank(self):
+        tensor = SparseTensor(
+            np.array([[0, 1, 2], [3, 4, 0]]), np.array([1.0, 2.0]), (5, 5, 5)
+        )
+        for factor in hosvd_init(tensor, 3):
+            assert factor.shape == (5, 3)
+            assert np.allclose(factor.T @ factor, np.eye(3), atol=1e-12)
 
     def test_initialize_factors_explicit_list(self, small_tensor_3d, factors_3d):
         out = initialize_factors(small_tensor_3d, (5, 4, 3), init=factors_3d)
@@ -128,6 +155,19 @@ class TestInitialization:
 
 
 class TestHOOI:
+    def test_result_keeps_no_singular_vectors(self):
+        """Per-mode stats keep counters and singular values, so a result
+        (a served reply, a cache entry) stays near its decomposition's size."""
+        tensor, _ = planted_lowrank_tensor(
+            (200, 150, 100), (6, 6, 6), 6000, noise=0.05, seed=0
+        )
+        result = hooi(tensor, 6, HOOIOptions(max_iterations=7, tolerance=0.0, seed=0))
+        assert result.iterations == 7 and len(result.trsvd_stats) == 21
+        for stats in result.trsvd_stats:
+            assert stats.left is None and stats.right is None
+            assert stats.singular_values.shape == (6,) and stats.matvecs > 0
+        assert len(pickle.dumps(result)) < 40_000
+
     def test_fit_monotonically_nondecreasing(self, medium_tensor_3d):
         result = hooi(medium_tensor_3d, 5, HOOIOptions(max_iterations=5, init="hosvd"))
         fits = np.array(result.fit_history)
