@@ -7,7 +7,7 @@ Algorithm 1 of the paper):
 1. build / generate a sparse tensor in COO form;
 2. run the sequential HOOI (Tucker-ALS) with chosen ranks;
 3. inspect the fit, the core tensor and the factor matrices;
-4. rerun with the shared-memory parallel driver (Algorithm 3);
+4. rerun on worker threads (Algorithm 3) and worker processes;
 5. evaluate the model at held-out coordinates.
 
 Run:  python examples/quickstart.py
@@ -18,9 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro import SparseTensor, decompose, tucker_fit
-from repro.core import HOOIOptions
 from repro.engine.backend import crew_pays
-from repro.parallel import ParallelConfig, shared_hooi
+from repro.experiments.table5 import predict_iteration_time
 
 
 def main() -> None:
@@ -69,17 +68,19 @@ def main() -> None:
 
     # ------------------------------------------------------------------ #
     # 4. Shared-memory parallel HOOI (Algorithm 3): same numerics, threaded
-    #    TTMc over the symbolic update lists.  (The low-level driver is used
-    #    here for its roofline report; `decompose(..., execution="thread")`
-    #    runs the same backend.)
+    #    TTMc over the symbolic update lists.  The engine's timers give the
+    #    measured seconds per sweep; the node roofline model (Table V)
+    #    predicts them for the paper's BlueGene/Q node.
     # ------------------------------------------------------------------ #
-    options = HOOIOptions(max_iterations=10, init="hosvd", tolerance=1e-6, seed=0)
-    report = shared_hooi(
-        observed, (4, 3, 2), options, config=ParallelConfig(num_threads=4)
-    )
-    print(f"\nthreaded HOOI fit        : {report.result.fit:.4f} "
-          f"({report.num_threads} threads, "
-          f"{report.measured_seconds_per_iteration * 1e3:.1f} ms/iter measured)")
+    threaded = decompose(observed, (4, 3, 2),
+                         execution="thread", num_workers=4,
+                         max_iterations=10, init="hosvd",
+                         tolerance=1e-6, seed=0)
+    busy = sum(threaded.timings[k] for k in ("ttmc", "trsvd", "core"))
+    modelled = predict_iteration_time(observed, (4, 3, 2), 4)
+    print(f"\nthreaded HOOI fit        : {threaded.fit:.4f} "
+          f"(4 threads, {busy / threaded.iterations * 1e3:.1f} ms/sweep "
+          f"measured, {modelled * 1e3:.2f} ms/sweep modelled on a BG/Q node)")
 
     # ------------------------------------------------------------------ #
     # 4b. True multicore: the same row-parallel decomposition on worker

@@ -11,14 +11,16 @@ The public API is re-exported from the subpackages:
   matrix-free TRSVD, sequential HOOI.
 * :mod:`repro.engine` — the unified HOOI driver loop, pluggable execution
   backends, pooled workspaces and the float32/float64 dtype policy.
-* :mod:`repro.parallel` — shared-memory (thread) parallel HOOI, Algorithm 3.
+* :mod:`repro.parallel` — the thread and worker-process substrates behind
+  ``execution="thread"`` (Algorithm 3) and ``"process"``, and the node
+  roofline model.
 * :mod:`repro.partition` — hypergraph models of the TTMc/TRSVD tasks and a
   multilevel partitioner (PaToH substitute), plus random/block partitioners.
 * :mod:`repro.simmpi` — simulated MPI: SPMD communicator, collectives,
   communication accounting and the BG/Q-like machine model.
 * :mod:`repro.distributed` — coarse- and fine-grain distributed HOOI,
   Algorithm 4, with the communication-avoiding distributed TRSVD.
-* :mod:`repro.baselines` — MET-style TTV-chain HOOI, CP-ALS, dense HOOI.
+* :mod:`repro.baselines` — MET-style TTM-chain HOOI and CP-ALS.
 * :mod:`repro.serving` — decomposition-as-a-service: an asyncio job engine
   (queue, cache, cancellation, metrics) over a persistent worker-process
   pool reused across requests.
@@ -26,7 +28,7 @@ The public API is re-exported from the subpackages:
   graceful-degradation ladder + circuit breaker, the retry policy, and the
   deterministic fault-injection harness.
 * :mod:`repro.streaming` — incremental tensor ingestion (append-only
-  batches with incremental CSF maintenance), warm-started incremental
+  batches merged in the COO container's order), warm-started incremental
   HOOI, and out-of-core decomposition over memory-mapped CSF trees.
 * :mod:`repro.data` — synthetic tensors (including analogs of the paper's
   four datasets) and FROSTT-style text IO with a chunked reader.

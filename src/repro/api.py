@@ -1,19 +1,19 @@
 """The top-level decomposition facade: one serializable entry point.
 
-Every driver grown since PR 1 — :func:`repro.core.hooi.hooi` (sequential /
-thread / process execution through the engine), :func:`repro.parallel.
-shared_hooi.shared_hooi` (the Algorithm 3 driver with the node roofline
-report) and :func:`repro.distributed.dist_hooi.distributed_hooi` (the
-simulated-MPI Algorithm 4) — shares :class:`~repro.core.hooi.HOOIOptions`
-but exposes its own positional signature.  :func:`decompose` fronts all of
-them with one keyword-only signature whose knobs *are* the options fields,
-so a call is fully described by ``(tensor, rank, execution, options-dict)``
-— the same value-form contract the serving layer's job submissions use
+Both drivers — :func:`repro.core.hooi.hooi` (sequential / thread / process
+execution through the engine; ``execution="thread"`` is the paper's
+Algorithm 3) and :func:`repro.distributed.dist_hooi.distributed_hooi` (the
+simulated-MPI Algorithm 4) — share :class:`~repro.core.hooi.HOOIOptions`
+but expose their own positional signatures.  :func:`decompose` fronts both
+with one keyword-only signature whose knobs *are* the options fields, so a
+call is fully described by ``(tensor, rank, execution, options-dict)`` — the
+same value-form contract the serving layer's job submissions use
 (:meth:`HOOIOptions.from_dict` / :meth:`HOOIOptions.options_fingerprint`).
 
 The driver functions remain the low-level API: reach for them when you need
-their extras (``shared_hooi``'s modelled-vs-measured report, the
-distributed driver's per-rank statistics).
+their extras (``hooi``'s explicit ``crew=``, the distributed driver's
+per-rank statistics).  The Table V roofline model that prices a threaded
+sweep is :func:`repro.experiments.table5.predict_iteration_time`.
 """
 
 from __future__ import annotations
@@ -114,18 +114,7 @@ def decompose(
 
     if isinstance(tensor, StreamingTensor):
         tensor = tensor.tensor
-    if isinstance(options, HOOIOptions):
-        base = options.to_dict()
-    elif options is None:
-        base = {}
-    elif isinstance(options, dict):
-        base = dict(options)
-    else:
-        raise TypeError(
-            f"options must be an HOOIOptions or a dict, got "
-            f"{type(options).__name__}"
-        )
-    base.update(option_kwargs)
+    base = HOOIOptions.merge_dict(options, option_kwargs)
 
     if execution == "distributed":
         if resume_factors is not None:

@@ -4,7 +4,7 @@ These routines follow the Kolda-Bader conventions used throughout the paper
 (Section II) and serve two purposes: they are the correctness oracles that the
 sparse kernels are tested against, and they implement the small dense
 contractions HOOI needs once the data has been compressed (core-tensor
-formation, dense baseline HOOI).
+formation, reconstruction).
 """
 
 from __future__ import annotations

@@ -171,8 +171,8 @@ class HOOIOptions:
         """Check the option values *and* their composition for a driver context.
 
         This is the single source of truth for what composes: the drivers
-        (:func:`hooi`, :func:`repro.parallel.shared_hooi.shared_hooi`,
-        :func:`repro.distributed.dist_hooi.distributed_hooi`), the backend
+        (:func:`hooi` and :func:`repro.distributed.dist_hooi.distributed_hooi`,
+        both behind :func:`repro.api.decompose`), the backend
         resolver (:func:`repro.engine.backend.resolve_ttmc_backend`) and the
         conformance-matrix test suite all call it instead of keeping their
         own scattered guards.
@@ -323,6 +323,34 @@ class HOOIOptions:
                 value = int(value)
             out[spec.name] = value
         return out
+
+    @staticmethod
+    def merge_dict(options, overrides: Mapping[str, object]) -> Dict[str, object]:
+        """``options`` as a plain dict with ``overrides`` applied on top.
+
+        ``options`` is an :class:`HOOIOptions`, a dict (the wire form) or
+        ``None``.  Every entry point that takes options plus keyword
+        overrides merges them here: :func:`repro.api.decompose`,
+        :func:`repro.streaming.streaming_hooi`,
+        :class:`repro.streaming.StreamingSession`,
+        :func:`repro.streaming.out_of_core_hooi` and
+        :meth:`repro.serving.jobs.JobRequest.build`.  The result is a dict,
+        not options, so a caller can still tell which keys were given; pass
+        it to :meth:`from_dict`.
+        """
+        if isinstance(options, HOOIOptions):
+            base = options.to_dict()
+        elif options is None:
+            base = {}
+        elif isinstance(options, dict):
+            base = dict(options)
+        else:
+            raise TypeError(
+                f"options must be an HOOIOptions or a dict, got "
+                f"{type(options).__name__}"
+            )
+        base.update(overrides)
+        return base
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "HOOIOptions":

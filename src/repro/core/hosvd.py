@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from repro.core.sparse_tensor import SparseTensor
+from repro.core.sparse_tensor import SparseTensor, colmajor_groups
 from repro.util.linalg import orthonormalize, random_orthonormal
 from repro.util.validation import check_finite, check_rank_vector
 
@@ -46,19 +46,30 @@ def hosvd_init(
     ``scipy.sparse.linalg.svds`` (ARPACK) with a seeded start vector.
     Dropping them leaves ``X_(n) X_(n)ᵀ``, hence ``U_n``, unchanged, while
     the ``∏_{t≠n} I_t`` columns of ``X_(n)`` would make ARPACK's ``Xᵀ·v``
-    (columns × rank) or a dense copy that long.  When the rank is too close
-    to the remaining dimensions for ARPACK (``rank >= min(rows, cols) - 1``),
-    one side has at most ``rank + 1`` entries, so the matrix is densified
-    and takes a thin SVD instead; with fewer columns than the rank, its
-    basis is completed by orthonormal columns.
+    (columns × rank) or a dense copy that long.  The non-empty columns are
+    numbered straight from the other modes' index rows, in ascending
+    Kolda–Bader order (:func:`~repro.core.sparse_tensor.colmajor_groups`),
+    so no linear column index is formed and ``∏_{t≠n} I_t`` may pass
+    int64.  When the rank is too close to the remaining dimensions for
+    ARPACK (``rank >= min(rows, cols) - 1``), one side has at most
+    ``rank + 1`` entries, so the matrix is densified and takes a thin SVD
+    instead; with fewer columns than the rank, its basis is completed by
+    orthonormal columns.
     """
     ranks = check_rank_vector(ranks, tensor.shape)
     factors: List[np.ndarray] = []
     for mode, rank in enumerate(ranks):
-        mat = tensor.matricize(mode)
-        used, compact = np.unique(mat.indices, return_inverse=True)
-        rows, cols = mat.shape[0], used.shape[0]
-        mat = sp.csr_matrix((mat.data, compact, mat.indptr), shape=(rows, cols))
+        others = [k for k in range(tensor.order) if k != mode]
+        perm, first = colmajor_groups(
+            tensor.indices[:, others], [tensor.shape[k] for k in others]
+        )
+        columns = np.empty(tensor.nnz, dtype=np.int64)
+        columns[perm] = np.cumsum(first) - 1
+        rows, cols = tensor.shape[mode], int(np.count_nonzero(first))
+        mat = sp.coo_matrix(
+            (tensor.values, (tensor.indices[:, mode], columns)),
+            shape=(rows, cols),
+        ).tocsr()
         max_arpack = min(rows, cols) - 1
         if 0 < rank <= max_arpack:
             rng = np.random.default_rng(None if seed is None else seed + mode)

@@ -17,8 +17,9 @@ storage dtype; anything that is not a supported float dtype is promoted to
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,6 +33,9 @@ __all__ = [
     "as_supported_float",
     "DeltaFingerprint",
     "fingerprint_with_delta",
+    "colmajor_keys",
+    "colmajor_order",
+    "colmajor_groups",
 ]
 
 #: Value dtypes the library computes in (the engine's dtype policy).
@@ -234,6 +238,63 @@ def fingerprint_with_delta(
     )
 
 
+def colmajor_keys(
+    indices: np.ndarray, shape: Sequence[int]
+) -> Optional[np.ndarray]:
+    """Column-major (first mode fastest) int64 linear keys of index rows.
+
+    ``None`` when ``∏ shape`` reaches 2^63: the keys would wrap, and two
+    distinct coordinates could share one.
+    """
+    strides = []
+    total = 1
+    for size in shape:
+        strides.append(total)
+        total *= int(size)
+    if total >= 2**63:
+        return None
+    return indices @ np.asarray(strides, dtype=np.int64)
+
+
+def colmajor_order(
+    indices: np.ndarray, shape: Optional[Sequence[int]] = None
+) -> np.ndarray:
+    """Stable permutation sorting index rows in column-major order.
+
+    The library's one comparator: the last mode is the most significant
+    digit, so rows sort like their :func:`colmajor_keys`.  Those int64 keys
+    are sorted while they fit (``shape`` given and ``∏ shape < 2^63``);
+    otherwise the columns are lexsorted, which gives the same permutation
+    without forming the products.
+    """
+    keys = None if shape is None else colmajor_keys(indices, shape)
+    if keys is None:
+        return np.lexsort(indices.T).astype(np.int64)
+    return np.argsort(keys, kind="stable")
+
+
+def colmajor_groups(
+    indices: np.ndarray, shape: Optional[Sequence[int]] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`colmajor_order` plus where each distinct coordinate starts.
+
+    Returns ``(perm, first)``: ``first[p]`` is ``True`` when sorted row
+    ``p`` differs from row ``p - 1``, so ``np.cumsum(first) - 1`` numbers
+    the distinct coordinates in column-major order.
+    """
+    keys = None if shape is None else colmajor_keys(indices, shape)
+    first = np.ones(indices.shape[0], dtype=bool)
+    if keys is None:
+        perm = np.lexsort(indices.T).astype(np.int64)
+        rows = indices[perm]
+        np.any(rows[1:] != rows[:-1], axis=1, out=first[1:])
+    else:
+        perm = np.argsort(keys, kind="stable")
+        keys = keys[perm]
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return perm, first
+
+
 class SparseTensor:
     """An N-mode sparse tensor in coordinate (COO) format.
 
@@ -360,7 +421,7 @@ class SparseTensor:
     @property
     def size(self) -> int:
         """Total number of entries of the dense equivalent."""
-        return int(np.prod(self.shape, dtype=np.int64))
+        return math.prod(self.shape)
 
     @property
     def density(self) -> float:
@@ -374,12 +435,13 @@ class SparseTensor:
         """Content hash of the tensor: shape, value dtype and stored nonzeros.
 
         The hash is *canonical over the nonzero order*: nonzeros are sorted
-        by their linear index before hashing, so two tensors holding the
-        same coordinates/values in a different storage order fingerprint
-        identically (duplicate coordinates keep their relative order and are
-        hashed as stored — fingerprint a :meth:`deduplicate`-d tensor when
-        duplicate-insensitive identity is needed).  The dtype participates,
-        so a ``float32`` copy of a ``float64`` tensor is a different tensor.
+        column-major (:func:`colmajor_order`) before hashing, so two tensors
+        holding the same coordinates/values in a different storage order
+        fingerprint identically (duplicate coordinates keep their relative
+        order and are hashed as stored — fingerprint a
+        :meth:`deduplicate`-d tensor when duplicate-insensitive identity is
+        needed).  The dtype participates, so a ``float32`` copy of a
+        ``float64`` tensor is a different tensor.
 
         This is the identity the serving layer's result cache keys on
         (together with :meth:`repro.core.hooi.HOOIOptions.options_fingerprint`):
@@ -391,7 +453,7 @@ class SparseTensor:
         digest.update(np.asarray(self.shape, dtype=np.int64).tobytes())
         digest.update(self.values.dtype.str.encode("ascii"))
         if self.nnz:
-            order = np.argsort(self.linear_indices(), kind="stable")
+            order = colmajor_order(self.indices, self.shape)
             digest.update(np.ascontiguousarray(self.indices[order]).tobytes())
             digest.update(np.ascontiguousarray(self.values[order]).tobytes())
         return digest.hexdigest()
@@ -454,17 +516,11 @@ class SparseTensor:
     def _sum_duplicates_inplace(self) -> None:
         if self.nnz == 0:
             return
-        keys = self.linear_indices()
-        order = np.argsort(keys, kind="stable")
-        keys_sorted = keys[order]
-        uniq_mask = np.empty(keys_sorted.shape, dtype=bool)
-        uniq_mask[0] = True
-        np.not_equal(keys_sorted[1:], keys_sorted[:-1], out=uniq_mask[1:])
-        group_ids = np.cumsum(uniq_mask) - 1
+        order, first = colmajor_groups(self.indices, self.shape)
+        group_ids = np.cumsum(first) - 1
         summed = np.zeros(int(group_ids[-1]) + 1, dtype=self.values.dtype)
         np.add.at(summed, group_ids, self.values[order])
-        first_pos = order[uniq_mask]
-        self.indices = self.indices[first_pos]
+        self.indices = self.indices[order[first]]
         self.values = summed
 
     def deduplicate(self) -> "SparseTensor":
@@ -481,11 +537,18 @@ class SparseTensor:
         )
 
     def linear_indices(self) -> np.ndarray:
-        """Column-major (first mode fastest) linear index of every nonzero."""
-        strides = np.ones(self.order, dtype=np.int64)
-        for n in range(1, self.order):
-            strides[n] = strides[n - 1] * self.shape[n - 1]
-        return self.indices @ strides
+        """Column-major (first mode fastest) linear index of every nonzero.
+
+        Raises :class:`ValueError` when ``∏ shape`` reaches 2^63, where the
+        int64 indices would wrap; :func:`colmajor_order` sorts such tensors.
+        """
+        keys = colmajor_keys(self.indices, self.shape)
+        if keys is None:
+            raise ValueError(
+                f"shape {self.shape} has 2^63 or more entries: its linear "
+                "indices do not fit in int64"
+            )
+        return keys
 
     def permute_modes(self, perm: Sequence[int]) -> "SparseTensor":
         """Return the tensor with modes reordered according to ``perm``."""
@@ -581,7 +644,14 @@ class SparseTensor:
             return False
         a = self.deduplicate()
         b = other.deduplicate()
-        ka, kb = a.linear_indices(), b.linear_indices()
+        # Number the union's distinct coordinates column-major; a
+        # deduplicated tensor holds each number at most once.
+        perm, first = colmajor_groups(
+            np.concatenate([a.indices, b.indices]), self.shape
+        )
+        slot = np.empty(perm.shape[0], dtype=np.int64)
+        slot[perm] = np.cumsum(first) - 1
+        ka, kb = slot[: a.nnz], slot[a.nnz :]
         pa, pb = np.argsort(ka), np.argsort(kb)
         ka, kb = ka[pa], kb[pb]
         va, vb = a.values[pa], b.values[pb]

@@ -17,7 +17,11 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.kron import batch_kron_rows
-from repro.core.sparse_tensor import SparseTensor, as_supported_float
+from repro.core.sparse_tensor import (
+    SparseTensor,
+    as_supported_float,
+    colmajor_groups,
+)
 from repro.util.validation import check_axis
 
 __all__ = ["SemiSparseTensor", "sparse_ttm", "sparse_ttv", "sparse_ttm_chain"]
@@ -89,16 +93,8 @@ def _merge_duplicates(indices: np.ndarray, blocks: np.ndarray,
     """Sum dense blocks that share the same remaining-mode coordinates."""
     if indices.shape[0] == 0:
         return indices, blocks
-    strides = np.ones(indices.shape[1], dtype=np.int64)
-    for k in range(1, indices.shape[1]):
-        strides[k] = strides[k - 1] * int(shape[k - 1])
-    keys = indices @ strides
-    order = np.argsort(keys, kind="stable")
-    keys_sorted = keys[order]
-    boundary = np.empty(keys_sorted.shape, dtype=bool)
-    boundary[0] = True
-    np.not_equal(keys_sorted[1:], keys_sorted[:-1], out=boundary[1:])
-    starts = np.flatnonzero(boundary)
+    order, first = colmajor_groups(indices, shape)
+    starts = np.flatnonzero(first)
     merged_blocks = np.add.reduceat(blocks[order], starts, axis=0)
     merged_indices = indices[order[starts]]
     return merged_indices, merged_blocks

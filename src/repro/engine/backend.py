@@ -39,8 +39,8 @@ hand-off cost off the worker processes (they run inline instead).  The
 distributed per-rank backend lives in :mod:`repro.distributed.dist_hooi`
 next to the plan/exchange machinery it drives; a rank's TTMc is a
 :class:`PlanBackend` whose plan the rank builds once, over the nonzeros of
-the rows it computes.  The baselines provide TTM-chain (MET) and dense
-(Gram) backends — all drivers share this one loop.
+the rows it computes.  The MET baseline provides a TTM-chain backend —
+all drivers share this one loop.
 """
 
 from __future__ import annotations
@@ -389,17 +389,14 @@ def crew_pays(nnz: int, ranks) -> bool:
     return work >= CREW_BREAK_EVEN_FLOPS
 
 
-def resolve_ttmc_backend(options, config=None, *, crew=None) -> PlanBackend:
+def resolve_ttmc_backend(options, *, crew=None) -> PlanBackend:
     """Backend implied by ``ttmc_strategy``, ``tensor_format`` and ``execution``.
 
     The plan comes from ``(tensor_format, ttmc_strategy)``
     (:func:`resolve_plan`) and the dispatcher, independently, from
     ``execution`` with ``options.num_workers`` threads or worker
-    processes; ``config`` (a
-    :class:`~repro.parallel.parallel_for.ParallelConfig`, passed by the
-    threaded driver) supplies the thread count and schedule instead.  A
-    width of one runs inline: no threads, processes or shared memory.  A
-    process run given ``crew`` (a
+    processes.  A width of one runs inline: no threads, processes or
+    shared memory.  A process run given ``crew`` (a
     :class:`~repro.parallel.process_pool.PersistentWorkerCrew`) runs on
     those workers at their width, however many, instead.  The
     ``kernel`` axis needs no routing — plans read ``options.kernel`` — and
@@ -416,20 +413,14 @@ def resolve_ttmc_backend(options, config=None, *, crew=None) -> PlanBackend:
     if execution == "process":
         if crew is not None:
             return PlanBackend(plan, ProcessDispatcher(crew=crew))
-        from repro.parallel.process_pool import ProcessConfig
-
-        if width <= 1 and config is not None:
-            width = config.num_threads
         if width > 1:
-            return PlanBackend(plan, ProcessDispatcher(ProcessConfig(
-                num_workers=width,
-                schedule=config.schedule if config is not None else "dynamic",
-                chunk_size=config.chunk_size if config is not None else None,
-            )))
-    elif execution == "thread" or config is not None:
+            from repro.parallel.process_pool import ProcessConfig
+
+            return PlanBackend(
+                plan, ProcessDispatcher(ProcessConfig(num_workers=width))
+            )
+    elif execution == "thread" and width > 1:
         from repro.parallel.parallel_for import ParallelConfig
 
-        config = config or ParallelConfig(num_threads=width)
-        if config.num_threads > 1:
-            return PlanBackend(plan, ThreadDispatcher(config))
+        return PlanBackend(plan, ThreadDispatcher(ParallelConfig(num_threads=width)))
     return PlanBackend(plan)

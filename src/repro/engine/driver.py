@@ -2,7 +2,7 @@
 
 Every HOOI variant in this repository — sequential (Algorithm 1/3 minus the
 ``parfor``), shared-memory (Algorithm 3), the distributed per-rank program
-(Algorithm 4), and the MET/dense baselines — iterates the same state machine:
+(Algorithm 4), and the MET baseline — iterates the same state machine:
 
 1. initialize the factor matrices;
 2. build reusable per-run state (the symbolic TTMc data) once;
@@ -27,8 +27,8 @@ threaded through ``SparseTensor → kron → ttmc → trsvd``).  Ranks enter her
 and are checked once: every ``R_n`` must fit the ``∏_{t≠n} R_t`` columns of
 ``Y_(n)``.
 
-The public drivers (:func:`repro.core.hooi.hooi`,
-:func:`repro.parallel.shared_hooi.shared_hooi`,
+The public drivers (:func:`repro.core.hooi.hooi`, whose ``execution``
+option selects sequential, thread or process dispatch, and
 :func:`repro.distributed.dist_hooi.distributed_hooi`) are thin configuration
 wrappers over this class.
 """

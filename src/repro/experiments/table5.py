@@ -9,12 +9,14 @@ hardware threads per core.
 
 The reproduction reports two curves per dataset:
 
-* **modelled** — the node roofline model applied to the analog's work profile
-  for 1..32 threads (this is what reproduces the BlueGene/Q shape);
-* **measured** — wall-clock seconds per iteration of the actual thread-parallel
-  HOOI on the analog (Python threads; the absolute speedups are limited by the
-  GIL for the non-BLAS parts, so these are reported for completeness, not as
-  the headline numbers).
+* **modelled** — the node roofline model (:func:`predict_iteration_time`)
+  applied to the analog's work profile for 1..32 threads (this is what
+  reproduces the BlueGene/Q shape);
+* **measured** — seconds per sweep of ``decompose(execution="thread")`` on the
+  analog: the engine's TTMc + TRSVD + core timers over the sweeps run (Python
+  threads; the absolute speedups are limited by the GIL for the non-BLAS
+  parts, so these are reported for completeness, not as the headline
+  numbers).
 
 The paper's headline Table V configuration is *hybrid*: MPI ranks each
 running a multithreaded TTMc.  :func:`run_table5_hybrid` runs that for real —
@@ -28,7 +30,9 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Tuple
 
+from repro.api import decompose
 from repro.core.hooi import HOOIOptions
+from repro.core.sparse_tensor import SparseTensor
 from repro.distributed.dist_hooi import distributed_hooi
 from repro.experiments.calibration import (
     DEFAULT_THREAD_COUNTS,
@@ -36,16 +40,50 @@ from repro.experiments.calibration import (
     scaled_node,
 )
 from repro.experiments.harness import DATASET_ORDER, ExperimentContext, format_table
-from repro.parallel.model import NodeModel
-from repro.parallel.parallel_for import ParallelConfig
-from repro.parallel.shared_hooi import predict_iteration_time, shared_hooi
+from repro.parallel.model import BGQ_NODE, NodeModel
+from repro.parallel.work import (
+    core_phase_work,
+    trsvd_phase_work,
+    ttmc_phase_work,
+)
+from repro.util.validation import check_rank_vector
 
 __all__ = [
+    "predict_iteration_time",
     "run_table5",
     "render_table5",
     "run_table5_hybrid",
     "render_table5_hybrid",
 ]
+
+
+def predict_iteration_time(
+    tensor: SparseTensor,
+    ranks: Sequence[int] | int,
+    num_threads: int,
+    *,
+    node_model: NodeModel = BGQ_NODE,
+    trsvd_iterations: int = 5,
+) -> float:
+    """Model the time of one HOOI iteration on a single node with ``num_threads``.
+
+    Sums, over the modes, the roofline times of the TTMc (latency-bound) and
+    TRSVD (bandwidth-bound) phases plus the final core-tensor GEMM — the
+    decomposition the paper uses to explain its Table V.
+    """
+    ranks = check_rank_vector(ranks, tensor.shape)
+    total = 0.0
+    for mode in range(tensor.order):
+        rows = int(tensor.nonempty_rows(mode).shape[0])
+        ttmc_work = ttmc_phase_work(tensor.nnz, tensor.order, ranks, mode)
+        trsvd_work = trsvd_phase_work(
+            rows, ranks, mode, solver_iterations=trsvd_iterations
+        )
+        total += node_model.phase_time(ttmc_work, num_threads)
+        total += node_model.phase_time(trsvd_work, num_threads)
+    rows_last = int(tensor.nonempty_rows(tensor.order - 1).shape[0])
+    total += node_model.phase_time(core_phase_work(rows_last, ranks), num_threads)
+    return total
 
 
 def run_table5(
@@ -59,7 +97,12 @@ def run_table5(
     iterations: int = 2,
     seed: int = 0,
 ) -> Dict[str, Dict[str, Dict[int, float]]]:
-    """Thread-scaling results: ``result[dataset]['modelled'|'measured'][threads]``."""
+    """Thread-scaling results: ``result[dataset]['modelled'|'measured'][threads]``.
+
+    ``measured`` runs ``decompose(tensor, ranks, execution="thread",
+    num_workers=T)`` and reports its seconds per sweep (TTMc + TRSVD + core
+    from ``result.timings``, over ``result.iterations``).
+    """
     context = context or ExperimentContext()
     if node_model is None:
         node_model = scaled_node(context.scale)
@@ -76,14 +119,18 @@ def run_table5(
         measured: Dict[int, float] = {}
         if measure:
             for threads in measured_thread_counts:
-                report = shared_hooi(
+                run = decompose(
                     tensor,
                     ranks,
-                    HOOIOptions(max_iterations=iterations, init="random", seed=seed),
-                    config=ParallelConfig(num_threads=threads),
-                    node_model=node_model,
+                    execution="thread",
+                    num_workers=threads,
+                    max_iterations=iterations,
+                    init="random",
+                    seed=seed,
                 )
-                measured[threads] = report.measured_seconds_per_iteration
+                totals = run.timings.totals
+                busy = sum(totals.get(k, 0.0) for k in ("ttmc", "trsvd", "core"))
+                measured[threads] = busy / max(run.iterations, 1)
         result[dataset] = {"modelled": modelled, "measured": measured}
     return result
 

@@ -1,4 +1,4 @@
-"""Shared-memory parallel HOOI (the paper's Algorithm 3) and the node model.
+"""Shared-memory execution substrates (the paper's Algorithm 3) and the node model.
 
 Two shared-memory execution substrates live here, both running a work
 plan's lock-free range body (:mod:`repro.engine.plans`) over the same
@@ -7,7 +7,10 @@ plan's lock-free range body (:mod:`repro.engine.plans`) over the same
 decomposition) and a crew of worker *processes* over zero-copy shared
 memory (:mod:`repro.parallel.process_pool` + :mod:`repro.parallel.shm` —
 true multicore execution).  The engine's dispatchers
-(:mod:`repro.engine.backend`) choose between them.
+(:mod:`repro.engine.backend`) choose between them, so Algorithm 3 is
+``decompose(tensor, ranks, execution="thread", num_workers=T)``.  The node
+roofline model (:mod:`repro.parallel.model`, :mod:`repro.parallel.work`)
+prices each phase for the Table V experiment.
 """
 
 from repro.parallel.parallel_for import ChunkSchedule, ParallelConfig, make_chunks, parallel_for
@@ -25,7 +28,6 @@ from repro.parallel.work import (
     trsvd_row_work,
     ttmc_phase_work,
 )
-from repro.parallel.shared_hooi import SharedHOOIReport, predict_iteration_time, shared_hooi
 
 __all__ = [
     "ChunkSchedule",
@@ -46,7 +48,4 @@ __all__ = [
     "trsvd_phase_work",
     "trsvd_row_work",
     "ttmc_phase_work",
-    "SharedHOOIReport",
-    "predict_iteration_time",
-    "shared_hooi",
 ]

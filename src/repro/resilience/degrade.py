@@ -35,7 +35,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 __all__ = [
     "FallbackStep",
@@ -51,10 +51,13 @@ __all__ = [
 #: over a slow success).
 FALLBACK_POLICIES = ("ladder", "none")
 
-#: Rung order per axis: each maps a value to the next one down.
-_EXECUTION_DOWN = {"process": "thread", "thread": "sequential"}
-_KERNEL_DOWN = {"numba": "numpy"}
-_FORMAT_DOWN = {"csf": "coo"}
+#: Rung order: the axes in descent order, each mapping a value to the next
+#: one down.
+_LADDER_AXES = (
+    ("execution", {"process": "thread", "thread": "sequential"}),
+    ("kernel", {"numba": "numpy"}),
+    ("tensor_format", {"csf": "coo"}),
+)
 
 
 @dataclass(frozen=True)
@@ -94,19 +97,6 @@ class DegradationLadder:
     rung).
     """
 
-    def __init__(
-        self,
-        *,
-        execution: Dict[str, str] = _EXECUTION_DOWN,
-        kernel: Dict[str, str] = _KERNEL_DOWN,
-        tensor_format: Dict[str, str] = _FORMAT_DOWN,
-    ) -> None:
-        self._axes: Tuple[Tuple[str, Dict[str, str]], ...] = (
-            ("execution", dict(execution)),
-            ("kernel", dict(kernel)),
-            ("tensor_format", dict(tensor_format)),
-        )
-
     def next_step(
         self,
         *,
@@ -125,7 +115,7 @@ class DegradationLadder:
             "kernel": kernel,
             "tensor_format": tensor_format,
         }
-        for field_name, down in self._axes:
+        for field_name, down in _LADDER_AXES:
             value = current[field_name]
             if value in down:
                 return FallbackStep(field_name, value, down[value])

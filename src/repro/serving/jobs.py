@@ -126,19 +126,7 @@ class JobRequest:
         the delta path keys on ``(base fingerprint, batch fingerprint)``
         instead of re-fingerprinting the merged tensor.
         """
-        if isinstance(options, HOOIOptions):
-            base = options.to_dict()
-        elif options is None:
-            base = {}
-        elif isinstance(options, dict):
-            base = dict(options)
-        else:
-            raise TypeError(
-                f"options must be an HOOIOptions or a dict, got "
-                f"{type(options).__name__}"
-            )
-        base.update(option_kwargs)
-        opts = HOOIOptions.from_dict(base)
+        opts = HOOIOptions.from_dict(HOOIOptions.merge_dict(options, option_kwargs))
         opts.validate()
         rank_vec = check_rank_feasibility(check_rank_vector(ranks, tensor.shape))
         payload = json.dumps(

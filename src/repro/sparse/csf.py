@@ -63,9 +63,8 @@ def csf_levels_from_sorted(
     """Build the ``fids``/``fptr`` level arrays of a lexsorted index block.
 
     ``sorted_indices`` must already be sorted lexicographically by
-    ``mode_order`` (primary key first) — the constructor sorts and calls
-    this; the streaming layer calls it directly on blocks it keeps sorted
-    incrementally, so a spliced tree is bit-identical to a rebuilt one.
+    ``mode_order`` (primary key first); the constructor sorts and calls
+    this.
     """
     mode_order = tuple(int(m) for m in mode_order)
     order = len(mode_order)

@@ -5,8 +5,8 @@ for dynamic tensors").  Three layers:
 
 * **Ingestion** — :class:`DeltaBatch` / :func:`apply_delta` /
   :class:`StreamingTensor`: append batches of nonzeros into a tensor whose
-  merged COO log and CSF fiber tree are maintained incrementally and stay
-  bit-identical to one-shot construction.
+  merged nonzeros are kept once, in the COO container's column-major order,
+  and stay bit-identical to one-shot construction.
 * **Warm-start HOOI** — :func:`streaming_hooi` / :class:`StreamingSession`:
   re-enter the HOOI engine seeded from the previous factors (padded or
   truncated when a mode grows) with a sweep budget scaled to the delta,

@@ -22,24 +22,13 @@ import numpy as np
 from repro.core.sparse_tensor import (
     SparseTensor,
     as_supported_float,
+    colmajor_groups,
+    colmajor_order,
     resolve_dtype,
 )
 from repro.util.validation import check_finite
 
 __all__ = ["DeltaBatch", "apply_delta"]
-
-
-def _colmajor_sort(indices: np.ndarray) -> np.ndarray:
-    """Stable permutation sorting index tuples like their column-major keys.
-
-    ``np.lexsort`` treats its *last* key as primary, so feeding the columns
-    first-to-last sorts by ``(col N-1, ..., col 0)`` — exactly the order of
-    the column-major linear indices :meth:`SparseTensor.linear_indices`
-    produces, without forming the (overflow-prone) products.
-    """
-    return np.lexsort(
-        tuple(indices[:, c] for c in range(indices.shape[1]))
-    ).astype(np.int64)
 
 
 class DeltaBatch:
@@ -105,17 +94,13 @@ class DeltaBatch:
             self._merge_duplicates()
 
     def _merge_duplicates(self) -> None:
-        # The COO container's dedup verbatim, with the lexsort comparator
-        # standing in for linear keys (a batch has no shape to form them).
-        order = _colmajor_sort(self.indices)
-        sorted_idx = self.indices[order]
-        uniq_mask = np.empty(order.shape, dtype=bool)
-        uniq_mask[0] = True
-        np.any(sorted_idx[1:] != sorted_idx[:-1], axis=1, out=uniq_mask[1:])
-        group_ids = np.cumsum(uniq_mask) - 1
+        # The COO container's dedup verbatim; a batch has no shape, so the
+        # comparator lexsorts instead of forming linear keys.
+        order, first = colmajor_groups(self.indices)
+        group_ids = np.cumsum(first) - 1
         summed = np.zeros(int(group_ids[-1]) + 1, dtype=self.values.dtype)
         np.add.at(summed, group_ids, self.values[order])
-        self.indices = self.indices[order[uniq_mask]]
+        self.indices = self.indices[order[first]]
         self.values = summed
 
     # ------------------------------------------------------------------ #
@@ -152,7 +137,7 @@ class DeltaBatch:
         digest.update(np.asarray([self.order], dtype=np.int64).tobytes())
         digest.update(self.values.dtype.str.encode("ascii"))
         if self.nnz:
-            perm = _colmajor_sort(self.indices)
+            perm = colmajor_order(self.indices)
             digest.update(np.ascontiguousarray(self.indices[perm]).tobytes())
             digest.update(np.ascontiguousarray(self.values[perm]).tobytes())
         return digest.hexdigest()

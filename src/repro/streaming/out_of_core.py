@@ -32,7 +32,6 @@ from repro.core.hooi import HOOIOptions, HOOIResult
 from repro.core.sparse_tensor import SparseTensor, resolve_dtype
 from repro.sparse.csf import CSFTensor, CSFTensorSet, rooted_mode_order
 from repro.streaming.tensor import StreamingTensor
-from repro.streaming.warmstart import _resolve_options
 
 __all__ = ["OutOfCoreTensor", "build_out_of_core", "out_of_core_hooi"]
 
@@ -211,7 +210,7 @@ def out_of_core_hooi(
     from repro.engine.plans import CSFSlabPlan
 
     handle = source if isinstance(source, OutOfCoreTensor) else OutOfCoreTensor(source)
-    base = _resolve_options(options, option_kwargs)
+    base = HOOIOptions.merge_dict(options, option_kwargs)
     base.setdefault("tensor_format", "csf")
     opts = HOOIOptions.from_dict(base)
     if opts.tensor_format != "csf":

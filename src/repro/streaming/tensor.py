@@ -1,26 +1,26 @@
-"""Dynamic COO + CSF tensor maintained under appends.
+"""Append-only COO tensor merged in the one-shot constructor's order.
 
-:class:`StreamingTensor` holds the merged nonzeros *sorted by the CSF tree
-order* and folds each :class:`~repro.streaming.delta.DeltaBatch` in with a
-sorted merge: one ``searchsorted`` against the cached linear keys classifies
-every batch entry as an update of an existing coordinate or a brand-new one,
-a vectorized splice opens gaps for the new coordinates, and a single
-``np.add.at`` folds the batch values in their original order.  Because
-``np.add.at`` applies its updates sequentially in index-array order, the
-fold each merged coordinate sees is *exactly* the left-fold the one-shot
-constructor performs on the concatenated entries — appending any split of
-the same entries, in any batch sizes, yields bit-identical COO and CSF
-forms (the hypothesis property pinning this subsystem).
+:class:`StreamingTensor` holds the merged nonzeros once, in the order
+``SparseTensor(..., sum_duplicates=True)`` stores them: column-major, the
+first mode varying fastest.  Each :class:`~repro.streaming.delta.DeltaBatch`
+folds in with a sorted merge: one ``searchsorted`` against the cached
+column-major linear keys classifies every batch entry as an update of an
+existing coordinate or a brand-new one, a vectorized splice opens gaps for
+the new coordinates, and a single ``np.add.at`` folds the batch values in
+their original order.  Because ``np.add.at`` applies its updates
+sequentially in index-array order, the fold each merged coordinate sees is
+*exactly* the left-fold the one-shot constructor performs on the
+concatenated entries — appending any split of the same entries, in any
+batch sizes, yields bit-identical arrays (the hypothesis property pinning
+this subsystem).
 
-CSF maintenance is incremental too.  The stored order is the tree's
-lexicographic order, so the level arrays never need a re-sort: after a
-merge, only the *root-fiber slabs* that received new coordinates change
-structurally.  :meth:`append` re-scans just those slabs
-(:func:`repro.sparse.csf.csf_levels_from_sorted` on each touched run) and
-splices the untouched runs' level arrays through unchanged, falling back to
-a full scan rebuild when the touched fraction passes ``churn_threshold``.
-Value-only batches (no new coordinates) update the shared values array in
-place and leave the tree untouched.
+Column-major order does not depend on the shape, so growth never re-sorts:
+it only invalidates the keys, whose strides change.  When ``∏ shape``
+reaches 2^63 the keys would wrap, and the merge re-sorts the concatenation
+with the constructor's comparator instead.  An append replaces the stored
+arrays rather than writing into them, so a :attr:`StreamingTensor.tensor`
+snapshot never changes afterwards.  A caller who wants a fiber tree builds
+one from the snapshot: ``CSFTensor(stream.tensor)``.
 """
 
 from __future__ import annotations
@@ -33,63 +33,31 @@ import numpy as np
 from repro.core.sparse_tensor import (
     DeltaFingerprint,
     SparseTensor,
+    colmajor_groups,
+    colmajor_keys,
     fingerprint_with_delta,
     resolve_dtype,
 )
-from repro.sparse.csf import CSFTensor, csf_levels_from_sorted, default_mode_order
-from repro.streaming.delta import DeltaBatch, _colmajor_sort
+from repro.streaming.delta import DeltaBatch
 
 __all__ = ["AppendStats", "StreamingTensor"]
-
-#: Above this many alternating touched/untouched root runs the Python-level
-#: splice loop costs more than the vectorized full scan it avoids.
-_MAX_SLAB_RUNS = 1024
 
 
 @dataclass(frozen=True)
 class AppendStats:
     """What one :meth:`StreamingTensor.append` did.
 
-    ``csf_action`` is one of ``"deferred"`` (no tree built yet), ``"in-place"``
-    (value-only update, tree structure untouched), ``"merged"`` (touched
-    root slabs re-scanned, the rest spliced through) or ``"rebuilt"`` (full
-    scan past the churn threshold).  ``touched_fraction`` is the churn the
-    threshold was compared against — nonzeros under structurally-touched
-    roots plus batch entries, over the merged total.
+    ``batch_nnz`` entries arrived; ``new_coords`` coordinates were added and
+    ``updated_coords`` existing ones received values.
     """
 
     batch_nnz: int
     new_coords: int
     updated_coords: int
-    csf_action: str
-    touched_fraction: float
-
-
-def _tree_strides(
-    shape: Sequence[int], mode_order: Sequence[int]
-) -> Optional[np.ndarray]:
-    """Per-mode strides whose dot with an index tuple sorts like the tree.
-
-    ``mode_order[0]`` is the most significant digit, the leaf mode the
-    least, so ascending keys are exactly the tree's lexicographic order.
-    Returns ``None`` when the key space exceeds int64 (the merge then falls
-    back to a stable re-sort instead of key arithmetic).
-    """
-    total = 1
-    for s in shape:
-        total *= int(s)
-    if total >= 2**63:
-        return None
-    strides = np.zeros(len(shape), dtype=np.int64)
-    acc = 1
-    for level in range(len(mode_order) - 1, -1, -1):
-        strides[mode_order[level]] = acc
-        acc *= int(shape[mode_order[level]])
-    return strides
 
 
 class StreamingTensor:
-    """An append-only sparse tensor with incrementally-maintained CSF.
+    """An append-only sparse tensor, stored in column-major order.
 
     Parameters
     ----------
@@ -99,14 +67,6 @@ class StreamingTensor:
     shape:
         Optional starting shape; appends grow it to cover their extents
         (explicitly via :meth:`grow_to` as well).
-    mode_order:
-        Pin the maintained tree's level order.  Default: shortest-mode-first
-        (:func:`repro.sparse.csf.default_mode_order`), recomputed when the
-        shape grows — a changed default triggers one full re-sort.
-    churn_threshold:
-        Fraction of nonzeros under structurally-touched root fibers above
-        which :meth:`append` rebuilds the tree with a full scan instead of
-        splicing slabs (default ``0.25``).
     dtype:
         Storage dtype; defaults to the first entries' supported float dtype.
     keep_log:
@@ -118,19 +78,9 @@ class StreamingTensor:
         initial: Optional[SparseTensor] = None,
         *,
         shape: Optional[Sequence[int]] = None,
-        mode_order: Optional[Sequence[int]] = None,
-        churn_threshold: float = 0.25,
         dtype=None,
         keep_log: bool = False,
     ) -> None:
-        if not 0.0 < float(churn_threshold) <= 1.0:
-            raise ValueError(
-                f"churn_threshold must be in (0, 1], got {churn_threshold}"
-            )
-        self.churn_threshold = float(churn_threshold)
-        self._pinned_order = (
-            tuple(int(m) for m in mode_order) if mode_order is not None else None
-        )
         self._dtype = resolve_dtype(dtype) if dtype is not None else None
         self._keep_log = bool(keep_log)
         self.log: List[DeltaBatch] = []
@@ -138,17 +88,14 @@ class StreamingTensor:
         self._shape: Optional[Tuple[int, ...]] = (
             tuple(int(s) for s in shape) if shape is not None else None
         )
-        self._mode_order: Optional[Tuple[int, ...]] = None
-        self._indices: Optional[np.ndarray] = None  # sorted by tree order
+        self._indices: Optional[np.ndarray] = None  # column-major order
         self._values: Optional[np.ndarray] = None
-        self._keys: Optional[np.ndarray] = None  # tree-order linear keys
+        # Column-major linear keys of ``_indices``; ``None`` past int64.
+        self._keys: Optional[np.ndarray] = None
         self._keys_valid = False
-        self._csf: Optional[CSFTensor] = None
         self._fp: Optional[DeltaFingerprint] = None
 
         self.batches_applied = 0
-        self.csf_rebuilds = 0
-        self.csf_slab_merges = 0
         self.log_nnz = 0
 
         if self._shape is not None:
@@ -174,31 +121,19 @@ class StreamingTensor:
                 f"batch has {order} modes but the stream has "
                 f"{len(self._shape)}"
             )
-        if self._mode_order is None:
-            if self._pinned_order is not None:
-                if sorted(self._pinned_order) != list(range(order)):
-                    raise ValueError(
-                        f"mode_order must be a permutation of 0..{order - 1}, "
-                        f"got {self._pinned_order}"
-                    )
-                self._mode_order = self._pinned_order
-            else:
-                self._mode_order = default_mode_order(self._shape)
         if self._indices is None:
             dtype = self._dtype if self._dtype is not None else np.float64
             self._indices = np.empty((0, order), dtype=np.int64)
             self._values = np.empty(0, dtype=dtype)
-            self._keys = np.empty(0, dtype=np.int64)
-            self._keys_valid = True
+            self._keys_valid = False
             self._fp = DeltaFingerprint.empty(self._shape, dtype)
 
     def grow_to(self, shape: Sequence[int]) -> None:
         """Grow the logical shape (never shrinks).
 
-        Growth never reorders the stored entries — lexicographic order is
+        Growth never moves the stored entries — column-major order is
         shape-independent — but it invalidates the linear keys (the strides
-        change) and, when the mode order is not pinned, may change the
-        default tree order, which costs one full re-sort and tree rebuild.
+        change).
         """
         if self._shape is None:
             self._shape = tuple(int(s) for s in shape)
@@ -223,29 +158,6 @@ class StreamingTensor:
             count=self._fp.count,
             lanes=self._fp.lanes,
         ) if self._fp is not None else None
-        if self._pinned_order is None and self._mode_order is not None:
-            new_order = default_mode_order(shape)
-            if new_order != self._mode_order:
-                self._resort(new_order)
-
-    def _resort(self, mode_order: Tuple[int, ...]) -> None:
-        self._mode_order = mode_order
-        if self._indices is not None and self._indices.shape[0]:
-            perm = np.lexsort(
-                tuple(self._indices[:, m] for m in reversed(mode_order))
-            ).astype(np.int64)
-            self._indices = self._indices[perm]
-            self._values = self._values[perm]
-        self._keys_valid = False
-        self._csf = None
-
-    def _refresh_keys(self) -> None:
-        strides = _tree_strides(self._shape, self._mode_order)
-        if strides is None:
-            self._keys = None
-        else:
-            self._keys = self._indices @ strides
-        self._keys_valid = True
 
     # ------------------------------------------------------------------ #
     # Properties
@@ -269,12 +181,6 @@ class StreamingTensor:
         if self._values is not None:
             return self._values.dtype
         return self._dtype if self._dtype is not None else np.dtype(np.float64)
-
-    @property
-    def mode_order(self) -> Tuple[int, ...]:
-        if self._mode_order is None:
-            raise ValueError("mode order is established by the first append")
-        return self._mode_order
 
     def norm(self) -> float:
         return 0.0 if self._values is None else float(np.linalg.norm(self._values))
@@ -301,7 +207,7 @@ class StreamingTensor:
         bvals = batch.values.astype(self._values.dtype, copy=False)
         self._fp = fingerprint_with_delta(self._fp, bidx, bvals)
         if batch.nnz == 0:
-            return AppendStats(0, 0, 0, self._csf_action_idle(), 0.0)
+            return AppendStats(0, 0, 0)
 
         new_shape = tuple(
             max(int(s), int(e)) for s, e in zip(self._shape, batch.extents())
@@ -309,19 +215,16 @@ class StreamingTensor:
         if new_shape != self._shape:
             self.grow_to(new_shape)
         if not self._keys_valid:
-            self._refresh_keys()
+            self._keys = colmajor_keys(self._indices, self._shape)
+            self._keys_valid = True
         if self._keys is None:
             return self._append_fallback(bidx, bvals)
         return self._append_sorted_merge(bidx, bvals)
 
-    def _csf_action_idle(self) -> str:
-        return "deferred" if self._csf is None else "in-place"
-
     def _append_sorted_merge(
         self, bidx: np.ndarray, bvals: np.ndarray
     ) -> AppendStats:
-        strides = _tree_strides(self._shape, self._mode_order)
-        bkeys = bidx @ strides
+        bkeys = colmajor_keys(bidx, self._shape)
         n_old = self.nnz
         pos = np.searchsorted(self._keys, bkeys)
         if n_old:
@@ -333,12 +236,12 @@ class StreamingTensor:
         updated = int(np.unique(bkeys[exists]).shape[0])
 
         if exists.all():
-            # Value-only batch: fold into the shared values array; the tree
-            # (which aliases it) needs no structural work at all.
-            np.add.at(self._values, pos, bvals)
-            return AppendStats(
-                int(bvals.shape[0]), 0, updated, self._csf_action_idle(), 0.0
-            )
+            # Value-only batch: fold into a copy, so that no snapshot
+            # handed out by ``tensor`` changes.
+            values = self._values.copy()
+            np.add.at(values, pos, bvals)
+            self._values = values
+            return AppendStats(int(bvals.shape[0]), 0, updated)
 
         new_mask = ~exists
         filtered = np.flatnonzero(new_mask)
@@ -368,213 +271,53 @@ class StreamingTensor:
         entry_pos = np.searchsorted(merged_keys, bkeys)
         np.add.at(merged_vals, entry_pos, bvals)
 
-        old_indices = self._indices
-        old_csf = self._csf
         self._indices = merged_idx
         self._values = merged_vals
         self._keys = merged_keys
-
-        action = "deferred"
-        touched_fraction = 0.0
-        if old_csf is not None:
-            action, touched_fraction = self._update_csf(
-                old_csf, old_indices, bidx[rep], pos_new
-            )
-        return AppendStats(
-            int(bvals.shape[0]), n_new, updated, action, touched_fraction
-        )
+        return AppendStats(int(bvals.shape[0]), n_new, updated)
 
     def _append_fallback(self, bidx: np.ndarray, bvals: np.ndarray) -> AppendStats:
-        """Merge without linear keys (key space past int64): stable re-sort.
+        """Merge without linear keys (key space past int64): re-sort.
 
-        Old entries are placed before the batch, so the stable lexsort keeps
-        every duplicate group in concatenation order and the grouped fold
-        matches the one-shot left-fold exactly.
+        The one-shot constructor merges the concatenation, old entries
+        first, so its stable comparator keeps every duplicate group in
+        concatenation order and the fold matches the one-shot left-fold
+        exactly.
         """
         n_old = self.nnz
-        indices = np.concatenate([self._indices, bidx], axis=0)
-        values = np.concatenate([self._values, bvals])
-        perm = np.lexsort(
-            tuple(indices[:, m] for m in reversed(self._mode_order))
-        ).astype(np.int64)
-        sorted_idx = indices[perm]
-        uniq_mask = np.empty(perm.shape, dtype=bool)
-        uniq_mask[0] = True
-        np.any(sorted_idx[1:] != sorted_idx[:-1], axis=1, out=uniq_mask[1:])
-        group_ids = np.cumsum(uniq_mask) - 1
-        summed = np.zeros(int(group_ids[-1]) + 1, dtype=values.dtype)
-        np.add.at(summed, group_ids, values[perm])
-        n_merged = int(summed.shape[0])
-        self._indices = sorted_idx[uniq_mask]
-        self._values = summed
-        self._keys = None
-        action = "deferred"
-        if self._csf is not None:
-            self._rebuild_csf()
-            action = "rebuilt"
-        return AppendStats(
-            int(bvals.shape[0]),
-            n_merged - n_old,
-            int(bvals.shape[0]) - (n_merged - n_old),
-            action,
-            1.0,
+        merged = SparseTensor(
+            np.concatenate([self._indices, bidx], axis=0),
+            np.concatenate([self._values, bvals]),
+            self._shape,
+            copy=False,
+            sum_duplicates=True,
         )
+        self._indices = merged.indices
+        self._values = merged.values
+        n_new = merged.nnz - n_old
+        distinct = int(np.count_nonzero(colmajor_groups(bidx)[1]))
+        return AppendStats(int(bvals.shape[0]), n_new, distinct - n_new)
 
     # ------------------------------------------------------------------ #
-    # CSF maintenance
-    # ------------------------------------------------------------------ #
-    def _rebuild_csf(self) -> None:
-        fids, fptr = csf_levels_from_sorted(self._indices, self._mode_order)
-        self._csf = CSFTensor.from_arrays(
-            self._shape, self._mode_order, fids, fptr, self._values
-        )
-        self.csf_rebuilds += 1
-
-    def _update_csf(
-        self,
-        old_csf: CSFTensor,
-        old_indices: np.ndarray,
-        new_coords: np.ndarray,
-        pos_new: np.ndarray,
-    ) -> Tuple[str, float]:
-        order = self.order
-        root = self._mode_order[0]
-        n_merged = int(self._values.shape[0])
-
-        if order == 1 or old_indices.shape[0] == 0:
-            self._rebuild_csf()
-            return "rebuilt", 1.0
-
-        # Nonzero span of every old root fiber, composed through fptr.
-        old_root_starts = old_csf.fptr[0]
-        for level in range(1, order - 1):
-            old_root_starts = old_csf.fptr[level][old_root_starts]
-        old_fids0 = old_csf.fids[0]
-
-        touched_roots = np.unique(new_coords[:, root])
-        old_touched = np.searchsorted(old_fids0, touched_roots)
-        old_hit = (old_touched < old_fids0.shape[0]) & (
-            old_fids0[np.minimum(old_touched, old_fids0.shape[0] - 1)]
-            == touched_roots
-        )
-        touched_old_nnz = int(
-            np.sum(
-                old_root_starts[old_touched[old_hit] + 1]
-                - old_root_starts[old_touched[old_hit]]
-            )
-        )
-        touched_fraction = (
-            touched_old_nnz + int(pos_new.shape[0])
-        ) / n_merged
-
-        if touched_fraction > self.churn_threshold:
-            self._rebuild_csf()
-            return "rebuilt", touched_fraction
-
-        # Root runs of the merged order: maximal stretches of roots that are
-        # all touched (re-scan) or all untouched (splice the old slabs).
-        merged_roots = self._indices[:, root]
-        root_change = np.empty(n_merged, dtype=bool)
-        root_change[0] = True
-        np.not_equal(merged_roots[1:], merged_roots[:-1], out=root_change[1:])
-        root_starts = np.flatnonzero(root_change).astype(np.int64)
-        root_vals = merged_roots[root_starts]
-        touched_mask = np.isin(root_vals, touched_roots)
-        run_break = np.empty(touched_mask.shape, dtype=bool)
-        run_break[0] = True
-        np.not_equal(touched_mask[1:], touched_mask[:-1], out=run_break[1:])
-        run_firsts = np.flatnonzero(run_break)
-        if run_firsts.shape[0] > _MAX_SLAB_RUNS:
-            self._rebuild_csf()
-            return "rebuilt", touched_fraction
-
-        root_bounds = np.concatenate([root_starts, [n_merged]])
-        fids_chunks: List[List[np.ndarray]] = [[] for _ in range(order - 1)]
-        count_chunks: List[List[np.ndarray]] = [[] for _ in range(order - 1)]
-        for r, first in enumerate(run_firsts):
-            last = (
-                run_firsts[r + 1]
-                if r + 1 < run_firsts.shape[0]
-                else root_vals.shape[0]
-            )
-            lo_nnz = int(root_bounds[first])
-            hi_nnz = int(root_bounds[last])
-            if touched_mask[first]:
-                slab_fids, slab_fptr = csf_levels_from_sorted(
-                    self._indices[lo_nnz:hi_nnz], self._mode_order
-                )
-                for level in range(order - 1):
-                    fids_chunks[level].append(slab_fids[level])
-                    count_chunks[level].append(np.diff(slab_fptr[level]))
-            else:
-                # Consecutive untouched merged roots are consecutive in the
-                # old tree (any old root between them would appear between
-                # them in the merged order too), so the old level arrays
-                # splice through as contiguous slices.
-                a = int(np.searchsorted(old_fids0, root_vals[first]))
-                b = a + (last - first)
-                lo, hi = a, b
-                for level in range(order - 1):
-                    fids_chunks[level].append(old_csf.fids[level][lo:hi])
-                    count_chunks[level].append(
-                        np.diff(old_csf.fptr[level][lo : hi + 1])
-                    )
-                    lo = int(old_csf.fptr[level][lo])
-                    hi = int(old_csf.fptr[level][hi])
-
-        fids: List[np.ndarray] = []
-        fptr: List[np.ndarray] = []
-        for level in range(order - 1):
-            fids.append(np.concatenate(fids_chunks[level]))
-            counts = np.concatenate(count_chunks[level])
-            pointers = np.zeros(counts.shape[0] + 1, dtype=np.int64)
-            np.cumsum(counts, out=pointers[1:])
-            fptr.append(pointers)
-        fids.append(
-            np.ascontiguousarray(self._indices[:, self._mode_order[-1]])
-        )
-        self._csf = CSFTensor.from_arrays(
-            self._shape, self._mode_order, fids, fptr, self._values
-        )
-        self.csf_slab_merges += 1
-        return "merged", touched_fraction
-
-    # ------------------------------------------------------------------ #
-    # Views and conversions
+    # Views
     # ------------------------------------------------------------------ #
     @property
     def tensor(self) -> SparseTensor:
         """The merged tensor, in the one-shot constructor's canonical order.
 
-        Entries are re-sorted to the column-major comparator so the result
-        is bit-identical to ``SparseTensor(all_entries, ..., sum_duplicates=
-        True)`` over the concatenation of every appended batch.
+        The stored arrays are already what ``SparseTensor(all_entries, ...,
+        sum_duplicates=True)`` over the concatenation of every appended
+        batch holds, so the snapshot wraps them without a copy; treat it as
+        read-only.  Appends replace those arrays instead of writing into
+        them: the snapshot never changes afterwards.
         """
         shape = self.shape  # raises when never established
         if self.nnz == 0:
             return SparseTensor.empty(shape, dtype=self.dtype)
-        perm = _colmajor_sort(self._indices)
-        return SparseTensor(
-            self._indices[perm], self._values[perm], shape, copy=False
-        )
+        return SparseTensor(self._indices, self._values, shape, copy=False)
 
     def to_coo(self) -> SparseTensor:
         return self.tensor
-
-    def to_csf(self) -> CSFTensor:
-        """The maintained fiber tree (built on first call, spliced after).
-
-        The returned tree aliases the stream's value array; treat it as
-        read-only and re-call after every :meth:`append` (value-only appends
-        mutate it in place, structural ones replace it).
-        """
-        self.shape  # raises when never established
-        if self._csf is None:
-            fids, fptr = csf_levels_from_sorted(self._indices, self._mode_order)
-            self._csf = CSFTensor.from_arrays(
-                self._shape, self._mode_order, fids, fptr, self._values
-            )
-        return self._csf
 
     def fingerprint(self) -> str:
         """Canonical content hash of the merged tensor (same as
@@ -598,9 +341,6 @@ class StreamingTensor:
         )
         if self._keys is not None:
             total += int(self._keys.nbytes)
-        if self._csf is not None:
-            # Values are shared with the COO log; count the level arrays only.
-            total += self._csf.memory_bytes() - int(self._csf.values.nbytes)
         return total
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -102,22 +102,6 @@ def adaptive_sweep_budget(
     return max(min_sweeps, min(base_sweeps, budget))
 
 
-def _resolve_options(options, option_kwargs) -> dict:
-    if isinstance(options, HOOIOptions):
-        base = options.to_dict()
-    elif options is None:
-        base = {}
-    elif isinstance(options, dict):
-        base = dict(options)
-    else:
-        raise TypeError(
-            f"options must be an HOOIOptions or a dict, got "
-            f"{type(options).__name__}"
-        )
-    base.update(option_kwargs)
-    return base
-
-
 def streaming_hooi(
     source,
     ranks: Union[int, Sequence[int]],
@@ -146,7 +130,7 @@ def streaming_hooi(
             "source must be a StreamingTensor or SparseTensor, got "
             f"{type(source).__name__}"
         )
-    opts = HOOIOptions.from_dict(_resolve_options(options, option_kwargs))
+    opts = HOOIOptions.from_dict(HOOIOptions.merge_dict(options, option_kwargs))
     if resume_factors is not None:
         conformed = conform_factors(resume_factors, tensor.shape, ranks)
         sweeps = opts.max_iterations
@@ -194,7 +178,7 @@ class StreamingSession:
         self.stream = stream
         self.ranks = ranks
         self.options = HOOIOptions.from_dict(
-            _resolve_options(options, option_kwargs)
+            HOOIOptions.merge_dict(options, option_kwargs)
         )
         self.workspace = workspace
         self.adaptive = bool(adaptive)

@@ -12,9 +12,8 @@ from repro.util.validation import (
     check_same_order,
     check_shape_vector,
 )
-from repro.util.timing import Stopwatch, TimingBreakdown
+from repro.util.timing import TimingBreakdown
 from repro.util.linalg import (
-    gram_leading_eigvecs,
     normalize_columns,
     orthonormalize,
     random_orthonormal,
@@ -27,9 +26,7 @@ __all__ = [
     "check_rank_vector",
     "check_same_order",
     "check_shape_vector",
-    "Stopwatch",
     "TimingBreakdown",
-    "gram_leading_eigvecs",
     "normalize_columns",
     "orthonormalize",
     "random_orthonormal",

@@ -11,7 +11,6 @@ __all__ = [
     "orthonormalize",
     "random_orthonormal",
     "normalize_columns",
-    "gram_leading_eigvecs",
 ]
 
 
@@ -73,23 +72,3 @@ def normalize_columns(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     norms = np.linalg.norm(matrix, axis=0)
     safe = np.where(norms > 0, norms, 1.0)
     return matrix / safe, np.where(norms > 0, norms, 1.0)
-
-
-def gram_leading_eigvecs(matrix: np.ndarray, rank: int) -> np.ndarray:
-    """Leading left singular vectors of ``matrix`` via the Gram matrix.
-
-    This is the dense-Tucker approach the paper contrasts against (forming
-    ``Y Yᵀ`` and taking its eigenvectors); it is exposed both as a correctness
-    oracle in the tests and as part of the dense-HOOI baseline.  Only suitable
-    when ``matrix.shape[0]`` is modest.
-    """
-    matrix = np.asarray(matrix, dtype=np.float64)
-    rank = int(rank)
-    if rank <= 0:
-        raise ValueError("rank must be positive")
-    rank = min(rank, matrix.shape[0])
-    gram = matrix @ matrix.T
-    # eigh returns ascending eigenvalues; take the trailing `rank` columns.
-    _, vecs = np.linalg.eigh(gram)
-    lead = vecs[:, ::-1][:, :rank]
-    return np.ascontiguousarray(lead)

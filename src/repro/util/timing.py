@@ -4,49 +4,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator
 from contextlib import contextmanager
 
-__all__ = ["Stopwatch", "TimingBreakdown"]
-
-
-class Stopwatch:
-    """A simple cumulative stopwatch.
-
-    >>> sw = Stopwatch()
-    >>> with sw:
-    ...     pass
-    >>> sw.elapsed >= 0.0
-    True
-    """
-
-    def __init__(self) -> None:
-        self.elapsed: float = 0.0
-        self._start: Optional[float] = None
-
-    def start(self) -> "Stopwatch":
-        if self._start is not None:
-            raise RuntimeError("Stopwatch already running")
-        self._start = time.perf_counter()
-        return self
-
-    def stop(self) -> float:
-        if self._start is None:
-            raise RuntimeError("Stopwatch is not running")
-        delta = time.perf_counter() - self._start
-        self.elapsed += delta
-        self._start = None
-        return delta
-
-    def reset(self) -> None:
-        self.elapsed = 0.0
-        self._start = None
-
-    def __enter__(self) -> "Stopwatch":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
+__all__ = ["TimingBreakdown"]
 
 
 @dataclass

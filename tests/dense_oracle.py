@@ -44,7 +44,7 @@ def explicit_fit(tensor, core, factors):
     return 1.0 - np.linalg.norm(tensor - approx) / np.linalg.norm(tensor)
 
 
-def dense_hooi(tensor, ranks, init, sweeps):
+def oracle_hooi(tensor, ranks, init, sweeps):
     """``sweeps`` HOOI sweeps from the factors ``init``: factors, core, fits."""
     factors = [np.array(f, dtype=np.float64) for f in init]
     fits = []

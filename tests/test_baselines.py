@@ -1,16 +1,9 @@
-"""Tests for the MET, CP-ALS and dense Tucker baselines."""
+"""Tests for the MET and CP-ALS baselines."""
 
 import numpy as np
 import pytest
 
-from repro.baselines import (
-    cp_als,
-    dense_hooi,
-    dense_hosvd,
-    dense_st_hosvd,
-    met_hooi,
-    mttkrp,
-)
+from repro.baselines import cp_als, met_hooi, mttkrp
 from repro.core import HOOIOptions, SparseTensor, hooi
 from repro.data import random_tucker_tensor
 
@@ -93,46 +86,3 @@ class TestCPALS:
         tensor = SparseTensor.from_dense(truth.to_dense())
         result = cp_als(tensor, 1, max_iterations=50, tolerance=1e-7, seed=0)
         assert result.converged
-
-
-class TestDenseBaselines:
-    def test_hosvd_exact_on_lowrank(self):
-        truth = random_tucker_tensor((12, 10, 8), (3, 2, 2), seed=0)
-        dense = truth.to_dense()
-        model = dense_hosvd(dense, (3, 2, 2))
-        assert np.allclose(model.to_dense(), dense, atol=1e-8)
-
-    def test_st_hosvd_exact_on_lowrank(self):
-        truth = random_tucker_tensor((12, 10, 8), (3, 2, 2), seed=1)
-        dense = truth.to_dense()
-        model = dense_st_hosvd(dense, (3, 2, 2))
-        assert np.allclose(model.to_dense(), dense, atol=1e-8)
-
-    def test_dense_hooi_improves_on_hosvd(self, rng):
-        dense = rng.standard_normal((10, 9, 8))
-        ranks = (3, 3, 3)
-        hosvd_model = dense_hosvd(dense, ranks)
-        hooi_model = dense_hooi(dense, ranks, max_iterations=10)
-        err_hosvd = np.linalg.norm(dense - hosvd_model.to_dense())
-        err_hooi = np.linalg.norm(dense - hooi_model.to_dense())
-        assert err_hooi <= err_hosvd + 1e-9
-
-    def test_dense_hooi_matches_sparse_hooi(self, small_tensor_3d):
-        dense = small_tensor_3d.to_dense()
-        ranks = (4, 3, 3)
-        dense_model = dense_hooi(dense, ranks, max_iterations=6)
-        sparse_result = hooi(
-            small_tensor_3d, ranks, HOOIOptions(max_iterations=6, init="hosvd")
-        )
-        err_dense = np.linalg.norm(dense - dense_model.to_dense())
-        err_sparse = np.linalg.norm(dense - sparse_result.decomposition.to_dense())
-        assert np.isclose(err_dense, err_sparse, rtol=1e-2)
-
-    def test_dense_hooi_invalid_init(self, rng):
-        with pytest.raises(ValueError):
-            dense_hooi(rng.standard_normal((4, 4, 4)), 2, init="bogus")
-
-    def test_hooi_factors_orthonormal(self, rng):
-        model = dense_hooi(rng.standard_normal((8, 7, 6)), (2, 2, 2))
-        for f in model.factors:
-            assert np.allclose(f.T @ f, np.eye(f.shape[1]), atol=1e-8)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from dense_oracle import dense_hooi, explicit_fit, subspace_sine
+from dense_oracle import explicit_fit, oracle_hooi, subspace_sine
 from repro import HOOIOptions, hooi
 from repro.data import make_dataset, planted_lowrank_tensor
 from repro.parallel.process_pool import PersistentWorkerCrew
@@ -83,7 +83,7 @@ def oracle_runs():
             for size, rank in zip(tensor.shape, ranks)
         ]
         runs[name] = (tensor, ranks, dense, init,
-                      dense_hooi(dense, ranks, init, SWEEPS))
+                      oracle_hooi(dense, ranks, init, SWEEPS))
     return runs
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import decompose
 from repro.core import (
     HOOIOptions,
     SparseTensor,
@@ -43,7 +44,7 @@ from repro.engine import (
     WorkspacePool,
     resolve_ttmc_backend,
 )
-from repro.parallel import ParallelConfig, shared_hooi
+from repro.parallel import ParallelConfig
 from repro.util.linalg import random_orthonormal
 
 
@@ -521,18 +522,15 @@ class TestStrategyPlumbing:
             dimtree.fit_history, per_mode.fit_history, atol=1e-10
         )
 
-    def test_shared_hooi_dimtree_matches_per_mode(self, medium_tensor_3d):
-        options = dict(max_iterations=3, init="hosvd", seed=0)
-        config = ParallelConfig(num_threads=2)
-        per_mode = shared_hooi(
-            medium_tensor_3d, 5, HOOIOptions(**options), config=config
+    def test_threaded_dimtree_matches_per_mode(self, medium_tensor_3d):
+        options = dict(max_iterations=3, init="hosvd", seed=0,
+                       execution="thread", num_workers=2)
+        per_mode = decompose(medium_tensor_3d, 5, **options)
+        dimtree = decompose(
+            medium_tensor_3d, 5, ttmc_strategy="dimtree", **options
         )
-        dimtree = shared_hooi(
-            medium_tensor_3d, 5,
-            HOOIOptions(ttmc_strategy="dimtree", **options), config=config,
-        )
-        assert dimtree.result.fit_history == pytest.approx(
-            per_mode.result.fit_history, abs=1e-10
+        assert dimtree.fit_history == pytest.approx(
+            per_mode.fit_history, abs=1e-10
         )
 
     def test_engine_with_dimtree_backend_directly(self, small_tensor_4d):

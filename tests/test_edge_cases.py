@@ -8,6 +8,7 @@ tensors.
 
 import numpy as np
 
+from repro import decompose
 from repro.core import (
     HOOIOptions,
     SparseTensor,
@@ -17,7 +18,6 @@ from repro.core import (
 )
 from repro.data import random_sparse_tensor
 from repro.distributed import build_plans, distributed_hooi
-from repro.parallel import ParallelConfig, shared_hooi
 from repro.partition import TensorPartition, make_partition
 from repro.util.linalg import random_orthonormal
 
@@ -135,9 +135,9 @@ class TestThreadedEdgeCases:
         tensor = SparseTensor(
             np.array([[0, 0, 0], [1, 1, 1]]), np.array([1.0, 2.0]), (2, 2, 2)
         )
-        report = shared_hooi(tensor, 1, HOOIOptions(max_iterations=1, seed=0),
-                             config=ParallelConfig(num_threads=8))
-        assert report.result.fit_history
+        result = decompose(tensor, 1, execution="thread", num_workers=8,
+                           max_iterations=1, seed=0)
+        assert result.fit_history
 
     def test_symbolic_of_dense_mode(self):
         """Every index of a mode occupied: rows must cover the full range."""

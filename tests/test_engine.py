@@ -10,6 +10,7 @@ reallocation.
 import numpy as np
 import pytest
 
+from repro import decompose
 from repro.core import HOOIOptions, SparseTensor, hooi
 from repro.data import planted_lowrank_tensor
 from repro.distributed import distributed_hooi
@@ -25,7 +26,7 @@ from repro.engine import (
     WorkspacePool,
     resolve_ttmc_backend,
 )
-from repro.parallel import ParallelConfig, shared_hooi
+from repro.parallel import ParallelConfig
 from repro.partition import make_partition
 
 
@@ -104,13 +105,12 @@ class TestResolveTTMcBackend:
 
 
 class TestSharedCallback:
-    def test_shared_hooi_invokes_callback(self, medium_tensor_3d):
+    def test_threaded_run_invokes_callback(self, medium_tensor_3d):
         """Parity with the sequential driver: callback(iteration, fit)."""
         calls = []
-        shared_hooi(
-            medium_tensor_3d, 5,
-            HOOIOptions(max_iterations=3, init="hosvd", seed=0),
-            config=ParallelConfig(num_threads=2),
+        decompose(
+            medium_tensor_3d, 5, execution="thread", num_workers=2,
+            options=HOOIOptions(max_iterations=3, init="hosvd", seed=0),
             callback=lambda it, fit: calls.append((it, fit)),
         )
         assert [it for it, _ in calls] == [0, 1, 2]
@@ -132,10 +132,9 @@ class TestTrackFitAlwaysPopulated:
         assert np.isfinite(result.fit)
 
     def test_shared(self, small_tensor_3d):
-        report = shared_hooi(small_tensor_3d, 3,
-                             HOOIOptions(max_iterations=2, track_fit=False),
-                             config=ParallelConfig(num_threads=2))
-        assert np.isfinite(report.result.fit)
+        result = decompose(small_tensor_3d, 3, execution="thread", num_workers=2,
+                           max_iterations=2, track_fit=False)
+        assert np.isfinite(result.fit)
 
     def test_distributed(self, small_tensor_3d):
         partition = make_partition(small_tensor_3d, 2, "coarse-bl")
@@ -175,12 +174,12 @@ class TestDtypePolicy:
         assert abs(f32.fit - f64.fit) < 1e-3
 
     def test_shared_float32_close_to_float64(self, lowrank):
-        f64 = shared_hooi(lowrank, self.RANKS, self._options("float64"),
-                          config=ParallelConfig(num_threads=3))
-        f32 = shared_hooi(lowrank, self.RANKS, self._options("float32"),
-                          config=ParallelConfig(num_threads=3))
-        assert f32.result.decomposition.core.dtype == np.float32
-        assert abs(f32.result.fit - f64.result.fit) < 1e-3
+        f64 = decompose(lowrank, self.RANKS, execution="thread", num_workers=3,
+                        options=self._options("float64"))
+        f32 = decompose(lowrank, self.RANKS, execution="thread", num_workers=3,
+                        options=self._options("float32"))
+        assert f32.decomposition.core.dtype == np.float32
+        assert abs(f32.fit - f64.fit) < 1e-3
 
     def test_distributed_float32_close_to_float64(self, lowrank):
         partition = make_partition(lowrank, 3, "fine-hp", seed=0)
@@ -363,12 +362,6 @@ class TestNoDuplicatedLoop:
             atol=1e-8,
         )
 
-    def test_dense_backend_shares_engine(self):
-        from repro.baselines.dense_hooi import DenseGramBackend
-        from repro.engine.backend import ExecutionBackend
-
-        assert issubclass(DenseGramBackend, ExecutionBackend)
-
     def test_distributed_backend_shares_engine(self):
         from repro.distributed.dist_hooi import DistributedBackend
         from repro.engine.backend import ExecutionBackend
@@ -379,10 +372,10 @@ class TestNoDuplicatedLoop:
         """The ``for mode in range(...)`` sweep lives only in the engine."""
         import inspect
 
+        import repro.api as api_mod
         import repro.core.hooi as seq_mod
-        import repro.parallel.shared_hooi as shared_mod
         import repro.distributed.dist_hooi as dist_mod
 
-        for module in (seq_mod, shared_mod, dist_mod):
+        for module in (seq_mod, api_mod, dist_mod):
             source = inspect.getsource(module)
             assert "for iteration in range" not in source, module.__name__

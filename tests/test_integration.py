@@ -9,6 +9,7 @@ metrics behave as the paper describes.
 import numpy as np
 import pytest
 
+from repro import decompose
 from repro.baselines import met_hooi
 from repro.core import HOOIOptions, SparseTensor, hooi, tucker_fit
 from repro.data import (
@@ -19,7 +20,6 @@ from repro.data import (
     write_tns,
 )
 from repro.distributed import collect_partition_statistics, distributed_hooi
-from repro.parallel import ParallelConfig, shared_hooi
 from repro.partition import make_partition
 
 
@@ -34,14 +34,14 @@ class TestEndToEndConsistency:
         options = HOOIOptions(max_iterations=3, init="random", seed=0)
         ranks = (6, 6, 6)
         sequential = hooi(workload, ranks, options)
-        threaded = shared_hooi(workload, ranks, options,
-                               config=ParallelConfig(num_threads=4))
+        threaded = decompose(workload, ranks, execution="thread", num_workers=4,
+                             options=options)
         met = met_hooi(workload, ranks, options)
         partition = make_partition(workload, 4, "fine-hp", seed=0)
         distributed = distributed_hooi(workload, ranks, partition, options)
 
         reference = sequential.fit_history
-        assert np.allclose(threaded.result.fit_history, reference, atol=1e-9)
+        assert np.allclose(threaded.fit_history, reference, atol=1e-9)
         assert np.allclose(met.fit_history, reference, atol=1e-9)
         assert np.allclose(distributed.fit_history, reference, atol=1e-6)
 

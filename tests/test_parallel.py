@@ -5,9 +5,11 @@ import threading
 import numpy as np
 import pytest
 
+from repro import decompose
 from repro.core import HOOIOptions, hooi, symbolic_ttmc, ttmc_matricized
 from repro.core.ttmc import restrict_symbolic
 from repro.engine import COORowsPlan, ThreadDispatcher, parallel_symbolic
+from repro.experiments.table5 import predict_iteration_time
 from repro.parallel import (
     BGQ_NODE,
     NodeModel,
@@ -17,8 +19,6 @@ from repro.parallel import (
     kron_width,
     make_chunks,
     parallel_for,
-    predict_iteration_time,
-    shared_hooi,
     trsvd_phase_work,
     ttmc_phase_work,
 )
@@ -132,16 +132,9 @@ class TestSharedHOOI:
     def test_matches_sequential_fit(self, medium_tensor_3d):
         opts = HOOIOptions(max_iterations=3, init="hosvd", seed=0)
         seq = hooi(medium_tensor_3d, 5, opts)
-        par = shared_hooi(medium_tensor_3d, 5, opts, config=ParallelConfig(num_threads=3))
-        assert np.allclose(seq.fit_history, par.result.fit_history, atol=1e-9)
-
-    def test_report_contains_timings(self, small_tensor_3d):
-        report = shared_hooi(small_tensor_3d, 3,
-                             HOOIOptions(max_iterations=2),
-                             config=ParallelConfig(num_threads=2))
-        assert report.measured_seconds_per_iteration > 0
-        assert report.modelled_seconds_per_iteration > 0
-        assert report.num_threads == 2
+        par = decompose(medium_tensor_3d, 5, execution="thread", num_workers=3,
+                        options=opts)
+        assert np.allclose(seq.fit_history, par.fit_history, atol=1e-9)
 
 
 class TestNodeModel:

@@ -170,3 +170,65 @@ class TestAllclose:
             np.array([[0, 0], [1, 1]]), np.array([1.0, 0.0]), (2, 2)
         )
         assert t.allclose(other)
+
+
+class TestPastInt64:
+    """∏ shape > 2^63: column-major int64 keys would wrap."""
+
+    SHAPE = (4, 10**5, 10**5, 10**5, 10**5)
+    #: Two distinct coordinates whose wrapped int64 keys coincide.
+    PAIR = np.array([[0, 0, 0, 0, 0], [0, 87904, 84273, 68601, 4611]])
+
+    def test_pair_collides_in_wrapped_keys(self):
+        strides = np.cumprod((1,) + self.SHAPE[:-1], dtype=np.int64)
+        with np.errstate(over="ignore"):
+            keys = self.PAIR @ strides
+        assert keys[0] == keys[1]
+
+    def test_constructor_keeps_pair_apart(self):
+        t = SparseTensor(self.PAIR, [1.0, 2.0], self.SHAPE, sum_duplicates=True)
+        assert t.nnz == 2
+        assert np.array_equal(t.indices, self.PAIR)
+        assert np.array_equal(t.values, [1.0, 2.0])
+
+    def test_deduplicate_keeps_pair_apart(self):
+        idx = np.vstack([self.PAIR[::-1], self.PAIR])
+        t = SparseTensor(idx, [2.0, 1.0, 4.0, 8.0], self.SHAPE).deduplicate()
+        assert np.array_equal(t.indices, self.PAIR)
+        assert np.array_equal(t.values, [5.0, 10.0])
+
+    def test_apply_delta_keeps_pair_apart(self):
+        from repro.streaming import DeltaBatch, apply_delta
+
+        base = SparseTensor(self.PAIR[:1], [1.0], self.SHAPE)
+        grown = apply_delta(base, DeltaBatch(self.PAIR[1:], [2.0]))
+        assert grown.nnz == 2
+        assert np.array_equal(grown.values, [1.0, 2.0])
+
+    def test_stream_keeps_pair_apart(self):
+        from repro.streaming import StreamingTensor
+
+        stream = StreamingTensor(shape=self.SHAPE)
+        stream.append((self.PAIR[:1], [1.0]))
+        stream.append((self.PAIR[1:], [2.0]))
+        assert np.array_equal(stream.tensor.indices, self.PAIR)
+        assert np.array_equal(stream.tensor.values, [1.0, 2.0])
+
+    def test_fingerprint_ignores_storage_order(self):
+        a = SparseTensor(self.PAIR, [1.0, 2.0], self.SHAPE)
+        b = SparseTensor(self.PAIR[::-1], [2.0, 1.0], self.SHAPE)
+        assert a.fingerprint() == b.fingerprint()
+
+    def test_size_does_not_wrap(self):
+        t = SparseTensor(self.PAIR, [1.0, 2.0], self.SHAPE)
+        assert t.size == 4 * 10**20
+        assert 0 < t.density < 1e-19
+
+    def test_linear_indices_raise(self):
+        with pytest.raises(ValueError, match="int64"):
+            SparseTensor(self.PAIR, [1.0, 2.0], self.SHAPE).linear_indices()
+
+    def test_allclose(self):
+        a = SparseTensor(self.PAIR, [1.0, 2.0], self.SHAPE)
+        assert a.allclose(SparseTensor(self.PAIR[::-1], [2.0, 1.0], self.SHAPE))
+        assert not a.allclose(SparseTensor(self.PAIR, [3.0, 0.0], self.SHAPE))

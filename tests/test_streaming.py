@@ -5,9 +5,9 @@ The load-bearing contracts, in the order the module stack builds them:
 * **Bit-identity** — a :class:`~repro.streaming.StreamingTensor` fed any
   split of a nonzero stream (any batch sizes, duplicates landing in any
   batch) stores exactly the arrays a one-shot
-  :class:`~repro.core.sparse_tensor.SparseTensor` build produces, and its
-  incrementally-maintained CSF tree matches a from-scratch
-  :class:`~repro.sparse.csf.CSFTensor` level by level (hypothesis-tested).
+  :class:`~repro.core.sparse_tensor.SparseTensor` build produces
+  (hypothesis-tested), also past an int64 key space, and a snapshot it
+  hands out never changes under later appends.
 * **Incremental identity** — :func:`repro.core.sparse_tensor.
   fingerprint_with_delta` extends a fingerprint in O(batch) to exactly the
   digest a full re-hash would produce.
@@ -30,7 +30,6 @@ from repro.core.hosvd import initialize_factors
 from repro.core.sparse_tensor import SparseTensor, fingerprint_with_delta
 from repro.data.io import iter_tns_chunks, read_tns, write_tns
 from repro.data.lowrank import planted_lowrank_tensor
-from repro.sparse.csf import CSFTensor
 from repro.streaming import (
     DeltaBatch,
     StreamingSession,
@@ -171,21 +170,10 @@ class TestStreamingBitIdentity:
             stream.append(
                 DeltaBatch(bidx, bvals, merge_duplicates=False, copy=False)
             )
-            # Build the tree early so later appends exercise the
-            # incremental CSF maintenance, not a final one-shot build.
-            stream.to_csf()
         merged = stream.tensor
         assert merged.shape == one_shot.shape
         assert np.array_equal(merged.indices, one_shot.indices)
         assert np.array_equal(merged.values, one_shot.values)
-
-        tree = stream.to_csf()
-        ref = CSFTensor(one_shot, mode_order=stream.mode_order)
-        assert np.array_equal(tree.values, ref.values)
-        for mine, theirs in zip(tree.fids, ref.fids):
-            assert np.array_equal(mine, theirs)
-        for mine, theirs in zip(tree.fptr, ref.fptr):
-            assert np.array_equal(mine, theirs)
 
     @SETTINGS
     @given(entry_streams())
@@ -214,43 +202,75 @@ class TestStreamingBitIdentity:
         assert stream.fingerprint() == one_shot.fingerprint()
 
 
-class TestCSFMaintenance:
+#: ∏ shape is 4·10^20 > 2^63: column-major int64 keys would wrap.
+HUGE_SHAPE = (4, 10**5, 10**5, 10**5, 10**5)
+
+
+class TestStreamingPastInt64:
+    def test_appends_match_one_shot(self):
+        rng = np.random.default_rng(11)
+        idx = np.column_stack([rng.integers(0, s, 60) for s in HUGE_SHAPE])
+        idx[40:] = idx[rng.integers(0, 40, 20)]  # duplicates across batches
+        # Two coordinates whose wrapped int64 keys coincide.
+        idx[:2] = [[0, 0, 0, 0, 0], [0, 87904, 84273, 68601, 4611]]
+        vals = rng.standard_normal(60)
+        one_shot = SparseTensor(idx, vals, HUGE_SHAPE, sum_duplicates=True)
+        stream = StreamingTensor(shape=HUGE_SHAPE)
+        seen = set()
+        for a, b in ((0, 25), (25, 45), (45, 60)):
+            stats = stream.append(
+                DeltaBatch(idx[a:b], vals[a:b], merge_duplicates=False)
+            )
+            coords = {tuple(row) for row in idx[a:b].tolist()}
+            assert stats.new_coords == len(coords - seen)
+            assert stats.updated_coords == len(coords & seen)
+            seen |= coords
+        merged = stream.tensor
+        assert merged.shape == HUGE_SHAPE
+        assert np.array_equal(merged.indices, one_shot.indices)
+        assert np.array_equal(merged.values, one_shot.values)
+        assert stream.fingerprint() == one_shot.fingerprint()
+
+
+class TestSnapshots:
+    """A ``tensor`` snapshot never changes under a later append."""
+
     def _stream(self):
         rng = np.random.default_rng(7)
         idx = np.column_stack([rng.integers(0, 40, 600) for _ in range(3)])
-        vals = rng.standard_normal(600)
         stream = StreamingTensor(shape=(40, 40, 40))
-        stream.append(DeltaBatch(idx, vals, merge_duplicates=False))
-        stream.to_csf()
-        return stream
-
-    def test_value_only_append_is_in_place(self):
-        stream = self._stream()
-        tree_before = stream.to_csf()
-        existing = stream.to_coo().indices[:5].copy()
-        stats = stream.append(DeltaBatch(existing, np.ones(5)))
-        assert stats.csf_action == "in-place"
-        assert stats.new_coords == 0
-        assert stream.to_csf() is tree_before
-
-    def test_small_batch_splices_slabs(self):
-        stream = self._stream()
-        stats = stream.append(
-            DeltaBatch(np.array([[0, 1, 2], [39, 5, 5]]), [1.0, 1.0])
-        )
-        assert stats.csf_action == "merged"
-        assert stats.touched_fraction < 0.25
-        assert stream.csf_slab_merges >= 1
-
-    def test_large_batch_rebuilds(self):
-        stream = self._stream()
-        rng = np.random.default_rng(8)
-        idx = np.column_stack([rng.integers(0, 40, 600) for _ in range(3)])
-        stats = stream.append(
+        stream.append(
             DeltaBatch(idx, rng.standard_normal(600), merge_duplicates=False)
         )
-        assert stats.csf_action == "rebuilt"
-        assert stream.csf_rebuilds >= 1
+        return stream
+
+    def _check_append_leaves_snapshot(self, stream, batch):
+        snapshot = stream.tensor
+        indices, values = snapshot.indices.copy(), snapshot.values.copy()
+        stats = stream.append(batch)
+        assert np.array_equal(snapshot.indices, indices)
+        assert np.array_equal(snapshot.values, values)
+        after = stream.tensor
+        assert not (
+            np.array_equal(after.indices, indices)
+            and np.array_equal(after.values, values)
+        )
+        return stats
+
+    def test_value_only_append(self):
+        stream = self._stream()
+        existing = stream.tensor.indices[:5].copy()
+        stats = self._check_append_leaves_snapshot(
+            stream, DeltaBatch(existing, np.ones(5))
+        )
+        assert stats.new_coords == 0 and stats.updated_coords == 5
+
+    def test_structural_append(self):
+        stream = self._stream()
+        stats = self._check_append_leaves_snapshot(
+            stream, DeltaBatch(np.array([[0, 1, 2], [39, 45, 5]]), [1.0, 1.0])
+        )
+        assert stats.new_coords >= 1
 
 
 class TestIncrementalFingerprint:

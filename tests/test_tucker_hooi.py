@@ -4,7 +4,10 @@ import pickle
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from repro import decompose
 from repro.core import (
     HOOIOptions,
     SparseTensor,
@@ -129,6 +132,38 @@ class TestInitialization:
         for factor, size, rank in zip(factors, shape, ranks):
             assert factor.shape == (size, rank)
             assert np.allclose(factor.T @ factor, np.eye(rank), atol=1e-10)
+
+    def test_hosvd_init_past_int64(self):
+        """``∏_{t≠n} I_t`` passes 2^63: no linear column index is formed."""
+        shape = (4, 10**5, 10**5, 10**5, 10**5)
+        ranks = (2, 3, 3, 3, 3)
+        rng = np.random.default_rng(0)
+        indices = np.column_stack([rng.integers(0, s, 500) for s in shape])
+        tensor = SparseTensor(indices, rng.standard_normal(500), shape)
+        run = decompose(tensor, ranks, init="hosvd", max_iterations=2)
+        for factors in (hosvd_init(tensor, ranks), run.decomposition.factors):
+            for factor, size, rank in zip(factors, shape, ranks):
+                assert factor.shape == (size, rank)
+                assert np.allclose(factor.T @ factor, np.eye(rank), atol=1e-10)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_hosvd_init_matches_matricize_columns(self, small_tensor_4d, seed):
+        """Bit-identical to ARPACK on ``matricize``'s non-empty columns."""
+        ranks = (3, 3, 2, 2)
+        expected = []
+        for mode, rank in enumerate(ranks):
+            mat = small_tensor_4d.matricize(mode)
+            used, compact = np.unique(mat.indices, return_inverse=True)
+            mat = sp.csr_matrix(
+                (mat.data, compact, mat.indptr),
+                shape=(mat.shape[0], used.shape[0]),
+            )
+            v0 = np.random.default_rng(seed + mode).standard_normal(min(mat.shape))
+            u, _, _ = spla.svds(mat, k=rank, v0=v0)
+            expected.append(u[:, ::-1])
+        factors = hosvd_init(small_tensor_4d, ranks, seed=seed)
+        for ours, theirs in zip(factors, expected):
+            assert np.array_equal(ours, theirs)
 
     def test_hosvd_init_with_fewer_columns_than_rank(self):
         tensor = SparseTensor(

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from repro.util.linalg import (
-    gram_leading_eigvecs,
     normalize_columns,
     orthonormalize,
     random_orthonormal,
 )
-from repro.util.timing import Stopwatch, TimingBreakdown
+from repro.util.timing import TimingBreakdown
 
 
 class TestOrthonormalize:
@@ -96,51 +95,6 @@ class TestNormalizeColumns:
         a = rng.standard_normal((6, 3))
         m, norms = normalize_columns(a)
         assert np.allclose(m * norms, a)
-
-
-class TestGramLeadingEigvecs:
-    def test_matches_svd_subspace(self, rng):
-        a = rng.standard_normal((15, 40))
-        lead = gram_leading_eigvecs(a, 3)
-        u, _, _ = np.linalg.svd(a, full_matrices=False)
-        p1 = lead @ lead.T
-        p2 = u[:, :3] @ u[:, :3].T
-        assert np.allclose(p1, p2, atol=1e-8)
-
-    def test_rank_clipped(self, rng):
-        a = rng.standard_normal((4, 10))
-        assert gram_leading_eigvecs(a, 10).shape == (4, 4)
-
-    def test_invalid_rank(self):
-        with pytest.raises(ValueError):
-            gram_leading_eigvecs(np.ones((3, 3)), 0)
-
-
-class TestStopwatch:
-    def test_accumulates(self):
-        sw = Stopwatch()
-        with sw:
-            time.sleep(0.01)
-        first = sw.elapsed
-        with sw:
-            time.sleep(0.01)
-        assert sw.elapsed > first
-
-    def test_double_start_raises(self):
-        sw = Stopwatch().start()
-        with pytest.raises(RuntimeError):
-            sw.start()
-
-    def test_stop_without_start_raises(self):
-        with pytest.raises(RuntimeError):
-            Stopwatch().stop()
-
-    def test_reset(self):
-        sw = Stopwatch()
-        with sw:
-            pass
-        sw.reset()
-        assert sw.elapsed == 0.0
 
 
 class TestTimingBreakdown:
