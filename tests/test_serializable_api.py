@@ -67,6 +67,76 @@ class TestOptionsCodec:
             opts.to_dict()
 
 
+def _reject_via_decompose(tensor, options, tmp_path):
+    decompose(tensor, 2, options=options)
+
+
+def _reject_via_streaming_hooi(tensor, options, tmp_path):
+    from repro.streaming import streaming_hooi
+
+    streaming_hooi(tensor, 2, options)
+
+
+def _reject_via_streaming_session(tensor, options, tmp_path):
+    from repro.streaming import StreamingSession, StreamingTensor
+
+    StreamingSession(StreamingTensor(tensor), 2, options=options)
+
+
+def _reject_via_out_of_core_hooi(tensor, options, tmp_path):
+    from repro.streaming import build_out_of_core, out_of_core_hooi
+
+    out_of_core_hooi(build_out_of_core(tensor, tmp_path / "ooc"), 2, options)
+
+
+def _reject_via_job_request(tensor, options, tmp_path):
+    from repro.serving.jobs import JobRequest
+
+    JobRequest.build(tensor, 2, options)
+
+
+class TestOptionsMerge:
+    """:meth:`HOOIOptions.merge_dict`, the one options-plus-overrides merge."""
+
+    def test_options_object_then_overrides(self):
+        merged = HOOIOptions.merge_dict(
+            HOOIOptions(max_iterations=7, seed=3), {"seed": 5}
+        )
+        assert set(merged) == {f.name for f in dataclasses.fields(HOOIOptions)}
+        assert HOOIOptions.from_dict(merged) == HOOIOptions(
+            max_iterations=7, seed=5
+        )
+
+    def test_dict_is_copied_and_stays_partial(self):
+        given = {"max_iterations": 4, "trsvd_method": "gram"}
+        merged = HOOIOptions.merge_dict(given, {"max_iterations": 2})
+        assert merged == {"max_iterations": 2, "trsvd_method": "gram"}
+        assert given == {"max_iterations": 4, "trsvd_method": "gram"}
+
+    def test_none_is_the_overrides_alone(self):
+        assert HOOIOptions.merge_dict(None, {"seed": 1}) == {"seed": 1}
+        assert HOOIOptions.merge_dict(None, {}) == {}
+
+    @pytest.mark.parametrize(
+        "entry_point",
+        [
+            _reject_via_decompose,
+            _reject_via_streaming_hooi,
+            _reject_via_streaming_session,
+            _reject_via_out_of_core_hooi,
+            _reject_via_job_request,
+        ],
+        ids=lambda fn: fn.__name__[len("_reject_via_"):],
+    )
+    def test_every_entry_point_rejects_other_types(
+        self, entry_point, small_tensor_3d, tmp_path
+    ):
+        with pytest.raises(
+            TypeError, match="^options must be an HOOIOptions or a dict, got list$"
+        ):
+            entry_point(small_tensor_3d, [("max_iterations", 2)], tmp_path)
+
+
 class TestOptionsFingerprint:
     def test_insensitive_to_defaulted_vs_explicit(self):
         implicit = HOOIOptions(max_iterations=5)

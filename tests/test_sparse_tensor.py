@@ -4,6 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core import SparseTensor
+from repro.core.sparse_tensor import (
+    colmajor_groups,
+    colmajor_keys,
+    colmajor_order,
+)
 
 
 def make_tensor():
@@ -170,6 +175,37 @@ class TestAllclose:
             np.array([[0, 0], [1, 1]]), np.array([1.0, 0.0]), (2, 2)
         )
         assert t.allclose(other)
+
+
+class TestColmajorOrder:
+    """The one column-major comparator, on its int64-key and lexsort paths."""
+
+    def test_key_and_lexsort_paths_agree(self, rng):
+        shape = (5, 4, 3)
+        idx = np.column_stack([rng.integers(0, s, 200) for s in shape])
+        # With shape the int64 keys are argsorted; without it, lexsorted.
+        by_keys = colmajor_order(idx, shape)
+        by_lexsort = colmajor_order(idx)
+        assert np.array_equal(by_keys, by_lexsort)
+        assert np.array_equal(
+            by_keys, np.argsort(colmajor_keys(idx, shape), kind="stable")
+        )
+        perm_k, first_k = colmajor_groups(idx, shape)
+        perm_l, first_l = colmajor_groups(idx)
+        assert np.array_equal(perm_k, by_keys)
+        assert np.array_equal(perm_l, by_keys)
+        assert np.array_equal(first_k, first_l)
+        # The group flags number exactly the distinct coordinates.
+        distinct = np.unique(idx, axis=0)
+        assert int(first_k.sum()) == distinct.shape[0]
+        starts = idx[perm_k[first_k]]
+        assert np.array_equal(starts, distinct[np.lexsort(distinct.T)])
+
+    def test_keys_stop_where_int64_ends(self):
+        idx = np.array([[0, 0], [3, 1]])
+        assert np.array_equal(colmajor_keys(idx, (2**31, 2**31)), [0, 3 + 2**31])
+        assert colmajor_keys(idx, (2**62, 2)) is None
+        assert np.array_equal(colmajor_order(idx, (2**62, 2)), [0, 1])
 
 
 class TestPastInt64:
