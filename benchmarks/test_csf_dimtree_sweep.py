@@ -1,9 +1,9 @@
 """Benchmark: dimension trees over CSF subtrees vs the per-mode sweeps.
 
-``tensor_format="csf" × ttmc_strategy="dimtree"`` builds the dimension
-tree's nodes over the shared CSF tree's fiber subtrees: the root is the
-lexsorted compressed layout, so every tree edge refines an already-sorted
-parent and the left-child edge updates read contiguous payload segments
+``tensor_format="csf" × ttmc_strategy="dimtree"`` roots the dimension
+tree at the lexicographically sorted nonzeros (the leaf order of a CSF
+tree with the identity mode order), so every left-child edge refines an
+already-sorted parent and its updates read contiguous payload segments
 (``FiberGrouping.contiguous`` — no gather permutation).  Each edge reduces
 ``payload ⊗ sibling rows`` straight into the child payload as CSR
 sparse × dense products, the same segment sums the per-mode kernels use.

@@ -54,6 +54,9 @@ NUM_WORKERS = 2
 #: Required service-over-spin-up throughput factor.
 EXPECTED_SPEEDUP = float(os.environ.get("REPRO_SERVING_SPEEDUP", "1.5"))
 
+#: Timed passes per side of the gate; it compares the best of each side.
+TIMED_PASSES = 3
+
 JOB_OPTIONS = dict(
     trsvd_method="gram", max_iterations=3, tolerance=0.0, seed=0
 )
@@ -117,28 +120,39 @@ class _ServiceRunner:
         self.loop.close()
 
 
+def _seconds(run, tensors) -> float:
+    start = time.perf_counter()
+    run(tensors)
+    return time.perf_counter() - start
+
+
 def test_serving_beats_per_request_spinup(tensors):
-    """The acceptance gate: ≥1.5× throughput on a 20-job stream."""
+    """The acceptance gate: ≥1.5× throughput on a 20-job stream.
+
+    Each side runs ``TIMED_PASSES`` passes, interleaved with the other
+    side's so both sample the same host load, and the gate compares the
+    best pass of each: a single pass per side leaves the ratio to the
+    host's noise.
+    """
     runner = _ServiceRunner()
     try:
-        runner.run(tensors)  # warm the path once (JIT-free, but fair)
-        start = time.perf_counter()
-        runner.run(tensors)
-        service_seconds = time.perf_counter() - start
+        runner.run(tensors)  # warm both paths once (JIT-free, but fair)
+        run_per_request(tensors)
+        service_passes, baseline_passes = [], []
+        for _ in range(TIMED_PASSES):
+            service_passes.append(_seconds(runner.run, tensors))
+            baseline_passes.append(_seconds(run_per_request, tensors))
     finally:
         runner.close()
 
-    run_per_request(tensors)  # warm equally
-    start = time.perf_counter()
-    run_per_request(tensors)
-    baseline_seconds = time.perf_counter() - start
-
+    service_seconds = min(service_passes)
+    baseline_seconds = min(baseline_passes)
     speedup = baseline_seconds / service_seconds
     assert speedup >= EXPECTED_SPEEDUP, (
         f"persistent-pool service ran {NUM_JOBS} jobs in "
         f"{service_seconds:.3f}s vs {baseline_seconds:.3f}s per-request "
-        f"spin-up — {speedup:.2f}x, below the required "
-        f"{EXPECTED_SPEEDUP:.2f}x"
+        f"spin-up (best of {TIMED_PASSES} passes each) — {speedup:.2f}x, "
+        f"below the required {EXPECTED_SPEEDUP:.2f}x"
     )
 
 

@@ -49,6 +49,10 @@ TTMC_STRATEGIES = ("per-mode", "dimtree")
 EXECUTIONS = ("sequential", "thread", "process")
 TENSOR_FORMATS = ("coo", "csf")
 KERNELS = ("numpy", "numba")
+#: Values of ``HOOIOptions.fallback``: ``"ladder"`` (degrade through the
+#: rungs of :class:`repro.resilience.DegradationLadder`) or ``"none"`` (fail
+#: the job once retries are exhausted, for callers that prefer a loud
+#: failure over a slow success).
 FALLBACK_POLICIES = ("ladder", "none")
 VALIDATION_CONTEXTS = ("single-node", "distributed")
 
@@ -117,15 +121,16 @@ class HOOIOptions:
     ``"coo"`` (the flat coordinate layout every other axis value was built
     on) or ``"csf"`` (Compressed Sparse Fiber trees,
     :mod:`repro.sparse.csf` — shared index prefixes stored once, TTMc as
-    vectorized fiber-segment sweeps; one rooted tree per mode by default).
+    vectorized fiber-segment sweeps; one tree per mode, rooted at it).
     CSF composes with every ``execution`` value, every ``trsvd_method`` /
     ``dtype`` / distributed grain, and with both ``ttmc_strategy`` values:
-    ``"per-mode"`` runs one rooted CSF tree per mode, ``"dimtree"`` builds
-    the dimension tree's nodes over the shared CSF tree's fiber subtrees
-    (the leaf matricizations and subset-fiber updates walk the compressed
-    layout instead of grouped COO rows), and ``"process"`` serializes the
-    per-level CSF arrays into the shared-memory arena so each worker
-    attaches the trees once and sweeps disjoint root-fiber slabs lock-free.
+    ``"per-mode"`` runs one rooted CSF tree per mode, ``"dimtree"`` roots
+    the dimension tree at the lexicographically sorted nonzeros (the leaf
+    order of a CSF tree with the identity mode order, so every left-child
+    edge refines contiguous, already-sorted segments), and ``"process"``
+    serializes the per-level CSF arrays into the shared-memory arena so each
+    worker attaches the trees once and sweeps disjoint root-fiber slabs
+    lock-free.
     ``kernel`` selects the *implementation tier* of the TTMc inner loops:
     ``"numpy"`` (default — the vectorized kernels) or ``"numba"`` (fused,
     JIT-compiled loop bodies, :mod:`repro.kernels` — same numerics, one

@@ -509,10 +509,6 @@ class SparseTensor:
             self.indices, self.values.astype(dtype), self.shape, copy=False
         )
 
-    def astype_shape(self, shape: Sequence[int]) -> "SparseTensor":
-        """Return the same nonzeros viewed in a (possibly larger) shape."""
-        return SparseTensor(self.indices, self.values, shape, copy=False)
-
     def _sum_duplicates_inplace(self) -> None:
         if self.nnz == 0:
             return
@@ -610,17 +606,18 @@ class SparseTensor:
         fastest).
         """
         mode = check_axis(mode, self.order)
-        rows = self.indices[:, mode]
-        cols = np.zeros(self.nnz, dtype=np.int64)
-        stride = 1
-        for k in range(self.order):
-            if k == mode:
-                continue
-            cols += self.indices[:, k] * stride
-            stride *= self.shape[k]
-        ncols = int(stride)
+        others = [k for k in range(self.order) if k != mode]
+        other_shape = [self.shape[k] for k in others]
+        cols = colmajor_keys(self.indices[:, others], other_shape)
+        ncols = math.prod(other_shape)
+        if cols is None:
+            raise ValueError(
+                f"X_({mode}) would have ∏_{{t≠{mode}}} I_t = {ncols} columns, "
+                "past the int64 range of a column index"
+            )
         mat = sp.coo_matrix(
-            (self.values, (rows, cols)), shape=(self.shape[mode], ncols)
+            (self.values, (self.indices[:, mode], cols)),
+            shape=(self.shape[mode], ncols),
         )
         return mat.tocsr()
 

@@ -87,10 +87,6 @@ class FiberGrouping:
     def num_groups(self) -> int:
         return int(self.indices.shape[0])
 
-    @property
-    def num_parents(self) -> int:
-        return int(self.perm.shape[0])
-
     def group_sizes(self) -> np.ndarray:
         """Number of parent fibers merged into each group."""
         return np.diff(self.segptr)

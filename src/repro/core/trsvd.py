@@ -37,7 +37,6 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from repro.core.sparse_tensor import as_supported_float
-from repro.resilience.faults import maybe_fail
 from repro.util.linalg import orthonormalize
 
 __all__ = [
@@ -388,8 +387,11 @@ def truncated_svd(
     operands, with a squared-spectrum conditioning caveat).
     """
     # Fault point "trsvd": the factor update of every mode of every sweep
-    # (see repro.resilience.faults; a single module-global None check when
-    # injection is disabled).
+    # (a single module-global None check when injection is disabled).
+    # Imported here: repro.resilience imports repro.core.hooi, which
+    # imports this module.
+    from repro.resilience.faults import maybe_fail
+
     maybe_fail("trsvd")
     if method == "lanczos":
         return lanczos_svd(matrix, rank, **kwargs)

@@ -64,9 +64,6 @@ class PartitionStatistics:
     num_ranks: int
     modes: List[ModeStatistics]
 
-    def total_comm_volume(self) -> float:
-        return float(sum(m.comm_volume.sum() for m in self.modes)) / 2.0
-
 
 def collect_partition_statistics(
     tensor: SparseTensor,

@@ -35,14 +35,15 @@ non-root node exactly once regardless of mode order.
 
 Symbolic sources
 ----------------
-The tree's groupings come either from per-edge lexsorts over the COO index
-matrix (``source="coo"``) or from a CSF fiber hierarchy with the identity
-mode order (``source="csf"``): the CSF levels then coincide with the tree's
-contiguous mode ranges, every left-child edge inherits contiguous,
-already-sorted segments from its parent's sort order, and the numeric edge
-updates run gather-free over payload slices.  The served ``Y_(n)`` is
-identical either way, which is what lets ``tensor_format="csf"`` compose
-with ``ttmc_strategy="dimtree"`` across all execution models.
+The root holds the nonzeros either in the COO tensor's own order
+(``source="coo"``) or sorted lexicographically, mode 0 slowest
+(``source="csf"``, the order of a CSF tree with the identity mode order,
+whose levels coincide with the tree's contiguous mode ranges).  Over the
+sorted root every left-child edge inherits contiguous, already-sorted
+segments from its parent's sort order, and the numeric edge updates run
+gather-free over payload slices.  The served ``Y_(n)`` is identical either
+way, which is what lets ``tensor_format="csf"`` compose with
+``ttmc_strategy="dimtree"`` across all execution models.
 
 Memory
 ------
@@ -82,6 +83,7 @@ from repro.core.subset_ttmc import (
     group_fibers_presorted,
     subset_widths,
 )
+from repro.core.symbolic import stable_radix_order
 from repro.core.ttmc import zeroed_out
 from repro.engine.plans import TTMcPlan
 from repro.util.validation import check_axis
@@ -160,12 +162,11 @@ class DimensionTree(TTMcPlan):
 
     * ``"coo"`` (default) — the tree's root is the tensor's raw index matrix
       and every edge grouping is a :func:`group_fibers` lexsort.
-    * ``"csf"`` — the tree is built over a CSF fiber hierarchy
-      (:class:`~repro.sparse.csf.CSFTensor` with the *identity* mode order,
-      so the CSF levels coincide with the tree's contiguous mode ranges).
-      The root holds the lexicographically sorted nonzeros, which makes
-      every left-child grouping a prefix of a sorted parent: its segments
-      are derived by the CSF change-flag walk
+    * ``"csf"`` — the root holds the nonzeros sorted lexicographically,
+      mode 0 slowest (the leaf order of a CSF tree with the *identity* mode
+      order, whose levels coincide with the tree's contiguous mode ranges),
+      which makes every left-child grouping a prefix of a sorted parent: its
+      segments are derived by the CSF change-flag walk
       (:func:`group_fibers_presorted`) with an identity permutation, and the
       numeric edge updates read the parent payload through contiguous slices
       instead of gathers.  Caching, invalidation and the served ``Y_(n)``
@@ -194,19 +195,13 @@ class DimensionTree(TTMcPlan):
             )
         super().__init__(tensor.shape, ranks, block_nnz=block_nnz)
         self.source = source
+        root_cols, self._values = tensor.indices, tensor.values
         if source == "csf":
-            from repro.sparse.csf import CSFTensor
-
-            # Identity mode order: level ℓ of the fiber tree is mode ℓ, so
-            # the CSF hierarchy *is* the left spine of the dimension tree and
-            # the sorted expansion below is the root's index matrix.
-            self.csf = CSFTensor(tensor, mode_order=tuple(range(tensor.order)))
-            root_cols = self.csf.to_coo().indices
-            self._values = self.csf.values
-        else:
-            self.csf = None
-            root_cols = tensor.indices
-            self._values = tensor.values
+            # The CSF constructor's sort with the identity mode order.
+            perm = stable_radix_order(
+                [root_cols[:, m] for m in range(tensor.order)], tensor.shape
+            )
+            root_cols, self._values = root_cols[perm], self._values[perm]
         self._init_topology()
         self.root.index_cols = np.asarray(root_cols, dtype=np.int64)
         for node in self.nodes[1:]:

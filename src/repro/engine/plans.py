@@ -7,8 +7,7 @@ is a task that needs no locks.  A *plan* is one such decomposition:
 * :class:`COORowsPlan` — per-mode symbolic update lists; the items of mode
   ``n`` are the non-empty rows ``J_n``.
 * :class:`CSFSlabPlan` — CSF fiber trees; the items of mode ``n`` are the
-  root fibers of a tree rooted at ``n`` (a deep target level of a shared
-  tree is one indivisible item).
+  root fibers of the tree rooted at ``n``.
 * :class:`~repro.engine.dimtree.DimensionTree` — the memoized dimension
   tree; its keys are tree nodes and the items of a node are its fibers.
 
@@ -293,11 +292,10 @@ class CSFSlabPlan(TTMcPlan):
     A slab's subtree is a contiguous node range at every level and its
     output rows are exactly its root fibers (``J_n``), so slab ``[start,
     stop)`` writes rows ``start..stop`` of the block, lock-free
-    (:func:`repro.sparse.csf_ttmc.csf_ttmc_compact` with ``roots=``).  When
-    mode ``n`` sits below the root (a shared tree) its pushdown/pullup pass
-    does not split by output row, so the whole mode is one item.  ``trees``
-    is any :class:`~repro.sparse.csf.CSFTensorSet`: per-mode rooted trees
-    (what :meth:`build` makes), a shared tree, or a preset memory-mapped set.
+    (:func:`repro.sparse.csf_ttmc.csf_ttmc_compact` with ``roots=``).
+    ``trees`` is a :class:`~repro.sparse.csf.CSFTensorSet` whose tree ``n``
+    is rooted at mode ``n``: the one :meth:`build` makes, or a preset
+    memory-mapped set.
     """
 
     kind = "csf"
@@ -322,18 +320,15 @@ class CSFSlabPlan(TTMcPlan):
         return self.trees.tree_for(mode).target_rows(mode)
 
     def items(self, mode: int) -> int:
-        csf = self.trees.tree_for(mode)
-        return csf.num_fibers(0) if csf.level_of(mode) == 0 else 1
+        return self.trees.tree_for(mode).num_fibers(0)
 
     def body(self, mode: int, start: int, stop: int, workspace=None) -> None:
         from repro.sparse import csf_ttmc_compact
 
-        csf = self.trees.tree_for(mode)
-        rooted = csf.level_of(mode) == 0
         csf_ttmc_compact(
-            csf, self.factors, mode, workspace=workspace, kernel=self.kernel,
-            roots=(start, stop) if rooted else None,
-            out=self.outs[mode][start:stop] if rooted else self.outs[mode],
+            self.trees.tree_for(mode), self.factors, mode, workspace=workspace,
+            kernel=self.kernel, roots=(start, stop),
+            out=self.outs[mode][start:stop],
         )
 
     def pack(self, arena) -> dict:
@@ -365,7 +360,7 @@ class CSFSlabPlan(TTMcPlan):
             )
             for n in range(order)
         }
-        plan = cls(CSFTensorSet(trees, shared=False), meta["ranks"],
+        plan = cls(CSFTensorSet(trees), meta["ranks"],
                    block_nnz=meta["block_nnz"], kernel=meta["kernel"])
         return plan._attach_buffers(view)
 

@@ -3,7 +3,7 @@
 Every HOOI iteration recomputes, for each mode ``n``, the matricized TTMc
 result ``Y_(n)`` — a compact ``(|J_n| × ∏_{t≠n} R_t)`` dense block over the
 non-empty rows — plus the
-intermediates of the fiber formats: CSF per-level pullup/pushdown buffers
+intermediates of the fiber formats: CSF per-level pullup buffers
 and column-permutation targets, and dimension-tree node payloads.  The
 shapes repeat identically across iterations (and often across modes), so
 allocating them fresh every time wastes allocator work and memory bandwidth

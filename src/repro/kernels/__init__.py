@@ -3,7 +3,7 @@
 ``HOOIOptions.kernel = "numpy" | "numba"`` is a first-class engine axis:
 ``"numpy"`` keeps the vectorized kernels every other axis was built on,
 ``"numba"`` swaps the inner loops of the COO row-block TTMc and the CSF
-pullup/pushdown sweeps for fused, JIT-compiled loop bodies (gather +
+pullup sweeps for fused, JIT-compiled loop bodies (gather +
 multiply + accumulate in one pass per output row).  The
 registry owns availability, lazy compilation and warmup; the loop bodies
 live in :mod:`repro.kernels.csf_kernels` / :mod:`repro.kernels.coo_kernels`

@@ -13,7 +13,7 @@ output row in a single pass.
 The outer loop runs over output rows, not nonzeros — each row of ``out`` is
 written by exactly one iteration (the paper's lock-free row decomposition),
 which keeps the kernel composable with the thread / process / distributed
-row-block layers exactly like the NumPy path and makes ``prange`` safe.
+row-block layers exactly like the NumPy path.
 
 ``factors`` is a list of the ``N − 1`` non-target factor matrices in
 ascending mode order (a ``numba.typed.List`` under JIT, a plain list in the
@@ -27,11 +27,6 @@ varies fastest, matching :func:`repro.core.kron.batch_kron_rows`.
 from __future__ import annotations
 
 import numpy as np
-
-try:  # pragma: no cover - exercised only where numba is installed
-    from numba import prange
-except ImportError:  # interpreted fallback: prange behaves like range
-    prange = range
 
 __all__ = ["coo_row_block_ttmc"]
 
@@ -53,7 +48,7 @@ def coo_row_block_ttmc(
     """
     width = out.shape[1]
     num_factors = len(cols)
-    for r in prange(target_rows.shape[0]):
+    for r in range(target_rows.shape[0]):
         row = out[target_rows[r]]
         for j in range(width):
             row[j] = 0.0

@@ -23,26 +23,23 @@ or ``kernel="numpy"``).  :meth:`~repro.core.hooi.HOOIOptions.validate`
 calls :func:`require_kernel` so the error fires at option validation, before
 any tensor work starts.
 
-Two environment hooks, both read per call so tests can monkeypatch them:
+The kernels compile single-threaded (but ``nogil``): the engine already
+parallelizes over rows, slabs and ranks, and the compiled tier composes with
+those layers by running inside each task.
 
-* ``REPRO_KERNEL_FORCE_PYTHON=1`` serves the numba tier's *interpreted*
-  loop bodies instead of compiling them.  This is a testing hook: it proves
-  the compiled tier's numerics (the bodies are the exact code numba
-  compiles) on machines without numba, and it propagates through the
-  environment to worker processes.  It is orders of magnitude slower than
-  either real tier — never use it for performance work.
-* ``REPRO_KERNEL_PARALLEL=1`` compiles with ``parallel=True`` so the
-  kernels' ``prange`` loops use numba's own thread team.  Off by default:
-  the engine already parallelizes over rows/slabs/ranks, and nested thread
-  teams oversubscribe; the compiled tier composes with those layers by
-  staying single-threaded (but ``nogil``) inside each task.
+``REPRO_KERNEL_FORCE_PYTHON=1`` (read per call, so tests can monkeypatch
+it) serves the numba tier's *interpreted* loop bodies instead of compiling
+them.  This is a testing hook: it proves the compiled tier's numerics (the
+bodies are the exact code numba compiles) on machines without numba, and it
+propagates through the environment to worker processes.  It is orders of
+magnitude slower than either real tier — never use it for performance work.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -71,10 +68,9 @@ KERNEL_TIERS = ("numpy", "numba")
 MISSING_DIMTREE_KERNELS = ("dimtree_edge_update", "dimtree_leaf_gather")
 
 _FORCE_PYTHON_ENV = "REPRO_KERNEL_FORCE_PYTHON"
-_PARALLEL_ENV = "REPRO_KERNEL_PARALLEL"
 
-#: Compiled (or interpreted-fallback) tables, keyed by (force_python, parallel).
-_TABLES: Dict[Tuple[bool, bool], "KernelTable"] = {}
+#: Compiled (or interpreted-fallback) tables, keyed by the force-python hook.
+_TABLES: Dict[bool, "KernelTable"] = {}
 
 
 @dataclass(frozen=True)
@@ -89,9 +85,6 @@ class KernelTable:
     """
 
     csf_pullup_level: Callable
-    csf_target_accumulate: Callable
-    csf_pushdown_level: Callable
-    csf_pushdown_expand: Callable
     coo_row_block_ttmc: Callable
     make_factor_list: Callable[[List[np.ndarray]], object]
     compiled: bool
@@ -99,10 +92,6 @@ class KernelTable:
 
 def _force_python() -> bool:
     return os.environ.get(_FORCE_PYTHON_ENV, "").strip() not in ("", "0")
-
-
-def _parallel() -> bool:
-    return os.environ.get(_PARALLEL_ENV, "").strip() not in ("", "0")
 
 
 def numba_available() -> bool:
@@ -174,9 +163,6 @@ def _build_table() -> KernelTable:
 
     bodies = dict(
         csf_pullup_level=csf_kernels.csf_pullup_level,
-        csf_target_accumulate=csf_kernels.csf_target_accumulate,
-        csf_pushdown_level=csf_kernels.csf_pushdown_level,
-        csf_pushdown_expand=csf_kernels.csf_pushdown_expand,
         coo_row_block_ttmc=coo_kernels.coo_row_block_ttmc,
     )
     if _force_python():
@@ -186,7 +172,7 @@ def _build_table() -> KernelTable:
 
     import numba
 
-    jit = numba.njit(cache=True, nogil=True, parallel=_parallel())
+    jit = numba.njit(cache=True, nogil=True)
 
     def make_factor_list(factors: List[np.ndarray]):
         typed = numba.typed.List()
@@ -204,14 +190,14 @@ def _build_table() -> KernelTable:
 def kernel_table(kernel: str) -> Optional[KernelTable]:
     """The dispatch table of a tier: ``None`` for numpy, compiled for numba.
 
-    Compilation is lazy (first request per process) and cached per
-    ``(force_python, parallel)`` configuration; numba's own ``cache=True``
-    persists the machine code across processes.
+    Compilation is lazy (first request per process) and cached per value
+    of the force-python hook; numba's own ``cache=True`` persists the
+    machine code across processes.
     """
     require_kernel(kernel)
     if kernel == "numpy":
         return None
-    key = (_force_python(), _parallel())
+    key = _force_python()
     table = _TABLES.get(key)
     if table is None:
         table = _TABLES[key] = _build_table()
@@ -235,21 +221,9 @@ def warmup_kernels(kernel: str = "numba", dtype=np.float64) -> Optional[KernelTa
     factor = np.asarray([[1.0, 2.0], [3.0, 4.0]], dtype=dtype)
     fids = np.asarray([0, 1, 0], dtype=np.int64)
     fptr = np.asarray([0, 2, 3], dtype=np.int64)
-    out2 = np.empty((2, 2), dtype=dtype)
-    table.csf_pullup_level(below, factor, fids, fptr, 0, 0, 2, out2)
-    table.csf_target_accumulate(
-        out2,
-        np.ones((2, 1), dtype=dtype),
-        np.asarray([0, 1], dtype=np.int64),
-        np.asarray([0, 1], dtype=np.int64),
-        2,
-        np.empty((2, 2), dtype=dtype),
+    table.csf_pullup_level(
+        below, factor, fids, fptr, 0, 0, 2, np.empty((2, 2), dtype=dtype)
     )
-    table.csf_pushdown_level(
-        np.ones((2, 1), dtype=dtype), factor, fids, fptr,
-        np.empty((3, 2), dtype=dtype),
-    )
-    table.csf_pushdown_expand(out2, fptr, np.empty((3, 2), dtype=dtype))
     indices = np.asarray([[0, 0, 1], [1, 1, 0], [0, 1, 1]], dtype=np.int64)
     values = np.asarray([1.0, 2.0, 3.0], dtype=dtype)
     factors = table.make_factor_list([factor.copy(), factor.copy()])

@@ -38,14 +38,6 @@ class PartitionQuality:
     part_weights: np.ndarray
     imbalance: float            # max weight / average weight - 1
 
-    @property
-    def max_part_weight(self) -> int:
-        return int(self.part_weights.max()) if self.part_weights.size else 0
-
-    @property
-    def avg_part_weight(self) -> float:
-        return float(self.part_weights.mean()) if self.part_weights.size else 0.0
-
 
 def part_weights(hg: Hypergraph, parts: np.ndarray, num_parts: int) -> np.ndarray:
     """Total vertex weight assigned to each part."""

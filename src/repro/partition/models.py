@@ -46,10 +46,6 @@ class FineModelIndex:
         self.net_index = net_index
         self.first_net_of_mode = first_net_of_mode
 
-    def net_for(self, mode: int, nonempty_rank: int) -> int:
-        """Net id of the ``nonempty_rank``-th non-empty row of ``mode``."""
-        return int(self.first_net_of_mode[mode] + nonempty_rank)
-
 
 def build_fine_hypergraph(
     tensor: SparseTensor,

@@ -37,6 +37,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
+from repro.core.hooi import FALLBACK_POLICIES
+
 __all__ = [
     "FallbackStep",
     "DegradationLadder",
@@ -44,12 +46,6 @@ __all__ = [
     "CircuitOpenError",
     "FALLBACK_POLICIES",
 ]
-
-#: Values of ``HOOIOptions.fallback``: ``"ladder"`` (degrade through the
-#: rungs below) or ``"none"`` (fail the job once retries are exhausted —
-#: the pre-resilience behavior, for callers that prefer a loud failure
-#: over a slow success).
-FALLBACK_POLICIES = ("ladder", "none")
 
 #: Rung order: the axes in descent order, each mapping a value to the next
 #: one down.

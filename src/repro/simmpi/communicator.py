@@ -175,12 +175,6 @@ class Communicator:
                         return msg.payload
                 cv.wait()
 
-    def sendrecv(self, payload: Any, dest: int, source: int,
-                 send_tag: int = 0, recv_tag: int = 0) -> Any:
-        """Combined send + receive (deadlock-free thanks to buffered sends)."""
-        self.send(payload, dest, send_tag)
-        return self.recv(source, recv_tag)
-
     # ------------------------------------------------------------------ #
     # Collectives
     # ------------------------------------------------------------------ #
@@ -285,6 +279,3 @@ class Communicator:
             return [values[src][self.rank] for src in range(self.size)]
 
         return self._collective_op("alltoall", list(payloads), nbytes, combine)
-
-    def barrier_only(self) -> None:  # pragma: no cover - alias
-        self.barrier()

@@ -39,13 +39,6 @@ class SPMDResult:
     world: CommWorld
     values: List[Any]
 
-    @property
-    def max_simulated_time(self) -> float:
-        return self.world.max_clock()
-
-    def comm_volumes_bytes(self) -> List[int]:
-        return [s.total_bytes for s in self.world.stats]
-
 
 def run_spmd(
     program: Callable[..., Any],

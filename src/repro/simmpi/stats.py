@@ -51,10 +51,6 @@ class CommStats:
         """Total point-to-point plus collective traffic charged to this rank."""
         return self.bytes_sent + self.bytes_received + self.collective_bytes
 
-    def volume_elements(self, element_bytes: int = 8) -> float:
-        """Total traffic in elements (doubles by default) — the paper's unit."""
-        return self.total_bytes / float(element_bytes)
-
     def reset(self) -> None:
         self.bytes_sent = 0
         self.bytes_received = 0

@@ -26,9 +26,10 @@ The mode ordering is configurable.  The default heuristic is
 *shortest-mode-first* (:func:`default_mode_order`): small modes at the top
 maximize prefix sharing near the root, which is where a merged fiber saves
 the widest partial products.  :func:`rooted_mode_order` pins one mode at the
-root (the layout that serves that mode's TTMc with no scatter conflicts), and
-:class:`CSFTensorSet` packages the two policies the engine chooses between —
-one rooted tree per mode, or a single shared tree reused for every mode.
+root, and a tree serves the TTMc of that mode only: its output rows are the
+root fibers, with no scatter conflicts.  :class:`CSFTensorSet` holds the one
+rooted tree per mode that the engine, the distributed ranks and the process
+crew run on.
 """
 
 from __future__ import annotations
@@ -164,7 +165,6 @@ class CSFTensor:
         "fptr",
         "values",
         "_token",
-        "_groupings",
     )
 
     def __init__(
@@ -189,9 +189,6 @@ class CSFTensor:
         # lets a shared WorkspacePool stay at zero steady-state allocations
         # across engine runs (each run rebuilds its CSFTensorSet).
         self._token = "csf-" + ".".join(str(m) for m in mode_order)
-        # Lazily-built output groupings for serving a deep level's TTMc
-        # (level -> (perm, rows, boundaries)); symbolic, reused across calls.
-        self._groupings: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
         order = tensor.order
         nnz = tensor.nnz
@@ -244,7 +241,6 @@ class CSFTensor:
         obj.shape = shape
         obj.mode_order = mode_order
         obj._token = "csf-" + ".".join(str(m) for m in mode_order)
-        obj._groupings = {}
         obj.fids = list(fids)
         obj.fptr = list(fptr)
         obj.values = values
@@ -370,62 +366,22 @@ class CSFTensor:
             load("values.npy"),
         )
 
-    # ------------------------------------------------------------------ #
-    # Structural queries used by the TTMc kernels
-    # ------------------------------------------------------------------ #
-    def target_grouping(
-        self, level: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Row grouping of a level's nodes for serving that level's TTMc.
-
-        Returns ``(perm, rows, boundaries)``: ``perm`` reorders the level's
-        nodes so equal ``fids`` are contiguous, ``rows`` are the distinct
-        (sorted) mode indices and ``boundaries`` are the group starts inside
-        the permuted order — ready for one segment-sum.  Level 0
-        needs no grouping (its fibers are already unique and sorted); deeper
-        levels cache theirs here, built once per tree.
-        """
-        level = check_axis(level, self.order)
-        cached = self._groupings.get(level)
-        if cached is not None:
-            return cached
-        fids = self.fids[level]
-        perm = stable_radix_order([fids], [self.shape[self.mode_order[level]]])
-        sorted_fids = fids[perm]
-        if sorted_fids.shape[0] == 0:
-            grouping = (
-                perm,
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-            )
-        else:
-            boundary = np.empty(sorted_fids.shape, dtype=bool)
-            boundary[0] = True
-            np.not_equal(sorted_fids[1:], sorted_fids[:-1], out=boundary[1:])
-            grouping = (
-                perm,
-                sorted_fids[boundary],
-                np.flatnonzero(boundary).astype(np.int64),
-            )
-        self._groupings[level] = grouping
-        return grouping
-
     def target_rows(self, mode: int) -> np.ndarray:
-        """Sorted mode indices owning at least one nonzero (``J_n``)."""
-        level = self.level_of(mode)
-        if level == 0:
-            return self.fids[0]
-        return self.target_grouping(level)[1]
+        """Sorted mode indices owning at least one nonzero (``J_n``).
 
-    def node_spans(self, level: int) -> np.ndarray:
-        """Number of nonzeros under each node of the given level."""
-        level = check_axis(level, self.order)
-        if self.nnz == 0:
-            return np.empty(0, dtype=np.int64)
-        starts = np.arange(self.nnz, dtype=np.int64)  # leaves = nonzeros
-        for lower in range(self.order - 2, level - 1, -1):
-            starts = starts[self.fptr[lower][:-1]]
-        return np.diff(np.concatenate([starts, [self.nnz]]))
+        Those are the root fibers of a tree rooted at ``mode``.  A tree
+        serves only its root mode, so any other mode raises
+        :class:`ValueError` (as its TTMc does).
+        """
+        level = self.level_of(mode)
+        if level != 0:
+            raise ValueError(
+                f"a CSF tree serves only the mode at its root, but mode {mode} "
+                f"sits at level {level} of mode order {self.mode_order}: build "
+                f"the tree with mode_order=rooted_mode_order(shape, {mode}), "
+                f"or take CSFTensorSet.per_mode(tensor).tree_for({mode})"
+            )
+        return self.fids[0]
 
     # ------------------------------------------------------------------ #
     # Conversions
@@ -454,20 +410,17 @@ class CSFTensor:
 
 
 class CSFTensorSet:
-    """The trees one tensor carries: one rooted tree per mode, or one shared.
+    """One tree per mode, each rooted at its mode.
 
-    ``per_mode`` builds, for every mode ``n``, a tree rooted at ``n``
-    (:func:`rooted_mode_order`) — each TTMc is then a pure pullup with its
-    output rows the unique root fibers, the fastest layout at ``order``×
-    the index memory.  ``shared`` builds a single shortest-mode-first tree
-    reused for every mode — minimal memory, with deep target modes served
-    through the pushdown/pullup pass of
-    :func:`repro.sparse.csf_ttmc.csf_ttmc_compact`.
+    :meth:`per_mode` builds, for every mode ``n``, a tree rooted at ``n``
+    (:func:`rooted_mode_order`): each TTMc is then a pure pullup whose
+    output rows are the unique root fibers, at ``order``× the index memory
+    of one tree.  A memory-bound run keeps the trees on disk instead
+    (:meth:`to_mmap`, :func:`repro.streaming.build_out_of_core`).
     """
 
-    def __init__(self, trees: Dict[int, CSFTensor], *, shared: bool) -> None:
+    def __init__(self, trees: Dict[int, CSFTensor]) -> None:
         self._trees = trees
-        self.shared = shared
 
     @classmethod
     def per_mode(
@@ -505,40 +458,24 @@ class CSFTensorSet:
             ) as pool:
                 futures = {mode: pool.submit(build, mode) for mode in modes}
                 trees = {mode: fut.result() for mode, fut in futures.items()}
-        return cls(trees, shared=False)
-
-    @classmethod
-    def shared_tree(
-        cls, tensor: SparseTensor, *, mode_order: Optional[Sequence[int]] = None
-    ) -> "CSFTensorSet":
-        tree = CSFTensor(tensor, mode_order=mode_order)
-        return cls({mode: tree for mode in range(tensor.order)}, shared=True)
+        return cls(trees)
 
     def tree_for(self, mode: int) -> CSFTensor:
         return self._trees[mode]
 
-    @property
-    def trees(self) -> List[CSFTensor]:
-        """The distinct trees in the set (one when shared)."""
-        seen: List[CSFTensor] = []
-        for tree in self._trees.values():
-            if all(tree is not other for other in seen):
-                seen.append(tree)
-        return seen
-
     def memory_bytes(self) -> int:
-        return sum(tree.memory_bytes() for tree in self.trees)
+        return sum(tree.memory_bytes() for tree in self._trees.values())
 
     def resident_bytes(self) -> int:
         """Heap-resident bytes of the set (memmap-backed levels excluded)."""
-        return sum(tree.resident_bytes() for tree in self.trees)
+        return sum(tree.resident_bytes() for tree in self._trees.values())
 
     # ------------------------------------------------------------------ #
     # Memory-mapped persistence
     # ------------------------------------------------------------------ #
     @staticmethod
     def write_mmap_manifest(
-        directory: Union[str, Path], *, shared: bool, modes: Sequence[int]
+        directory: Union[str, Path], *, modes: Sequence[int]
     ) -> Path:
         """Write the set-level manifest binding per-tree directories.
 
@@ -550,7 +487,6 @@ class CSFTensorSet:
         directory.mkdir(parents=True, exist_ok=True)
         manifest = {
             "schema": "repro-csf-set-mmap/1",
-            "shared": bool(shared),
             "modes": [int(m) for m in modes],
         }
         path = directory / _SET_MANIFEST
@@ -558,26 +494,17 @@ class CSFTensorSet:
         return path
 
     @staticmethod
-    def tree_directory(directory: Union[str, Path], mode: int, *, shared: bool) -> Path:
-        """Per-tree subdirectory of a mmap set layout."""
-        directory = Path(directory)
-        return directory / ("shared" if shared else f"mode-{int(mode)}")
+    def tree_directory(directory: Union[str, Path], mode: int) -> Path:
+        """Subdirectory of mode ``mode``'s tree in a mmap set layout."""
+        return Path(directory) / f"mode-{int(mode)}"
 
     def to_mmap(self, directory: Union[str, Path]) -> Path:
-        """Write every distinct tree under ``directory`` plus a set manifest."""
-        directory = Path(directory)
+        """Write every tree under ``directory`` plus a set manifest."""
         modes = sorted(self._trees)
-        if self.shared:
-            self.tree_for(modes[0]).to_mmap(
-                self.tree_directory(directory, modes[0], shared=True)
-            )
-        else:
-            for mode in modes:
-                self.tree_for(mode).to_mmap(
-                    self.tree_directory(directory, mode, shared=False)
-                )
-        self.write_mmap_manifest(directory, shared=self.shared, modes=modes)
-        return directory
+        for mode in modes:
+            self.tree_for(mode).to_mmap(self.tree_directory(directory, mode))
+        self.write_mmap_manifest(directory, modes=modes)
+        return Path(directory)
 
     @classmethod
     def from_mmap(
@@ -598,23 +525,20 @@ class CSFTensorSet:
                 f"unsupported CSF set mmap schema {manifest.get('schema')!r} "
                 f"in {manifest_path}"
             )
-        shared = bool(manifest["shared"])
-        modes = [int(m) for m in manifest["modes"]]
-        if shared:
-            tree = CSFTensor.from_mmap(
-                cls.tree_directory(directory, modes[0], shared=True),
-                mmap_mode=mmap_mode,
+        if manifest.get("shared"):
+            raise ValueError(
+                f"{manifest_path} describes one tree shared by every mode, but "
+                "a CSF tree serves only the mode at its root: rebuild the "
+                "directory with repro.streaming.build_out_of_core, which "
+                "writes one rooted tree per mode"
             )
-            return cls({mode: tree for mode in modes}, shared=True)
         return cls(
             {
-                mode: CSFTensor.from_mmap(
-                    cls.tree_directory(directory, mode, shared=False),
-                    mmap_mode=mmap_mode,
+                int(mode): CSFTensor.from_mmap(
+                    cls.tree_directory(directory, mode), mmap_mode=mmap_mode
                 )
-                for mode in modes
-            },
-            shared=False,
+                for mode in manifest["modes"]
+            }
         )
 
 

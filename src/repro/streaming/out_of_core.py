@@ -7,8 +7,9 @@ This module splits storage from compute:
 
 * :func:`build_out_of_core` compresses a tensor (a ``.tns`` path streamed
   through the chunked reader, a :class:`SparseTensor`, or a
-  :class:`~repro.streaming.tensor.StreamingTensor`) into memory-mapped CSF
-  trees on disk, building and releasing **one tree at a time** so the build
+  :class:`~repro.streaming.tensor.StreamingTensor`) into one memory-mapped
+  CSF tree per mode, rooted at that mode (the trees the in-memory CSF plan
+  runs on), building and releasing **one tree at a time** so the build
   itself never holds more than the COO plus a single tree.
 * :class:`OutOfCoreTensor` is the duck-typed tensor handle the HOOI engine
   accepts: shape / nnz / norm come from a manifest, the level arrays are
@@ -65,7 +66,6 @@ class OutOfCoreTensor:
         self.directory = directory
         self.mmap_mode = mmap_mode
         self.shape = tuple(int(s) for s in manifest["shape"])
-        self.trees_policy = str(manifest["trees"])
         self._nnz = int(manifest["nnz"])
         self._norm = float(manifest["norm"])
         self._dtype = np.dtype(manifest["dtype"])
@@ -109,7 +109,7 @@ class OutOfCoreTensor:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"OutOfCoreTensor(shape={self.shape}, nnz={self._nnz}, "
-            f"trees={self.trees_policy!r}, dir={str(self.directory)!r})"
+            f"dir={str(self.directory)!r})"
         )
 
 
@@ -117,7 +117,6 @@ def build_out_of_core(
     source,
     directory: Union[str, Path],
     *,
-    trees: str = "per-mode",
     shape: Optional[Sequence[int]] = None,
     chunk_nnz: Optional[int] = None,
     dtype=None,
@@ -125,17 +124,11 @@ def build_out_of_core(
     """Compress ``source`` into memory-mapped CSF trees under ``directory``.
 
     ``source`` is a ``.tns`` path (streamed through the chunked reader), a
-    :class:`SparseTensor`, or a :class:`StreamingTensor`.  With
-    ``trees="per-mode"`` one rooted tree per mode is built, written with
-    :meth:`CSFTensor.to_mmap` and *released* before the next build starts —
-    peak heap is the COO plus one tree, not the ``order + 1`` structures the
-    in-memory pipeline keeps.  ``trees="shared"`` writes a single
-    shortest-mode-first tree.
+    :class:`SparseTensor`, or a :class:`StreamingTensor`.  One rooted tree
+    per mode is built, written with :meth:`CSFTensor.to_mmap` and *released*
+    before the next build starts — peak heap is the COO plus one tree, not
+    the ``order + 1`` structures the in-memory pipeline keeps.
     """
-    if trees not in ("per-mode", "shared"):
-        raise ValueError(
-            f"unknown tree policy {trees!r}: expected 'per-mode' or 'shared'"
-        )
     if isinstance(source, StreamingTensor):
         tensor = source.tensor
     elif isinstance(source, SparseTensor):
@@ -154,31 +147,17 @@ def build_out_of_core(
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     modes = list(range(tensor.order))
-    if trees == "per-mode":
-        for mode in modes:
-            tree = CSFTensor(
-                tensor, mode_order=rooted_mode_order(tensor.shape, mode)
-            )
-            tree.to_mmap(
-                CSFTensorSet.tree_directory(directory, mode, shared=False)
-            )
-            del tree  # one tree on the heap at a time
-    else:
-        tree = CSFTensor(tensor)
-        tree.to_mmap(
-            CSFTensorSet.tree_directory(directory, modes[0], shared=True)
-        )
-        del tree
-    CSFTensorSet.write_mmap_manifest(
-        directory, shared=(trees == "shared"), modes=modes
-    )
+    for mode in modes:
+        tree = CSFTensor(tensor, mode_order=rooted_mode_order(tensor.shape, mode))
+        tree.to_mmap(CSFTensorSet.tree_directory(directory, mode))
+        del tree  # one tree on the heap at a time
+    CSFTensorSet.write_mmap_manifest(directory, modes=modes)
     manifest = {
         "schema": "repro-ooc-tensor/1",
         "shape": [int(s) for s in tensor.shape],
         "nnz": tensor.nnz,
         "dtype": tensor.dtype.str,
         "norm": tensor.norm(),
-        "trees": trees,
     }
     (directory / _OOC_MANIFEST).write_text(
         json.dumps(manifest, indent=2), encoding="utf-8"

@@ -3,13 +3,12 @@
 A plan reports each mode's sorted non-empty rows ``J_n`` (``plan.rows(n)``,
 fixed at build) and its TTMc returns the compact block whose row ``p`` is
 ``Y_(n)(J_n[p], :)``.  The blocks must equal ``ttmc_matricized(...)[J_n]``
-under ``np.array_equal`` for every plan (COO rows, per-mode CSF slabs, a
-shared CSF tree with deep targets, and the dimension tree over either
-source), inline, on two threads and on a two-worker crew, in the first
-sweep and in a later one.  Threads, workers and the fiber formats
-reassociate sums, so the data are small integers: every product and sum is
-exact, and any association gives the same bits.  Mode 0 uses only even
-indices, so it has empty rows.
+under ``np.array_equal`` for every plan (COO rows, per-mode CSF slabs, and
+the dimension tree over either source), inline, on two threads and on a
+two-worker crew, in the first sweep and in a later one.  Threads, workers
+and the fiber formats reassociate sums, so the data are small integers:
+every product and sum is exact, and any association gives the same bits.
+Mode 0 uses only even indices, so it has empty rows.
 
 The engine runs the TRSVD on the block.  When a mode has fewer non-empty
 rows than its rank, the solver returns ``|J_n|`` columns and the factor is
@@ -52,7 +51,6 @@ CASES = {
 PLANS = {
     "coo": lambda t, r: COORowsPlan(t, parallel_symbolic(t, 1), r),
     "csf": lambda t, r: CSFSlabPlan(CSFTensorSet.per_mode(t), r),
-    "csf-shared": lambda t, r: CSFSlabPlan(CSFTensorSet.shared_tree(t), r),
     "dimtree-coo": lambda t, r: DimensionTree(t, source="coo", ranks=r),
     "dimtree-csf": lambda t, r: DimensionTree(t, source="csf", ranks=r),
 }

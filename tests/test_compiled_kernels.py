@@ -190,8 +190,10 @@ class TestCSFEdgeCases:
         idx = np.asarray([[i, i % 3, i % 4] for i in range(5)], dtype=np.int64)
         tensor = SparseTensor(idx, np.arange(1.0, 6.0), (5, 3, 4))
         factors = make_factors((5, 3, 4), (2, 2, 2), seed=4)
-        csf = CSFTensor(tensor)  # shared tree: deep targets hit pushdown
         for mode in range(3):
+            csf = CSFTensor(
+                tensor, mode_order=rooted_mode_order(tensor.shape, mode)
+            )
             ref = ttmc_matricized(tensor, factors, mode)
             got = csf_ttmc_matricized(csf, factors, mode, kernel="numba")
             np.testing.assert_allclose(got, ref, atol=1e-12)
@@ -201,22 +203,13 @@ class TestCSFEdgeCases:
             np.empty((0, 3), dtype=np.int64), np.empty(0), (5, 3, 4)
         )
         factors = make_factors((5, 3, 4), (2, 2, 2), seed=5)
-        csf = CSFTensor(tensor)
-        rows, block = csf_ttmc_compact(csf, factors, 0, kernel="numba")
-        assert rows.shape == (0,)
-        assert block.shape == (0, 4)
-
-    def test_four_mode_shared_tree(self):
-        """Deep targets exercise pushdown refine + expand and the fused
-        target-group accumulation."""
-        shape = (5, 4, 6, 3)
-        tensor = make_tensor(shape, 70, seed=6)
-        factors = make_factors(shape, (2, 2, 3, 2), seed=7)
-        csf = CSFTensor(tensor)
-        for mode in range(4):
-            ref = ttmc_matricized(tensor, factors, mode)
-            got = csf_ttmc_matricized(csf, factors, mode, kernel="numba")
-            np.testing.assert_allclose(got, ref, atol=1e-11)
+        for mode in range(3):
+            csf = CSFTensor(
+                tensor, mode_order=rooted_mode_order(tensor.shape, mode)
+            )
+            rows, block = csf_ttmc_compact(csf, factors, mode, kernel="numba")
+            assert rows.shape == (0,)
+            assert block.shape == (0, 4)
 
 
 class TestDtypeBehaviour:
@@ -234,7 +227,9 @@ class TestDtypeBehaviour:
             got = ttmc_matricized(tensor32, factors32, mode, kernel=kernel)
             assert got.dtype == np.float32
             np.testing.assert_allclose(got, ref, atol=1e-3)
-            csf32 = CSFTensor(tensor32)
+            csf32 = CSFTensor(
+                tensor32, mode_order=rooted_mode_order(self.SHAPE, mode)
+            )
             got_csf = csf_ttmc_matricized(csf32, factors32, mode, kernel=kernel)
             assert got_csf.dtype == np.float32
             np.testing.assert_allclose(got_csf, ref, atol=1e-3)
@@ -276,17 +271,13 @@ class TestAllocationContract:
     RANKS = (3, 2, 2, 2)
 
     @pytest.mark.parametrize("kernel", KERNEL_TIERS)
-    @pytest.mark.parametrize("tree", ["rooted", "shared"])
-    def test_csf_sweep_zero_steady_state_allocations(self, kernel, tree):
+    def test_csf_sweep_zero_steady_state_allocations(self, kernel):
         tensor = make_tensor(self.SHAPE, 150, seed=10)
         factors = make_factors(self.SHAPE, self.RANKS, seed=11)
-        if tree == "rooted":
-            trees = [
-                CSFTensor(tensor, mode_order=rooted_mode_order(self.SHAPE, m))
-                for m in range(4)
-            ]
-        else:
-            trees = [CSFTensor(tensor)] * 4
+        trees = [
+            CSFTensor(tensor, mode_order=rooted_mode_order(self.SHAPE, m))
+            for m in range(4)
+        ]
         pool = WorkspacePool()
         for _ in range(2):  # warm every (tag, shape, dtype) key
             for mode in range(4):
@@ -308,7 +299,7 @@ class TestAllocationContract:
         tensor = make_tensor(self.SHAPE[:3], 80, seed=12)  # float64 values
         factors = make_factors(self.SHAPE[:3], self.RANKS[:3], seed=13,
                                dtype=np.float32)
-        csf = CSFTensor(tensor)
+        csf = CSFTensor(tensor, mode_order=rooted_mode_order(tensor.shape, 0))
         pool = WorkspacePool()
         for _ in range(2):
             csf_ttmc_compact(csf, factors, 0, workspace=pool, kernel=kernel)

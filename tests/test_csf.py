@@ -6,7 +6,6 @@ import pytest
 from repro.core import HOOIOptions, SparseTensor, hooi, ttmc_matricized
 from repro.core.symbolic import symbolic_ttmc
 from repro.core.ttmc import restrict_symbolic
-from repro.data import power_law_sparse_tensor
 from repro.engine import (
     CSFSlabPlan,
     HOOIEngine,
@@ -22,7 +21,6 @@ from repro.sparse import (
     csf_ttmc_compact,
     csf_ttmc_matricized,
     default_mode_order,
-    memory_report,
     rooted_mode_order,
 )
 from repro.util.linalg import random_orthonormal
@@ -33,6 +31,11 @@ def make_factors(shape, rank=3, seed=0):
         random_orthonormal(size, min(rank, size), seed=seed + 7 * n)
         for n, size in enumerate(shape)
     ]
+
+
+def rooted(tensor, mode):
+    """The tree that serves mode ``mode``: rooted there, the rest shortest-first."""
+    return CSFTensor(tensor, mode_order=rooted_mode_order(tensor.shape, mode))
 
 
 class TestModeOrders:
@@ -75,21 +78,12 @@ class TestConstruction:
             assert fptr[-1] == csf.num_fibers(level + 1)
             assert (np.diff(fptr) >= 1).all()  # no empty fibers
 
-    def test_node_spans_sum_to_nnz(self, small_tensor_4d):
-        csf = CSFTensor(small_tensor_4d)
-        for level in range(csf.order):
-            assert csf.node_spans(level).sum() == small_tensor_4d.nnz
-
     def test_target_rows_match_symbolic(self, small_tensor_3d):
         for mode in range(3):
-            shared = CSFTensor(small_tensor_3d)
-            rooted = CSFTensor(
-                small_tensor_3d,
-                mode_order=rooted_mode_order(small_tensor_3d.shape, mode),
-            )
             expected = symbolic_ttmc(small_tensor_3d, mode).rows
-            np.testing.assert_array_equal(shared.target_rows(mode), expected)
-            np.testing.assert_array_equal(rooted.target_rows(mode), expected)
+            np.testing.assert_array_equal(
+                rooted(small_tensor_3d, mode).target_rows(mode), expected
+            )
 
     def test_empty_tensor(self):
         csf = CSFTensor(SparseTensor.empty((4, 5, 6)))
@@ -144,45 +138,38 @@ class TestMemoryBytes:
         assert [len(f) for f in csf.fids] == [1, 1, 2]
         assert csf.memory_bytes() == (1 + 1 + 2) * 8 + (2 + 2) * 8 + 2 * 8
 
-    def test_shared_tree_compresses_power_law(self):
-        tensor = power_law_sparse_tensor((60, 50, 40), 8000, exponents=0.9, seed=2)
-        report = memory_report(tensor, CSFTensorSet.shared_tree(tensor))
-        assert report["coo_bytes"] == tensor.memory_bytes()
-        assert report["ratio"] < 1.0  # merged prefixes beat flat COO
-
     def test_per_mode_set_counts_all_trees(self, small_tensor_3d):
         per_mode = CSFTensorSet.per_mode(small_tensor_3d)
         assert per_mode.memory_bytes() == sum(
             per_mode.tree_for(m).memory_bytes() for m in range(3)
         )
 
-    def test_shared_set_counts_tree_once(self, small_tensor_3d):
-        shared = CSFTensorSet.shared_tree(small_tensor_3d)
-        assert shared.memory_bytes() == shared.tree_for(0).memory_bytes()
-        assert len(shared.trees) == 1
-
 
 class TestTTMcParity:
-    @pytest.mark.parametrize("mode", [0, 1, 2])
-    def test_shared_tree_matches_coo(self, small_tensor_3d, mode):
-        factors = make_factors(small_tensor_3d.shape)
-        csf = CSFTensor(small_tensor_3d)
-        expected = ttmc_matricized(small_tensor_3d, factors, mode)
-        result = csf_ttmc_matricized(csf, factors, mode)
+    @pytest.mark.parametrize(
+        "fixture, mode",
+        [("small_tensor_3d", mode) for mode in range(3)]
+        + [("small_tensor_4d", mode) for mode in range(4)],
+    )
+    def test_rooted_tree_matches_coo(self, request, fixture, mode):
+        tensor = request.getfixturevalue(fixture)
+        factors = make_factors(tensor.shape)
+        expected = ttmc_matricized(tensor, factors, mode)
+        result = csf_ttmc_matricized(rooted(tensor, mode), factors, mode)
         assert result.shape == expected.shape
         np.testing.assert_allclose(result, expected, atol=1e-10)
 
-    @pytest.mark.parametrize("mode", [0, 1, 2, 3])
-    def test_rooted_tree_matches_coo_4d(self, small_tensor_4d, mode):
-        factors = make_factors(small_tensor_4d.shape)
-        csf = CSFTensor(
-            small_tensor_4d,
-            mode_order=rooted_mode_order(small_tensor_4d.shape, mode),
-        )
-        expected = ttmc_matricized(small_tensor_4d, factors, mode)
-        np.testing.assert_allclose(
-            csf_ttmc_matricized(csf, factors, mode), expected, atol=1e-10
-        )
+    def test_tree_serves_only_its_root_mode(self, small_tensor_3d):
+        """A mode below the root is rejected, with the way to a rooted tree."""
+        factors = make_factors(small_tensor_3d.shape)
+        csf = rooted(small_tensor_3d, 0)
+        for mode in (1, 2):
+            for call in (csf_ttmc_compact, csf_ttmc_matricized):
+                with pytest.raises(ValueError, match="rooted_mode_order") as err:
+                    call(csf, factors, mode)
+                assert "CSFTensorSet.per_mode" in str(err.value)
+            with pytest.raises(ValueError, match="root"):
+                csf.target_rows(mode)
 
     def test_distinct_ranks_column_order(self, small_tensor_4d):
         """Unequal ranks catch any column-permutation mistake."""
@@ -191,11 +178,11 @@ class TestTTMcParity:
             rng.standard_normal((size, rank))
             for size, rank in zip(small_tensor_4d.shape, (2, 3, 4, 5))
         ]
-        csf = CSFTensor(small_tensor_4d)
         for mode in range(4):
             expected = ttmc_matricized(small_tensor_4d, factors, mode)
             np.testing.assert_allclose(
-                csf_ttmc_matricized(csf, factors, mode), expected, atol=1e-10
+                csf_ttmc_matricized(rooted(small_tensor_4d, mode), factors, mode),
+                expected, atol=1e-10,
             )
 
     def test_threaded_slabs_match(self, small_tensor_4d):
@@ -212,7 +199,7 @@ class TestTTMcParity:
     def test_float32_stays_float32(self, small_tensor_3d):
         tensor = small_tensor_3d.astype("float32")
         factors = [np.asarray(f, dtype=np.float32) for f in make_factors(tensor.shape)]
-        result = csf_ttmc_matricized(CSFTensor(tensor), factors, 0)
+        result = csf_ttmc_matricized(rooted(tensor, 0), factors, 0)
         expected = ttmc_matricized(tensor, factors, 0)
         assert result.dtype == np.float32
         np.testing.assert_allclose(result, expected, atol=1e-3)
@@ -220,12 +207,12 @@ class TestTTMcParity:
     def test_mixed_dtype_promotes(self, small_tensor_3d):
         tensor = small_tensor_3d.astype("float32")
         factors = make_factors(tensor.shape)  # float64
-        assert csf_ttmc_matricized(CSFTensor(tensor), factors, 1).dtype == np.float64
+        assert csf_ttmc_matricized(rooted(tensor, 1), factors, 1).dtype == np.float64
 
     def test_out_and_zero_policies(self, small_tensor_3d):
         """A given ``out`` is zeroed before the rows land; its shape is checked."""
         factors = make_factors(small_tensor_3d.shape)
-        csf = CSFTensor(small_tensor_3d)
+        csf = rooted(small_tensor_3d, 0)
         expected = ttmc_matricized(small_tensor_3d, factors, 0)
         out = np.full_like(expected, 7.0)
         result = csf_ttmc_matricized(csf, factors, 0, out=out)
@@ -236,8 +223,7 @@ class TestTTMcParity:
 
     def test_compact_form(self, small_tensor_3d):
         factors = make_factors(small_tensor_3d.shape)
-        csf = CSFTensor(small_tensor_3d)
-        rows, block = csf_ttmc_compact(csf, factors, 1)
+        rows, block = csf_ttmc_compact(rooted(small_tensor_3d, 1), factors, 1)
         expected = ttmc_matricized(small_tensor_3d, factors, 1)
         np.testing.assert_array_equal(rows, symbolic_ttmc(small_tensor_3d, 1).rows)
         np.testing.assert_allclose(block, expected[rows], atol=1e-10)
@@ -251,7 +237,7 @@ class TestTTMcParity:
 
     def test_workspace_steady_state(self, small_tensor_3d):
         factors = make_factors(small_tensor_3d.shape)
-        csf = CSFTensor(small_tensor_3d)
+        csf = rooted(small_tensor_3d, 0)
         pool = WorkspacePool()
         csf_ttmc_matricized(csf, factors, 0, workspace=pool)
         allocations = pool.allocations
@@ -268,10 +254,10 @@ class TestTTMcParity:
         """
         factors = make_factors(small_tensor_3d.shape)
         pool = WorkspacePool()
-        csf_ttmc_matricized(CSFTensor(small_tensor_3d), factors, 0, workspace=pool)
+        csf_ttmc_matricized(rooted(small_tensor_3d, 0), factors, 0, workspace=pool)
         allocations = pool.allocations
         buffers = pool.num_buffers
-        csf_ttmc_matricized(CSFTensor(small_tensor_3d), factors, 0, workspace=pool)
+        csf_ttmc_matricized(rooted(small_tensor_3d, 0), factors, 0, workspace=pool)
         assert pool.allocations == allocations
         assert pool.num_buffers == buffers
 
@@ -296,16 +282,14 @@ class TestCSFBackends:
         reference = hooi(
             small_tensor_3d, self.RANKS, HOOIOptions(max_iterations=3, seed=0)
         )
-        shared = CSFSlabPlan(CSFTensorSet.shared_tree(small_tensor_3d))
-        for plan in (CSFSlabPlan, shared):
-            result = self.run(small_tensor_3d, PlanBackend(plan))
-            np.testing.assert_allclose(
-                result.fit_history, reference.fit_history, atol=1e-10
-            )
-            for ours, ref in zip(
-                result.decomposition.factors, reference.decomposition.factors
-            ):
-                np.testing.assert_allclose(ours, ref, atol=1e-10)
+        result = self.run(small_tensor_3d, PlanBackend(CSFSlabPlan))
+        np.testing.assert_allclose(
+            result.fit_history, reference.fit_history, atol=1e-10
+        )
+        for ours, ref in zip(
+            result.decomposition.factors, reference.decomposition.factors
+        ):
+            np.testing.assert_allclose(ours, ref, atol=1e-10)
 
     def test_threaded_backend_parity(self, small_tensor_3d):
         reference = hooi(

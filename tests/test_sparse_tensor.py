@@ -264,6 +264,12 @@ class TestPastInt64:
         with pytest.raises(ValueError, match="int64"):
             SparseTensor(self.PAIR, [1.0, 2.0], self.SHAPE).linear_indices()
 
+    def test_matricize_names_the_column_count(self):
+        t = SparseTensor(self.PAIR, [1.0, 2.0], self.SHAPE)
+        with pytest.raises(ValueError, match=f"= {10**20} columns"):
+            t.matricize(0)
+        assert t.matricize(1).shape == (10**5, 4 * 10**15)  # fits int64
+
     def test_allclose(self):
         a = SparseTensor(self.PAIR, [1.0, 2.0], self.SHAPE)
         assert a.allclose(SparseTensor(self.PAIR[::-1], [2.0, 1.0], self.SHAPE))

@@ -19,6 +19,7 @@ The load-bearing contracts, in the order the module stack builds them:
 """
 
 import asyncio
+import json
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from repro.core.hosvd import initialize_factors
 from repro.core.sparse_tensor import SparseTensor, fingerprint_with_delta
 from repro.data.io import iter_tns_chunks, read_tns, write_tns
 from repro.data.lowrank import planted_lowrank_tensor
+from repro.sparse import CSFTensor, CSFTensorSet
 from repro.streaming import (
     DeltaBatch,
     StreamingSession,
@@ -432,6 +434,12 @@ class TestWarmStart:
         assert session.last_result is second
 
 
+def _set_manifest_keys(path, keys):
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    manifest.update(keys)
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
 class TestOutOfCore:
     def test_parity_with_in_memory(self, tmp_path):
         tensor, _truth = planted_lowrank_tensor(
@@ -463,15 +471,49 @@ class TestOutOfCore:
         assert footprint > 0
         assert handle.resident_bytes() < footprint // 4
 
-    def test_shared_tree_policy(self, tmp_path):
+    def test_manifests_naming_per_mode_trees_load(self, tmp_path):
+        """A directory whose manifests name the tree policy (``"trees":
+        "per-mode"``, ``"shared": false``) loads and runs like the in-memory
+        CSF decomposition."""
+        tensor, _truth = planted_lowrank_tensor(
+            (10, 8, 6), (2, 2, 2), 300, noise=0.05, seed=11
+        )
+        directory = tmp_path / "ooc"
+        build_out_of_core(tensor, directory)
+        _set_manifest_keys(directory / "ooc-manifest.json", {"trees": "per-mode"})
+        _set_manifest_keys(directory / "csf-set-manifest.json", {"shared": False})
+        options = dict(init="random", seed=0, max_iterations=3)
+        in_memory = hooi(
+            tensor, [2, 2, 2], HOOIOptions(tensor_format="csf", **options)
+        )
+        ooc = out_of_core_hooi(directory, [2, 2, 2], **options)
+        np.testing.assert_allclose(
+            ooc.fit_history, in_memory.fit_history, atol=1e-10
+        )
+        for a, b in zip(
+            ooc.decomposition.factors, in_memory.decomposition.factors
+        ):
+            np.testing.assert_allclose(a, b, atol=1e-10)
+        np.testing.assert_allclose(
+            ooc.decomposition.core, in_memory.decomposition.core, atol=1e-10
+        )
+
+    def test_one_tree_for_every_mode_rejected(self, tmp_path):
+        """One tree for every mode cannot serve them: loading it fails."""
         tensor, _truth = planted_lowrank_tensor(
             (10, 8, 6), (2, 2, 2), 300, noise=0.0, seed=11
         )
-        handle = build_out_of_core(tensor, tmp_path / "ooc", trees="shared")
-        result = out_of_core_hooi(
-            handle, [2, 2, 2], init="random", seed=0, max_iterations=2
-        )
-        assert np.isfinite(result.fit)
+        directory = tmp_path / "ooc"
+        build_out_of_core(tensor, directory)
+        CSFTensor(tensor).to_mmap(directory / "shared")
+        _set_manifest_keys(directory / "ooc-manifest.json", {"trees": "shared"})
+        _set_manifest_keys(directory / "csf-set-manifest.json", {"shared": True})
+        with pytest.raises(ValueError, match="build_out_of_core"):
+            CSFTensorSet.from_mmap(directory)
+        with pytest.raises(ValueError, match="build_out_of_core"):
+            out_of_core_hooi(
+                directory, [2, 2, 2], init="random", seed=0, max_iterations=2
+            )
 
     def test_end_to_end_from_tns_under_rss_cap(self, tmp_path):
         """The acceptance shape: chunked reader → mmap CSF → decomposition,
