@@ -3,8 +3,9 @@
 A plan reports each mode's sorted non-empty rows ``J_n`` (``plan.rows(n)``,
 fixed at build) and its TTMc returns the compact block whose row ``p`` is
 ``Y_(n)(J_n[p], :)``.  The blocks must equal ``ttmc_matricized(...)[J_n]``
-under ``np.array_equal`` for every plan (COO rows, per-mode CSF slabs, and
-the dimension tree over either source), inline, on two threads and on a
+under ``np.array_equal`` for every plan (COO rows, per-mode CSF slabs held
+in memory or memory-mapped from an out-of-core directory, and the
+dimension tree over either source), inline, on two threads and on a
 two-worker crew, in the first sweep and in a later one.  Threads, workers
 and the fiber formats reassociate sums, so the data are small integers:
 every product and sum is exact, and any association gives the same bits.
@@ -41,6 +42,7 @@ from repro.parallel.parallel_for import ParallelConfig
 from repro.parallel.process_pool import PersistentWorkerCrew
 from repro.partition import make_partition
 from repro.sparse import CSFTensorSet
+from repro.streaming import build_out_of_core
 
 #: (shape, per-mode rank, nonzeros drawn) per order.
 CASES = {
@@ -48,11 +50,14 @@ CASES = {
     4: ((12, 9, 8, 7), 2, 250),
 }
 
+#: Plan builders over (tensor, ranks, scratch directory); only the
+#: memory-mapped trees are written to the directory.
 PLANS = {
-    "coo": lambda t, r: COORowsPlan(t, parallel_symbolic(t, 1), r),
-    "csf": lambda t, r: CSFSlabPlan(CSFTensorSet.per_mode(t), r),
-    "dimtree-coo": lambda t, r: DimensionTree(t, source="coo", ranks=r),
-    "dimtree-csf": lambda t, r: DimensionTree(t, source="csf", ranks=r),
+    "coo": lambda t, r, d: COORowsPlan(t, parallel_symbolic(t, 1), r),
+    "csf": lambda t, r, d: CSFSlabPlan(CSFTensorSet.per_mode(t), r),
+    "csf-mmap": lambda t, r, d: CSFSlabPlan(build_out_of_core(t, d).trees(), r),
+    "dimtree-coo": lambda t, r, d: DimensionTree(t, source="coo", ranks=r),
+    "dimtree-csf": lambda t, r, d: DimensionTree(t, source="csf", ranks=r),
 }
 
 
@@ -110,9 +115,9 @@ def crew():
 @pytest.mark.parametrize("order", sorted(CASES))
 @pytest.mark.parametrize("plan_name", sorted(PLANS))
 class TestCompactBlocks:
-    def test_rows_are_the_nonempty_rows(self, order, plan_name):
+    def test_rows_are_the_nonempty_rows(self, order, plan_name, tmp_path):
         tensor = _tensor(order)
-        plan = PLANS[plan_name](tensor, None)
+        plan = PLANS[plan_name](tensor, None, tmp_path)
         assert np.unique(tensor.indices[:, 0]).shape[0] < tensor.shape[0]
         for mode in range(order):
             assert np.array_equal(
@@ -120,9 +125,9 @@ class TestCompactBlocks:
             )
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_in_process(self, order, plan_name, threads):
+    def test_in_process(self, order, plan_name, threads, tmp_path):
         tensor = _tensor(order)
-        plan = PLANS[plan_name](tensor, None)
+        plan = PLANS[plan_name](tensor, None, tmp_path)
         dispatcher = (
             InlineDispatcher() if threads == 1
             else ThreadDispatcher(ParallelConfig(num_threads=threads))
@@ -134,9 +139,9 @@ class TestCompactBlocks:
         )
         _assert_blocks(got, expected)
 
-    def test_crew(self, order, plan_name, crew):
+    def test_crew(self, order, plan_name, crew, tmp_path):
         tensor = _tensor(order)
-        plan = PLANS[plan_name](tensor, [CASES[order][1]] * order)
+        plan = PLANS[plan_name](tensor, [CASES[order][1]] * order, tmp_path)
         with HOOIProcessPool(plan, crew=crew) as pool:
             for mode, factor in enumerate(_factor_sets(order, 3)[0]):
                 pool.write_factor(mode, factor)

@@ -211,6 +211,17 @@ class TestCSFEdgeCases:
             assert rows.shape == (0,)
             assert block.shape == (0, 4)
 
+    def test_four_mode_rooted_trees(self):
+        """Four levels and unequal ranks: every rooted tree's column order."""
+        shape = (5, 4, 6, 3)
+        tensor = make_tensor(shape, 70, seed=6)
+        factors = make_factors(shape, (2, 2, 3, 2), seed=7)
+        for mode in range(4):
+            csf = CSFTensor(tensor, mode_order=rooted_mode_order(shape, mode))
+            ref = ttmc_matricized(tensor, factors, mode)
+            got = csf_ttmc_matricized(csf, factors, mode, kernel="numba")
+            np.testing.assert_allclose(got, ref, atol=1e-11)
+
 
 class TestDtypeBehaviour:
     SHAPE = (8, 6, 5)

@@ -45,6 +45,7 @@ from repro.engine import (
     resolve_ttmc_backend,
 )
 from repro.parallel import ParallelConfig
+from repro.sparse import CSFTensor
 from repro.util.linalg import random_orthonormal
 
 
@@ -105,6 +106,21 @@ class TestTreeConstruction:
                     np.unique(node.index_cols, axis=0), expected
                 )
                 assert node.num_fibers == expected.shape[0]
+
+    @pytest.mark.parametrize("order", [3, 4, 5, 6])
+    def test_root_order_per_source(self, order):
+        """``coo`` keeps the tensor's order; ``csf`` holds the leaves of a CSF
+        tree with the identity mode order, in that tree's order."""
+        shape, _ = _SHAPES[order]
+        tensor = _random_tensor(shape, 200, seed=20 + order)
+        coo = DimensionTree(tensor, source="coo")
+        assert np.array_equal(coo.root.index_cols, tensor.indices)
+        assert np.array_equal(coo._values, tensor.values)
+        leaves = CSFTensor(tensor, mode_order=tuple(range(order))).to_coo()
+        assert not np.array_equal(leaves.indices, tensor.indices)
+        csf = DimensionTree(tensor, source="csf")
+        assert np.array_equal(csf.root.index_cols, leaves.indices)
+        assert np.array_equal(csf._values, leaves.values)
 
     def test_path_walks_root_to_leaf(self):
         shape, _ = _SHAPES[5]

@@ -591,6 +591,17 @@ class TestResilienceOptions:
         assert back == opts
         assert back.options_fingerprint() == opts.options_fingerprint()
 
+    def test_fallback_policies_defined_once(self):
+        """``degrade`` and the package export are the ``core.hooi`` tuple."""
+        import importlib
+
+        import repro.resilience
+        from repro.resilience import degrade
+
+        policies = importlib.import_module("repro.core.hooi").FALLBACK_POLICIES
+        assert degrade.FALLBACK_POLICIES is policies
+        assert repro.resilience.FALLBACK_POLICIES is policies
+
     def test_distributed_rejects_checkpoint_args(self):
         from repro import decompose
 
