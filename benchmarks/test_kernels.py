@@ -19,7 +19,6 @@ from repro.core import (
 from repro.baselines import cp_als
 from repro.data import power_law_sparse_tensor
 from repro.engine import COORowsPlan, ThreadDispatcher
-from repro.parallel import ParallelConfig
 from repro.partition import (
     PartitionerOptions,
     build_fine_hypergraph,
@@ -64,7 +63,7 @@ def test_numeric_ttmc_without_symbolic(benchmark, tensor, factors):
 @pytest.mark.parametrize("threads", [1, 2, 4])
 def test_parallel_ttmc_threads(benchmark, tensor, factors, symbolic, threads):
     """Thread-parallel numeric TTMc (Algorithm 3 inner loop)."""
-    dispatcher = ThreadDispatcher(ParallelConfig(num_threads=threads, schedule="dynamic"))
+    dispatcher = ThreadDispatcher(threads)
     plan = COORowsPlan(tensor, {1: symbolic[1]})
     out = benchmark(dispatcher.ttmc, plan, 1, factors)
     assert out.shape[0] == symbolic[1].num_rows

@@ -29,7 +29,7 @@ from repro.core import SymbolicTTMc, ttmc_matricized
 from repro.core.kron import kron_row_length
 from repro.data import power_law_sparse_tensor
 from repro.engine import COORowsPlan, ThreadDispatcher, WorkspacePool
-from repro.parallel import HOOIProcessPool, ParallelConfig, ProcessConfig
+from repro.parallel import HOOIProcessPool, ProcessConfig
 from repro.util.linalg import random_orthonormal
 from sweep_utils import interleaved_median_times
 
@@ -81,9 +81,9 @@ def _coo_plan(tensor, symbolic):
     )
 
 
-def _threaded_sweep(tensor, factors, symbolic, pool, config):
+def _threaded_sweep(tensor, factors, symbolic, pool, workers):
     plan = _coo_plan(tensor, symbolic)
-    threads = ThreadDispatcher(config)
+    threads = ThreadDispatcher(workers)
     for mode in range(tensor.order):
         threads.ttmc(plan, mode, factors, workspace=pool)
 
@@ -115,10 +115,9 @@ def test_sweep_sequential(benchmark, tensor, factors, symbolic):
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 def test_sweep_thread(benchmark, tensor, factors, symbolic, workers):
     pool = WorkspacePool()
-    config = ParallelConfig(num_threads=workers)
     benchmark.pedantic(
         _threaded_sweep,
-        args=(tensor, factors, symbolic, pool, config),
+        args=(tensor, factors, symbolic, pool, workers),
         rounds=3,
         warmup_rounds=1,
     )

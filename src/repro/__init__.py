@@ -25,8 +25,8 @@ The public API is re-exported from the subpackages:
   (queue, cache, cancellation, metrics) over a persistent worker-process
   pool reused across requests.
 * :mod:`repro.resilience` — fault tolerance: sweep checkpoint/resume, the
-  graceful-degradation ladder + circuit breaker, the retry policy, and the
-  deterministic fault-injection harness.
+  graceful-degradation ladder + circuit breaker, and the deterministic
+  fault-injection harness.
 * :mod:`repro.streaming` — incremental tensor ingestion (append-only
   batches merged in the COO container's order), warm-started incremental
   HOOI, and out-of-core decomposition over memory-mapped CSF trees.

@@ -154,8 +154,6 @@ class HOOIOptions:
     trsvd_method: str = "lanczos"
     trsvd_tol: float = 1e-8
     seed: Optional[int] = 0
-    block_nnz: Optional[int] = None
-    track_fit: bool = True
     dtype: str = "float64"
     ttmc_strategy: str = "per-mode"
     execution: str = "sequential"
@@ -322,8 +320,7 @@ class HOOIOptions:
         for spec in fields(self):
             value = getattr(self, spec.name)
             if value is not None and spec.name in (
-                "max_iterations", "num_workers", "seed", "block_nnz",
-                "checkpoint_interval",
+                "max_iterations", "num_workers", "seed", "checkpoint_interval",
             ):
                 value = int(value)
             out[spec.name] = value
@@ -402,9 +399,9 @@ class HOOIOptions:
 class HOOIResult:
     """Outcome of a HOOI run.
 
-    ``fit_history`` holds one entry per tracked iteration; with
-    ``track_fit=False`` it holds the single fit evaluated after the final
-    iteration, so :attr:`fit` is always populated on a completed run.
+    ``fit_history`` holds one entry per sweep, so :attr:`fit` is always
+    populated on a completed run; a run cancelled before its first sweep
+    records the fit of its all-zero core (0.0).
 
     ``completed_sweeps`` counts every completed sweep the factors embody —
     including sweeps replayed from a resumed checkpoint — and
@@ -440,8 +437,7 @@ class HOOIResult:
         if not self.fit_history:
             raise ValueError(
                 "fit_history is empty: the run did not complete an iteration "
-                "(a completed run always records at least the final fit, even "
-                "with track_fit=False)"
+                "(a completed run records a fit every sweep)"
             )
         return self.fit_history[-1]
 
@@ -470,8 +466,7 @@ def hooi(
         :class:`HOOIOptions`; defaults match the paper (5 iterations, random
         init, Lanczos TRSVD, float64).
     callback:
-        Optional ``callback(iteration, fit)`` invoked after each tracked
-        iteration.
+        Optional ``callback(iteration, fit)`` invoked after each sweep.
     workspace:
         Optional :class:`repro.engine.workspace.WorkspacePool` shared across
         runs (one is created per run otherwise).

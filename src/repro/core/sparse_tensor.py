@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -31,8 +30,6 @@ __all__ = [
     "SUPPORTED_DTYPES",
     "resolve_dtype",
     "as_supported_float",
-    "DeltaFingerprint",
-    "fingerprint_with_delta",
     "colmajor_keys",
     "colmajor_order",
     "colmajor_groups",
@@ -70,172 +67,6 @@ def resolve_dtype(dtype) -> np.dtype:
             "float32 or float64"
         )
     return resolved
-
-
-#: Per-lane seeds of the multiset hash (arbitrary odd 64-bit constants).
-_LANE_SEEDS = (
-    0x243F6A8885A308D3,
-    0x13198A2E03707344,
-    0xA4093822299F31D0,
-    0x082EFA98EC4E6C89,
-)
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-
-
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer, vectorized over a uint64 array (wraps mod 2^64)."""
-    x = x ^ (x >> np.uint64(30))
-    x = x * np.uint64(0xBF58476D1CE4E5B9)
-    x = x ^ (x >> np.uint64(27))
-    x = x * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
-
-
-def _value_bits(values: np.ndarray) -> np.ndarray:
-    """The IEEE bit patterns of a float array, widened to uint64."""
-    if values.dtype == np.float32:
-        return np.ascontiguousarray(values).view(np.uint32).astype(np.uint64)
-    return np.ascontiguousarray(values).view(np.uint64)
-
-
-def _entry_lanes(indices: np.ndarray, values: np.ndarray) -> Tuple[int, ...]:
-    """Commutative multiset hash of ``(index tuple, value)`` entries.
-
-    Each entry is hashed independently (splitmix64 over its index columns
-    and value bits) and the per-entry hashes are *summed* per lane with
-    wrap-around, so the result depends only on the multiset of entries —
-    never on storage order — and two multisets combine by adding lanes.
-    Four independent lanes put accidental collisions far below anything a
-    cache could observe; this is a structural identity, not a cryptographic
-    one (the final digest is derived via sha256 in
-    :meth:`DeltaFingerprint.hexdigest`).
-    """
-    n = int(values.shape[0])
-    if n == 0:
-        return (0, 0, 0, 0)
-    vbits = _value_bits(values)
-    cols = np.ascontiguousarray(indices).astype(np.uint64)
-    lanes = []
-    for seed in _LANE_SEEDS:
-        h = np.full(n, np.uint64(seed), dtype=np.uint64)
-        for c in range(cols.shape[1]):
-            salt = np.uint64((0x9E3779B97F4A7C15 * (c + 1)) & _MASK64)
-            h = _mix64(h ^ (cols[:, c] + salt))
-        h = _mix64(h ^ vbits)
-        lanes.append(int(h.sum(dtype=np.uint64)))
-    return tuple(lanes)
-
-
-@dataclass(frozen=True)
-class DeltaFingerprint:
-    """Incrementally-extendable content identity of a nonzero multiset.
-
-    :meth:`SparseTensor.fingerprint` is a sha256 over the *sorted* nonzeros
-    — canonical, but appending a batch means re-hashing everything stored so
-    far.  ``DeltaFingerprint`` carries the identity in a form that extends
-    in O(batch) work: four 64-bit lanes of a commutative multiset hash plus
-    the shape, dtype and entry count.  :func:`fingerprint_with_delta` folds
-    a batch in by adding its lanes; :meth:`hexdigest` derives a stable hex
-    digest (via sha256 over the lanes and metadata) whenever a string key
-    is needed.
-
-    The identity is over the stored entries *as a multiset*: duplicate
-    coordinates contribute one entry each, and storage order never matters.
-    It is therefore equal for any split of the same entries into batches —
-    the equivalence the streaming layer's hypothesis tests pin down.
-    """
-
-    shape: Tuple[int, ...]
-    dtype: str
-    count: int
-    lanes: Tuple[int, int, int, int]
-
-    @classmethod
-    def empty(cls, shape: Sequence[int] = (), dtype="float64") -> "DeltaFingerprint":
-        return cls(
-            shape=tuple(int(s) for s in shape),
-            dtype=np.dtype(resolve_dtype(dtype)).str,
-            count=0,
-            lanes=(0, 0, 0, 0),
-        )
-
-    def hexdigest(self) -> str:
-        """A stable hex digest of the fingerprint (sha256 over its fields)."""
-        digest = hashlib.sha256()
-        digest.update(b"repro-delta-fingerprint/1")
-        digest.update(np.asarray(self.shape, dtype=np.int64).tobytes())
-        digest.update(self.dtype.encode("ascii"))
-        digest.update(np.asarray([self.count], dtype=np.int64).tobytes())
-        digest.update(np.asarray(self.lanes, dtype=np.uint64).tobytes())
-        return digest.hexdigest()
-
-
-def fingerprint_with_delta(
-    base: DeltaFingerprint,
-    indices,
-    values=None,
-    *,
-    shape: Sequence[int] | None = None,
-) -> DeltaFingerprint:
-    """Extend a :class:`DeltaFingerprint` with a batch of appended nonzeros.
-
-    ``indices``/``values`` may also be passed as one object with those
-    attributes (a :class:`SparseTensor` or a
-    :class:`repro.streaming.DeltaBatch`).  Values are hashed in the base's
-    dtype (the streaming layer stores batches cast to its storage dtype, so
-    the incremental hash must see the stored bits).  The resulting shape is
-    the elementwise max of the base shape and the batch extents unless an
-    explicit ``shape`` is given.
-
-    Equivalence contract (hypothesis-tested): for any tensor ``t`` and batch
-    ``(bi, bv)``, ``fingerprint_with_delta(t.delta_fingerprint(), bi, bv)``
-    equals the ``delta_fingerprint()`` of the tensor holding the
-    concatenated entries — no re-hash of the prior nonzeros.
-    """
-    if values is None:
-        values = indices.values
-        indices = indices.indices
-    indices = np.asarray(indices, dtype=np.int64)
-    values = np.asarray(values)
-    if indices.ndim != 2:
-        if indices.size == 0:
-            indices = indices.reshape(0, max(len(base.shape), 1))
-        else:
-            raise ValueError("indices must be a 2-D array of shape (nnz, order)")
-    if base.shape and indices.shape[1] != len(base.shape):
-        raise ValueError(
-            f"batch has {indices.shape[1]} modes but the base fingerprint "
-            f"has {len(base.shape)}"
-        )
-    values = values.astype(np.dtype(base.dtype), copy=False)
-    if shape is not None:
-        new_shape = tuple(int(s) for s in shape)
-    else:
-        extents = (
-            tuple(int(m) + 1 for m in indices.max(axis=0))
-            if indices.shape[0]
-            else (0,) * indices.shape[1]
-        )
-        if base.shape:
-            new_shape = tuple(
-                max(s, e) for s, e in zip(base.shape, extents)
-            )
-        else:
-            new_shape = extents
-    delta = _entry_lanes(indices, values)
-    lanes = tuple(
-        int(x)
-        for x in (
-            np.asarray(base.lanes, dtype=np.uint64)
-            + np.asarray(delta, dtype=np.uint64)
-        )
-    )
-    return DeltaFingerprint(
-        shape=new_shape,
-        dtype=base.dtype,
-        count=base.count + int(values.shape[0]),
-        lanes=lanes,  # type: ignore[arg-type]
-    )
 
 
 def colmajor_keys(
@@ -457,22 +288,6 @@ class SparseTensor:
             digest.update(np.ascontiguousarray(self.indices[order]).tobytes())
             digest.update(np.ascontiguousarray(self.values[order]).tobytes())
         return digest.hexdigest()
-
-    def delta_fingerprint(self) -> DeltaFingerprint:
-        """The incrementally-extendable form of :meth:`fingerprint`.
-
-        Hashes the stored entries as an order-insensitive multiset
-        (duplicates contribute one entry each, as stored).  Appending a
-        batch extends the result in O(batch) via
-        :func:`fingerprint_with_delta` instead of re-hashing every prior
-        nonzero — the identity the streaming layer maintains per append.
-        """
-        return DeltaFingerprint(
-            shape=self.shape,
-            dtype=self.values.dtype.str,
-            count=self.nnz,
-            lanes=_entry_lanes(self.indices, self.values),  # type: ignore[arg-type]
-        )
 
     def memory_bytes(self) -> int:
         """Bytes held by the coordinate and value arrays.

@@ -225,8 +225,6 @@ def edge_update_groups(
     lo_width: int,
     hi_width: int,
     out: np.ndarray,
-    *,
-    block_nnz: Optional[int] = None,
 ) -> np.ndarray:
     """Numeric refinement of one tree edge for a contiguous range of groups.
 
@@ -266,8 +264,7 @@ def edge_update_groups(
     # The block order, segment boundaries and accumulation order are the same
     # either way, so both paths produce bit-identical payloads.
     segptr = grouping.segptr[group_start : group_stop + 1]
-    if block_nnz is None:
-        block_nnz = default_block_size(out.shape[1], itemsize=out.dtype.itemsize)
+    block_nnz = default_block_size(out.shape[1], itemsize=out.dtype.itemsize)
 
     for start, stop, s_lo, s_hi, local in segment_chunks(segptr, block_nnz):
         if grouping.contiguous:

@@ -303,7 +303,6 @@ def coo_segment_ttmc(
     out: np.ndarray,
     *,
     target: Optional[np.ndarray] = None,
-    block_nnz: Optional[int] = None,
     stream: Optional[ModeStream] = None,
     filled: bool = False,
 ) -> np.ndarray:
@@ -312,23 +311,22 @@ def coo_segment_ttmc(
     Segment ``s`` is the nonzeros ``positions[segptr[s]:segptr[s + 1]]``
     (``segptr[0] == 0``); its TTMc row is *assigned* to ``out[target[s]]``,
     or to ``out[s]`` when ``target`` is ``None`` — the compiled kernel's
-    contract (:func:`compiled_coo_ttmc`).  Blocks of ``block_nnz`` nonzeros
-    read their index columns and values as a :class:`ModeStream` block,
-    take the factor rows and reduce them with the values as weights
-    (:func:`write_kron_row_sums`, which the dimension tree's root edges
-    share).  ``stream`` lines up with ``positions``: when ``filled`` the
-    blocks slice it, otherwise each block gathers its nonzeros from
-    ``tensor`` into it (:func:`gather_stream`); without a stream they
-    gather into temporaries.  ``block_nnz`` defaults to a size bounding a
-    block's ``(segments × ∏R_t)`` sums to ~64 MB.  Called through
+    contract (:func:`compiled_coo_ttmc`).  Blocks of
+    :func:`default_block_size` nonzeros (their ``(segments × ∏R_t)`` sums
+    kept near 64 MB) read their index columns and values as a
+    :class:`ModeStream` block, take the factor rows and reduce them with the
+    values as weights (:func:`write_kron_row_sums`, which the dimension
+    tree's root edges share).  ``stream`` lines up with ``positions``: when
+    ``filled`` the blocks slice it, otherwise each block gathers its
+    nonzeros from ``tensor`` into it (:func:`gather_stream`); without a
+    stream they gather into temporaries.  Called through
     :func:`coo_rows_range`.
     """
     dtype = out.dtype
     factor_arrays = [
         np.asarray(factors[t], dtype=dtype) for t in range(tensor.order) if t != mode
     ]
-    if block_nnz is None:
-        block_nnz = default_block_size(out.shape[1], itemsize=dtype.itemsize)
+    block_nnz = default_block_size(out.shape[1], itemsize=dtype.itemsize)
     for start, stop, s_lo, s_hi, local in segment_chunks(segptr, block_nnz):
         block = None if stream is None else stream[start:stop]
         if block is None or not filled:
@@ -351,7 +349,6 @@ def ttmc_matricized(
     *,
     symbolic: Optional[ModeSymbolic] = None,
     rows: Optional[np.ndarray] = None,
-    block_nnz: Optional[int] = None,
     out: Optional[np.ndarray] = None,
     kernel: str = "numpy",
 ) -> np.ndarray:
@@ -372,9 +369,6 @@ def ttmc_matricized(
     rows:
         Optional subset of mode-``n`` indices to compute; the other rows of
         the output stay zero.
-    block_nnz:
-        Nonzeros per vectorized block (defaults to a size bounding each
-        block's per-row sums to ~64 MB; see :func:`coo_segment_ttmc`).
     out:
         Optional preallocated ``(I_n, prod R_t)`` output buffer (zeroed here).
     kernel:
@@ -382,8 +376,7 @@ def ttmc_matricized(
         blocked gather + sparse × dense segment-sum of
         :func:`coo_segment_ttmc`; without a plan every call gathers its
         nonzeros) or ``"numba"`` (:mod:`repro.kernels` — one fused pass per
-        output row; ``block_nnz`` is unused there).  Same numerics up to
-        floating-point reassociation.
+        output row).  Same numerics up to floating-point reassociation.
 
     Returns
     -------
@@ -410,8 +403,7 @@ def ttmc_matricized(
             symbolic, np.flatnonzero(np.isin(symbolic.rows, rows))
         )
     return coo_rows_range(
-        tensor, factors, mode, symbolic, 0, symbolic.num_rows, out,
-        block_nnz=block_nnz, kernel=kernel,
+        tensor, factors, mode, symbolic, 0, symbolic.num_rows, out, kernel=kernel,
     )
 
 
@@ -456,7 +448,6 @@ def coo_rows_range(
     out: np.ndarray,
     *,
     compact: bool = False,
-    block_nnz: Optional[int] = None,
     kernel: str = "numpy",
     stream: Optional[ModeStream] = None,
     filled: bool = False,
@@ -492,7 +483,7 @@ def coo_rows_range(
     else:
         coo_segment_ttmc(
             tensor, factors, mode, positions, segptr, dest,
-            target=target, block_nnz=block_nnz,
-            stream=None if stream is None else stream[lo:hi], filled=filled,
+            target=target, stream=None if stream is None else stream[lo:hi],
+            filled=filled,
         )
     return out

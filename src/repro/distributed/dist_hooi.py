@@ -120,8 +120,7 @@ class DistributedHOOIResult:
         if not self.fit_history:
             raise ValueError(
                 "fit_history is empty: the distributed run did not complete "
-                "an iteration (a completed run always records at least the "
-                "final fit, even with track_fit=False)"
+                "an iteration (a completed run records a fit every sweep)"
             )
         return self.fit_history[-1]
 
@@ -218,15 +217,15 @@ class DistributedBackend(ExecutionBackend):
         # K_n's rows; a dimension tree is one tree over the local tensor.
         backend = resolve_ttmc_backend(eng.options)
         symbolic = self.plan.symbolic
-        kwargs = dict(block_nnz=eng.options.block_nnz, kernel=eng.options.kernel)
+        kernel = eng.options.kernel
         if backend.plan_source is COORowsPlan:
-            backend.plan_source = COORowsPlan(eng.tensor, symbolic, **kwargs)
+            backend.plan_source = COORowsPlan(eng.tensor, symbolic, kernel=kernel)
         elif backend.plan_source is CSFSlabPlan:
             trees = CSFTensorSet.per_mode(
                 eng.tensor, num_threads=backend.dispatcher.width,
                 subsets={mode: sym.perm for mode, sym in symbolic.items()},
             )
-            backend.plan_source = CSFSlabPlan(trees, **kwargs)
+            backend.plan_source = CSFSlabPlan(trees, kernel=kernel)
         backend.prepare(eng)
         self.local_backend = backend
         # Rows each mode's local TTMc produces (line 4 vs 6 of Algorithm 4):
@@ -352,8 +351,8 @@ def hooi_rank_program(
     """The SPMD body executed by every simulated rank (Algorithm 4).
 
     ``callback(iteration, fit)`` fires on rank 0 only (every rank computes
-    the identical fit, so one invocation per tracked iteration mirrors the
-    single-node drivers).
+    the identical fit, so one invocation per sweep mirrors the single-node
+    drivers).
     """
     plan = plans[comm.rank]
     backend = DistributedBackend(comm, plan, global_plan, initial_factors)
@@ -404,10 +403,8 @@ def distributed_hooi(
     context: ``execution`` may be ``"sequential"`` or ``"thread"`` (hybrid
     ranks), ``ttmc_strategy`` may be ``"per-mode"`` or ``"dimtree"``
     (rank-local trees), ``trsvd_method`` must be ``"lanczos"``.
-    ``callback(iteration, fit)`` is invoked once per tracked iteration
-    (on rank 0), exactly as in the single-node drivers; with
-    ``track_fit=False`` it never fires but the result's single final fit is
-    still recorded.
+    ``callback(iteration, fit)`` is invoked once per sweep (on rank 0),
+    exactly as in the single-node drivers.
     """
     options = (options or HOOIOptions()).validate(context="distributed")
     ranks = check_rank_feasibility(check_rank_vector(ranks, tensor.shape))

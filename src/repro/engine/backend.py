@@ -241,16 +241,15 @@ class ThreadDispatcher(InlineDispatcher):
 
     name = "thread"
 
-    def __init__(self, config=None) -> None:
-        from repro.parallel.parallel_for import ParallelConfig
-
-        self.config = config or ParallelConfig()
-        self.width = self.config.num_threads
+    def __init__(self, num_threads: int = 1) -> None:
+        if int(num_threads) < 1:
+            raise ValueError(f"num_threads must be >= 1, got {num_threads}")
+        self.width = int(num_threads)
 
     def run(self, plan: TTMcPlan, key, workspace=None) -> None:
         from repro.parallel.parallel_for import parallel_for
 
-        parallel_for(functools.partial(plan.body, key), plan.items(key), self.config)
+        parallel_for(functools.partial(plan.body, key), plan.items(key), self.width)
 
 
 class ProcessDispatcher(InlineDispatcher):
@@ -420,7 +419,5 @@ def resolve_ttmc_backend(options, *, crew=None) -> PlanBackend:
                 plan, ProcessDispatcher(ProcessConfig(num_workers=width))
             )
     elif execution == "thread" and width > 1:
-        from repro.parallel.parallel_for import ParallelConfig
-
-        return PlanBackend(plan, ThreadDispatcher(ParallelConfig(num_threads=width)))
+        return PlanBackend(plan, ThreadDispatcher(width))
     return PlanBackend(plan)

@@ -175,8 +175,8 @@ class DimensionTree(TTMcPlan):
 
     Either way the sortedness of every non-root node's tuples (a
     :func:`group_fibers` postcondition) lets deeper left edges reuse the
-    presorted walk too.  ``ranks`` and ``block_nnz`` are the plan settings
-    (:class:`~repro.engine.plans.TTMcPlan`).
+    presorted walk too.  ``ranks`` sizes the shared segments, as for every
+    plan (:class:`~repro.engine.plans.TTMcPlan`).
     """
 
     kind = "dimtree"
@@ -185,7 +185,7 @@ class DimensionTree(TTMcPlan):
     SOURCES = ("coo", "csf")
 
     def __init__(self, tensor: SparseTensor, *, source: str = "coo",
-                 ranks=None, block_nnz=None) -> None:
+                 ranks=None) -> None:
         if tensor.order < 2:
             raise ValueError("a dimension tree requires a tensor of order >= 2")
         if source not in self.SOURCES:
@@ -193,7 +193,7 @@ class DimensionTree(TTMcPlan):
                 f"unknown dimension-tree source {source!r}; expected one of "
                 f"{self.SOURCES}"
             )
-        super().__init__(tensor.shape, ranks, block_nnz=block_nnz)
+        super().__init__(tensor.shape, ranks)
         self.source = source
         root_cols, self._values = tensor.indices, tensor.values
         if source == "csf":
@@ -225,7 +225,7 @@ class DimensionTree(TTMcPlan):
     @classmethod
     def build(cls, tensor, ranks, options, threads=1):
         source = "csf" if (options.tensor_format or "coo") == "csf" else "coo"
-        return cls(tensor, source=source, ranks=ranks, block_nnz=options.block_nnz)
+        return cls(tensor, source=source, ranks=ranks)
 
     @property
     def dtype(self) -> np.dtype:
@@ -335,7 +335,6 @@ class DimensionTree(TTMcPlan):
             lo_width,
             hi_width,
             node.payload[start:stop],
-            block_nnz=self.block_nnz,
         )
 
     def ttmc(self, mode: int, run, workspace=None) -> np.ndarray:
@@ -493,9 +492,7 @@ class DimensionTree(TTMcPlan):
     @classmethod
     def attach(cls, view, meta: dict) -> "DimensionTree":
         tree = cls.__new__(cls)
-        TTMcPlan.__init__(
-            tree, meta["shape"], meta["ranks"], block_nnz=meta["block_nnz"]
-        )
+        TTMcPlan.__init__(tree, meta["shape"], meta["ranks"])
         tree._init_topology()
         tree._shared = True
         tree.root.index_cols = view["indices"]

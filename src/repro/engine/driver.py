@@ -223,19 +223,18 @@ class HOOIEngine:
             self.iteration_seconds.append(time.perf_counter() - sweep_start)
             backend.on_iteration_end(self, iteration)
 
-            if options.track_fit:
-                with timings.time("fit"):
-                    fit = fit_from_core(norm_x, core)
-                fit_history.append(fit)
-                if callback is not None:
-                    callback(iteration, fit)
+            with timings.time("fit"):
+                fit = fit_from_core(norm_x, core)
+            fit_history.append(fit)
+            if callback is not None:
+                callback(iteration, fit)
             if checkpoint is not None:
                 # Snapshot strictly after the sweep's state is complete (core
                 # formed, fit recorded) and before the convergence decision,
                 # so the rolling checkpoint always embodies whole sweeps.
                 with timings.time("checkpoint"):
                     checkpoint.on_sweep(self, iteration + 1, core, fit_history)
-            if options.track_fit and len(fit_history) >= 2:
+            if len(fit_history) >= 2:
                 improvement = fit_history[-1] - fit_history[-2]
                 if abs(improvement) < options.tolerance:
                     converged = True
@@ -243,9 +242,8 @@ class HOOIEngine:
                     break
 
         if not fit_history:
-            # track_fit=False skips per-iteration tracking, but the result's
-            # fit must still be populated: evaluate it once from the final
-            # core so HOOIResult.fit is never NaN on a completed run.
+            # A graceful cancel before the first sweep: record the fit of the
+            # (all-zero) core so HOOIResult.fit is populated on every result.
             with timings.time("fit"):
                 fit_history.append(fit_from_core(norm_x, core))
 

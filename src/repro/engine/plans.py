@@ -68,11 +68,10 @@ class TTMcPlan:
     #: Registry key a worker rebuilds the plan from (see :func:`attach_plan`).
     kind = ""
 
-    def __init__(self, shape, ranks=None, *, block_nnz=None, kernel="numpy") -> None:
+    def __init__(self, shape, ranks=None, *, kernel="numpy") -> None:
         self.shape = tuple(int(s) for s in shape)
         self.order = len(self.shape)
         self.ranks = None if ranks is None else tuple(int(r) for r in ranks)
-        self.block_nnz = block_nnz
         self.kernel = kernel or "numpy"
         self.factors: List[Optional[np.ndarray]] = [None] * self.order
         self.outs: Dict[int, np.ndarray] = {}
@@ -152,7 +151,6 @@ class TTMcPlan:
             "kind": self.kind,
             "shape": self.shape,
             "ranks": self.ranks,
-            "block_nnz": self.block_nnz,
             "kernel": self.kernel,
         }
 
@@ -196,8 +194,8 @@ class COORowsPlan(TTMcPlan):
     kind = "coo"
 
     def __init__(self, tensor: SparseTensor, symbolic: Dict[int, ModeSymbolic],
-                 ranks=None, *, block_nnz=None, kernel="numpy") -> None:
-        super().__init__(tensor.shape, ranks, block_nnz=block_nnz, kernel=kernel)
+                 ranks=None, *, kernel="numpy") -> None:
+        super().__init__(tensor.shape, ranks, kernel=kernel)
         self.tensor = tensor
         self.symbolic = symbolic
         fits = max(self.shape, default=0) <= np.iinfo(np.int32).max
@@ -208,7 +206,7 @@ class COORowsPlan(TTMcPlan):
     @classmethod
     def build(cls, tensor, ranks, options, threads=1):
         return cls(tensor, parallel_symbolic(tensor, threads), ranks,
-                   block_nnz=options.block_nnz, kernel=options.kernel)
+                   kernel=options.kernel)
 
     @property
     def dtype(self) -> np.dtype:
@@ -223,9 +221,8 @@ class COORowsPlan(TTMcPlan):
     def body(self, mode: int, start: int, stop: int, workspace=None) -> None:
         coo_rows_range(
             self.tensor, self.factors, mode, self.symbolic[mode], start, stop,
-            self.outs[mode], compact=True, block_nnz=self.block_nnz,
-            kernel=self.kernel, stream=self.streams.get(mode),
-            filled=bool(self.filled[mode]),
+            self.outs[mode], compact=True, kernel=self.kernel,
+            stream=self.streams.get(mode), filled=bool(self.filled[mode]),
         )
 
     def ttmc(self, mode: int, run, workspace=None) -> np.ndarray:
@@ -275,8 +272,7 @@ class COORowsPlan(TTMcPlan):
             )
             for n in range(len(shape))
         }
-        plan = cls(tensor, symbolic, meta["ranks"],
-                   block_nnz=meta["block_nnz"], kernel=meta["kernel"])
+        plan = cls(tensor, symbolic, meta["ranks"], kernel=meta["kernel"])
         if "stream-filled" in view:
             plan.streams = {
                 n: ModeStream(view[f"stream{n}-cols"], view[f"stream{n}-values"])
@@ -300,9 +296,8 @@ class CSFSlabPlan(TTMcPlan):
 
     kind = "csf"
 
-    def __init__(self, trees, ranks=None, *, block_nnz=None, kernel="numpy") -> None:
-        super().__init__(trees.tree_for(0).shape, ranks,
-                         block_nnz=block_nnz, kernel=kernel)
+    def __init__(self, trees, ranks=None, *, kernel="numpy") -> None:
+        super().__init__(trees.tree_for(0).shape, ranks, kernel=kernel)
         self.trees = trees
 
     @classmethod
@@ -310,7 +305,7 @@ class CSFSlabPlan(TTMcPlan):
         from repro.sparse import CSFTensorSet
 
         return cls(CSFTensorSet.per_mode(tensor, num_threads=threads), ranks,
-                   block_nnz=options.block_nnz, kernel=options.kernel)
+                   kernel=options.kernel)
 
     @property
     def dtype(self) -> np.dtype:
@@ -360,7 +355,6 @@ class CSFSlabPlan(TTMcPlan):
             )
             for n in range(order)
         }
-        plan = cls(CSFTensorSet(trees), meta["ranks"],
-                   block_nnz=meta["block_nnz"], kernel=meta["kernel"])
+        plan = cls(CSFTensorSet(trees), meta["ranks"], kernel=meta["kernel"])
         return plan._attach_buffers(view)
 

@@ -2,7 +2,7 @@
 
 Two shared-memory execution substrates live here, both running a work
 plan's lock-free range body (:mod:`repro.engine.plans`) over the same
-``make_chunks`` schedules: worker *threads*
+dynamic ``make_chunks`` chunks: worker *threads*
 (:mod:`repro.parallel.parallel_for`, GIL-bound — faithful work
 decomposition) and a crew of worker *processes* over zero-copy shared
 memory (:mod:`repro.parallel.process_pool` + :mod:`repro.parallel.shm` —
@@ -13,7 +13,7 @@ roofline model (:mod:`repro.parallel.model`, :mod:`repro.parallel.work`)
 prices each phase for the Table V experiment.
 """
 
-from repro.parallel.parallel_for import ChunkSchedule, ParallelConfig, make_chunks, parallel_for
+from repro.parallel.parallel_for import make_chunks, parallel_for
 from repro.parallel.shm import ShmArena, ShmArraySpec, ShmView
 from repro.parallel.process_pool import (
     HOOIProcessPool,
@@ -30,8 +30,6 @@ from repro.parallel.work import (
 )
 
 __all__ = [
-    "ChunkSchedule",
-    "ParallelConfig",
     "make_chunks",
     "parallel_for",
     "ShmArena",

@@ -13,11 +13,10 @@ same lock-free ranges on worker *processes* with zero-copy shared memory:
   and every worker rebuilds the plan from its views plus a small meta
   (:func:`~repro.engine.plans.attach_plan`).
 * Numeric work is dispatched as tiny ``(key, start, stop)`` descriptors
-  over the same static/dynamic/guided
-  :func:`~repro.parallel.parallel_for.make_chunks` schedules the thread
-  dispatcher uses; a worker runs the plan's range body, which writes a
-  row-disjoint slice of the shared output — no locks, and no result
-  pickling.
+  over the same dynamic :func:`~repro.parallel.parallel_for.make_chunks`
+  chunks the thread dispatcher uses; a worker runs the plan's range body,
+  which writes a row-disjoint slice of the shared output — no locks, and
+  no result pickling.
 * Factor refreshes are *broadcast by memory*: after each TRSVD the driver
   writes the new ``U_n`` into its shared segment (:meth:`write_factor`); the
   queue hand-off of the next task batch orders the write before any read, so
@@ -85,8 +84,9 @@ _JOB_POLL_SECONDS = 0.05
 def default_start_method() -> str:
     """``fork`` where available (cheap startup), else ``spawn``.
 
-    Overridable via ``REPRO_PROCESS_START_METHOD`` for debugging — ``spawn``
-    gives workers a pristine interpreter at the cost of re-importing NumPy.
+    ``REPRO_PROCESS_START_METHOD`` overrides it for every crew, pool and
+    service alike — ``spawn`` gives workers a pristine interpreter at the
+    cost of re-importing NumPy.
     """
     override = os.environ.get(START_METHOD_ENV)
     if override:
@@ -96,21 +96,19 @@ def default_start_method() -> str:
 
 @dataclass(frozen=True)
 class ProcessConfig:
-    """Configuration of the process pool (mirrors :class:`ParallelConfig`)."""
+    """Configuration of the process pool.
+
+    ``startup_timeout`` bounds the wait for every worker to attach a
+    generation (slow hosts, or ``spawn`` re-importing NumPy).  The start
+    method is :func:`default_start_method`'s.
+    """
 
     num_workers: int = 1
-    schedule: str = "dynamic"
-    chunk_size: Optional[int] = None
-    start_method: Optional[str] = None
     startup_timeout: float = 120.0
 
     def __post_init__(self) -> None:
         if self.num_workers < 1:
             raise ValueError("num_workers must be >= 1")
-        if self.schedule not in ("static", "dynamic", "guided"):
-            raise ValueError(f"unknown schedule {self.schedule!r}")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1 when given")
 
 
 class WorkerCrashError(RuntimeError):
@@ -261,21 +259,14 @@ class PersistentWorkerCrew:
     fresh one (the serving layer's crash-retry path).
     """
 
-    def __init__(
-        self,
-        num_workers: int = 1,
-        *,
-        start_method: Optional[str] = None,
-        startup_timeout: float = 120.0,
-    ) -> None:
+    def __init__(self, num_workers: int = 1) -> None:
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
         self.num_workers = num_workers
-        self.startup_timeout = startup_timeout
         self.generations = 0
         self._closed = False
         self._broken = False
-        ctx = mp.get_context(start_method or default_start_method())
+        ctx = mp.get_context(default_start_method())
         self.task_q = ctx.Queue()
         self.done_q = ctx.Queue()
         self.ctrl_qs = [ctx.Queue() for _ in range(num_workers)]
@@ -473,11 +464,7 @@ class HOOIProcessPool:
         try:
             meta = plan.pack(self._arena)
             if crew is None:
-                crew = self._crew = PersistentWorkerCrew(
-                    self.config.num_workers,
-                    start_method=self.config.start_method,
-                    startup_timeout=self.config.startup_timeout,
-                )
+                crew = self._crew = PersistentWorkerCrew(self.config.num_workers)
             elif crew.num_workers != self.config.num_workers:
                 raise ValueError(
                     f"the crew has {crew.num_workers} workers but the "
@@ -513,7 +500,6 @@ class HOOIProcessPool:
         dtype,
         *,
         config: Optional[ProcessConfig] = None,
-        block_nnz: Optional[int] = None,
         kernel: str = "numpy",
         crew: Optional[PersistentWorkerCrew] = None,
     ) -> "HOOIProcessPool":
@@ -525,7 +511,7 @@ class HOOIProcessPool:
         """
         from repro.engine.plans import CSFSlabPlan
 
-        plan = CSFSlabPlan(trees, ranks, block_nnz=block_nnz, kernel=kernel)
+        plan = CSFSlabPlan(trees, ranks, kernel=kernel)
         if plan.dtype != np.dtype(dtype) or plan.shape != tuple(tensor.shape):
             raise ValueError(
                 f"the trees hold {plan.dtype} values of shape {plan.shape}, "
@@ -608,23 +594,16 @@ class HOOIProcessPool:
             self._broken = True
             raise RuntimeError(f"worker task failed: {errors[0]}")
 
-    def _chunks(self, num_items: int):
-        return make_chunks(
-            num_items,
-            self.config.num_workers,
-            schedule=self.config.schedule,
-            chunk_size=self.config.chunk_size,
-        )
-
     # -- public operations ----------------------------------------------- #
     def run(self, key) -> None:
         """Execute every item of ``key`` on the workers."""
         self._check_usable()
         num_items = self._plan.items(key)
         if num_items:
-            self._dispatch(
-                [(key, start, stop) for start, stop in self._chunks(num_items)]
-            )
+            self._dispatch([
+                (key, start, stop)
+                for start, stop in make_chunks(num_items, self.config.num_workers)
+            ])
 
     def ttmc(self, mode: int) -> np.ndarray:
         """The compact ``|J_n| × W`` block of ``Y_(mode)``, in its shared buffer.

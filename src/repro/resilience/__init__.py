@@ -8,8 +8,6 @@ Three cooperating pieces, each usable on its own:
 * :mod:`repro.resilience.degrade` — the ordered fallback ladder
   (process → thread → sequential; numba → numpy; csf → coo) and the
   circuit breaker that guards the serving process pool.
-* :mod:`repro.resilience.retry` — the deterministic bounded-backoff retry
-  policy shared by the serving layer.
 * :mod:`repro.resilience.faults` — the seeded fault-injection harness
   (``REPRO_FAULTS``) that makes crash scenarios scriptable data.
 
@@ -44,7 +42,6 @@ from repro.resilience.faults import (
     install_faults,
     maybe_fail,
 )
-from repro.resilience.retry import RetryPolicy
 
 __all__ = [
     "CheckpointCorruptError",
@@ -69,5 +66,4 @@ __all__ = [
     "clear_faults",
     "install_faults",
     "maybe_fail",
-    "RetryPolicy",
 ]

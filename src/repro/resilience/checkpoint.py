@@ -71,18 +71,18 @@ CHECKPOINT_SCHEMA = "hooi-checkpoint/1"
 #: length / convergence knobs, checkpoint placement and the execution
 #: model (parity across backends is 1e-10 by the conformance matrix) are
 #: safe to vary — resuming a crashed process-pool run on the sequential
-#: backend is precisely the degradation story.
+#: backend is precisely the degradation story.  Only the running options'
+#: keys are compared, so a key that only the checkpoint records (an option
+#: field a later build deleted) never blocks a resume.
 RESUME_COMPAT_EXCLUDE = frozenset(
     {
         "max_iterations",
         "tolerance",
-        "track_fit",
         "checkpoint_dir",
         "checkpoint_interval",
         "fallback",
         "execution",
         "num_workers",
-        "block_nnz",
     }
 )
 

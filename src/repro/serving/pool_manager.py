@@ -55,8 +55,6 @@ class HOOIPoolManager:
         self,
         num_workers: int = 1,
         *,
-        start_method: Optional[str] = None,
-        startup_timeout: float = 120.0,
         breaker: Optional[CircuitBreaker] = None,
         cleanup_orphans: bool = False,
         orphan_max_age: float = 3600.0,
@@ -64,8 +62,6 @@ class HOOIPoolManager:
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
         self.num_workers = int(num_workers)
-        self.start_method = start_method
-        self.startup_timeout = startup_timeout
         self.breaker = breaker
         self.resets = 0
         self._generations_retired = 0
@@ -95,11 +91,7 @@ class HOOIPoolManager:
                 # Look the BLAS thread setters up here, so forked workers
                 # inherit them for their first whole job.
                 blas.can_set_threads()
-                self._crew = PersistentWorkerCrew(
-                    self.num_workers,
-                    start_method=self.start_method,
-                    startup_timeout=self.startup_timeout,
-                )
+                self._crew = PersistentWorkerCrew(self.num_workers)
             return self._crew
 
     def live_crew(self) -> Optional[PersistentWorkerCrew]:

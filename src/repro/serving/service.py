@@ -67,7 +67,6 @@ from repro.resilience.degrade import (
     CircuitOpenError,
     DegradationLadder,
 )
-from repro.resilience.retry import RetryPolicy
 from repro.serving.cache import ResultCache
 from repro.serving.executor import (
     Outcome,
@@ -125,10 +124,9 @@ class DecompositionService:
         How many times a job is requeued after a worker crash before the
         fallback ladder (or, under ``fallback="none"``, the
         :class:`~repro.parallel.process_pool.WorkerCrashError`) takes over.
-        Shorthand for ``retry_policy=RetryPolicy(max_retries=...)``.
-    retry_policy:
-        Full :class:`~repro.resilience.retry.RetryPolicy` (attempt bound +
-        deterministic backoff schedule); overrides ``max_retries``.
+        A crashed job is requeued at once, with no backoff: no job runs on
+        the crashed crew again, and the service retires it once no other
+        job is in flight.
     warmup:
         Spawn the crew and pre-compile available kernel tiers at
         :meth:`start` instead of on the first request.
@@ -157,9 +155,7 @@ class DecompositionService:
         cache_capacity: int = 64,
         default_timeout: Optional[float] = None,
         max_retries: int = 1,
-        retry_policy: Optional[RetryPolicy] = None,
         warmup: bool = True,
-        start_method: Optional[str] = None,
         checkpoint_dir: Optional[Union[str, Path]] = None,
         checkpoint_interval: int = 1,
         breaker_threshold: int = 3,
@@ -180,8 +176,7 @@ class DecompositionService:
             )
         self.max_pending = max_pending
         self.default_timeout = default_timeout
-        self._retry_policy = retry_policy or RetryPolicy(max_retries=max_retries)
-        self.max_retries = self._retry_policy.max_retries
+        self.max_retries = int(max_retries)
         self._warmup = warmup
         self.checkpoint_dir = (
             Path(checkpoint_dir) if checkpoint_dir is not None else None
@@ -195,10 +190,7 @@ class DecompositionService:
             else None
         )
         self._pool = HOOIPoolManager(
-            num_workers,
-            start_method=start_method,
-            breaker=breaker,
-            cleanup_orphans=cleanup_orphans,
+            num_workers, breaker=breaker, cleanup_orphans=cleanup_orphans
         )
         self._ladder = DegradationLadder()
         self._cache = ResultCache(cache_capacity)
@@ -518,7 +510,7 @@ class DecompositionService:
                     self._executor, self._pool.reset
                 )
                 self._reset_pending = False
-            await self._apply_outcome(outcome)
+            self._apply_outcome(outcome)
         except Exception as exc:
             # A fault in the outcome plumbing fails the job loudly instead
             # of leaving its caller waiting.
@@ -563,15 +555,10 @@ class DecompositionService:
         return outcome
 
     # -- outcome application (loop thread) -------------------------------- #
-    async def _apply_outcome(self, outcome: Outcome) -> None:
+    def _apply_outcome(self, outcome: Outcome) -> None:
         job, kind, payload = outcome
         if kind in ("crash", "breaker") and not job.cancel_requested:
-            if kind == "crash" and self._retry_policy.should_retry(job.attempts):
-                # Deterministic bounded backoff before the crashed job runs
-                # again (RetryPolicy; 0 under the defaults).
-                backoff = self._retry_policy.delay(job.attempts + 1)
-                if backoff > 0.0:
-                    await asyncio.sleep(backoff)
+            if kind == "crash" and job.attempts <= self.max_retries:
                 self._retries += 1
                 self._requeue(job)
                 return

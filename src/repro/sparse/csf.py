@@ -415,8 +415,9 @@ class CSFTensorSet:
     :meth:`per_mode` builds, for every mode ``n``, a tree rooted at ``n``
     (:func:`rooted_mode_order`): each TTMc is then a pure pullup whose
     output rows are the unique root fibers, at ``order``× the index memory
-    of one tree.  A memory-bound run keeps the trees on disk instead
-    (:meth:`to_mmap`, :func:`repro.streaming.build_out_of_core`).
+    of one tree.  A memory-bound run keeps the trees on disk instead:
+    :func:`repro.streaming.build_out_of_core` writes them one at a time and
+    :meth:`from_mmap` loads them.
     """
 
     def __init__(self, trees: Dict[int, CSFTensor]) -> None:
@@ -479,9 +480,10 @@ class CSFTensorSet:
     ) -> Path:
         """Write the set-level manifest binding per-tree directories.
 
-        Exposed separately from :meth:`to_mmap` so the out-of-core builder
-        can write trees one at a time (holding a single tree in RAM) and
-        still produce a layout :meth:`from_mmap` loads.
+        The out-of-core builder writes each tree with
+        :meth:`CSFTensor.to_mmap` under :meth:`tree_directory` (holding a
+        single tree in RAM), then this manifest, which :meth:`from_mmap`
+        reads.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
@@ -498,25 +500,17 @@ class CSFTensorSet:
         """Subdirectory of mode ``mode``'s tree in a mmap set layout."""
         return Path(directory) / f"mode-{int(mode)}"
 
-    def to_mmap(self, directory: Union[str, Path]) -> Path:
-        """Write every tree under ``directory`` plus a set manifest."""
-        modes = sorted(self._trees)
-        for mode in modes:
-            self.tree_for(mode).to_mmap(self.tree_directory(directory, mode))
-        self.write_mmap_manifest(directory, modes=modes)
-        return Path(directory)
-
     @classmethod
     def from_mmap(
         cls, directory: Union[str, Path], *, mmap_mode: str = "r"
     ) -> "CSFTensorSet":
-        """Load a :meth:`to_mmap` layout back as a set of memmap-backed trees."""
+        """Load a :meth:`write_mmap_manifest` layout as memmap-backed trees."""
         directory = Path(directory)
         manifest_path = directory / _SET_MANIFEST
         if not manifest_path.is_file():
             raise FileNotFoundError(
                 f"{directory} holds no memory-mapped CSF set (missing "
-                f"{_SET_MANIFEST}) — write one with CSFTensorSet.to_mmap or "
+                f"{_SET_MANIFEST}) — write one with "
                 "repro.streaming.build_out_of_core"
             )
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))

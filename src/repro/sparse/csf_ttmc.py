@@ -21,7 +21,7 @@ to the root, and the output rows are exactly the sorted, unique root fibers
 ``J_n`` — the layout the engine's CSF plan exploits: root-fiber slab
 ``[start, stop)`` is rows ``start..stop`` of the compact ``|J_n| × ∏R``
 block, so thread and process workers write disjoint slices lock-free
-(``make_chunks`` schedules over root fibers, mirroring the paper's row
+(``make_chunks`` chunks of root fibers, mirroring the paper's row
 decomposition).
 
 There is no per-nonzero (or per-fiber) Python loop anywhere: every level is

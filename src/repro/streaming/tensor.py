@@ -26,16 +26,14 @@ one from the snapshot: ``CSFTensor(stream.tensor)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.sparse_tensor import (
-    DeltaFingerprint,
     SparseTensor,
     colmajor_groups,
     colmajor_keys,
-    fingerprint_with_delta,
     resolve_dtype,
 )
 from repro.streaming.delta import DeltaBatch
@@ -69,8 +67,6 @@ class StreamingTensor:
         (explicitly via :meth:`grow_to` as well).
     dtype:
         Storage dtype; defaults to the first entries' supported float dtype.
-    keep_log:
-        Retain the raw appended batches (for replay in tests).
     """
 
     def __init__(
@@ -79,12 +75,8 @@ class StreamingTensor:
         *,
         shape: Optional[Sequence[int]] = None,
         dtype=None,
-        keep_log: bool = False,
     ) -> None:
         self._dtype = resolve_dtype(dtype) if dtype is not None else None
-        self._keep_log = bool(keep_log)
-        self.log: List[DeltaBatch] = []
-
         self._shape: Optional[Tuple[int, ...]] = (
             tuple(int(s) for s in shape) if shape is not None else None
         )
@@ -93,10 +85,8 @@ class StreamingTensor:
         # Column-major linear keys of ``_indices``; ``None`` past int64.
         self._keys: Optional[np.ndarray] = None
         self._keys_valid = False
-        self._fp: Optional[DeltaFingerprint] = None
 
         self.batches_applied = 0
-        self.log_nnz = 0
 
         if self._shape is not None:
             self._establish(len(self._shape))
@@ -126,7 +116,6 @@ class StreamingTensor:
             self._indices = np.empty((0, order), dtype=np.int64)
             self._values = np.empty(0, dtype=dtype)
             self._keys_valid = False
-            self._fp = DeltaFingerprint.empty(self._shape, dtype)
 
     def grow_to(self, shape: Sequence[int]) -> None:
         """Grow the logical shape (never shrinks).
@@ -152,12 +141,6 @@ class StreamingTensor:
             return
         self._shape = shape
         self._keys_valid = False
-        self._fp = DeltaFingerprint(
-            shape=shape,
-            dtype=self._fp.dtype,
-            count=self._fp.count,
-            lanes=self._fp.lanes,
-        ) if self._fp is not None else None
 
     # ------------------------------------------------------------------ #
     # Properties
@@ -200,12 +183,8 @@ class StreamingTensor:
                 f"batch has {batch.order} modes but the stream has {self.order}"
             )
         self.batches_applied += 1
-        self.log_nnz += batch.nnz
-        if self._keep_log:
-            self.log.append(batch)
         bidx = batch.indices
         bvals = batch.values.astype(self._values.dtype, copy=False)
-        self._fp = fingerprint_with_delta(self._fp, bidx, bvals)
         if batch.nnz == 0:
             return AppendStats(0, 0, 0)
 
@@ -323,17 +302,6 @@ class StreamingTensor:
         """Canonical content hash of the merged tensor (same as
         :meth:`SparseTensor.fingerprint` of :attr:`tensor`)."""
         return self.tensor.fingerprint()
-
-    def delta_fingerprint(self) -> DeltaFingerprint:
-        """The O(batch)-maintained identity of the *appended entry multiset*.
-
-        Note this hashes the raw appended entries (duplicates included), not
-        the merged result — it is invariant under how the same entries were
-        split into batches, which is the property the streaming cache needs.
-        """
-        if self._fp is None:
-            raise ValueError("empty streaming tensor with no shape information")
-        return self._fp
 
     def memory_bytes(self) -> int:
         total = 0 if self._indices is None else int(

@@ -9,9 +9,33 @@ from repro.core import SparseTensor
 from repro.util.linalg import random_orthonormal
 
 
+#: A TTMc block cap small enough that most update lists and fiber groups
+#: of the small test tensors split across blocks.
+SMALL_BLOCK = 7
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def block_cap(request, monkeypatch):
+    """Cap every TTMc block at ``SMALL_BLOCK`` nonzeros (or fibers).
+
+    The COO and dimension-tree kernels size their blocks with
+    :func:`repro.core.ttmc.default_block_size`, which reads
+    ``_DEFAULT_BLOCK_NNZ`` when called, so the cap reaches every kernel in
+    this process, and the workers of a crew forked afterwards.  Parametrize
+    it indirectly to pick the cap; ``None`` keeps the default blocks.
+    Returns the cap.
+    """
+    from repro.core import ttmc
+
+    cap = getattr(request, "param", SMALL_BLOCK)
+    if cap is not None:
+        monkeypatch.setattr(ttmc, "_DEFAULT_BLOCK_NNZ", cap)
+    return cap
 
 
 def _random_tensor(shape, nnz, seed) -> SparseTensor:

@@ -38,7 +38,6 @@ from repro.engine import (
     resolve_ttmc_backend,
 )
 from repro.parallel import HOOIProcessPool
-from repro.parallel.parallel_for import ParallelConfig
 from repro.parallel.process_pool import PersistentWorkerCrew
 from repro.partition import make_partition
 from repro.sparse import CSFTensorSet
@@ -130,7 +129,7 @@ class TestCompactBlocks:
         plan = PLANS[plan_name](tensor, None, tmp_path)
         dispatcher = (
             InlineDispatcher() if threads == 1
-            else ThreadDispatcher(ParallelConfig(num_threads=threads))
+            else ThreadDispatcher(threads)
         )
         got, expected = _engine_sweeps(
             tensor, plan,

@@ -6,13 +6,14 @@ every later TTMc reads stream slices and never touches the tensor again.
 
 * Parity: the plan's first and second sweeps equal the ``J_n`` rows of
   ``ttmc_matricized`` under ``np.array_equal`` for orders 2–5, both dtypes, inline, on threads
-  and on a worker crew, with blocks small enough to split segments and a
-  mode with empty rows.  Threads and workers split the rows into ranges
-  whose blocks start elsewhere than the sequential call's, which
-  reassociates the sums of split segments, so those cases use small
-  integer values and factor entries: every product and sum is exact, and
-  any association gives the same bits.  Inline runs use the sequential
-  call's blocks and random floats.
+  and on a worker crew, with blocks small enough to split segments (the
+  ``block_cap`` fixture) and a mode with empty rows.  The cap reaches a
+  crew's workers only when the crew forks after it.  Threads and workers
+  split the rows into ranges whose blocks start elsewhere than the
+  sequential call's, which reassociates the sums of split segments, so
+  those cases use small integer values and factor entries: every product
+  and sum is exact, and any association gives the same bits.  Inline runs
+  use the sequential call's blocks and random floats.
 * Later sweeps stream: once every mode has run once, the plan's copy of the
   tensor is overwritten with out-of-range indices and NaN values, and the
   next sweep must still equal the first.
@@ -36,7 +37,6 @@ from repro.engine import (
     resolve_ttmc_backend,
 )
 from repro.parallel import HOOIProcessPool
-from repro.parallel.parallel_for import ParallelConfig
 from repro.parallel.process_pool import PersistentWorkerCrew
 from repro.util.linalg import random_orthonormal
 
@@ -48,15 +48,14 @@ CASES = {
     4: ((12, 9, 8, 7), 2, 250),
     5: ((10, 6, 5, 4, 4), 2, 250),
 }
-#: Small enough that most update lists split across blocks.
-SMALL_BLOCK = 7
+#: Block caps (``block_cap``): the default blocks, and blocks small enough
+#: that most update lists split across them.
+CAPS = [None, 7]
 
 DISPATCHERS = {
     "inline": InlineDispatcher,
-    "thread2-static": lambda: ThreadDispatcher(ParallelConfig(2, "static")),
-    "thread2-dynamic": lambda: ThreadDispatcher(ParallelConfig(2, "dynamic")),
-    "thread3-static": lambda: ThreadDispatcher(ParallelConfig(3, "static")),
-    "thread3-dynamic": lambda: ThreadDispatcher(ParallelConfig(3, "dynamic")),
+    "thread2": lambda: ThreadDispatcher(2),
+    "thread3": lambda: ThreadDispatcher(3),
 }
 
 
@@ -83,22 +82,18 @@ def _factors(order, dtype, *, exact, seed=0):
     ]
 
 
-def _plan(tensor, ranks=None, block_nnz=None):
-    return COORowsPlan(
-        tensor, parallel_symbolic(tensor, 1), ranks, block_nnz=block_nnz
-    )
+def _plan(tensor, ranks=None):
+    return COORowsPlan(tensor, parallel_symbolic(tensor, 1), ranks)
 
 
 def _sweep(ttmc, order):
     return [ttmc(mode).copy() for mode in range(order)]
 
 
-def _expected(tensor, factors, block_nnz=None):
+def _expected(tensor, factors):
     """The plan's compact blocks: the ``J_n`` rows of the full TTMc."""
     return [
-        ttmc_matricized(tensor, factors, mode, block_nnz=block_nnz)[
-            tensor.nonempty_rows(mode)
-        ]
+        ttmc_matricized(tensor, factors, mode)[tensor.nonempty_rows(mode)]
         for mode in range(tensor.order)
     ]
 
@@ -123,13 +118,13 @@ def crew():
 
 @pytest.mark.parametrize("order", sorted(CASES))
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize("block_nnz", [None, SMALL_BLOCK])
+@pytest.mark.parametrize("block_cap", CAPS, indirect=True)
 class TestParity:
-    def test_inline_random_values(self, order, dtype, block_nnz):
+    def test_inline_random_values(self, order, dtype, block_cap):
         tensor = _tensor(order, dtype, exact=False)
         factors = _factors(order, dtype, exact=False)
-        plan = _plan(tensor, block_nnz=block_nnz)
-        expected = _expected(tensor, factors, block_nnz)
+        plan = _plan(tensor)
+        expected = _expected(tensor, factors)
         dispatcher = InlineDispatcher()
         for _ in range(2):
             _assert_equal(
@@ -139,37 +134,57 @@ class TestParity:
             assert plan.filled.all()
 
     @pytest.mark.parametrize("dispatcher", sorted(DISPATCHERS))
-    def test_dispatchers_exact_values(self, order, dtype, block_nnz, dispatcher):
+    def test_dispatchers_exact_values(self, order, dtype, block_cap, dispatcher):
         tensor = _tensor(order, dtype, exact=True)
         factors = _factors(order, dtype, exact=True)
-        plan = _plan(tensor, block_nnz=block_nnz)
-        expected = _expected(tensor, factors, block_nnz)
+        plan = _plan(tensor)
+        expected = _expected(tensor, factors)
         run = DISPATCHERS[dispatcher]()
         for _ in range(2):
             _assert_equal(
                 _sweep(lambda n: run.ttmc(plan, n, factors), order), expected
             )
 
-    def test_crew_exact_values(self, order, dtype, block_nnz, crew):
+    def test_crew_exact_values(self, order, dtype, block_cap, crew):
+        """The module's crew starts before any cap: its workers run the
+        default blocks, and exact values make them equal the capped ones."""
         tensor = _tensor(order, dtype, exact=True)
         factors = _factors(order, dtype, exact=True)
         ranks = [f.shape[1] for f in factors]
-        expected = _expected(tensor, factors, block_nnz)
-        with HOOIProcessPool(_plan(tensor, ranks, block_nnz), crew=crew) as pool:
+        expected = _expected(tensor, factors)
+        with HOOIProcessPool(_plan(tensor, ranks), crew=crew) as pool:
             for mode, factor in enumerate(factors):
                 pool.write_factor(mode, factor)
             for _ in range(2):
                 _assert_equal(_sweep(pool.ttmc, order), expected)
 
 
+class TestCappedCrew:
+    def test_crew_started_after_the_cap(self, block_cap):
+        """A crew forked after ``block_cap`` splits blocks in its workers.
+
+        Under ``spawn`` the workers import the default cap instead; the
+        exact values make either equal the capped inline blocks.
+        """
+        tensor = _tensor(4, np.float64, exact=True)
+        factors = _factors(4, np.float64, exact=True)
+        ranks = [f.shape[1] for f in factors]
+        expected = _expected(tensor, factors)
+        with PersistentWorkerCrew(2) as crew:
+            with HOOIProcessPool(_plan(tensor, ranks), crew=crew) as pool:
+                for mode, factor in enumerate(factors):
+                    pool.write_factor(mode, factor)
+                for _ in range(2):
+                    _assert_equal(_sweep(pool.ttmc, 4), expected)
+
+
 class TestLaterSweepsStream:
-    @pytest.mark.parametrize("dispatcher", ["inline", "thread2-static",
-                                            "thread3-dynamic"])
-    @pytest.mark.parametrize("block_nnz", [None, SMALL_BLOCK])
-    def test_poisoned_tensor_is_never_read_again(self, dispatcher, block_nnz):
+    @pytest.mark.parametrize("dispatcher", sorted(DISPATCHERS))
+    @pytest.mark.parametrize("block_cap", CAPS, indirect=True)
+    def test_poisoned_tensor_is_never_read_again(self, dispatcher, block_cap):
         tensor = _tensor(4, np.float64, exact=False)
         factors = _factors(4, np.float64, exact=False)
-        plan = _plan(tensor.copy(), block_nnz=block_nnz)
+        plan = _plan(tensor.copy())
         run = DISPATCHERS[dispatcher]()
         first = _sweep(lambda n: run.ttmc(plan, n, factors), 4)
         _poison(plan.tensor.indices, plan.tensor.values)
@@ -179,7 +194,7 @@ class TestLaterSweepsStream:
     def test_poisoned_arena_is_never_read_again(self, crew):
         tensor = _tensor(3, np.float64, exact=False)
         factors = _factors(3, np.float64, exact=False)
-        plan = _plan(tensor, [f.shape[1] for f in factors], SMALL_BLOCK)
+        plan = _plan(tensor, [f.shape[1] for f in factors])
         with HOOIProcessPool(plan, crew=crew) as pool:
             for mode, factor in enumerate(factors):
                 pool.write_factor(mode, factor)
@@ -216,13 +231,16 @@ class TestLaterSweepsStream:
 
 
 class TestThreadStress:
+    @pytest.mark.usefixtures("block_cap")
     def test_many_threads_fill_disjoint_slices(self):
         """More threads than cores, one row per chunk, frequent switches."""
         tensor = _tensor(4, np.float64, exact=True)
         factors = _factors(4, np.float64, exact=True)
-        plan = _plan(tensor, block_nnz=SMALL_BLOCK)
-        expected = _expected(tensor, factors, SMALL_BLOCK)
-        run = ThreadDispatcher(ParallelConfig(6, "dynamic", chunk_size=1))
+        plan = _plan(tensor)
+        expected = _expected(tensor, factors)
+        run = ThreadDispatcher(6)
+        # Six threads make chunks of ⌈|J_n| / 24⌉ rows: one row each here.
+        assert max(plan.items(n) for n in range(4)) <= 24
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -235,10 +253,11 @@ class TestThreadStress:
 
 
 class TestStreamState:
+    @pytest.mark.usefixtures("block_cap")
     def test_failed_ttmc_publishes_nothing(self):
         tensor = _tensor(3, np.float64, exact=False)
         factors = _factors(3, np.float64, exact=False)
-        plan = _plan(tensor.copy(), block_nnz=SMALL_BLOCK)
+        plan = _plan(tensor.copy())
         plan.factors = factors
         half = plan.items(1) // 2
 
@@ -251,9 +270,7 @@ class TestStreamState:
         assert not plan.filled[1]
         got = InlineDispatcher().ttmc(plan, 1, factors)
         assert plan.filled[1]
-        assert np.array_equal(got, ttmc_matricized(
-            tensor, factors, 1, block_nnz=SMALL_BLOCK
-        )[plan.rows(1)])
+        assert np.array_equal(got, ttmc_matricized(tensor, factors, 1)[plan.rows(1)])
 
     def test_row_subset_streams_its_own_nonzeros(self):
         """A plan over some rows' update lists (a distributed rank's) streams

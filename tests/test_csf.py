@@ -14,7 +14,6 @@ from repro.engine import (
     ThreadDispatcher,
     WorkspacePool,
 )
-from repro.parallel.parallel_for import ParallelConfig
 from repro.sparse import (
     CSFTensor,
     CSFTensorSet,
@@ -188,7 +187,7 @@ class TestTTMcParity:
     def test_threaded_slabs_match(self, small_tensor_4d):
         factors = make_factors(small_tensor_4d.shape)
         plan = CSFSlabPlan(CSFTensorSet.per_mode(small_tensor_4d))
-        threads = ThreadDispatcher(ParallelConfig(num_threads=3, schedule="static"))
+        threads = ThreadDispatcher(3)
         for mode in range(4):
             expected = ttmc_matricized(small_tensor_4d, factors, mode)
             np.testing.assert_allclose(
@@ -296,7 +295,7 @@ class TestCSFBackends:
             small_tensor_3d, self.RANKS, HOOIOptions(max_iterations=3, seed=0)
         )
         backend = PlanBackend(
-            CSFSlabPlan, ThreadDispatcher(ParallelConfig(num_threads=2))
+            CSFSlabPlan, ThreadDispatcher(2)
         )
         result = self.run(small_tensor_3d, backend)
         np.testing.assert_allclose(

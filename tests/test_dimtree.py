@@ -44,7 +44,6 @@ from repro.engine import (
     WorkspacePool,
     resolve_ttmc_backend,
 )
-from repro.parallel import ParallelConfig
 from repro.sparse import CSFTensor
 from repro.util.linalg import random_orthonormal
 
@@ -177,9 +176,10 @@ _EDGE_CASES = {
 def _edge_problem(case, contiguous, dtype="float64", seed=0):
     """A parent node of 80 fibers over (group, sibling...) columns.
 
-    Group 2 holds 15 of the fibers, so a small ``block_nnz`` splits it over
-    several blocks.  Contiguous groupings come from lex-sorted parents
-    (:func:`group_fibers_presorted`), permuted ones from a sort.
+    Group 2 holds 15 of the fibers, so a small block cap (``block_cap``)
+    splits it over several blocks.  Contiguous groupings come from
+    lex-sorted parents (:func:`group_fibers_presorted`), permuted ones from
+    a sort.
     """
     lo, hi, sib_ranks = _EDGE_CASES[case]
     rng = np.random.default_rng(seed)
@@ -217,15 +217,13 @@ def _edge_reference(grouping, start, stop, cols, low, high, factors):
     return np.array(rows)
 
 
-def _edge_update(grouping, start, stop, cols, payload, factors, lo, hi,
-                 block_nnz=None):
+def _edge_update(grouping, start, stop, cols, payload, factors, lo, hi):
     width = lo * hi * int(np.prod([f.shape[1] for f in factors]))
     # NaN-filled, so a row the update leaves unassigned shows up.
     out = np.full((stop - start, width), np.nan, dtype=payload.dtype)
     return edge_update_groups(
         grouping, start, stop, payload, cols,
         list(range(1, 1 + len(factors))), factors, lo, hi, out,
-        block_nnz=block_nnz,
     )
 
 
@@ -251,32 +249,31 @@ class TestEdgeUpdate:
     @pytest.mark.parametrize("contiguous", [True, False],
                              ids=["contiguous", "permuted"])
     @pytest.mark.parametrize("case", sorted(_EDGE_CASES))
-    def test_group_split_over_blocks_in_a_sub_range(self, case, contiguous):
+    def test_group_split_over_blocks_in_a_sub_range(
+        self, case, contiguous, block_cap
+    ):
         grouping, cols, low, high, payload, factors = _edge_problem(
             case, contiguous, seed=1
         )
         lo, hi, _ = _EDGE_CASES[case]
-        start, stop, block_nnz = 1, grouping.num_groups - 1, 6
-        # Group 2 (15 fibers) spans three blocks of 6.
-        assert grouping.group_sizes()[2] > 2 * block_nnz
-        got = _edge_update(
-            grouping, start, stop, cols, payload, factors, lo, hi,
-            block_nnz=block_nnz,
-        )
+        start, stop = 1, grouping.num_groups - 1
+        # Group 2 (15 fibers) spans three capped blocks.
+        assert grouping.group_sizes()[2] > 2 * block_cap
+        got = _edge_update(grouping, start, stop, cols, payload, factors, lo, hi)
         expected = _edge_reference(
             grouping, start, stop, cols, low, high, factors
         )
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("case", sorted(_EDGE_CASES))
+    @pytest.mark.usefixtures("block_cap")
     def test_float32_stays_float32(self, case):
         grouping, cols, low, high, payload, factors = _edge_problem(
             case, contiguous=False, dtype="float32", seed=2
         )
         lo, hi, _ = _EDGE_CASES[case]
         got = _edge_update(
-            grouping, 0, grouping.num_groups, cols, payload, factors, lo, hi,
-            block_nnz=7,
+            grouping, 0, grouping.num_groups, cols, payload, factors, lo, hi
         )
         expected = _edge_reference(
             grouping, 0, grouping.num_groups, cols,
@@ -439,7 +436,7 @@ class TestEquivalence:
         tensor = _random_tensor(shape, 400, seed=61)
         factors = _factors(shape, ranks, seed=7)
         tree = DimensionTree(tensor)
-        threads = ThreadDispatcher(ParallelConfig(num_threads=3))
+        threads = ThreadDispatcher(3)
         for mode in range(tensor.order):
             expected = ttmc_matricized(tensor, factors, mode)
             got = threads.ttmc(tree, mode, factors)

@@ -498,22 +498,6 @@ class TestDistributedCallbackAndFit:
         assert [it for it, _ in calls] == list(range(result.iterations))
         assert np.allclose([f for _, f in calls], result.fit_history)
 
-    def test_callback_with_track_fit_disabled(self, tensor, ranks):
-        """Regression: track_fit=False never fires the callback, yet the
-        result still carries the single final fit (never silently NaN)."""
-        partition = make_partition(tensor, 3, "fine-rd", seed=0)
-        calls = []
-        result = distributed_hooi(
-            tensor, ranks, partition,
-            HOOIOptions(max_iterations=2, init="random", seed=0,
-                        track_fit=False),
-            callback=lambda it, fit: calls.append((it, fit)),
-        )
-        assert calls == []
-        assert len(result.fit_history) == 1
-        assert np.isfinite(result.fit)
-        assert result.iterations == 2
-
     def test_fit_raises_on_empty_history(self):
         from repro.core.tucker import TuckerTensor
         from repro.distributed.dist_hooi import DistributedHOOIResult

@@ -26,7 +26,6 @@ from repro.engine import (
     WorkspacePool,
     resolve_ttmc_backend,
 )
-from repro.parallel import ParallelConfig
 from repro.partition import make_partition
 
 
@@ -56,7 +55,7 @@ class TestEngineDirect:
         par = HOOIEngine(
             medium_tensor_3d, 5, options,
             backend=PlanBackend(
-                dispatcher=ThreadDispatcher(ParallelConfig(num_threads=3))
+                dispatcher=ThreadDispatcher(3)
             ),
         ).run()
         assert np.allclose(seq.fit_history, par.fit_history, atol=1e-9)
@@ -122,29 +121,6 @@ class TestSharedCallback:
         )
         assert np.allclose([f for _, f in calls], [f for _, f in seq_calls],
                            atol=1e-9)
-
-
-class TestTrackFitAlwaysPopulated:
-    def test_sequential(self, small_tensor_3d):
-        result = hooi(small_tensor_3d, 3,
-                      HOOIOptions(max_iterations=2, track_fit=False))
-        assert len(result.fit_history) == 1
-        assert np.isfinite(result.fit)
-
-    def test_shared(self, small_tensor_3d):
-        result = decompose(small_tensor_3d, 3, execution="thread", num_workers=2,
-                           max_iterations=2, track_fit=False)
-        assert np.isfinite(result.fit)
-
-    def test_distributed(self, small_tensor_3d):
-        partition = make_partition(small_tensor_3d, 2, "coarse-bl")
-        result = distributed_hooi(
-            small_tensor_3d, 3, partition,
-            HOOIOptions(max_iterations=2, init="random", seed=0, track_fit=False),
-        )
-        assert np.isfinite(result.fit)
-        assert not result.converged
-        assert result.iterations == 2
 
 
 class TestDistributedTRSVDMethods:

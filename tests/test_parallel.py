@@ -13,7 +13,6 @@ from repro.experiments.table5 import predict_iteration_time
 from repro.parallel import (
     BGQ_NODE,
     NodeModel,
-    ParallelConfig,
     PhaseWork,
     core_phase_work,
     kron_width,
@@ -25,42 +24,29 @@ from repro.parallel import (
 
 
 class TestChunks:
-    def test_static_covers_all_items(self):
-        sched = make_chunks(100, 4, schedule="static")
-        covered = sorted(i for start, stop in sched for i in range(start, stop))
-        assert covered == list(range(100))
-
-    def test_dynamic_chunk_size_respected(self):
-        sched = make_chunks(100, 4, schedule="dynamic", chunk_size=10)
-        assert all(stop - start <= 10 for start, stop in sched)
-        assert len(sched) == 10
-
-    def test_guided_decreasing_sizes(self):
-        sched = make_chunks(1000, 4, schedule="guided")
-        sizes = [stop - start for start, stop in sched]
-        assert sizes[0] >= sizes[-1]
-        assert sum(sizes) == 1000
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("items", [0, 1, 7, 100, 1000])
+    def test_contiguous_chunks_of_a_quarter_share(self, items, workers):
+        """``range(items)`` in order, every chunk but the last ⌈n / 4w⌉ long."""
+        chunks = make_chunks(items, workers)
+        size = -(-items // (4 * workers))
+        assert [i for start, stop in chunks for i in range(start, stop)] == list(
+            range(items)
+        )
+        assert all(stop - start == size for start, stop in chunks[:-1])
+        assert all(0 < stop - start <= size for start, stop in chunks)
 
     def test_empty(self):
         assert len(make_chunks(0, 4)) == 0
 
-    def test_unknown_schedule(self):
-        with pytest.raises(ValueError):
-            make_chunks(10, 2, schedule="bogus")
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ParallelConfig(num_threads=0)
-        with pytest.raises(ValueError):
-            ParallelConfig(schedule="???")
-        with pytest.raises(ValueError):
-            ParallelConfig(chunk_size=0)
+    def test_dispatcher_needs_a_thread(self):
+        with pytest.raises(ValueError, match="num_threads must be >= 1"):
+            ThreadDispatcher(0)
 
 
 class TestParallelFor:
-    @pytest.mark.parametrize("schedule", ["static", "dynamic", "guided"])
     @pytest.mark.parametrize("threads", [1, 2, 4])
-    def test_every_item_processed_once(self, schedule, threads):
+    def test_every_item_processed_once(self, threads):
         seen = np.zeros(500, dtype=np.int64)
         lock = threading.Lock()
 
@@ -68,7 +54,7 @@ class TestParallelFor:
             with lock:
                 seen[start:stop] += 1
 
-        parallel_for(body, 500, ParallelConfig(num_threads=threads, schedule=schedule))
+        parallel_for(body, 500, threads)
         assert np.all(seen == 1)
 
     def test_exception_propagates(self):
@@ -76,24 +62,21 @@ class TestParallelFor:
             raise RuntimeError("boom")
 
         with pytest.raises(RuntimeError):
-            parallel_for(body, 10, ParallelConfig(num_threads=2))
+            parallel_for(body, 10, 2)
 
     def test_zero_items_is_noop(self):
-        parallel_for(lambda a, b: pytest.fail("should not run"), 0, ParallelConfig())
+        parallel_for(lambda a, b: pytest.fail("should not run"), 0, 1)
 
 
 class TestParallelTTMc:
     @pytest.mark.parametrize("threads", [1, 2, 4])
-    @pytest.mark.parametrize("schedule", ["static", "dynamic"])
-    def test_matches_sequential(self, medium_tensor_3d, threads, schedule, rng):
+    def test_matches_sequential(self, medium_tensor_3d, threads, rng):
         factors = [
             np.linalg.qr(rng.standard_normal((s, 4)))[0]
             for s in medium_tensor_3d.shape
         ]
         plan = COORowsPlan(medium_tensor_3d, parallel_symbolic(medium_tensor_3d, 1))
-        dispatcher = ThreadDispatcher(
-            ParallelConfig(num_threads=threads, schedule=schedule)
-        )
+        dispatcher = ThreadDispatcher(threads)
         for mode in range(3):
             expected = ttmc_matricized(medium_tensor_3d, factors, mode)
             actual = dispatcher.ttmc(plan, mode, factors)
@@ -106,7 +89,7 @@ class TestParallelTTMc:
         full = ttmc_matricized(small_tensor_3d, factors_3d, mode, symbolic=sym)
         subset = restrict_symbolic(sym, np.arange(sym.num_rows)[::3])
         plan = COORowsPlan(small_tensor_3d, {mode: subset})
-        threads = ThreadDispatcher(ParallelConfig(num_threads=2))
+        threads = ThreadDispatcher(2)
         block = threads.ttmc(plan, mode, factors_3d)
         assert np.allclose(block, full[subset.rows])
 
@@ -114,14 +97,14 @@ class TestParallelTTMc:
         sym = symbolic_ttmc(small_tensor_3d, 0)
         subset = restrict_symbolic(sym, np.empty(0, dtype=np.int64))
         plan = COORowsPlan(small_tensor_3d, {0: subset})
-        threads = ThreadDispatcher(ParallelConfig(num_threads=2))
+        threads = ThreadDispatcher(2)
         assert threads.ttmc(plan, 0, factors_3d).shape[0] == 0
 
     def test_out_buffer(self, small_tensor_3d, factors_3d):
         """The dispatcher hands back the plan's own ``|J_n| × W`` block."""
         width = factors_3d[1].shape[1] * factors_3d[2].shape[1]
         plan = COORowsPlan(small_tensor_3d, parallel_symbolic(small_tensor_3d, 1))
-        result = ThreadDispatcher(ParallelConfig(num_threads=2)).ttmc(
+        result = ThreadDispatcher(2).ttmc(
             plan, 0, factors_3d
         )
         assert result is plan.outs[0]

@@ -41,13 +41,13 @@ from repro.resilience.checkpoint import (
     Checkpointer,
     load_checkpoint,
     resolve_resume,
+    save_checkpoint,
 )
 from repro.resilience.degrade import (
     CircuitBreaker,
     CircuitOpenError,
     DegradationLadder,
 )
-from repro.resilience.retry import RetryPolicy
 
 # The process runs and served jobs here are below the crew's break-even.
 pytestmark = pytest.mark.usefixtures("every_job_on_the_crew")
@@ -199,6 +199,33 @@ class TestResume:
         assert res.resumed_sweeps == 2
         assert res.completed_sweeps == 5
 
+    def test_checkpoint_naming_deleted_options_resumes(self, tmp_path):
+        """An older build recorded ``block_nnz`` and ``track_fit`` in every
+        checkpoint's options.  Only the running options' keys are compared,
+        so such a checkpoint resumes and reproduces the uninterrupted run."""
+        t = _tensor()
+        base = dict(tolerance=0.0, **GRAM)
+        full = hooi(t, 4, HOOIOptions(max_iterations=4, **base))
+        hooi(t, 4, HOOIOptions(
+            max_iterations=2, checkpoint_dir=str(tmp_path), **base
+        ))
+        ck = Checkpointer(tmp_path)
+        state = ck.load()
+        state.options.update(block_nnz=None, track_fit=True)
+        save_checkpoint(ck.path, state)
+        assert {"block_nnz", "track_fit"} <= set(ck.load().options)
+        res = hooi(t, 4, HOOIOptions(
+            max_iterations=4, checkpoint_dir=str(tmp_path), **base
+        ), resume="auto")
+        assert res.resumed_sweeps == 2
+        assert res.completed_sweeps == 4
+        assert res.fit_history == full.fit_history
+        for a, b in zip(full.decomposition.factors, res.decomposition.factors):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(
+            full.decomposition.core, res.decomposition.core
+        )
+
     def test_validate_normalizes_axis_spellings(self):
         """validate() writes concrete values back onto None axis fields."""
         opts = HOOIOptions(
@@ -302,9 +329,17 @@ class TestTermination:
         assert 0 < res.completed_sweeps < 50
         assert res.fit_history  # partial but populated
 
+    def test_cancel_before_the_first_sweep(self):
+        """No sweep ran: the fit of the all-zero core is the one entry."""
+        res = hooi(_tensor(), 4, HOOIOptions(**GRAM), cancel_check=lambda: True)
+        assert res.termination == "cancelled"
+        assert res.completed_sweeps == 0
+        assert res.fit_history == [0.0]
+        assert res.fit == 0.0
+
 
 # --------------------------------------------------------------------------- #
-# Ladder / breaker / retry units
+# Ladder / breaker units
 # --------------------------------------------------------------------------- #
 class TestDegradationLadder:
     def test_descent_order(self):
@@ -363,24 +398,6 @@ class TestCircuitBreaker:
         b.record_failure()
         assert b.state == "open"
         assert b.trips == 2
-
-
-class TestRetryPolicy:
-    def test_bounds_and_backoff(self):
-        p = RetryPolicy(max_retries=2, base_delay=0.1, multiplier=2, max_delay=0.3)
-        assert p.should_retry(1) and p.should_retry(2) and not p.should_retry(3)
-        assert p.delay(2) == pytest.approx(0.1)
-        assert p.delay(3) == pytest.approx(0.2)
-        assert p.delay(9) == pytest.approx(0.3)  # capped
-
-    def test_defaults_are_immediate(self):
-        assert RetryPolicy().delay(2) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_retries=-1)
-        with pytest.raises(ValueError):
-            RetryPolicy(multiplier=0.5)
 
 
 # --------------------------------------------------------------------------- #
@@ -582,6 +599,12 @@ class TestResilienceOptions:
             HOOIOptions(fallback="maybe").validate()
         with pytest.raises(ValueError, match="checkpoint_interval"):
             HOOIOptions(checkpoint_interval=0).validate()
+
+    def test_service_rejects_negative_retries(self):
+        from repro.serving import DecompositionService
+
+        with pytest.raises(ValueError, match="max_retries must be >= 0"):
+            DecompositionService(max_retries=-1)
 
     def test_serialization_roundtrip(self):
         opts = HOOIOptions(

@@ -35,7 +35,7 @@ class TestOptionsCodec:
             max_iterations=7,
             trsvd_method="gram",
             seed=42,
-            block_nnz=1000,
+            tolerance=1e-7,
             dtype="float32",
             execution="thread",
             num_workers=3,
@@ -60,6 +60,13 @@ class TestOptionsCodec:
         assert "max_iter" in message
         # The error must teach: every valid key is listed.
         assert "max_iterations" in message and "trsvd_method" in message
+
+    @pytest.mark.parametrize("key, value", [("block_nnz", 1000), ("track_fit", False)])
+    def test_from_dict_rejects_deleted_keys(self, key, value):
+        """Every TTMc sizes its blocks itself and every sweep records a fit:
+        the two options that set otherwise are unknown keys now."""
+        with pytest.raises(ValueError, match=f"unknown HOOIOptions key.*{key}"):
+            HOOIOptions.from_dict({key: value})
 
     def test_to_dict_rejects_array_init(self):
         opts = HOOIOptions(init=[np.eye(3)])

@@ -8,9 +8,6 @@ The load-bearing contracts, in the order the module stack builds them:
   :class:`~repro.core.sparse_tensor.SparseTensor` build produces
   (hypothesis-tested), also past an int64 key space, and a snapshot it
   hands out never changes under later appends.
-* **Incremental identity** — :func:`repro.core.sparse_tensor.
-  fingerprint_with_delta` extends a fingerprint in O(batch) to exactly the
-  digest a full re-hash would produce.
 * **Warm starts** — ``resume_factors`` seeds a run deterministically (same
   init ⇒ same trajectory to 1e-10) and never loses a converged fit.
 * **Out-of-core** — the memory-mapped CSF pipeline reproduces the
@@ -28,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro.core.hooi import HOOIOptions, hooi
 from repro.core.hosvd import initialize_factors
-from repro.core.sparse_tensor import SparseTensor, fingerprint_with_delta
+from repro.core.sparse_tensor import SparseTensor
 from repro.data.io import iter_tns_chunks, read_tns, write_tns
 from repro.data.lowrank import planted_lowrank_tensor
 from repro.sparse import CSFTensor, CSFTensorSet
@@ -273,38 +270,6 @@ class TestSnapshots:
             stream, DeltaBatch(np.array([[0, 1, 2], [39, 45, 5]]), [1.0, 1.0])
         )
         assert stats.new_coords >= 1
-
-
-class TestIncrementalFingerprint:
-    @SETTINGS
-    @given(entry_streams())
-    def test_extension_equals_full_rehash(self, stream_case):
-        shape, indices, values, batches = stream_case
-        head_idx, head_vals = batches[0]
-        base = SparseTensor(head_idx, head_vals, shape).delta_fingerprint()
-        n = len(head_vals)
-        for bidx, bvals in batches[1:]:
-            base = fingerprint_with_delta(base, bidx, bvals)
-            n += len(bvals)
-            full = SparseTensor(
-                indices[:n], values[:n], shape
-            ).delta_fingerprint()
-            assert base == full
-        assert base.count == len(values)
-
-    @SETTINGS
-    @given(entry_streams())
-    def test_stream_digest_is_split_invariant(self, stream_case):
-        shape, indices, values, batches = stream_case
-        split = StreamingTensor(shape=shape)
-        for bidx, bvals in batches:
-            split.append(DeltaBatch(bidx, bvals, merge_duplicates=False))
-        whole = StreamingTensor(shape=shape)
-        whole.append(DeltaBatch(indices, values, merge_duplicates=False))
-        assert (
-            split.delta_fingerprint().hexdigest()
-            == whole.delta_fingerprint().hexdigest()
-        )
 
 
 class TestWarmStart:

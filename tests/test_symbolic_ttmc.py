@@ -97,9 +97,10 @@ class TestNumericTTMc:
         b = ttmc_matricized(small_tensor_3d, factors_3d, 1)
         assert np.allclose(a, b)
 
-    def test_small_block_size_same_result(self, small_tensor_3d, factors_3d):
+    def test_small_block_size_same_result(self, small_tensor_3d, factors_3d, request):
         a = ttmc_matricized(small_tensor_3d, factors_3d, 0)
-        b = ttmc_matricized(small_tensor_3d, factors_3d, 0, block_nnz=7)
+        request.getfixturevalue("block_cap")
+        b = ttmc_matricized(small_tensor_3d, factors_3d, 0)
         assert np.allclose(a, b)
 
     def test_row_subset(self, small_tensor_3d, factors_3d):
@@ -110,19 +111,18 @@ class TestNumericTTMc:
         others = np.setdiff1d(np.arange(small_tensor_3d.shape[0]), rows)
         assert np.allclose(partial[others], 0.0)
 
-    def test_row_subset_with_split_segments(self, small_tensor_3d, factors_3d):
+    def test_row_subset_with_split_segments(self, small_tensor_3d, factors_3d, request):
         """Blocks smaller than a row's update list split its segment."""
         full = ttmc_matricized(small_tensor_3d, factors_3d, 1)
         rows = small_tensor_3d.nonempty_rows(1)[1::3]
-        partial = ttmc_matricized(
-            small_tensor_3d, factors_3d, 1, rows=rows, block_nnz=5
-        )
+        request.getfixturevalue("block_cap")
+        partial = ttmc_matricized(small_tensor_3d, factors_3d, 1, rows=rows)
         assert np.allclose(partial[rows], full[rows], atol=1e-13)
         others = np.setdiff1d(np.arange(small_tensor_3d.shape[1]), rows)
         assert np.all(partial[others] == 0.0)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_order_two_tensor(self, rng, dtype):
+    def test_order_two_tensor(self, rng, dtype, request):
         """Order 2: a single non-target factor, no Kronecker product at all."""
         indices = np.column_stack(
             [rng.integers(0, 30, 200), rng.integers(0, 25, 200)]
@@ -136,14 +136,19 @@ class TestNumericTTMc:
             random_orthonormal(25, 3, seed=2).astype(dtype),
         ]
         dense = tensor.to_dense().astype(np.float64)
-        for mode in range(2):
-            expected = unfold(
-                dense_ttm_chain(dense, factors, skip=mode, transpose=True), mode
-            )
-            for block_nnz in (None, 7):
-                got = ttmc_matricized(tensor, factors, mode, block_nnz=block_nnz)
+        expected = [
+            unfold(dense_ttm_chain(dense, factors, skip=mode, transpose=True), mode)
+            for mode in range(2)
+        ]
+        for capped in (False, True):
+            if capped:
+                request.getfixturevalue("block_cap")
+            for mode in range(2):
+                got = ttmc_matricized(tensor, factors, mode)
                 assert got.dtype == dtype
-                assert np.allclose(got, expected, atol=1e-5 if dtype == np.float32 else 1e-12)
+                assert np.allclose(
+                    got, expected[mode], atol=1e-5 if dtype == np.float32 else 1e-12
+                )
 
     def test_out_buffer_reuse(self, small_tensor_3d, factors_3d):
         width = factors_3d[1].shape[1] * factors_3d[2].shape[1]

@@ -262,17 +262,6 @@ class TestHOOI:
         assert result.timings["ttmc"] > 0
         assert result.timings["symbolic"] >= 0
 
-    def test_track_fit_disabled(self, small_tensor_3d):
-        result = hooi(small_tensor_3d, 3,
-                      HOOIOptions(max_iterations=2, track_fit=False))
-        # No per-iteration tracking, but the final fit is evaluated once so
-        # the result is never NaN; convergence is never declared.
-        assert len(result.fit_history) == 1
-        assert np.isfinite(result.fit)
-        assert not result.converged
-        tracked = hooi(small_tensor_3d, 3, HOOIOptions(max_iterations=2))
-        assert np.isclose(result.fit, tracked.fit, atol=1e-12)
-
     def test_fit_raises_on_empty_history(self, small_tensor_3d):
         # A result assembled from a run that died mid-iteration has no fit;
         # accessing it must raise instead of silently returning NaN.
