@@ -52,10 +52,14 @@ CASES = {
 #: that most update lists split across them.
 CAPS = [None, 7]
 
+#: Each thread count lays its ``⌈|J_n| / 4w⌉``-row chunks out differently;
+#: one thread runs its four chunks in order on the caller, with no pool.
 DISPATCHERS = {
     "inline": InlineDispatcher,
+    "thread1": lambda: ThreadDispatcher(1),
     "thread2": lambda: ThreadDispatcher(2),
     "thread3": lambda: ThreadDispatcher(3),
+    "thread4": lambda: ThreadDispatcher(4),
 }
 
 

@@ -46,15 +46,18 @@ class TestChunks:
 
 class TestParallelFor:
     @pytest.mark.parametrize("threads", [1, 2, 4])
-    def test_every_item_processed_once(self, threads):
-        seen = np.zeros(500, dtype=np.int64)
+    @pytest.mark.parametrize("items", [3, 500])
+    def test_every_item_processed_once(self, items, threads):
+        """Three items make three one-item chunks for four threads: the
+        thread that finds the queue empty returns without running a body."""
+        seen = np.zeros(items, dtype=np.int64)
         lock = threading.Lock()
 
         def body(start, stop):
             with lock:
                 seen[start:stop] += 1
 
-        parallel_for(body, 500, threads)
+        parallel_for(body, items, threads)
         assert np.all(seen == 1)
 
     def test_exception_propagates(self):
@@ -69,7 +72,7 @@ class TestParallelFor:
 
 
 class TestParallelTTMc:
-    @pytest.mark.parametrize("threads", [1, 2, 4])
+    @pytest.mark.parametrize("threads", [1, 2, 3, 4])
     def test_matches_sequential(self, medium_tensor_3d, threads, rng):
         factors = [
             np.linalg.qr(rng.standard_normal((s, 4)))[0]
