@@ -4,8 +4,10 @@ The serving acceptance gate (ISSUE 7): a stream of ≥20 small decomposition
 jobs through :class:`~repro.serving.DecompositionService` — one persistent
 worker crew, each job one pool generation on it — must complete at
 least ``REPRO_SERVING_SPEEDUP``× (default 1.5×) faster than the same jobs
-run as back-to-back ``hooi(execution="process")`` calls, each of which pays
-worker spawn, shared-arena attach and teardown on its own.
+run as back-to-back ``hooi(execution="process", crew=)`` calls, each on a
+crew of its own, so that each pays worker spawn, shared-arena attach and
+teardown on its own.  (A plain ``hooi(execution="process")`` call would
+borrow the process's one crew and pay the spawn only once.)
 
 The service's crew spawn and kernel warmup happen at ``start()`` and are
 deliberately *excluded* from the timed region — amortizing that one-time
@@ -38,7 +40,9 @@ import pytest
 from repro.core import HOOIOptions, hooi
 from repro.data import random_sparse_tensor
 from repro.engine import backend
-from repro.serving import DecompositionService, pool_manager
+from repro.parallel import process_pool
+from repro.parallel.process_pool import PersistentWorkerCrew
+from repro.serving import DecompositionService
 
 #: Number of jobs in the stream (the acceptance gate requires >= 20).
 NUM_JOBS = 20
@@ -77,12 +81,13 @@ def tensors():
 
 
 def run_per_request(tensors) -> None:
-    """The baseline: every job spawns (and reaps) its own worker pool."""
+    """The baseline: every job spawns (and reaps) its own worker crew."""
     options = HOOIOptions(
         execution="process", num_workers=NUM_WORKERS, **JOB_OPTIONS
     )
     for tensor in tensors:
-        hooi(tensor, RANK, options)
+        with PersistentWorkerCrew(NUM_WORKERS) as crew:
+            hooi(tensor, RANK, options, crew=crew)
 
 
 def run_service(service, tensors) -> None:
@@ -164,13 +169,13 @@ def test_pooled_stream_reuses_one_crew(tensors, monkeypatch):
     job spawns workers of its own.
     """
     spawned = []
-    crew_class = pool_manager.PersistentWorkerCrew
+    crew_class = process_pool.PersistentWorkerCrew
 
     def counting_crew(*args, **kwargs):
         spawned.append(crew_class(*args, **kwargs))
         return spawned[-1]
 
-    monkeypatch.setattr(pool_manager, "PersistentWorkerCrew", counting_crew)
+    monkeypatch.setattr(process_pool, "PersistentWorkerCrew", counting_crew)
     runner = _ServiceRunner()
     try:
         runner.run(tensors)

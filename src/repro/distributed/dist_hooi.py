@@ -226,8 +226,9 @@ class DistributedBackend(ExecutionBackend):
                 subsets={mode: sym.perm for mode, sym in symbolic.items()},
             )
             backend.plan_source = CSFSlabPlan(trees, kernel=kernel)
-        backend.prepare(eng)
+        # Set first: a prepare that raises is finalized through it.
         self.local_backend = backend
+        backend.prepare(eng)
         # Rows each mode's local TTMc produces (line 4 vs 6 of Algorithm 4):
         # K_n ∩ local J_n, since a row without local nonzeros contributes
         # nothing.  Only a coarse-grain tree's leaves hold more rows.

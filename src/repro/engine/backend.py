@@ -23,7 +23,7 @@ Call order per run::
     [ on_iteration_start ->
         ( on_mode_start -> compute_ttmc -> update_factor -> on_mode_end )*N ->
         form_core -> on_iteration_end ]* -> (fit/convergence in the engine)
-    -> finalize   (always, success or failure)
+    -> finalize   (always once prepare starts, success or failure)
 
 Every single-node TTMc composition is one :class:`PlanBackend`: a *work
 plan* (:mod:`repro.engine.plans` — COO rows, CSF root-fiber slabs or
@@ -57,6 +57,8 @@ from repro.core.ttmc import ttmc_flops
 from repro.core.tucker import core_from_ttmc
 from repro.engine.dimtree import DimensionTree
 from repro.engine.plans import COORowsPlan, CSFSlabPlan, TTMcPlan
+from repro.parallel import blas
+from repro.parallel.process_pool import PROCESS_CREW, HOOIProcessPool, ProcessConfig
 from repro.util.linalg import complete_basis
 
 __all__ = [
@@ -190,7 +192,11 @@ class ExecutionBackend:
         pass
 
     def finalize(self, eng) -> None:
-        """Release per-run resources (called exactly once, success or not)."""
+        """Release per-run resources (called exactly once, success or not).
+
+        A :meth:`prepare` that raised is finalized too, so release only
+        what it got to acquire.
+        """
         pass
 
 
@@ -260,30 +266,31 @@ class ProcessDispatcher(InlineDispatcher):
     writes the engine's factors into it; per-mode TTMc runs through
     ``pool.ttmc(mode)``, refreshed factors are broadcast through
     ``pool.write_factor`` and :meth:`close` tears the generation down.
-    Without ``crew`` the generation spawns a private crew and closes it;
-    with ``crew`` (the service's :class:`~repro.parallel.process_pool.
-    PersistentWorkerCrew`) it borrows those workers, runs at the crew's
-    width and leaves them alive.
+    With ``crew`` (the service's :class:`~repro.parallel.process_pool.
+    PersistentWorkerCrew`) the generation runs on those workers at the
+    crew's width.  Without, it borrows the process's crew of
+    ``num_workers`` (:data:`~repro.parallel.process_pool.PROCESS_CREW`,
+    spawned by the process's first crew run and replaced when dead or of
+    another width), or spawns a private crew and closes it when that one
+    is lent to another run.  A borrowed crew stays alive for the next run.
     """
 
     name = "process"
 
-    def __init__(self, config=None, *, crew=None) -> None:
-        from repro.parallel.process_pool import ProcessConfig
-
-        if config is None:
-            config = ProcessConfig(
-                num_workers=crew.num_workers if crew is not None else 1
-            )
-        self.config = config
-        self.width = config.num_workers
+    def __init__(self, num_workers: int = 1, *, crew=None) -> None:
+        self.width = crew.num_workers if crew is not None else int(num_workers)
         self.crew = crew
         self.pool = None
+        self._borrowed = False
 
     def open(self, eng, plan: TTMcPlan) -> None:
-        from repro.parallel.process_pool import HOOIProcessPool
-
-        self.pool = HOOIProcessPool(plan, config=self.config, crew=self.crew)
+        crew = self.crew
+        if crew is None:
+            crew = PROCESS_CREW.lend(self.width)
+            self._borrowed = crew is not None
+        self.pool = HOOIProcessPool(
+            plan, config=ProcessConfig(num_workers=self.width), crew=crew
+        )
         for mode, factor in enumerate(eng.factors):
             self.pool.write_factor(mode, factor)
 
@@ -294,9 +301,14 @@ class ProcessDispatcher(InlineDispatcher):
         self.pool.write_factor(mode, factor)
 
     def close(self) -> None:
-        if self.pool is not None:
-            self.pool.close()
-            self.pool = None
+        try:
+            if self.pool is not None:
+                self.pool.close()
+                self.pool = None
+        finally:
+            if self._borrowed:
+                self._borrowed = False
+                PROCESS_CREW.give_back()
 
 
 class PlanBackend(ExecutionBackend):
@@ -308,12 +320,18 @@ class PlanBackend(ExecutionBackend):
     set, a distributed rank's plan over the rows it computes).
     ``dispatcher`` defaults to inline execution.  ``pool`` is the process
     dispatcher's live generation (``None`` otherwise).
+
+    A run whose dispatcher has width ``w > 1`` keeps the driver's OpenBLAS
+    at ``max(1, usable CPUs − w)`` threads from :meth:`prepare` until
+    :meth:`finalize` (:func:`repro.parallel.blas.limit_beside`), so no
+    spinning BLAS helper takes a core from the threads or workers.
     """
 
     def __init__(self, plan=COORowsPlan, dispatcher=None) -> None:
         self.plan_source = plan
         self.dispatcher = dispatcher or InlineDispatcher()
         self.plan: Optional[TTMcPlan] = None
+        self._blas_limited = False
 
     @property
     def name(self) -> str:
@@ -331,6 +349,9 @@ class PlanBackend(ExecutionBackend):
             # Too little work to pay for a crew: spawn nothing, pack no
             # arena, and run exactly the sequential sweep.
             self.dispatcher = InlineDispatcher()
+        if self.dispatcher.width > 1:
+            blas.limit_beside(self.dispatcher.width)
+            self._blas_limited = True
         source = self.plan_source
         self.plan = (
             source
@@ -357,7 +378,12 @@ class PlanBackend(ExecutionBackend):
             self.plan.factor_updated(mode)
 
     def finalize(self, eng) -> None:
-        self.dispatcher.close()
+        try:
+            self.dispatcher.close()
+        finally:
+            if self._blas_limited:
+                self._blas_limited = False
+                blas.release_limit()
 
 
 def resolve_plan(options):
@@ -397,7 +423,11 @@ def resolve_ttmc_backend(options, *, crew=None) -> PlanBackend:
     processes.  A width of one runs inline: no threads, processes or
     shared memory.  A process run given ``crew`` (a
     :class:`~repro.parallel.process_pool.PersistentWorkerCrew`) runs on
-    those workers at their width, however many, instead.  The
+    those workers at their width, however many, instead; without one it
+    borrows the process's crew of ``num_workers`` workers
+    (:class:`ProcessDispatcher`), and only once :func:`crew_pays` says
+    its work is worth a crew.  Either way a width above one limits the
+    driver's BLAS threads for the run (:class:`PlanBackend`).  The
     ``kernel`` axis needs no routing — plans read ``options.kernel`` — and
     the ``validate`` call here rejects unavailable or non-composing tiers
     before anything is built.  Option values and composition are checked by
@@ -410,14 +440,8 @@ def resolve_ttmc_backend(options, *, crew=None) -> PlanBackend:
     execution = options.execution or "sequential"
     width = int(options.num_workers or 1)
     if execution == "process":
-        if crew is not None:
-            return PlanBackend(plan, ProcessDispatcher(crew=crew))
-        if width > 1:
-            from repro.parallel.process_pool import ProcessConfig
-
-            return PlanBackend(
-                plan, ProcessDispatcher(ProcessConfig(num_workers=width))
-            )
+        if crew is not None or width > 1:
+            return PlanBackend(plan, ProcessDispatcher(width, crew=crew))
     elif execution == "thread" and width > 1:
         return PlanBackend(plan, ThreadDispatcher(width))
     return PlanBackend(plan)

@@ -146,9 +146,9 @@ class HOOIEngine:
                 for f in resume_state.factors
             ]
             restore_rng_state(resume_state.rng_state)
-        with timings.time("symbolic"):
-            backend.prepare(self)
         try:
+            with timings.time("symbolic"):
+                backend.prepare(self)
             return self._run_iterations(
                 callback=callback,
                 cancel_check=cancel_check,
@@ -156,8 +156,9 @@ class HOOIEngine:
                 resume_state=resume_state,
             )
         finally:
-            # Per-run resources (e.g. the process backend's worker pool and
-            # shared segments) are released whether the run succeeded or not.
+            # Per-run resources (the process backend's generation and
+            # borrowed crew, the driver's BLAS thread limit) are released
+            # whether the run succeeded or not, a failed prepare included.
             backend.finalize(self)
 
     def _run_iterations(

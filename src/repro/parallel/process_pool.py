@@ -24,12 +24,16 @@ same lock-free ranges on worker *processes* with zero-copy shared memory:
   driver's version counters decide which edges went stale; workers stay
   stateless and simply execute the ranges they are handed.
 
-A generation built without ``crew=`` spawns a private crew and owns it (a
-one-shot ``hooi(...)`` run); with ``crew=`` (``hooi(..., crew=)``, how the
-service runs each pooled job) it attaches on construction and detaches on
-close, leaving the processes alive for the next generation.
-:meth:`HOOIProcessPool.close` is idempotent and crash-safe (the arena
-unlinks its segments even on abnormal teardown).
+A generation built without ``crew=`` spawns a private crew and owns it;
+with ``crew=`` it attaches on construction and detaches on close, leaving
+the processes alive for the next generation.  A :class:`CrewSlot` holds
+one crew and builds or replaces it on demand: the service keeps one per
+service (:class:`~repro.serving.pool_manager.HOOIPoolManager`), and
+:data:`PROCESS_CREW` is the one a process's ``hooi(execution="process")``
+runs borrow (:class:`~repro.engine.backend.ProcessDispatcher`), so only a
+process's first crew run pays the spawn.  :meth:`HOOIProcessPool.close`
+is idempotent and crash-safe (the arena unlinks its segments even on
+abnormal teardown).
 
 Between generations a crew worker can also run one *whole job*
 (:meth:`PersistentWorkerCrew.run_job`): a module-level callable and its
@@ -48,9 +52,11 @@ plan's ``pack`` returned.
 
 from __future__ import annotations
 
+import atexit
 import os
 import pickle
 import queue as queue_module
+import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Tuple
@@ -65,6 +71,8 @@ from repro.parallel.shm import ShmArena, ShmView
 from repro.resilience.faults import maybe_fail
 
 __all__ = [
+    "PROCESS_CREW",
+    "CrewSlot",
     "ProcessConfig",
     "WorkerCrashError",
     "HOOIProcessPool",
@@ -244,10 +252,10 @@ class PersistentWorkerCrew:
     control queue) and *detaches* them on close (the shared-queue sentinel
     trick: one ``None`` per worker — a worker that took one is back on its
     control queue and cannot take a second), leaving the processes alive
-    for the next generation.  A service keeps one crew for its lifetime, so
-    process spawn + NumPy import costs are paid once, not per job; a
-    one-shot ``hooi(...)`` run's pool spawns a private crew and closes it
-    with the generation.
+    for the next generation.  A service keeps one crew for its lifetime,
+    and a process keeps one for its ``hooi(execution="process")`` runs
+    (:data:`PROCESS_CREW`), so process spawn + NumPy import costs are paid
+    once, not per run.
 
     Between generations each worker can run one whole job at a time
     (:meth:`run_job`), so up to ``num_workers`` jobs run side by side.  A
@@ -434,6 +442,99 @@ class PersistentWorkerCrew:
         )
 
 
+class CrewSlot:
+    """Holds at most one crew; builds it on demand and replaces it when unfit.
+
+    A held crew serves a request for ``num_workers`` workers when it has
+    that width, is alive and was made by this process.  Otherwise it is
+    retired: closed, or only forgotten when another process made it (this
+    one forked since; its workers are that process's children, which this
+    one may neither test nor join).  ``generations`` counts the pool
+    generations of every crew the slot held.  Thread-safe.
+
+    :meth:`lend` hands the crew to one generation at a time, for callers
+    that share the slot without coordinating (:data:`PROCESS_CREW`).  The
+    service's :class:`~repro.serving.pool_manager.HOOIPoolManager` keeps
+    its generations and whole jobs apart itself, so it takes the crew
+    without lending it.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._crew: Optional[PersistentWorkerCrew] = None
+        self._pid = os.getpid()
+        self._lent = False
+        self._generations_retired = 0
+
+    def _held(self) -> Optional[PersistentWorkerCrew]:
+        """The held crew; forgotten first when another process made it."""
+        if self._pid != os.getpid():
+            self._pid = os.getpid()
+            self._crew, self._lent, self._generations_retired = None, False, 0
+        return self._crew
+
+    def _retire(self) -> None:
+        crew = self._held()
+        self._crew, self._lent = None, False
+        if crew is not None:
+            self._generations_retired += crew.generations
+            crew.close()
+
+    def _crew_for(self, num_workers: int) -> PersistentWorkerCrew:
+        """The held crew, built or replaced to serve ``num_workers`` (locked)."""
+        crew = self._held()
+        if crew is not None and (crew.num_workers != num_workers or not crew.alive):
+            self._retire()
+        if self._crew is None:
+            # Look the BLAS thread setters up here, so forked workers
+            # inherit them for their first whole job.
+            blas.can_set_threads()
+            self._crew = PersistentWorkerCrew(num_workers)
+        return self._crew
+
+    def lend(self, num_workers: int) -> Optional[PersistentWorkerCrew]:
+        """The crew for one generation, or ``None`` while it is lent out."""
+        with self._lock:
+            if self._held() is not None and self._lent:
+                return None
+            crew = self._crew_for(num_workers)
+            self._lent = True
+            return crew
+
+    def give_back(self) -> None:
+        """End the current :meth:`lend`."""
+        with self._lock:
+            self._lent = False
+
+    def current(self) -> Optional[PersistentWorkerCrew]:
+        """The held crew while it is alive, else ``None``; never builds one."""
+        with self._lock:
+            crew = self._held()
+            return crew if crew is not None and crew.alive else None
+
+    def retire(self) -> None:
+        """Close the held crew (forget one another process made)."""
+        with self._lock:
+            self._retire()
+
+    @property
+    def generations(self) -> int:
+        """Pool generations served across every crew this slot held."""
+        with self._lock:
+            crew = self._held()
+            live = crew.generations if crew is not None else 0
+            return self._generations_retired + live
+
+
+#: The crew this process's ``hooi(execution="process")`` runs borrow when
+#: the caller passes none; closed at interpreter exit.
+PROCESS_CREW = CrewSlot()
+# Registered after multiprocessing's own exit hook (``repro.parallel.shm``
+# imports it), so it runs first: the crew stops its workers cleanly before
+# multiprocessing would terminate them.
+atexit.register(PROCESS_CREW.retire)
+
+
 class HOOIProcessPool:
     """One generation: a work plan packed into a shared arena on a crew.
 
@@ -447,6 +548,9 @@ class HOOIProcessPool:
     Without ``crew`` the generation spawns a private
     :class:`PersistentWorkerCrew` and closes it with itself; with ``crew``
     it attaches the caller's crew and detaches — but keeps alive — on close.
+    ``hooi(execution="process")`` runs always pass a crew: the caller's,
+    else the one they borrow from :data:`PROCESS_CREW`; only a run that
+    finds that crew lent to another generation gets a private one.
     """
 
     def __init__(self, plan, *, config: Optional[ProcessConfig] = None,

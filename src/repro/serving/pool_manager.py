@@ -5,10 +5,11 @@ every pooled job on one :class:`~repro.parallel.process_pool.
 PersistentWorkerCrew`.  This module owns that crew's lifecycle: lazy
 construction on first use, health-checked handout (:meth:`HOOIPoolManager.
 acquire` silently replaces a crew whose worker died or whose detach timed
-out), the explicit :meth:`~HOOIPoolManager.reset` the crash-retry path
-calls, and final teardown.  Cumulative counters (``resets``,
-``generations``) survive crew replacement so the metrics snapshot reflects
-the service's whole lifetime, not the current crew's.
+out, through :class:`~repro.parallel.process_pool.CrewSlot`), the explicit
+:meth:`~HOOIPoolManager.reset` the crash-retry path calls, and final
+teardown.  Cumulative counters (``resets``, ``generations``) survive crew
+replacement so the metrics snapshot reflects the service's whole
+lifetime, not the current crew's.
 
 The manager also hosts the process tier's
 :class:`~repro.resilience.degrade.CircuitBreaker`: consecutive pooled-job
@@ -24,19 +25,18 @@ SIGKILL'd owner left behind (:func:`repro.parallel.shm.cleanup_orphans`).
 
 from __future__ import annotations
 
-import threading
 from typing import Optional
 
 from repro.kernels.registry import kernel_available, warmup_kernels
 from repro.parallel import blas
-from repro.parallel.process_pool import PersistentWorkerCrew
+from repro.parallel.process_pool import CrewSlot, PersistentWorkerCrew
 from repro.parallel.shm import cleanup_orphans as _cleanup_shm_orphans
 from repro.resilience.degrade import CircuitBreaker
 
 __all__ = ["HOOIPoolManager"]
 
 
-class HOOIPoolManager:
+class HOOIPoolManager(CrewSlot):
     """Owns the service's crew; hands out a healthy one, rebuilds dead ones.
 
     Thread-safe: :meth:`acquire` / :meth:`reset` are called from the
@@ -61,13 +61,11 @@ class HOOIPoolManager:
     ) -> None:
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
+        super().__init__()
         self.num_workers = int(num_workers)
         self.breaker = breaker
         self.resets = 0
-        self._generations_retired = 0
-        self._crew: Optional[PersistentWorkerCrew] = None
         self._closed = False
-        self._lock = threading.Lock()
         self.orphans_removed: tuple = ()
         if cleanup_orphans:
             self.orphans_removed = tuple(
@@ -85,14 +83,7 @@ class HOOIPoolManager:
         with self._lock:
             if self._closed:
                 raise RuntimeError("the pool manager is closed")
-            if self._crew is not None and not self._crew.alive:
-                self._retire_locked()
-            if self._crew is None:
-                # Look the BLAS thread setters up here, so forked workers
-                # inherit them for their first whole job.
-                blas.can_set_threads()
-                self._crew = PersistentWorkerCrew(self.num_workers)
-            return self._crew
+            return self._crew_for(self.num_workers)
 
     def live_crew(self) -> Optional[PersistentWorkerCrew]:
         """The current crew when it can take whole jobs, else ``None``.
@@ -104,10 +95,7 @@ class HOOIPoolManager:
         """
         if self.breaker is not None and self.breaker.state != "closed":
             return None
-        with self._lock:
-            crew = self._crew
-            if self._closed or crew is None or not crew.alive:
-                return None
+        crew = None if self._closed else self.current()
         return crew if blas.can_set_threads() else None
 
     # -- breaker bookkeeping (no-ops without a breaker) ------------------- #
@@ -126,24 +114,24 @@ class HOOIPoolManager:
         """``"closed"`` / ``"open"`` / ``"half-open"``, or ``"disabled"``."""
         return self.breaker.state if self.breaker is not None else "disabled"
 
-    def _retire_locked(self) -> None:
-        crew, self._crew = self._crew, None
-        if crew is not None:
-            self._generations_retired += crew.generations
-            crew.close()
-
-    def reset(self) -> None:
+    def reset(self, *, rebuild: bool = False) -> None:
         """Tear down the current crew so the next acquire builds a fresh one.
 
         The crash-retry path: after a :class:`~repro.parallel.process_pool.
         WorkerCrashError` the old crew's surviving processes may hold
         attachments to an arena that is being unlinked, so the whole crew is
         reaped (releasing every shared-memory mapping) before the retried
-        job runs on new workers.
+        job runs on new workers.  ``rebuild=True`` builds those workers at
+        once, so small jobs keep their worker lane, unless the circuit
+        breaker is open or half-open (its probe must be a real job).
         """
         with self._lock:
-            self._retire_locked()
+            self._retire()
             self.resets += 1
+            if rebuild and not self._closed and self.breaker_state in (
+                "closed", "disabled"
+            ):
+                self._crew_for(self.num_workers)
 
     def warmup(self, kernel: str = "numba") -> None:
         """Front-load the latency the first request would otherwise pay.
@@ -157,18 +145,11 @@ class HOOIPoolManager:
         if kernel != "numpy" and kernel_available(kernel):
             warmup_kernels(kernel)
 
-    @property
-    def generations(self) -> int:
-        """Pool generations served across every crew this manager owned."""
-        with self._lock:
-            live = self._crew.generations if self._crew is not None else 0
-            return self._generations_retired + live
-
     def close(self) -> None:
         """Reap the crew; the manager refuses further acquires (idempotent)."""
         with self._lock:
             self._closed = True
-            self._retire_locked()
+            self._retire()
 
     def __enter__(self) -> "HOOIPoolManager":
         return self

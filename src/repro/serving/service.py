@@ -35,7 +35,8 @@ pipeline:
   cache and resolve futures; cancellations and timeouts raise their typed
   errors; a worker crash retires the crew
   (:meth:`~repro.serving.pool_manager.HOOIPoolManager.reset`) once no
-  other job is in flight, and requeues the job up to ``max_retries``
+  other job is in flight — a service started with ``warmup=True`` builds
+  the next one right away — and requeues the job up to ``max_retries``
   times.
 
 * **Metrics** — :meth:`DecompositionService.metrics` snapshots queue depth,
@@ -50,6 +51,7 @@ loop.  See README "Serving decompositions" for the end-to-end example.
 from __future__ import annotations
 
 import asyncio
+import functools
 import hashlib
 import itertools
 import time
@@ -129,7 +131,9 @@ class DecompositionService:
         job is in flight.
     warmup:
         Spawn the crew and pre-compile available kernel tiers at
-        :meth:`start` instead of on the first request.
+        :meth:`start` instead of on the first request, and spawn a fresh
+        crew right after a worker crash retires one (unless the circuit
+        breaker is open), so small jobs keep running on workers.
     checkpoint_dir / checkpoint_interval:
         When set, every running job checkpoints its HOOI state at sweep
         boundaries into per-job files under ``checkpoint_dir`` (named by
@@ -505,9 +509,11 @@ class DecompositionService:
                 # workers may still map an arena that is gone.  Waiting
                 # until this is the last job in flight lets a job on another
                 # worker finish first.  reset() joins processes, so it runs
-                # on an executor thread.
+                # on an executor thread; a warmed-up service builds the
+                # next crew there too, so small jobs keep the worker lane.
                 await self._loop.run_in_executor(
-                    self._executor, self._pool.reset
+                    self._executor,
+                    functools.partial(self._pool.reset, rebuild=self._warmup),
                 )
                 self._reset_pending = False
             self._apply_outcome(outcome)

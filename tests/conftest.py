@@ -6,12 +6,26 @@ import numpy as np
 import pytest
 
 from repro.core import SparseTensor
+from repro.parallel.process_pool import PROCESS_CREW
 from repro.util.linalg import random_orthonormal
 
 
 #: A TTMc block cap small enough that most update lists and fiber groups
 #: of the small test tensors split across blocks.
 SMALL_BLOCK = 7
+
+
+@pytest.fixture(autouse=True)
+def close_process_crew():
+    """Close the process's shared worker crew after every test.
+
+    ``hooi(execution="process")`` runs borrow one crew per process
+    (:data:`repro.parallel.process_pool.PROCESS_CREW`), which outlives the
+    run.  Closing it here keeps every test's child-process and crew counts
+    its own.
+    """
+    yield
+    PROCESS_CREW.retire()
 
 
 @pytest.fixture

@@ -284,12 +284,15 @@ class TestWorkerFaults:
         assert _shm_segments() <= before  # crash path unlinked its arena
 
     def test_worker_killed_mid_small_job_retries_inline(self, monkeypatch):
-        """A worker that exits mid whole job is a crash; the retry runs inline.
+        """A worker that exits mid whole job is a crash; the retry completes.
 
         The job is below the crew's real break-even, so it runs whole on a
         worker (the worker lane).  The worker exits at its first progress
-        report; the service retires the crew and retries the job, which,
-        with no live crew left, runs inline and completes.
+        report; the service retires the crew, builds a fresh one (it was
+        started with ``warmup=True``) and retries the job, which runs
+        whole on a worker of the new crew and completes.  Only the crew
+        spawned at start carries the fault: the plan is disarmed in the
+        service process once that crew is up.
         """
         import multiprocessing
 
@@ -306,6 +309,8 @@ class TestWorkerFaults:
             async with DecompositionService(
                 num_workers=2, max_retries=1
             ) as service:
+                clear_faults()
+                monkeypatch.delenv(FAULT_ENV)
                 handle = await service.submit(
                     _tensor(), 4, execution="process", max_iterations=3,
                     **GRAM,
@@ -320,7 +325,7 @@ class TestWorkerFaults:
         before = _shm_segments()
         fit_history, state, attempts, worker, metrics = asyncio.run(main())
         assert state is JobState.DONE
-        assert attempts == 2 and worker is None  # the retry ran inline
+        assert attempts == 2 and worker == 0  # the retry ran on the new crew
         assert metrics["jobs"]["retries"] == 1
         assert metrics["pool"]["resets"] == 1
         assert metrics["pool"]["generations"] == 0

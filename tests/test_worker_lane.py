@@ -288,6 +288,44 @@ class TestWorkerCrash:
         assert _shm_segments() <= before
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("warmup", [True, False])
+    def test_later_small_job_runs_on_a_worker_after_the_reset(
+        self, medium_tensor_3d, small_tensor_3d, warmup
+    ):
+        """A warmed-up service rebuilds its crew at the crash reset.
+
+        Small jobs then keep the worker lane; a lazy service (``warmup=False``)
+        builds no crew for them, so they run inline until a pooled job does.
+        """
+        options = dict(GRAM, max_iterations=3)
+
+        async def main():
+            async with DecompositionService(
+                num_workers=2, max_retries=1, warmup=warmup
+            ) as service:
+                if not warmup:  # build the crew the worker lane needs
+                    service._pool.acquire()
+                victim = await service.submit(
+                    medium_tensor_3d, RANK, execution="process", **LONG
+                )
+                await _wait_progress(victim)
+                _kill_worker(service, victim)
+                await _result(victim)
+                later = await service.submit(
+                    small_tensor_3d, RANK, execution="process", **options
+                )
+                result = await _result(later)
+                return _worker_of(service, later), result.fit_history, service.metrics()
+
+        before = _shm_segments()
+        worker, fit_history, metrics = asyncio.run(main())
+        assert (worker is not None) is warmup
+        assert metrics["pool"]["resets"] == 1
+        assert metrics["jobs"]["retries"] == 1
+        assert fit_history == _sequential(small_tensor_3d, **options).fit_history
+        assert _shm_segments() <= before
+        assert multiprocessing.active_children() == []
+
     def test_checkpointed_job_resumes_after_its_worker_dies(
         self, medium_tensor_3d, tmp_path
     ):
