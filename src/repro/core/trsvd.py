@@ -16,9 +16,11 @@ Two solvers are provided:
 
 * :func:`lanczos_svd` — Golub-Kahan Lanczos bidiagonalization with full
   reorthogonalization and implicit restarting; the default, mirroring the
-  Krylov solvers SLEPc provides.  The same loop runs on a dense ``Y_(n)``
-  and on one rank's block of a distributed ``Y_(n)``: the operator supplies
-  the row-space reductions (see :class:`LinearOperator`).
+  Krylov solvers SLEPc provides.  The same loop runs on a dense ``Y_(n)``,
+  on one rank's block of a distributed ``Y_(n)`` and on one crew worker's
+  row block of a process run's ``Y_(n)``: the operator supplies the
+  row-space reductions (see :class:`LinearOperator` and
+  :class:`RowSplitOperator`).
 * :func:`gram_svd` — ``eigh`` of the *small* ``W × W`` Gram matrix ``YᵀY``
   plus the recovery ``U = Y V Σ⁻¹``; the fast path when the matricized
   width ``W = ∏_{t≠n} R_t`` is small relative to ``I_n`` (it squares the
@@ -26,7 +28,10 @@ Two solvers are provided:
 
 The Lanczos solver reports the number of operator applications so
 experiments can account for per-iteration communication exactly as the
-paper does.
+paper does.  Both solvers orient each singular triplet the same way: its
+right vector's entry of largest magnitude is positive (the first such
+entry on ties).  Right vectors are replicated on every rank of a split
+solve, so split, distributed and driver solves pick the same signs.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from repro.util.linalg import orthonormalize
 __all__ = [
     "LinearOperator",
     "DenseOperator",
+    "RowSplitOperator",
     "TRSVDResult",
     "lanczos_svd",
     "gram_svd",
@@ -59,9 +65,12 @@ class LinearOperator:
     global row count, ``basisᵀ @ v`` against its left basis, left norms and
     a generator for left deflation vectors.  The defaults assume this
     process holds every row.  An operator whose rows are spread over ranks
-    (:class:`~repro.distributed.dist_trsvd.DistributedTTMcMatrix`) holds
-    only a segment, so ``shape[0]`` is the local row count, and overrides
-    these four with allreduces and a rank-local stream.
+    holds only a segment, so ``shape[0]`` is the local row count, and
+    overrides these four with allreduces and a rank-local stream
+    (:class:`RowSplitOperator`): a distributed rank's
+    (:class:`~repro.distributed.dist_trsvd.DistributedTTMcMatrix`) and a
+    crew worker's row block in a process run
+    (:class:`~repro.parallel.crew_trsvd.RowBlockOperator`).
     """
 
     shape: Tuple[int, int]
@@ -93,6 +102,45 @@ class LinearOperator:
         also draws the right starting and deflation vectors.
         """
         return shared
+
+
+class RowSplitOperator(LinearOperator):
+    """An operator whose rows are split over ranks that run one solve together.
+
+    ``shape[0]`` is this rank's row count.  Subclasses set ``rank`` and
+    implement :meth:`allreduce`, the elementwise sum of a short vector over
+    every rank, bit-identical on each.  :func:`lanczos_svd`'s row-space
+    reductions become allreduces of this rank's partials, and left
+    deflation vectors come from a rank-local stream: ranks hold different
+    row counts, so drawing them from the shared stream would desynchronize
+    the right vectors every rank draws from it.
+    """
+
+    rank: int = 0
+
+    def allreduce(self, vector: np.ndarray) -> np.ndarray:  # pragma: no cover - interface
+        raise NotImplementedError
+
+    def global_rows(self) -> int:
+        """Row counts summed over all ranks."""
+        return int(self.allreduce(np.array([float(self.shape[0])]))[0])
+
+    def left_dot(self, basis: np.ndarray, vector: np.ndarray) -> np.ndarray:
+        """Global ``basisᵀ @ vector`` for a local-segment basis (m × j)."""
+        return self.allreduce(basis.T @ vector)
+
+    def left_norm(self, vector: np.ndarray) -> float:
+        """Global 2-norm of a local-segment vector."""
+        total = float(self.allreduce(np.array([float(vector @ vector)]))[0])
+        return float(np.sqrt(max(total, 0.0)))
+
+    def left_rng(
+        self, shared: np.random.Generator, seed: Optional[int]
+    ) -> np.random.Generator:
+        """A rank-local stream seeded ``seed + 7919 * (rank + 1)``."""
+        return np.random.default_rng(
+            None if seed is None else seed + 7919 * (self.rank + 1)
+        )
 
 
 class DenseOperator(LinearOperator):
@@ -140,6 +188,16 @@ def _as_operator(matrix: Union[np.ndarray, LinearOperator]) -> LinearOperator:
     return DenseOperator(np.asarray(matrix))
 
 
+def _flips(right_rows: np.ndarray) -> np.ndarray:
+    """Triplets to negate: those whose right vector's largest entry is negative.
+
+    Row ``i`` of ``right_rows`` is triplet ``i``'s right vector; its entry
+    of largest magnitude (the first on ties, ``argmax``'s choice) decides.
+    """
+    lead = np.abs(right_rows).argmax(axis=1)
+    return right_rows[np.arange(right_rows.shape[0]), lead] < 0
+
+
 def lanczos_svd(
     matrix: Union[np.ndarray, LinearOperator],
     rank: int,
@@ -164,10 +222,16 @@ def lanczos_svd(
     the SVD of the ``j × (j + 1)`` projection ``[B | beta_j e_j]`` and stops.
 
     Left vectors have ``op.shape[0]`` rows and every reduction over them
-    goes through the operator's ``left_*`` methods, so on a distributed
-    operator each rank gets its own row segment of ``left`` back.  Right
-    vectors are short and replicated; every rank runs the same scalar
-    control flow, so the restart decisions agree without extra messages.
+    goes through the operator's ``left_*`` methods, so on a row-split
+    operator (:class:`RowSplitOperator`: a distributed rank, or a crew
+    worker of a process run) each rank gets its own row segment of
+    ``left`` back.  Right vectors are short and replicated; every rank runs
+    the same scalar control flow, so the restart decisions agree without
+    extra messages.  Each returned triplet is oriented so that its right
+    vector's entry of largest magnitude is positive; every rank flips the
+    same triplets.  A split solve sums in a different order than a solve
+    of the whole block, so the two agree at rounding level, within ``tol``
+    after the iterations.
     """
     op = _as_operator(matrix)
     m, n = op.shape
@@ -297,10 +361,14 @@ def lanczos_svd(
         beta_prev = 0.0
         u_prev = np.zeros(m)
 
+    left, right = left[:rank], right[:rank]
+    flip = _flips(right)
+    left[flip] *= -1.0
+    right[flip] *= -1.0
     return TRSVDResult(
-        left=np.ascontiguousarray(left[:rank].T),
+        left=np.ascontiguousarray(left.T),
         singular_values=np.ascontiguousarray(sigma[:rank]),
-        right=np.ascontiguousarray(right[:rank].T) if compute_right else None,
+        right=np.ascontiguousarray(right.T) if compute_right else None,
         iterations=total_restarts,
         matvecs=matvecs,
         rmatvecs=rmatvecs,
@@ -345,6 +413,7 @@ def gram_svd(
     lead = np.argsort(eigvals)[::-1][:rank]
     sigma = np.sqrt(np.clip(eigvals[lead], 0.0, None))
     right = np.ascontiguousarray(eigvecs[:, lead])
+    right[:, _flips(right.T)] *= -1.0
     left = np.asarray(
         dense @ right.astype(dense.dtype, copy=False), dtype=np.float64
     )

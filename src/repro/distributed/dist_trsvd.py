@@ -18,10 +18,10 @@ prescribes:
   back to the contributors, local multiply, then an all-to-all reduction
   (allreduce) of the short ``x`` vector.
 
-The operator is a :class:`~repro.core.trsvd.LinearOperator` over this rank's
-*owned* row segment, so :func:`repro.core.trsvd.lanczos_svd` runs on it
-unchanged: the *left* vectors are distributed by row ownership, the *right*
-vectors (length ``Π_{t≠n} R_t``) are replicated, and the operator's
+The operator is a :class:`~repro.core.trsvd.RowSplitOperator` over this
+rank's *owned* row segment, so :func:`repro.core.trsvd.lanczos_svd` runs on
+it unchanged: the *left* vectors are distributed by row ownership, the
+*right* vectors (length ``Π_{t≠n} R_t``) are replicated, and the operator's
 row-space reductions (global row count, ``basisᵀ·v``, left norm) are
 allreduces of short vectors.  Left deflation vectors come from a rank-local
 stream, so a rank-dependent number of draws cannot desynchronize the shared
@@ -36,7 +36,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core.sparse_tensor import as_supported_float
-from repro.core.trsvd import LinearOperator
+from repro.core.trsvd import RowSplitOperator
 from repro.distributed.plan import ModePlan
 from repro.simmpi.communicator import Communicator
 
@@ -46,7 +46,7 @@ TAG_FOLD = 101
 TAG_SCATTER = 102
 
 
-class DistributedTTMcMatrix(LinearOperator):
+class DistributedTTMcMatrix(RowSplitOperator):
     """Sum/row-distributed ``Y_(n)`` exposing communication-aware MxV / MTxV.
 
     ``shape`` is ``(owned non-empty rows, ncols)``: ``matvec`` returns and
@@ -178,31 +178,9 @@ class DistributedTTMcMatrix(LinearOperator):
         return self.comm.allreduce(x_local)
 
     # -- row-space reductions of the Lanczos loop ------------------------ #
-    def global_rows(self) -> int:
-        """Owned non-empty rows summed over all ranks."""
-        return int(
-            self.comm.allreduce(np.array([self.owned_count], dtype=np.float64))[0]
-        )
+    @property
+    def rank(self) -> int:
+        return self.comm.rank
 
-    def left_dot(self, basis: np.ndarray, vector: np.ndarray) -> np.ndarray:
-        """Global ``basisᵀ @ vector`` for an owned-segment basis (m × j)."""
-        return self.comm.allreduce(basis.T @ vector)
-
-    def left_norm(self, vector: np.ndarray) -> float:
-        """Global 2-norm of an owned-segment vector."""
-        local = float(vector @ vector)
-        total = float(self.comm.allreduce(np.array([local]))[0])
-        return float(np.sqrt(max(total, 0.0)))
-
-    def left_rng(
-        self, shared: np.random.Generator, seed: Optional[int]
-    ) -> np.random.Generator:
-        """A rank-local stream seeded ``seed + 7919 * (rank + 1)``.
-
-        Ranks own different numbers of rows, so their left deflation draws
-        differ in length; drawing them from ``shared`` would desynchronize
-        the right vectors every rank draws from it.
-        """
-        return np.random.default_rng(
-            None if seed is None else seed + 7919 * (self.comm.rank + 1)
-        )
+    def allreduce(self, vector: np.ndarray) -> np.ndarray:
+        return self.comm.allreduce(vector)

@@ -41,6 +41,10 @@ next to the plan/exchange machinery it drives; a rank's TTMc is a
 :class:`PlanBackend` whose plan the rank builds once, over the nonzeros of
 the rows it computes.  The MET baseline provides a TTM-chain backend —
 all drivers share this one loop.
+
+A process run whose crew pays also solves each large Lanczos TRSVD on the
+crew's workers, split by rows (:meth:`ProcessDispatcher.trsvd`, from
+:data:`CREW_TRSVD_MIN_ELEMENTS`); every other TRSVD runs on the driver.
 """
 
 from __future__ import annotations
@@ -63,6 +67,7 @@ from repro.util.linalg import complete_basis
 
 __all__ = [
     "CREW_BREAK_EVEN_FLOPS",
+    "CREW_TRSVD_MIN_ELEMENTS",
     "ExecutionBackend",
     "PlanBackend",
     "InlineDispatcher",
@@ -93,6 +98,21 @@ __all__ = [
 #: above overhead ÷ (½ × inline seconds per flop) = 8.2 ms ÷ 0.47 ns
 #: ≈ 17M flops per sweep.
 CREW_BREAK_EVEN_FLOPS = 17_000_000
+
+#: Size of a ``|J_n| × W`` block (``|J_n| · W`` elements) from which a
+#: process run's Lanczos TRSVD is split by rows over the crew's workers
+#: (:meth:`ProcessDispatcher.trsvd`); smaller blocks are solved on the
+#: driver.  Measured on 2 vCPUs, one OpenBLAS thread on the driver and on
+#: each of 2 ranks, on the second sweep's blocks of the Delicious (scale
+#: 1e-3, rank 5) and NELL (scale 2e-3, ranks (10, 8, 10)) analogs; split /
+#: driver time, medians of 8 split and 5 driver solves, 3 processes each:
+#:
+#: * 11,784 × 125, 6,293 × 80 and 2,399 × 125: 0.55–0.65;
+#: * 1,275 × 80 (102k elements): 1.1–1.6; 531 × 125 (66k): 1.25–1.3;
+#: * the 7-row blocks: 2–6 (a rank task's dispatch alone costs 0.3–0.5 ms).
+#:
+#: The split pays between 10^5 and 3·10^5 elements; 2^18 lies between.
+CREW_TRSVD_MIN_ELEMENTS = 1 << 18
 
 
 def trsvd_kwargs(options) -> dict:
@@ -155,12 +175,20 @@ class ExecutionBackend:
             method=eng.options.trsvd_method,
             **trsvd_kwargs(eng.options),
         )
+        return self.factor_from(eng, mode, result.left), result
+
+    def factor_from(self, eng, mode: int, left: np.ndarray) -> np.ndarray:
+        """``U_mode`` from the TRSVD's left vectors over :meth:`ttmc_rows`.
+
+        Zero outside those rows; a mode with fewer rows than its rank gets
+        unit-vector columns on its lowest empty rows.
+        """
         rows = self.ttmc_rows(eng, mode)
         if rows is None:
-            return np.asarray(result.left, dtype=eng.dtype), result
+            return np.asarray(left, dtype=eng.dtype)
         factor = np.zeros((eng.shape[mode], eng.ranks[mode]), dtype=eng.dtype)
-        factor[rows, : result.left.shape[1]] = result.left
-        return complete_basis(factor, rows), result
+        factor[rows, : left.shape[1]] = left
+        return complete_basis(factor, rows)
 
     def notify_factor_updated(self, eng, mode: int) -> None:
         """A factor was replaced *outside* :meth:`update_factor`.
@@ -231,6 +259,10 @@ class InlineDispatcher:
         """The engine's ``Y_(mode)`` block, in its pooled buffers."""
         return self.ttmc(plan, mode, eng.factors, eng.workspace)
 
+    def trsvd(self, eng, mode: int, y_mat: np.ndarray) -> Optional[TRSVDResult]:
+        """The TRSVD of ``y_mat`` off the driver, or ``None``: the driver solves it."""
+        return None
+
     def factor_updated(self, mode: int, factor: np.ndarray) -> None:
         """``U_mode`` was refreshed (in-process plans read it directly)."""
 
@@ -273,6 +305,12 @@ class ProcessDispatcher(InlineDispatcher):
     spawned by the process's first crew run and replaced when dead or of
     another width), or spawns a private crew and closes it when that one
     is lent to another run.  A borrowed crew stays alive for the next run.
+
+    A Lanczos TRSVD of a block of at least :data:`CREW_TRSVD_MIN_ELEMENTS`
+    elements runs on min(workers, usable CPUs) of the crew's workers, split
+    by rows (:meth:`trsvd`); a smaller block, a ``gram`` solve or a single
+    usable CPU keeps it on the driver.  A split solve's sums depend on its
+    rank count at rounding level, like any parallel reduction.
     """
 
     name = "process"
@@ -299,6 +337,23 @@ class ProcessDispatcher(InlineDispatcher):
 
     def factor_updated(self, mode: int, factor: np.ndarray) -> None:
         self.pool.write_factor(mode, factor)
+
+    def trsvd(self, eng, mode: int, y_mat: np.ndarray) -> Optional[TRSVDResult]:
+        """A large Lanczos TRSVD split over the crew, else ``None``.
+
+        ``y_mat`` is the block :meth:`compute` returned: the generation's
+        shared ``out{mode}`` segment, which the ranks read.
+        """
+        count = min(self.width, blas.usable_cpus(), y_mat.shape[0])
+        if (
+            eng.options.trsvd_method != "lanczos"
+            or y_mat.size < CREW_TRSVD_MIN_ELEMENTS
+            or count < 2
+        ):
+            return None
+        return self.pool.trsvd(
+            mode, eng.ranks[mode], count, **trsvd_kwargs(eng.options)
+        )
 
     def close(self) -> None:
         try:
@@ -368,7 +423,11 @@ class PlanBackend(ExecutionBackend):
         return self.dispatcher.compute(eng, self.plan, mode)
 
     def update_factor(self, eng, mode: int, y_mat: np.ndarray):
-        new_factor, stats = super().update_factor(eng, mode, y_mat)
+        stats = self.dispatcher.trsvd(eng, mode, y_mat)
+        if stats is None:
+            new_factor, stats = super().update_factor(eng, mode, y_mat)
+        else:
+            new_factor = self.factor_from(eng, mode, stats.left)
         self.dispatcher.factor_updated(mode, new_factor)
         self.notify_factor_updated(eng, mode)
         return new_factor, stats

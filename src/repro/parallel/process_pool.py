@@ -35,15 +35,25 @@ process's first crew run pays the spawn.  :meth:`HOOIProcessPool.close`
 is idempotent and crash-safe (the arena unlinks its segments even on
 abnormal teardown).
 
+A generation's workers also solve a mode's Lanczos TRSVD together
+(:meth:`HOOIProcessPool.trsvd`): one *rank task* per rank, each over a
+contiguous row block of the mode's shared ``out{n}`` block, with the
+Lanczos loop's reductions summed through a small segment of the arena
+(:mod:`repro.parallel.crew_trsvd`).  A rank sits in a barrier until every
+rank has its task, so no worker takes two.  When the driver finds a worker
+dead mid-batch it sets the arena's abort word, so the surviving ranks
+leave their barriers, and it raises :class:`WorkerCrashError` as for any
+batch.
+
 Between generations a crew worker can also run one *whole job*
 (:meth:`PersistentWorkerCrew.run_job`): a module-level callable and its
 payload arrive over the worker's private control queue, and the value,
 plus any progress the job reports, comes back over the worker's own
 result queue.  Each worker has a cancel flag in shared memory that the
 job polls.  A worker limits OpenBLAS to one thread before its first whole
-job (:mod:`repro.parallel.blas`), because its siblings run jobs of their
-own beside it; a generation body calls no BLAS, so crews that only serve
-generations never pay for the limit.
+job or rank task (:mod:`repro.parallel.blas`), because its siblings run
+beside it; a range body calls no BLAS, so crews that only serve TTMc
+ranges never pay for the limit.
 
 To debug a plan's worker side in-process, rebuild it exactly as a worker
 does: ``attach_plan(ShmView(pool._arena.specs), meta)`` with the meta the
@@ -65,7 +75,8 @@ import multiprocessing as mp
 
 import numpy as np
 
-from repro.parallel import blas
+from repro.core.trsvd import TRSVDResult
+from repro.parallel import blas, crew_trsvd
 from repro.parallel.parallel_for import make_chunks
 from repro.parallel.shm import ShmArena, ShmView
 from repro.resilience.faults import maybe_fail
@@ -87,6 +98,10 @@ START_METHOD_ENV = "REPRO_PROCESS_START_METHOD"
 #: How often a thread waiting on a whole job checks the worker's liveness
 #: and forwards a cancellation (replies wake it at once).
 _JOB_POLL_SECONDS = 0.05
+
+#: The key of a rank task, ``(RANK_TASK, mode, index, count, rank, tol,
+#: seed)``, beside the plan's range keys.
+RANK_TASK = "__trsvd_rank__"
 
 
 def default_start_method() -> str:
@@ -126,15 +141,37 @@ class WorkerCrashError(RuntimeError):
 # --------------------------------------------------------------------------- #
 # Worker side
 # --------------------------------------------------------------------------- #
-def _generation_loop(worker_id: int, plan, task_q, done_q) -> None:
-    """Run range bodies until the generation's detach sentinel arrives."""
+_one_blas_thread_pid: Optional[int] = None
+
+
+def _one_blas_thread() -> None:
+    """Limit this worker's OpenBLAS to one thread, once per process.
+
+    A worker forked from a driver that already runs one thread inherits
+    that count; setting it again would restart the library's thread pool
+    after the fork, and its new helpers spin beside the sibling workers.
+    """
+    global _one_blas_thread_pid
+    if _one_blas_thread_pid != os.getpid():
+        if any(count != 1 for count in blas.thread_counts()):
+            blas.set_threads(1)
+        _one_blas_thread_pid = os.getpid()
+
+
+def _generation_loop(worker_id: int, plan, view, task_q, done_q) -> None:
+    """Run range bodies and rank tasks until the detach sentinel arrives."""
     while True:
         task = task_q.get()
         if task is None:
             return
-        task_id, key, start, stop = task
+        task_id, key, *args = task
         try:
-            plan.body(key, start, stop)
+            if key == RANK_TASK:
+                mode, *rank_args = args
+                _one_blas_thread()
+                crew_trsvd.run_rank(view, plan.outs[mode], *rank_args)
+            else:
+                plan.body(key, *args)
             error = None
         except BaseException as exc:
             error = f"{type(exc).__name__}: {exc}"
@@ -205,7 +242,7 @@ def _worker_main(worker_id: int, task_q, done_q, ctrl_q, result_q, cancel) -> No
         if command[0] == "__job__":
             if job is None:
                 # Siblings run whole jobs beside this one: one BLAS thread.
-                blas.set_threads(1)
+                _one_blas_thread()
                 job = WorkerJob(worker_id, result_q, cancel)
             _run_whole_job(job, command[1], result_q)
             continue
@@ -224,7 +261,7 @@ def _worker_main(worker_id: int, task_q, done_q, ctrl_q, result_q, cancel) -> No
             continue
         done_q.put(("__ready__", worker_id, None))
         try:
-            _generation_loop(worker_id, plan, task_q, done_q)
+            _generation_loop(worker_id, plan, view, task_q, done_q)
         finally:
             plan = None  # drop the plan's views so the segments can unmap
             view.close()
@@ -540,10 +577,16 @@ class HOOIProcessPool:
 
     Construct it over a plan (``ranks`` set: they size the factor and
     output segments), drive it with :meth:`ttmc` / :meth:`run` /
-    :meth:`write_factor`, and release it with :meth:`close` (or use it as
-    a context manager).  Once packed, the driver-side plan reads and writes
-    the shared segments its workers see.  Factor segments start zeroed:
-    write the initial factors before the first :meth:`ttmc`.
+    :meth:`trsvd` / :meth:`write_factor`, and release it with :meth:`close`
+    (or use it as a context manager).  Once packed, the driver-side plan
+    reads and writes the shared segments its workers see.  Factor segments
+    start zeroed: write the initial factors before the first :meth:`ttmc`.
+    Next to the plan the arena holds the segments that :meth:`trsvd`'s
+    ranks reduce through and write their results into; a process run
+    sends it each Lanczos solve of a block with at least
+    :data:`~repro.engine.backend.CREW_TRSVD_MIN_ELEMENTS` elements, on
+    min(workers, usable CPUs) ranks, and solves the rest on the driver.
+    The split's sums depend on the rank count at rounding level.
 
     Without ``crew`` the generation spawns a private
     :class:`PersistentWorkerCrew` and closes it with itself; with ``crew``
@@ -567,6 +610,7 @@ class HOOIProcessPool:
         self.workers: List[mp.process.BaseProcess] = []
         try:
             meta = plan.pack(self._arena)
+            crew_trsvd.pack(self._arena, plan, self.config.num_workers)
             if crew is None:
                 crew = self._crew = PersistentWorkerCrew(self.config.num_workers)
             elif crew.num_workers != self.config.num_workers:
@@ -685,6 +729,8 @@ class HOOIProcessPool:
             except queue_module.Empty:
                 if any(not w.is_alive() for w in self.workers):
                     self._broken = True
+                    # Ranks waiting for a dead peer leave their barriers.
+                    crew_trsvd.abort(self._arena)
                     dead = [w for w in self.workers if not w.is_alive()]
                     raise WorkerCrashError(
                         f"{len(dead)} worker process(es) died mid-batch "
@@ -696,7 +742,10 @@ class HOOIProcessPool:
                 errors.append(error)
         if errors:
             self._broken = True
-            raise RuntimeError(f"worker task failed: {errors[0]}")
+            # Report the failure itself, not a rank that left because of it.
+            aborted = crew_trsvd.RankAborted.__name__
+            cause = next((e for e in errors if not e.startswith(aborted)), errors[0])
+            raise RuntimeError(f"worker task failed: {cause}")
 
     # -- public operations ----------------------------------------------- #
     def run(self, key) -> None:
@@ -718,6 +767,37 @@ class HOOIProcessPool:
         """
         self._check_usable()
         return self._plan.ttmc(mode, self.run)
+
+    def trsvd(
+        self, mode: int, rank: int, count: int, *, tol: float = 1e-8,
+        seed: Optional[int] = 0,
+    ) -> TRSVDResult:
+        """Lanczos TRSVD of ``mode``'s shared block, split over ``count`` workers.
+
+        Rank ``k`` runs :func:`~repro.core.trsvd.lanczos_svd` over the
+        ``k``-th of ``count`` contiguous row blocks of the block :meth:`ttmc`
+        last returned (:mod:`repro.parallel.crew_trsvd`); the result holds
+        every row's left vectors and rank 0's counters, singular values and
+        right vectors, which every rank must match bit for bit.  ``count``
+        is at most the number of workers and of the block's rows.
+        """
+        self._check_usable()
+        rows, _ = self._arena[f"out{mode}"].shape
+        if not 1 <= count <= min(len(self.workers), rows):
+            raise ValueError(
+                f"a split TRSVD needs 1 to {min(len(self.workers), rows)} "
+                f"ranks, not {count}"
+            )
+        # Fault point "trsvd": the factor update, as on the driver path.
+        maybe_fail("trsvd")
+        crew_trsvd.reset(self._arena)
+        self._dispatch([
+            (RANK_TASK, mode, index, count, rank, tol, seed)
+            for index in range(count)
+        ])
+        return crew_trsvd.collect(
+            self._arena, self._arena[f"out{mode}"].shape, rank, count
+        )
 
     def write_factor(self, mode: int, array: np.ndarray) -> None:
         """Broadcast a refreshed factor by writing its shared segment.

@@ -22,11 +22,17 @@ Injection points wired into the codebase
 ``worker.job``       a whole job on a crew worker, at each progress report
                      it sends (``action="exit"`` here kills the worker in
                      the middle of a small served job).
+``worker.trsvd``     every reduction of a rank of a split TRSVD on a crew
+                     worker (:class:`repro.parallel.crew_trsvd.
+                     ShmAllreduce`; ``action="exit"`` with ``after=`` kills
+                     the worker mid-solve).
 ``pool.dispatch``    :meth:`repro.parallel.process_pool.HOOIProcessPool.
                      _dispatch` — driver-side, before a task batch is
                      enqueued.
-``trsvd``            :func:`repro.core.trsvd.truncated_svd` — the factor
-                     update of every mode of every sweep.
+``trsvd``            :func:`repro.core.trsvd.truncated_svd` and, for a
+                     solve split over a crew, :meth:`repro.parallel.
+                     process_pool.HOOIProcessPool.trsvd` on the driver —
+                     the factor update of every mode of every sweep.
 ``serving.run_direct``
                      :func:`repro.serving.executor.run_direct` and
                      :func:`~repro.serving.executor.run_on_worker`, the
@@ -93,6 +99,7 @@ INJECTION_POINTS = (
     "shm.attach",
     "worker.ack",
     "worker.job",
+    "worker.trsvd",
     "pool.dispatch",
     "trsvd",
     "serving.run_direct",
