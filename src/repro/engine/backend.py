@@ -44,24 +44,27 @@ all drivers share this one loop.
 
 A process run whose crew pays also solves each large Lanczos TRSVD on the
 crew's workers, split by rows (:meth:`ProcessDispatcher.trsvd`, from
-:data:`CREW_TRSVD_MIN_ELEMENTS`); every other TRSVD runs on the driver.
+:data:`CREW_TRSVD_MIN_ELEMENTS`, on x86-64 hosts with no CPU to spare
+beside the crew); every other TRSVD runs on the driver.
 """
 
 from __future__ import annotations
 
 import functools
+import platform
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.hosvd import initialize_factors
+from repro.core.kron import kron_row_length
 from repro.core.sparse_tensor import SparseTensor
 from repro.core.trsvd import TRSVDResult, truncated_svd
 from repro.core.ttmc import ttmc_flops
 from repro.core.tucker import core_from_ttmc
 from repro.engine.dimtree import DimensionTree
 from repro.engine.plans import COORowsPlan, CSFSlabPlan, TTMcPlan
-from repro.parallel import blas
+from repro.parallel import blas, crew_trsvd
 from repro.parallel.process_pool import PROCESS_CREW, HOOIProcessPool, ProcessConfig
 from repro.util.linalg import complete_basis
 
@@ -112,6 +115,9 @@ CREW_BREAK_EVEN_FLOPS = 17_000_000
 #: * the 7-row blocks: 2–6 (a rank task's dispatch alone costs 0.3–0.5 ms).
 #:
 #: The split pays between 10^5 and 3·10^5 elements; 2^18 lies between.
+#: A host with a usable CPU beyond the crew's would run the driver's solve
+#: on more BLAS threads (``blas.threads_beside``), so there the split is
+#: not used at all.
 CREW_TRSVD_MIN_ELEMENTS = 1 << 18
 
 
@@ -308,9 +314,14 @@ class ProcessDispatcher(InlineDispatcher):
 
     A Lanczos TRSVD of a block of at least :data:`CREW_TRSVD_MIN_ELEMENTS`
     elements runs on min(workers, usable CPUs) of the crew's workers, split
-    by rows (:meth:`trsvd`); a smaller block, a ``gram`` solve or a single
-    usable CPU keeps it on the driver.  A split solve's sums depend on its
-    rank count at rounding level, like any parallel reduction.
+    by rows (:meth:`trsvd`), where that was measured to pay: on x86-64
+    (:data:`~repro.parallel.crew_trsvd.ORDERED_MACHINES`, whose store order
+    the ranks' barrier relies on), with no usable CPU left for a second
+    driver BLAS thread beside the crew.  A smaller block, a ``gram`` solve,
+    a single usable CPU or any other host keeps it on the driver, and a run
+    none of whose modes splits packs no segment for it.  A split solve's
+    sums depend on its rank count at rounding level, like any parallel
+    reduction.
     """
 
     name = "process"
@@ -319,6 +330,7 @@ class ProcessDispatcher(InlineDispatcher):
         self.width = crew.num_workers if crew is not None else int(num_workers)
         self.crew = crew
         self.pool = None
+        self._split_ranks: List[int] = []
         self._borrowed = False
 
     def open(self, eng, plan: TTMcPlan) -> None:
@@ -326,11 +338,30 @@ class ProcessDispatcher(InlineDispatcher):
         if crew is None:
             crew = PROCESS_CREW.lend(self.width)
             self._borrowed = crew is not None
+        self._split_ranks = [
+            self._ranks_for(eng, plan, mode) for mode in range(eng.order)
+        ]
         self.pool = HOOIProcessPool(
-            plan, config=ProcessConfig(num_workers=self.width), crew=crew
+            plan, config=ProcessConfig(num_workers=self.width), crew=crew,
+            split_trsvd=any(self._split_ranks),
         )
         for mode, factor in enumerate(eng.factors):
             self.pool.write_factor(mode, factor)
+
+    def _ranks_for(self, eng, plan: TTMcPlan, mode: int) -> int:
+        """Ranks that solve ``mode``'s TRSVD; 0 when the driver does."""
+        rows = plan.rows(mode).shape[0]
+        width = kron_row_length([r for m, r in enumerate(eng.ranks) if m != mode])
+        count = min(self.width, blas.usable_cpus(), rows)
+        if (
+            eng.options.trsvd_method != "lanczos"
+            or rows * width < CREW_TRSVD_MIN_ELEMENTS
+            or count < 2
+            or platform.machine() not in crew_trsvd.ORDERED_MACHINES
+            or blas.threads_beside(self.width) != 1
+        ):
+            return 0
+        return count
 
     def compute(self, eng, plan: TTMcPlan, mode: int) -> np.ndarray:
         return self.pool.ttmc(mode)
@@ -342,14 +373,11 @@ class ProcessDispatcher(InlineDispatcher):
         """A large Lanczos TRSVD split over the crew, else ``None``.
 
         ``y_mat`` is the block :meth:`compute` returned: the generation's
-        shared ``out{mode}`` segment, which the ranks read.
+        shared ``out{mode}`` segment, which the ranks read.  Which modes
+        split, and on how many ranks, :meth:`open` decided.
         """
-        count = min(self.width, blas.usable_cpus(), y_mat.shape[0])
-        if (
-            eng.options.trsvd_method != "lanczos"
-            or y_mat.size < CREW_TRSVD_MIN_ELEMENTS
-            or count < 2
-        ):
+        count = self._split_ranks[mode]
+        if not count:
             return None
         return self.pool.trsvd(
             mode, eng.ranks[mode], count, **trsvd_kwargs(eng.options)

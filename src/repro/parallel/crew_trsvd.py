@@ -26,8 +26,10 @@ through the generation's arena (:class:`ShmAllreduce`).
   A waiting rank that finds a peer finished short of its barrier raises
   too, instead of waiting for it.
 * A rank publishes its partial, then its epoch, and its peers read the
-  epoch, then the partial: the barrier relies on the host keeping stores
-  in program order, as x86-64 does.
+  epoch, then the partial, with plain stores and loads and no fence.  The
+  barrier relies on the CPU keeping stores, and loads, in program order,
+  which x86-64 does and weaker orderings such as aarch64's do not, so a
+  process run splits only on the machines in :data:`ORDERED_MACHINES`.
 
 :class:`~repro.parallel.process_pool.HOOIProcessPool` packs the segments
 (:func:`pack`) and dispatches one rank task per rank
@@ -45,11 +47,16 @@ from typing import Optional
 import numpy as np
 
 from repro.core.kron import kron_row_length
-from repro.core.sparse_tensor import as_supported_float
-from repro.core.trsvd import RowSplitOperator, TRSVDResult, lanczos_svd
+from repro.core.trsvd import (
+    DenseOperator,
+    RowSplitOperator,
+    TRSVDResult,
+    lanczos_svd,
+)
 from repro.resilience.faults import maybe_fail
 
 __all__ = [
+    "ORDERED_MACHINES",
     "RankAborted",
     "RowBlockOperator",
     "ShmAllreduce",
@@ -59,6 +66,11 @@ __all__ = [
     "reset",
     "run_rank",
 ]
+
+#: ``platform.machine()`` names of the CPUs whose memory order the barrier
+#: relies on (x86-64 keeps stores in program order); elsewhere a process
+#: run solves every TRSVD on the driver.
+ORDERED_MACHINES = ("x86_64", "AMD64")
 
 #: Report header: reductions, restarts, matvecs, rmatvecs, converged, rank.
 _HEADER = 6
@@ -176,7 +188,7 @@ class ShmAllreduce:
         self._abort[0] = 1
 
 
-class RowBlockOperator(RowSplitOperator):
+class RowBlockOperator(RowSplitOperator, DenseOperator):
     """One rank's contiguous row block of ``Y_(n)``, multiplied in its dtype.
 
     ``matvec`` stays local (it returns this rank's rows); ``rmatvec`` and
@@ -184,19 +196,15 @@ class RowBlockOperator(RowSplitOperator):
     """
 
     def __init__(self, block: np.ndarray, reduce: ShmAllreduce) -> None:
-        self.matrix = as_supported_float(block)
-        self.shape = self.matrix.shape
+        super().__init__(block)
         self.rank = reduce.index
         self._reduce = reduce
 
     def allreduce(self, vector: np.ndarray) -> np.ndarray:
         return self._reduce(vector)
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ x
-
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        return self._reduce(self.matrix.T @ y)
+        return self.allreduce(super().rmatvec(y))
 
 
 @contextlib.contextmanager
@@ -205,7 +213,10 @@ def _own_cpu(index: int):
 
     Two ranks that yield to each other on one CPU stay there: each has just
     run, so the scheduler's balancer counts it cache-hot and moves neither
-    to the idle CPU.
+    to the idle CPU.  Ranks pin by index, so two crews splitting at once
+    would share CPUs; a process run splits only when its crew leaves at
+    most one usable CPU beside it
+    (:class:`~repro.engine.backend.ProcessDispatcher`).
     """
     try:
         cpus = os.sched_getaffinity(0)

@@ -35,15 +35,15 @@ process's first crew run pays the spawn.  :meth:`HOOIProcessPool.close`
 is idempotent and crash-safe (the arena unlinks its segments even on
 abnormal teardown).
 
-A generation's workers also solve a mode's Lanczos TRSVD together
-(:meth:`HOOIProcessPool.trsvd`): one *rank task* per rank, each over a
-contiguous row block of the mode's shared ``out{n}`` block, with the
-Lanczos loop's reductions summed through a small segment of the arena
-(:mod:`repro.parallel.crew_trsvd`).  A rank sits in a barrier until every
-rank has its task, so no worker takes two.  When the driver finds a worker
-dead mid-batch it sets the arena's abort word, so the surviving ranks
-leave their barriers, and it raises :class:`WorkerCrashError` as for any
-batch.
+The workers of a generation built with ``split_trsvd`` also solve a
+mode's Lanczos TRSVD together (:meth:`HOOIProcessPool.trsvd`): one *rank
+task* per rank, each over a contiguous row block of the mode's shared
+``out{n}`` block, with the Lanczos loop's reductions summed through a
+small segment of the arena (:mod:`repro.parallel.crew_trsvd`).  A rank
+sits in a barrier until every rank has its task, so no worker takes two.
+When the driver finds a worker dead mid-batch it sets the arena's abort
+word, so the surviving ranks leave their barriers, and it raises
+:class:`WorkerCrashError` as for any batch.
 
 Between generations a crew worker can also run one *whole job*
 (:meth:`PersistentWorkerCrew.run_job`): a module-level callable and its
@@ -581,9 +581,11 @@ class HOOIProcessPool:
     (or use it as a context manager).  Once packed, the driver-side plan
     reads and writes the shared segments its workers see.  Factor segments
     start zeroed: write the initial factors before the first :meth:`ttmc`.
-    Next to the plan the arena holds the segments that :meth:`trsvd`'s
-    ranks reduce through and write their results into; a process run
-    sends it each Lanczos solve of a block with at least
+    With ``split_trsvd`` the arena also holds, next to the plan, the
+    segments that :meth:`trsvd`'s ranks reduce through and write their
+    results into.  A process run asks for them only when one of its modes
+    will split (:class:`~repro.engine.backend.ProcessDispatcher`): it sends
+    :meth:`trsvd` each Lanczos solve of a block with at least
     :data:`~repro.engine.backend.CREW_TRSVD_MIN_ELEMENTS` elements, on
     min(workers, usable CPUs) ranks, and solves the rest on the driver.
     The split's sums depend on the rank count at rounding level.
@@ -597,7 +599,8 @@ class HOOIProcessPool:
     """
 
     def __init__(self, plan, *, config: Optional[ProcessConfig] = None,
-                 crew: Optional[PersistentWorkerCrew] = None) -> None:
+                 crew: Optional[PersistentWorkerCrew] = None,
+                 split_trsvd: bool = False) -> None:
         self._plan = plan
         self.config = _resolve_config(config, crew)
         self._arena = ShmArena()
@@ -610,7 +613,8 @@ class HOOIProcessPool:
         self.workers: List[mp.process.BaseProcess] = []
         try:
             meta = plan.pack(self._arena)
-            crew_trsvd.pack(self._arena, plan, self.config.num_workers)
+            if split_trsvd:
+                crew_trsvd.pack(self._arena, plan, self.config.num_workers)
             if crew is None:
                 crew = self._crew = PersistentWorkerCrew(self.config.num_workers)
             elif crew.num_workers != self.config.num_workers:
@@ -729,8 +733,9 @@ class HOOIProcessPool:
             except queue_module.Empty:
                 if any(not w.is_alive() for w in self.workers):
                     self._broken = True
-                    # Ranks waiting for a dead peer leave their barriers.
-                    crew_trsvd.abort(self._arena)
+                    if "trsvd-sync" in self._arena:
+                        # Ranks waiting for a dead peer leave their barriers.
+                        crew_trsvd.abort(self._arena)
                     dead = [w for w in self.workers if not w.is_alive()]
                     raise WorkerCrashError(
                         f"{len(dead)} worker process(es) died mid-batch "
@@ -769,8 +774,8 @@ class HOOIProcessPool:
         return self._plan.ttmc(mode, self.run)
 
     def trsvd(
-        self, mode: int, rank: int, count: int, *, tol: float = 1e-8,
-        seed: Optional[int] = 0,
+        self, mode: int, rank: int, count: int, *, tol: float,
+        seed: Optional[int],
     ) -> TRSVDResult:
         """Lanczos TRSVD of ``mode``'s shared block, split over ``count`` workers.
 
@@ -779,9 +784,14 @@ class HOOIProcessPool:
         last returned (:mod:`repro.parallel.crew_trsvd`); the result holds
         every row's left vectors and rank 0's counters, singular values and
         right vectors, which every rank must match bit for bit.  ``count``
-        is at most the number of workers and of the block's rows.
+        is at most the number of workers and of the block's rows.  Every
+        rank starts from ``seed``'s right vector; ``None`` draws one seed
+        here, for all of them.  The generation must have been built with
+        ``split_trsvd``.
         """
         self._check_usable()
+        if "trsvd-sync" not in self._arena:
+            raise RuntimeError("this generation was built without split_trsvd")
         rows, _ = self._arena[f"out{mode}"].shape
         if not 1 <= count <= min(len(self.workers), rows):
             raise ValueError(
@@ -790,6 +800,10 @@ class HOOIProcessPool:
             )
         # Fault point "trsvd": the factor update, as on the driver path.
         maybe_fail("trsvd")
+        if seed is None:
+            # Ranks that drew their own start vectors would sum vectors of
+            # different solves.
+            seed = int(np.random.SeedSequence().entropy)
         crew_trsvd.reset(self._arena)
         self._dispatch([
             (RANK_TASK, mode, index, count, rank, tol, seed)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import SparseTensor
+from repro.data import planted_lowrank_tensor
 from repro.parallel.process_pool import PROCESS_CREW
 from repro.util.linalg import random_orthonormal
 
@@ -96,3 +97,21 @@ def factors_4d(small_tensor_4d) -> list:
         random_orthonormal(size, rank, seed=200 + i)
         for i, (size, rank) in enumerate(zip(small_tensor_4d.shape, ranks))
     ]
+
+
+@pytest.fixture(scope="session")
+def tall_ranks() -> tuple:
+    """Ranks of ``tall``: mode 0's block (about 3,970 × 100) is above
+    ``CREW_TRSVD_MIN_ELEMENTS``, so a 2-worker process run splits its
+    Lanczos solve over the crew; modes 1 and 2 (24 rows) stay on the driver.
+    """
+    return (4, 10, 10)
+
+
+@pytest.fixture(scope="session")
+def tall(tall_ranks) -> SparseTensor:
+    """A 4000 × 24 × 24 planted low-rank tensor with 20,000 nonzeros."""
+    tensor, _ = planted_lowrank_tensor(
+        (4000, 24, 24), tall_ranks, 20000, noise=0.1, seed=5
+    )
+    return tensor

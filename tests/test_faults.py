@@ -417,9 +417,8 @@ class TestBrokenPoolDegradation:
 # --------------------------------------------------------------------------- #
 # Split TRSVD ranks: a large Lanczos solve on the crew's workers
 # --------------------------------------------------------------------------- #
-#: Mode 0's block of the tall tensor (about 3,970 × 100) is above the split
-#: size, so its Lanczos solve runs as one rank per worker.
-TALL_RANKS = (4, 10, 10)
+#: Mode 0's block of the ``tall`` tensor is above the split size, so its
+#: Lanczos solve runs as one rank per worker.
 CREW_LANCZOS = dict(
     max_iterations=3, trsvd_method="lanczos", seed=0, execution="process",
     num_workers=2,
@@ -428,18 +427,9 @@ CREW_LANCZOS = dict(
 RANK_EXIT = FaultPlan([FaultSpec("worker.trsvd", action="exit", after=5)])
 
 
-def _tall() -> SparseTensor:
-    from repro.data import planted_lowrank_tensor
-
-    tensor, _ = planted_lowrank_tensor(
-        (4000, 24, 24), TALL_RANKS, 20000, noise=0.1, seed=5
-    )
-    return tensor
-
-
-def _sequential_fits(tensor):
+def _sequential_fits(tensor, ranks):
     options = dict(CREW_LANCZOS, execution="sequential", num_workers=1)
-    return hooi(tensor, TALL_RANKS, HOOIOptions(**options)).fit_history
+    return hooi(tensor, ranks, HOOIOptions(**options)).fit_history
 
 
 def _arm(plan_json: str, job) -> None:
@@ -449,7 +439,9 @@ def _arm(plan_json: str, job) -> None:
 
 @needs_posix
 class TestSplitTRSVDFaults:
-    def test_rank_killed_mid_solve_is_a_worker_crash(self, monkeypatch):
+    def test_rank_killed_mid_solve_is_a_worker_crash(
+        self, tall, tall_ranks, monkeypatch
+    ):
         import multiprocessing
 
         from repro.parallel.process_pool import PROCESS_CREW, WorkerCrashError
@@ -458,12 +450,12 @@ class TestSplitTRSVDFaults:
         monkeypatch.setenv(FAULT_ENV, RANK_EXIT.to_json())
         before = _shm_segments()
         with pytest.raises(WorkerCrashError, match="died mid-batch"):
-            hooi(_tall(), TALL_RANKS, HOOIOptions(**CREW_LANCZOS))
+            hooi(tall, tall_ranks, HOOIOptions(**CREW_LANCZOS))
         assert _shm_segments() <= before
         PROCESS_CREW.retire()
         assert multiprocessing.active_children() == []
 
-    def test_surviving_rank_leaves_its_barrier(self):
+    def test_surviving_rank_leaves_its_barrier(self, tall, tall_ranks):
         """Only one worker is armed: its peer must leave the barrier it waits in.
 
         The survivor acks its abort, stops cleanly when the next run
@@ -474,19 +466,18 @@ class TestSplitTRSVDFaults:
 
         from repro.parallel.process_pool import PROCESS_CREW, WorkerCrashError
 
-        tensor = _tall()
         options = HOOIOptions(**CREW_LANCZOS)
-        hooi(tensor, TALL_RANKS, options)  # builds the process's crew
+        hooi(tall, tall_ranks, options)  # builds the process's crew
         crew = PROCESS_CREW.current()
         crew.run_job(1, _arm, RANK_EXIT.to_json())
         survivor, victim = crew.workers
         before = _shm_segments()
         with pytest.raises(WorkerCrashError, match="died mid-batch"):
-            hooi(tensor, TALL_RANKS, options)
+            hooi(tall, tall_ranks, options)
         assert victim.exitcode == RANK_EXIT.specs[0].exit_code
         assert survivor.is_alive()
 
-        result = hooi(tensor, TALL_RANKS, options)
+        result = hooi(tall, tall_ranks, options)
         assert survivor.exitcode == 0
         replaced = PROCESS_CREW.current()
         assert replaced is not crew
@@ -494,43 +485,47 @@ class TestSplitTRSVDFaults:
             {survivor.pid, victim.pid}
         )
         np.testing.assert_allclose(
-            result.fit_history, _sequential_fits(tensor), atol=1e-10, rtol=0
+            result.fit_history,
+            _sequential_fits(tall, tall_ranks),
+            atol=1e-10,
+            rtol=0,
         )
         assert _shm_segments() <= before
         PROCESS_CREW.retire()
         assert multiprocessing.active_children() == []
 
-    def test_a_failing_rank_fails_the_run_with_its_error(self):
+    def test_a_failing_rank_fails_the_run_with_its_error(self, tall, tall_ranks):
         """A rank that raises aborts its peer; the run reports the rank's error.
 
         No worker died, so the crew stays alive and serves the next run.
         """
         from repro.parallel.process_pool import PROCESS_CREW
 
-        tensor = _tall()
         options = HOOIOptions(**CREW_LANCZOS)
-        hooi(tensor, TALL_RANKS, options)
+        hooi(tall, tall_ranks, options)
         crew = PROCESS_CREW.current()
         plan = FaultPlan([FaultSpec("worker.trsvd", after=5)])
         crew.run_job(1, _arm, plan.to_json())
         before = _shm_segments()
         with pytest.raises(RuntimeError, match="InjectedFault.*'worker.trsvd'"):
-            hooi(tensor, TALL_RANKS, options)
+            hooi(tall, tall_ranks, options)
         assert crew.alive
-        result = hooi(tensor, TALL_RANKS, options)
+        result = hooi(tall, tall_ranks, options)
         assert PROCESS_CREW.current() is crew
         np.testing.assert_allclose(
-            result.fit_history, _sequential_fits(tensor), atol=1e-10, rtol=0
+            result.fit_history,
+            _sequential_fits(tall, tall_ranks),
+            atol=1e-10,
+            rtol=0,
         )
         assert _shm_segments() <= before
 
-    def test_rank_crash_descends_the_ladder(self, monkeypatch):
+    def test_rank_crash_descends_the_ladder(self, tall, tall_ranks, monkeypatch):
         """A served job whose ranks keep dying completes on the thread tier."""
         from repro.serving import DecompositionService, JobState
 
         install_faults(RANK_EXIT)
         monkeypatch.setenv(FAULT_ENV, RANK_EXIT.to_json())
-        tensor = _tall()
 
         async def main():
             async with DecompositionService(
@@ -538,7 +533,7 @@ class TestSplitTRSVDFaults:
             ) as service:
                 with pytest.warns(RuntimeWarning, match="degrading"):
                     handle = await service.submit(
-                        tensor, TALL_RANKS, **CREW_LANCZOS
+                        tall, tall_ranks, **CREW_LANCZOS
                     )
                     result = await handle.result()
                 return result, handle.state, service.metrics()
@@ -550,11 +545,16 @@ class TestSplitTRSVDFaults:
         assert metrics["jobs"]["retries"] == 1
         clear_faults()
         np.testing.assert_allclose(
-            result.fit_history, _sequential_fits(tensor), atol=1e-10, rtol=0
+            result.fit_history,
+            _sequential_fits(tall, tall_ranks),
+            atol=1e-10,
+            rtol=0,
         )
         assert _shm_segments() <= before
 
-    def test_driver_trsvd_fault_fires_on_a_crew_run(self, monkeypatch):
+    def test_driver_trsvd_fault_fires_on_a_crew_run(
+        self, tall, tall_ranks, monkeypatch
+    ):
         from repro.parallel.process_pool import HOOIProcessPool
 
         split = []
@@ -565,11 +565,10 @@ class TestSplitTRSVDFaults:
             return trsvd(self, mode, *args, **kwargs)
 
         monkeypatch.setattr(HOOIProcessPool, "trsvd", spy)
-        tensor = _tall()
         injector = install_faults(
             FaultPlan([FaultSpec("trsvd", action="delay", times=-1)])
         )
-        hooi(tensor, TALL_RANKS, HOOIOptions(**CREW_LANCZOS))
+        hooi(tall, tall_ranks, HOOIOptions(**CREW_LANCZOS))
         sweeps = CREW_LANCZOS["max_iterations"]
         assert split == [0] * sweeps
         assert injector.counters()["trsvd"] == (3 * sweeps, 3 * sweeps)
@@ -577,6 +576,6 @@ class TestSplitTRSVDFaults:
         install_faults(FaultPlan([FaultSpec("trsvd")]))
         before = _shm_segments()
         with pytest.raises(InjectedFault, match="point='trsvd'"):
-            hooi(tensor, TALL_RANKS, HOOIOptions(**CREW_LANCZOS))
+            hooi(tall, tall_ranks, HOOIOptions(**CREW_LANCZOS))
         assert split[-1] == 0 and len(split) == sweeps + 1
         assert _shm_segments() <= before
